@@ -138,9 +138,10 @@ type (
 	// PeakCalculator evaluates rotation plans analytically. It is
 	// immutable after construction — evaluations allocate their own
 	// scratch — so one calculator may serve concurrent goroutines.
-	// Against a sparse-mode thermal model it evaluates by certified
-	// fixed-point iteration instead of the eigenbasis (same results
-	// within rotation.DefaultIterTol; see Calculator.Iterative).
+	// Against a sparse-mode thermal model it solves the periodic steady
+	// state by certified conjugate gradients instead of the eigenbasis
+	// (same results within rotation.DefaultIterTol; see
+	// Calculator.Iterative).
 	PeakCalculator = rotation.Calculator
 	// RotationResult is the detailed periodic steady state of a plan.
 	RotationResult = rotation.Result

@@ -75,3 +75,27 @@ func BenchmarkHotloopRingScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotloopRingScanSparse is the same six-core ring scan on a 16×16
+// chip, where auto solver selection goes sparse: with no eigenbasis, each
+// evaluation solves the periodic steady state by preconditioned conjugate
+// gradients over the Krylov period propagator (periodic.go).
+func BenchmarkHotloopRingScanSparse(b *testing.B) {
+	b.Run("16x16", func(b *testing.B) {
+		c := newCalc(b, 16, 16, thermal.DefaultConfig())
+		if !c.Iterative() {
+			b.Fatal("a 16x16 chip must resolve to the sparse backend")
+		}
+		ev := c.NewRingEvaluator()
+		base := matrix.Constant(256, 0.5)
+		ring := []int{119, 120, 136, 135, 134, 118}
+		slotWatts := []float64{9, 0.3, 7, 0.3, 6, 0.3}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.PeakRingRotation(0.5e-3, base, ring, slotWatts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -3,90 +3,59 @@ package rotation
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/matrix"
+	"repro/internal/thermal"
 )
 
 // periodic.go: the matrix-free periodic-steady-state evaluator used when the
 // thermal model runs the sparse backend and therefore offers no eigenbasis.
 //
-// The start-of-period temperature obeys the affine fixed point T* = F(T*)
-// with F one full rotation period of exact epoch steps (thermal.Stepper —
-// in sparse mode the Krylov kernel). F's linear part is E^δ, whose spectral
-// radius r = e^{−λ_min·δ·τ} < 1, so plain iteration converges geometrically
-// with ratio r and the tail after an iterate with update Δ_k obeys
+// Relative to the ambient steady state, one rotation period maps a start
+// state x to M·x + g, with M = e^{C·δτ} the period propagator and g the
+// period stepped from ambient under the plan's powers, so the start of the
+// periodic steady state solves
 //
-//	‖T* − T_k‖ ≤ ‖Δ_k‖ · r/(1 − r) ,
+//	(I − M)·x = g .
 //
-// with r estimated from consecutive update ratios. Because the slowest
-// thermal mode (the heatsink) makes r close to 1 for realistic δ·τ, the
-// iteration is accelerated by periodic Aitken extrapolation: once the ratio
-// has stabilized, T ← T + Δ·r̂/(1 − r̂) jumps along the dominant eigenmode,
-// leaving only the faster-decaying modes. The certified stop criterion is
-// the tail bound above against the calculator's IterTol (default
-// DefaultIterTol). docs/THEORY.md §"Sparse numerics" discusses convergence
-// and when the dense eigenbasis path is preferable.
+// A·C = −B is symmetric, so M is self-adjoint in the capacitance inner
+// product ⟨u,v⟩_A = Σ aᵢuᵢvᵢ and I − M is positive definite there, with
+// spectrum in [λ_lb, 1), λ_lb = 1 − e^{−μ_lb·δτ} from the model's
+// decay-rate bound (thermal.Model.DecayRateLowerBound). Conjugate gradients
+// in that inner product solve it with one homogeneous Krylov expm·v over δτ
+// per iteration (thermal.Stepper.PropagateTo), starting from the steady
+// state of the period-mean power. The preconditioner I + B⁻¹A/δτ, also
+// self-adjoint there, maps mode k's eigenvalue 1 − e^{−s} (s = μ_k·δτ) to
+// (1 − e^{−s})(1 + 1/s) ∈ [1, 1.3] at the cost of one banded solve, so the
+// iteration count is flat in chip size and δτ. Because ‖e‖_A ≤ ‖r‖_A/λ_lb
+// and |eᵢ| ≤ ‖e‖_A/√aᵢ for the error e of residual r, the stop rule
+//
+//	‖r‖_A / (λ_lb·√min aᵢ) < IterTol
+//
+// certifies the start-state error in kelvin at every node; it is checked on
+// a recomputed true residual before a result is accepted.
+// docs/THEORY.md §7.4 derives it and reports iteration counts.
 
-// maxPeriods bounds the fixed-point iteration; at the default tolerance even
-// a pathological r = 0.999 converges within it, so hitting the cap means the
-// model is non-dissipative (which model construction already rejects).
-const maxPeriods = 200000
+// maxMatvecs caps the period-propagator applications of one evaluation. A
+// certified solve takes 9–14 (docs/THEORY.md §7.4); hitting the cap means
+// IterTol is below what double precision can certify for this plan, and the
+// evaluation fails with the achieved bound rather than spinning on.
+const maxMatvecs = 200
 
-// evaluateIterative computes the plan's periodic steady state by fixed-point
-// iteration and walks one period recording epoch boundaries; with
+// evaluateIterative computes the plan's periodic steady state by conjugate
+// gradients and walks one period recording epoch boundaries; with
 // subsamples > 1 it additionally samples inside every epoch like
 // EvaluateFine. The plan is already validated.
 func (c *Calculator) evaluateIterative(plan Plan, subsamples int) (*Result, error) {
 	metricEvals.Inc()
 	delta := plan.Delta()
-	N := c.nNodes
 	stepper, err := c.m.NewStepper(plan.Tau)
 	if err != nil {
 		return nil, err
 	}
-
-	t := append([]float64(nil), c.m.AmbientSteady()...)
-	prev := make([]float64, N)
-	prevNorm := math.Inf(1)
-	converged := false
-	for k := 0; k < maxPeriods; k++ {
-		copy(prev, t)
-		for e := 0; e < delta; e++ {
-			stepper.StepTo(t, t, plan.Powers[e])
-		}
-		var nd float64
-		for i := range t {
-			if d := math.Abs(t[i] - prev[i]); d > nd {
-				nd = d
-			}
-		}
-		if nd == 0 {
-			converged = true
-			break
-		}
-		// The update ratio is only meaningful when the previous update came
-		// from a plain (un-extrapolated) period — the first period and the
-		// one after each extrapolation have no valid reference.
-		rValid := !math.IsInf(prevNorm, 1)
-		r := nd / prevNorm
-		prevNorm = nd
-		if rValid && r < 1 {
-			if nd*r/(1-r) < c.iterTol {
-				converged = true
-				break
-			}
-			// Aitken extrapolation along the dominant mode. Only every few
-			// periods: the ratio needs fresh un-extrapolated updates to be
-			// meaningful, and extrapolating on a polluted ratio oscillates.
-			if k%4 == 3 && r > 0.2 {
-				f := r / (1 - r)
-				for i := range t {
-					t[i] += f * (t[i] - prev[i])
-				}
-				prevNorm = math.Inf(1) // next ratio spans the jump; discard it
-			}
-		}
-	}
-	if !converged {
-		return nil, fmt.Errorf("rotation: periodic steady state did not converge within %d periods (tol %g K)", maxPeriods, c.iterTol)
+	t, _, err := c.periodicStart(plan, stepper)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -123,4 +92,136 @@ func (c *Calculator) evaluateIterative(plan Plan, subsamples int) (*Result, erro
 		res.EpochEnd[e] = append([]float64(nil), t...)
 	}
 	return res, nil
+}
+
+// periodicStart returns the absolute start-of-period temperatures T* of the
+// plan's periodic steady state, certified to IterTol, and how many times it
+// applied the period propagator M. stepper steps one epoch of the plan.
+func (c *Calculator) periodicStart(plan Plan, stepper *thermal.Stepper) ([]float64, int, error) {
+	delta := float64(plan.Delta())
+	period, err := c.m.NewStepper(plan.Tau * delta)
+	if err != nil {
+		return nil, 0, err
+	}
+	amb := c.m.AmbientSteady()
+	N := c.nNodes
+
+	// g: one period stepped from the ambient steady state, relative to it.
+	g := append([]float64(nil), amb...)
+	for _, p := range plan.Powers {
+		stepper.StepTo(g, g, p)
+	}
+	matrix.VecSubTo(g, g, amb)
+
+	// Starting guess x0: the steady state of the period-mean power, exact in
+	// the slow (heatsink) modes that dominate the error of any other guess.
+	mean := make([]float64, c.n)
+	for _, p := range plan.Powers {
+		matrix.VecAddTo(mean, p)
+	}
+	for i := range mean {
+		mean[i] /= delta
+	}
+	x0 := make([]float64, N)
+	stepper.SteadyStateInto(x0, mean)
+	matrix.VecSubTo(x0, x0, amb)
+
+	dotA := func(u, v []float64) float64 {
+		var s float64
+		for i, a := range c.a {
+			s += a * u[i] * v[i]
+		}
+		return s
+	}
+	matvecs := 0
+	// applyK sets dst = (I − M)·v.
+	applyK := func(dst, v []float64) {
+		period.PropagateTo(dst, v)
+		for i := range dst {
+			dst[i] = v[i] - dst[i]
+		}
+		matvecs++
+	}
+	// precondition sets z = (I + B⁻¹A/δτ)·r.
+	ar := make([]float64, N)
+	precondition := func(z, r []float64) {
+		for i, a := range c.a {
+			ar[i] = a * r[i]
+		}
+		stepper.SolveBInto(z, ar)
+		for i := range z {
+			z[i] = r[i] + z[i]/period.Dt()
+		}
+	}
+	// CG solves for the correction d = x − x0 from d = 0, so its iterates and
+	// residuals stay small next to x0's heatsink rise, keeping the rounding
+	// floor of the residual (and so of the certificate) low.
+	r0 := make([]float64, N)
+	applyK(r0, x0)
+	for i := range r0 {
+		r0[i] = g[i] - r0[i]
+	}
+	d := make([]float64, N)
+	r := append([]float64(nil), r0...)
+	// errorBound turns residual r into the certified start-state error, K.
+	lamLB := -math.Expm1(-c.muLB * period.Dt())
+	errorBound := func() float64 { return math.Sqrt(dotA(r, r)) / (lamLB * c.sqrtMinA) }
+
+	z := make([]float64, N)
+	p := make([]float64, N)
+	q := make([]float64, N)
+	var rz float64
+	restart := func() {
+		precondition(z, r)
+		copy(p, z)
+		rz = dotA(r, z)
+	}
+	restart()
+	fresh := true // r is a true residual, not the CG recurrence's
+	certified := math.Inf(1)
+	for {
+		bound := errorBound()
+		if fresh {
+			certified = math.Min(certified, bound)
+		}
+		if bound < c.iterTol {
+			if fresh {
+				for i := range x0 {
+					x0[i] += d[i] + amb[i]
+				}
+				return x0, matvecs, nil
+			}
+			// The recurrence drifts from the true residual at the rounding
+			// floor, and only the true one certifies: recompute it and
+			// restart from it.
+			applyK(r, d)
+			for i := range r {
+				r[i] = r0[i] - r[i]
+			}
+			restart()
+			fresh = true
+			continue
+		}
+		if matvecs >= maxMatvecs {
+			return nil, matvecs, fmt.Errorf("rotation: periodic steady state not certified within %d period propagations: best start-state error bound %.3g K exceeds IterTol %g K", maxMatvecs, certified, c.iterTol)
+		}
+		applyK(q, p)
+		pq := dotA(p, q)
+		if !(pq > 0) {
+			return nil, matvecs, fmt.Errorf("rotation: periodic steady state CG broke down (⟨p,(I−M)p⟩_A = %g) at start-state error bound %.3g K", pq, certified)
+		}
+		alpha := rz / pq
+		for i := range d {
+			d[i] += alpha * p[i]
+			r[i] -= alpha * q[i]
+		}
+		precondition(z, r)
+		rzNew := dotA(r, z)
+		beta := rzNew / rz
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+		rz = rzNew
+		fresh = false
+	}
 }

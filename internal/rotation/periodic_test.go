@@ -1,9 +1,12 @@
 package rotation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/thermal"
@@ -29,7 +32,7 @@ func iterPair(t testing.TB, w, h int, cfg thermal.Config) (*Calculator, *Calcula
 	return NewCalculator(md), NewCalculator(ms)
 }
 
-// TestIterativeMatchesEigenbasis pins the fixed-point evaluator against
+// TestIterativeMatchesEigenbasis pins the iterative evaluator against
 // Algorithm 1's eigenbasis evaluation of the same plans: peak, peak
 // location, start state and every epoch boundary must agree within the
 // iterative tolerance.
@@ -158,4 +161,137 @@ func TestIterativeAgainstBruteForce(t *testing.T) {
 	if math.Abs(want-got) > 1e-4 {
 		t.Fatalf("iterative peak %.6f, brute force %.6f", got, want)
 	}
+}
+
+// maxTestMatvecs pins the cost of one certified solve: preconditioned CG
+// takes 9–14 period propagations on these models, unpreconditioned CG
+// 35–70, and the fixed-point iteration it replaced walked thousands of
+// periods. A silent slide back to either fails here.
+const maxTestMatvecs = 32
+
+// TestIterativeSlowSinkMatchesEigenbasis runs the differential test on the
+// calibrated DefaultConfig, whose heatsink time constant (~1 s) is three
+// orders of magnitude above a rotation period — the regime where the slowest
+// mode of the period map is within 1e-3 of 1 and a solver that stops on
+// progress rather than a certificate stops early. With IterTol 1e-10 every
+// sparse query must match the dense closed form within the 1e-9 K backend
+// contract of docs/THEORY.md §7.
+func TestIterativeSlowSinkMatchesEigenbasis(t *testing.T) {
+	sizes := []int{8, 16}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, w := range sizes {
+		cd, cs := iterPair(t, w, w, thermal.DefaultConfig())
+		cs.SetIterTol(1e-10)
+		n := cd.n
+		rng := rand.New(rand.NewSource(int64(w)))
+		const tol = 1e-9
+		for trial := 0; trial < 3; trial++ {
+			base := make([]float64, n)
+			for i := range base {
+				base[i] = 0.3 + rng.Float64()*2
+			}
+			ring := rng.Perm(n)[:4+2*trial]
+			slots := make([]float64, len(ring))
+			for i := range slots {
+				slots[i] = rng.Float64() * 9
+			}
+			for i, core := range ring {
+				base[core] = slots[i]
+			}
+			plan := Rotate(0.5e-3, base, ring)
+
+			stepper, err := cs.m.NewStepper(plan.Tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, matvecs, err := cs.periodicStart(plan, stepper)
+			if err != nil {
+				t.Fatalf("%dx%d trial %d: %v", w, w, trial, err)
+			}
+			if matvecs > maxTestMatvecs {
+				t.Errorf("%dx%d trial %d: %d period propagations, want ≤ %d", w, w, trial, matvecs, maxTestMatvecs)
+			}
+
+			want, err := cd.Evaluate(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cs.Evaluate(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var worst float64
+			for i := range want.Start {
+				worst = math.Max(worst, math.Abs(want.Start[i]-start[i]))
+				worst = math.Max(worst, math.Abs(want.Start[i]-got.Start[i]))
+			}
+			for e := range want.EpochEnd {
+				for i := range want.EpochEnd[e] {
+					worst = math.Max(worst, math.Abs(want.EpochEnd[e][i]-got.EpochEnd[e][i]))
+				}
+			}
+			t.Logf("%dx%d trial %d: %d period propagations, max |sparse − dense| %.2g K", w, w, trial, matvecs, worst)
+			if worst > tol || math.Abs(want.Peak-got.Peak) > tol || want.PeakCore != got.PeakCore || want.PeakEpoch != got.PeakEpoch {
+				t.Fatalf("%dx%d trial %d: Evaluate differs from dense by %g K (peak %.12f vs %.12f)", w, w, trial, worst, got.Peak, want.Peak)
+			}
+
+			wantF, err := cd.EvaluateFine(plan, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotF, err := cs.EvaluateFine(plan, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(wantF.Peak - gotF.Peak); d > tol {
+				t.Fatalf("%dx%d trial %d: EvaluateFine peak differs from dense by %g K", w, w, trial, d)
+			}
+
+			for i := range ring {
+				base[ring[i]] = 0.3
+			}
+			wantR, err := cd.NewRingEvaluator().PeakRingRotation(plan.Tau, base, ring, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotR, err := cs.NewRingEvaluator().PeakRingRotation(plan.Tau, base, ring, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(wantR - gotR); d > tol {
+				t.Fatalf("%dx%d trial %d: PeakRingRotation differs from dense by %g K", w, w, trial, d)
+			}
+		}
+	}
+}
+
+// TestIterativeUncertifiableTolFailsFast: a tolerance no double-precision
+// residual can certify must end in a descriptive error naming the achieved
+// bound and the iteration cap — promptly, not after a silent crawl.
+func TestIterativeUncertifiableTolFailsFast(t *testing.T) {
+	_, cs := iterPair(t, 8, 8, thermal.DefaultConfig())
+	cs.SetIterTol(1e-30)
+	base := make([]float64, cs.n)
+	for i := range base {
+		base[i] = 1
+	}
+	plan := Rotate(0.5e-3, base, []int{27, 28, 36, 35})
+	plan.Powers[0][27] = 9
+	begin := time.Now()
+	_, err := cs.Evaluate(plan)
+	elapsed := time.Since(begin)
+	if err == nil {
+		t.Fatal("IterTol 1e-30 certified; want an error")
+	}
+	for _, want := range []string{"not certified", fmt.Sprint(maxMatvecs), "bound", "1e-30"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("uncertifiable solve took %v before failing", elapsed)
+	}
+	t.Logf("failed after %v: %v", elapsed, err)
 }

@@ -41,8 +41,9 @@ type RingEvaluator struct {
 // sparse-mode model (Calculator.Iterative) there is no eigenbasis to fold
 // into; the evaluator is then a thin adapter whose PeakRingRotation
 // synthesizes the rotation plan and delegates to the calculator's iterative
-// fixed-point path — correct but allocating and far slower, sized for the
-// occasional analysis call rather than the per-epoch scheduling hot loop.
+// solver (periodic.go) — correct within IterTol, but allocating and taking
+// milliseconds per evaluation where the eigenbasis fast path takes tens of
+// microseconds.
 func (c *Calculator) NewRingEvaluator() *RingEvaluator {
 	if c.Iterative() {
 		return &RingEvaluator{c: c}

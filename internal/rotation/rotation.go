@@ -97,10 +97,10 @@ type Result struct {
 // then cheap enough for run-time scheduling use.
 //
 // Against a sparse-mode model (thermal.SolverSparse) no eigendecomposition
-// exists, and the calculator evaluates plans by iterating the period map to
-// its fixed point with the model's Krylov stepper instead (periodic.go) —
-// same results within IterTol, higher per-evaluation cost. Iterative()
-// reports which regime is active.
+// exists, and the calculator solves for the period map's fixed point by
+// conjugate gradients over the model's Krylov propagator instead
+// (periodic.go) — same results within IterTol, higher per-evaluation cost.
+// Iterative() reports which regime is active.
 type Calculator struct {
 	m      *thermal.Model
 	n      int // cores
@@ -112,17 +112,25 @@ type Calculator struct {
 	vinv   *matrix.Dense
 	binv   *matrix.Dense
 
-	iterTol float64 // fixed-point tolerance of the iterative path, K
+	// Conjugate-gradient constants of the iterative path (periodic.go; zero
+	// in eigenbasis mode): the capacitance diagonal weighting its inner
+	// product, the model's decay-rate lower bound μ_lb (1/s) and √min aᵢ.
+	a        []float64
+	muLB     float64
+	sqrtMinA float64
+
+	iterTol float64 // certified start-state tolerance of the iterative path, K
 }
 
 // DefaultIterTol is the default convergence tolerance (kelvin) of the
 // iterative periodic-steady-state evaluator used against sparse-mode
-// models. The bound is on the start-of-period state error, certified by the
-// geometric tail estimate of evaluateIterative.
+// models. The bound is on the start-of-period state error at every node,
+// certified by the conjugate-gradient residual bound of periodic.go.
 const DefaultIterTol = 1e-7
 
 // NewCalculator runs the design-time phase against model m: the eigenbasis
-// capture in dense mode, nothing beyond bookkeeping in sparse mode.
+// capture in dense mode; in sparse mode one steady-state solve for the
+// decay-rate bound that certifies the iterative evaluator.
 func NewCalculator(m *thermal.Model) *Calculator {
 	c := &Calculator{
 		m:       m,
@@ -135,15 +143,23 @@ func NewCalculator(m *thermal.Model) *Calculator {
 		c.v = eig.V
 		c.vinv = eig.VInv
 		c.binv = m.BInv()
+		return c
 	}
+	c.a = m.ADiag()
+	c.muLB = m.DecayRateLowerBound()
+	minA := math.Inf(1)
+	for _, a := range c.a {
+		minA = math.Min(minA, a)
+	}
+	c.sqrtMinA = math.Sqrt(minA)
 	return c
 }
 
 // Model returns the thermal model the calculator was built for.
 func (c *Calculator) Model() *thermal.Model { return c.m }
 
-// Iterative reports whether the calculator evaluates plans by fixed-point
-// iteration (sparse-mode model) rather than in the eigenbasis.
+// Iterative reports whether the calculator evaluates plans iteratively
+// (sparse-mode model, conjugate gradients) rather than in the eigenbasis.
 func (c *Calculator) Iterative() bool { return c.v == nil }
 
 // SetIterTol overrides the convergence tolerance (kelvin) of the iterative
@@ -167,7 +183,7 @@ func (c *Calculator) PeakTemperature(plan Plan) (float64, error) {
 }
 
 // Evaluate computes the full periodic steady state of the plan. Against a
-// sparse-mode model it falls back to fixed-point iteration (periodic.go).
+// sparse-mode model it falls back to the iterative solver (periodic.go).
 func (c *Calculator) Evaluate(plan Plan) (*Result, error) {
 	if err := plan.Validate(c.n); err != nil {
 		return nil, err

@@ -379,6 +379,18 @@ func (m *Model) G() []float64 {
 // the returned value.
 func (m *Model) Eigen() *matrix.GeneralizedEigen { return m.eig }
 
+// DecayRateLowerBound returns μ_lb = 1/‖B⁻¹·a‖_∞ (1/s, a the capacitance
+// diagonal), a rigorous lower bound on the slowest decay rate of the
+// network: every eigenvalue of A⁻¹B (Eigen().Lambda) is at least μ_lb, so
+// e^{C·t} shrinks every mode by at least e^{−μ_lb·t}. B is a Stieltjes
+// matrix (SPD with non-positive off-diagonals), so B⁻¹ ≥ 0 entrywise and
+// 1/μ_min = ρ(B⁻¹A) ≤ ‖B⁻¹A‖_∞ = ‖B⁻¹·a‖_∞. It costs one steady-state
+// solve in either solver mode; docs/THEORY.md §7.4 uses it to certify the
+// sparse periodic steady state.
+func (m *Model) DecayRateLowerBound() float64 {
+	return 1 / matrix.VecNormInf(m.solveB(m.aDiag))
+}
+
 // AmbientSteady returns the all-idle steady state B⁻¹·T_amb·G (= ambient at
 // every node). The caller must not modify it.
 func (m *Model) AmbientSteady() []float64 { return m.steadyAmbient }

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -262,5 +263,117 @@ func TestSparse64x64EndToEnd(t *testing.T) {
 	s.StepTo(temps, temps, watts)
 	if m.MaxCoreTemp(temps) < prev-goldenTol {
 		t.Fatalf("heating trajectory not monotone: %g then %g", prev, m.MaxCoreTemp(temps))
+	}
+}
+
+// TestDecayRateLowerBound is the property behind the sparse periodic
+// certificate (docs/THEORY.md §7.4): μ_lb = 1/‖B⁻¹a‖_∞ never exceeds the
+// slowest decay rate, the smallest generalized eigenvalue of A⁻¹B — on
+// random RC parameters from 2×2 to 16×16 and on 3D stacks — and both
+// backends compute the same bound.
+func TestDecayRateLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// randomConfig scales every capacitance and conductance by 10^U(−1,1).
+	randomConfig := func() Config {
+		c := DefaultConfig()
+		for _, f := range []*float64{
+			&c.SiCapacitance, &c.SpCapacitance, &c.SinkCapacitancePerCore,
+			&c.GLateralSi, &c.GVertical, &c.GLateralSp, &c.GSpreaderSink, &c.GSinkAmbientPerCore,
+		} {
+			*f *= math.Pow(10, 2*rng.Float64()-1)
+		}
+		return c
+	}
+	check := func(name string, build func(solver string) (*Model, error)) {
+		t.Helper()
+		md, err := build(SolverDense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := build(SolverSparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu := md.DecayRateLowerBound()
+		minLambda := math.Inf(1)
+		for _, l := range md.Eigen().Lambda {
+			minLambda = math.Min(minLambda, l)
+		}
+		if !(mu > 0) || mu > minLambda {
+			t.Errorf("%s: μ_lb = %g, slowest mode decays at %g", name, mu, minLambda)
+		}
+		if muS := ms.DecayRateLowerBound(); math.Abs(muS-mu) > 1e-12*mu {
+			t.Errorf("%s: sparse μ_lb %g, dense %g", name, muS, mu)
+		}
+		t.Logf("%s: μ_lb/μ_min = %.6f", name, mu/minLambda)
+	}
+
+	sizes := []int{2, 3, 4, 6, 8, 16}
+	if testing.Short() {
+		sizes = sizes[:len(sizes)-1]
+	}
+	for _, w := range sizes {
+		fp := floorplan.MustNew(w, w, 0.0009)
+		cfgs := []Config{DefaultConfig()}
+		if w <= 8 {
+			cfgs = append(cfgs, randomConfig(), randomConfig(), randomConfig())
+		}
+		for k, cfg := range cfgs {
+			check(fmt.Sprintf("%dx%d config %d", w, w, k), func(solver string) (*Model, error) {
+				cfg.Solver = solver
+				return New(fp, cfg)
+			})
+		}
+	}
+	for _, layers := range []int{2, 3} {
+		fp := floorplan.MustNew(4, 4, 0.0009)
+		check(fmt.Sprintf("4x4x%d stack", layers), func(solver string) (*Model, error) {
+			cfg := DefaultStackedConfig(layers)
+			cfg.Solver = solver
+			return NewStacked(fp, cfg)
+		})
+	}
+}
+
+// TestSparsePropagateTo pins the homogeneous propagator against the dense
+// one for steps from a simulation slice up to seconds. Silicon capacitance
+// cut 100× stiffens the model until the long steps need far more than the
+// Krylov kernel's default subspace cap, so they exercise the sparse
+// kernel's step splitting.
+func TestSparsePropagateTo(t *testing.T) {
+	fp := floorplan.MustNew(8, 8, 0.0009)
+	cfg := DefaultConfig()
+	cfg.SiCapacitance /= 100
+	cfg.Solver = SolverDense
+	md, err := New(fp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Solver = SolverSparse
+	ms, err := New(fp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	v := make([]float64, md.NumNodes())
+	for i := range v {
+		v[i] = 20*rng.Float64() - 10
+	}
+	wd := make([]float64, len(v))
+	ws := make([]float64, len(v))
+	for _, dt := range []float64{1e-4, 4e-3, 0.05, 2} {
+		sd, err := md.NewStepper(dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := ms.NewStepper(dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd.PropagateTo(wd, v)
+		ss.PropagateTo(ws, v)
+		if d := maxAbsDiff(wd, ws); d > goldenTol {
+			t.Errorf("dt %g s: propagators differ by %g K", dt, d)
+		}
 	}
 }

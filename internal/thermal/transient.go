@@ -27,11 +27,11 @@ const stepKrylovTol = 1e-14
 // over the step, agreeing to well below the 1e-9 K golden bound — the
 // interval-simulation contract.
 //
-// A Stepper owns a scratch block that StepTo and SteadyStateInto reuse, so
-// the per-step hot path allocates nothing in either mode. The scratch makes
-// a Stepper NOT goroutine-safe: build one per worker (they are cheap next
-// to the model's factorization), per the run-state rule of
-// docs/CONCURRENCY.md. The underlying Model remains freely shareable.
+// A Stepper owns a scratch block that its methods reuse, so the per-step hot
+// path allocates nothing in either mode. The scratch makes a Stepper NOT
+// goroutine-safe: build one per worker (they are cheap next to the model's
+// factorization), per the run-state rule of docs/CONCURRENCY.md. The
+// underlying Model remains freely shareable.
 type Stepper struct {
 	m   *Model
 	dt  float64
@@ -41,10 +41,11 @@ type Stepper struct {
 	kry          *matrix.KrylovExpm
 	solveScratch []float64 // banded-solve scratch, length N−1
 
-	// Scratch reused by StepTo/SteadyStateInto (never escapes a call).
-	p    []float64 // extended power vector, length N
-	tss  []float64 // steady state for the step's power, length N
-	diff []float64 // T − T_steady, length N
+	// Scratch reused by the methods (never escapes a call).
+	p     []float64 // extended power vector, length N
+	tss   []float64 // steady state for the step's power, length N
+	diff  []float64 // T − T_steady, length N
+	white []float64 // whitened propagator input (sparse mode), length N
 }
 
 // NewStepper precomputes the transient kernel for step size dt (seconds):
@@ -69,6 +70,7 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 		// cost of about one extra Lanczos dimension per step.
 		s.kry = matrix.NewKrylovExpm(newWhitenedOp(m.sp), 0, stepKrylovTol)
 		s.solveScratch = make([]float64, m.N-1)
+		s.white = make([]float64, m.N)
 		return s, nil
 	}
 	negLambda := matrix.VecScale(-1, m.eig.Lambda) // eigenvalues of C
@@ -96,30 +98,60 @@ func (s *Stepper) StepTo(dst, t, coreWatts []float64) {
 	if len(t) != s.m.N {
 		panic(fmt.Sprintf("thermal: temperature vector length %d, want %d", len(t), s.m.N))
 	}
-	if len(dst) != s.m.N {
-		panic(fmt.Sprintf("thermal: step destination length %d, want %d", len(dst), s.m.N))
-	}
 	s.SteadyStateInto(s.tss, coreWatts)
 	matrix.VecSubTo(s.diff, t, s.tss)
+	s.PropagateTo(dst, s.diff)
+	matrix.VecAddTo(dst, s.tss)
+}
+
+// PropagateTo applies the homogeneous propagator, dst = e^{C·dt}·v: the
+// free decay of a temperature deviation v (length N) over one step with no
+// power applied. StepTo is this plus the steady-state offset of its power.
+// It allocates nothing; dst must alias neither v nor the stepper's scratch.
+//
+// In sparse mode a Krylov call whose error estimate misses stepKrylovTol at
+// the subspace cap (a step long against the fastest thermal mode, e.g. a
+// whole rotation period) is split into two half steps, recursively, so the
+// result meets the same accuracy target at any dt.
+func (s *Stepper) PropagateTo(dst, v []float64) {
+	if len(v) != s.m.N {
+		panic(fmt.Sprintf("thermal: propagated vector length %d, want %d", len(v), s.m.N))
+	}
+	if len(dst) != s.m.N {
+		panic(fmt.Sprintf("thermal: propagation destination length %d, want %d", len(dst), s.m.N))
+	}
 	if s.exp != nil {
-		s.exp.MulVecTo(dst, s.diff)
-		matrix.VecAddTo(dst, s.tss)
+		s.exp.MulVecTo(dst, v)
 		return
 	}
 	// Sparse path: whiten, propagate in the Krylov subspace, unwhiten.
 	sp := s.m.sp
-	for i, v := range s.diff {
-		s.diff[i] = v * sp.sqrtA[i]
+	for i, x := range v {
+		s.white[i] = x * sp.sqrtA[i]
 	}
-	if _, _, err := s.kry.ExpmVTo(s.diff, s.dt, s.diff); err != nil {
+	s.expmWhite(dst, s.dt)
+	for i := range dst {
+		dst[i] *= sp.invSqrtA[i]
+	}
+}
+
+// expmWhite sets dst = e^{Â·dt}·s.white, consuming s.white as scratch.
+func (s *Stepper) expmWhite(dst []float64, dt float64) {
+	dim, est, err := s.kry.ExpmVTo(dst, dt, s.white)
+	if err != nil {
 		// Only reachable through non-finite inputs: the whitened operator is
 		// negative semidefinite by construction, where the kernel cannot
 		// fail. Treat like the singular-matrix panics of internal/matrix.
 		panic(fmt.Sprintf("thermal: Krylov propagator failed: %v", err))
 	}
-	for i := range dst {
-		dst[i] = s.diff[i]*sp.invSqrtA[i] + s.tss[i]
+	// A full-dimension subspace is exact up to roundoff; halving could not
+	// improve it.
+	if est <= stepKrylovTol || dim >= len(dst) {
+		return
 	}
+	s.expmWhite(dst, dt/2)
+	copy(s.white, dst)
+	s.expmWhite(dst, dt/2)
 }
 
 // SteadyStateInto solves Eq. 3 into dst (length N) using the stepper's
@@ -128,12 +160,20 @@ func (s *Stepper) StepTo(dst, t, coreWatts []float64) {
 // stepper's scratch. Not goroutine-safe (see the Stepper doc).
 func (s *Stepper) SteadyStateInto(dst, coreWatts []float64) {
 	s.m.ExtendPowerInto(s.p, coreWatts)
-	if s.m.sp != nil {
-		s.m.sp.solveInto(dst, s.p, s.solveScratch)
-	} else {
-		s.m.binv.MulVecTo(dst, s.p)
-	}
+	s.SolveBInto(dst, s.p)
 	matrix.VecAddTo(dst, s.m.steadyAmbient)
+}
+
+// SolveBInto solves B·x = p for a node-space vector p (length N) into dst
+// (length N) with no allocation: the conductance solve under
+// SteadyStateInto, without the ambient offset. dst must alias neither p nor
+// the stepper's scratch.
+func (s *Stepper) SolveBInto(dst, p []float64) {
+	if s.m.sp != nil {
+		s.m.sp.solveInto(dst, p, s.solveScratch)
+	} else {
+		s.m.binv.MulVecTo(dst, p)
+	}
 }
 
 // Propagator returns e^{C·dt}, or nil in sparse mode, where the propagator
