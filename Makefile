@@ -41,7 +41,7 @@ experiments:
 	$(GO) run ./cmd/experiments -exp all
 
 # Hot-loop perf trajectory: kernel (matrix/thermal), epoch (sim), ring-scan
-# (rotation) and sweep (experiments) benchmarks → BENCH_hotloop.json
+# (rotation) and sweep (root harness) benchmarks → BENCH_hotloop.json
 # (docs/PERFORMANCE.md describes the format).
 bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkHotloop' -benchmem -benchtime $(BENCHTIME) ./... \

@@ -60,7 +60,7 @@
 //     run and never share an instance between two live simulations.
 //   - Everything is deterministic: no package-level mutable state, no
 //     shared rand sources, and the experiment harnesses (Fig4a, Fig4b, …)
-//     fan their independent cells out over a bounded worker pool
+//     run their independent cells on ExecuteSweepCells
 //     (ExperimentOptions.Workers, default GOMAXPROCS) while collecting
 //     results by index — output is bit-identical at any worker count.
 package hotpotato
@@ -357,29 +357,17 @@ type (
 	// Fig4bRow is one load level of the heterogeneous comparison.
 	Fig4bRow = experiments.Fig4bRow
 	// ExperimentOptions scales experiments (zero value = paper scale) and
-	// bounds the sweep worker pool via its Workers field (0 = GOMAXPROCS).
-	// Results are bit-identical at any Workers value.
+	// bounds the harness's ExecuteSweepCells pool via its Workers field
+	// (0 = GOMAXPROCS). Results are bit-identical at any Workers value.
 	ExperimentOptions = experiments.Options
 	// OverheadResult reports scheduler run-time cost.
 	OverheadResult = experiments.OverheadResult
 )
 
 // Fig2 regenerates the paper's motivational example (Fig. 2a–c). The three
-// policy executions run concurrently on isolated platforms; the result is
+// policy executions run serially on one platform; the result is
 // deterministic.
 func Fig2(traceStride int) (*Fig2Result, error) { return experiments.Fig2(traceStride) }
-
-// Fig4a regenerates the homogeneous full-load comparison (Fig. 4a). Its
-// benchmark × scheduler cells fan out over opts.Workers goroutines; rows
-// are ordered and bit-identical at any worker count.
-func Fig4a(opts ExperimentOptions) ([]Fig4aRow, error) { return experiments.Fig4a(opts) }
-
-// Fig4b regenerates the heterogeneous open-system comparison (Fig. 4b).
-// Deterministic for a fixed seed; the rate × scheduler cells fan out over
-// opts.Workers goroutines without affecting the output.
-func Fig4b(opts ExperimentOptions, rates []float64, taskCount int, seed int64) ([]Fig4bRow, error) {
-	return experiments.Fig4b(opts, rates, taskCount, seed)
-}
 
 // Overhead measures HotPotato's run-time cost on the 64-core platform
 // (paper §VI: 23.76 µs per decision). Deliberately serial — it reports host

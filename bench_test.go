@@ -129,7 +129,7 @@ func BenchmarkOverheadHotPotatoDecision(b *testing.B) {
 
 func BenchmarkAblationTauSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TauSweep(experiments.DefaultTaus())
+		rows, err := hotpotato.TauSweep(experiments.DefaultTaus())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkAblationTauSweep(b *testing.B) {
 
 func BenchmarkAblationMigrationCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MigrationCostSweep([]float64{1, 8},
+		rows, err := hotpotato.MigrationCostSweep([]float64{1, 8},
 			experiments.Options{WorkScale: 0.5})
 		if err != nil {
 			b.Fatal(err)
@@ -162,7 +162,7 @@ func BenchmarkAblationAnalyticVsBrute(b *testing.B) {
 
 func BenchmarkFutureWorkHybrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Hybrid(experiments.Options{}, []string{"blackscholes"})
+		rows, err := hotpotato.Hybrid(experiments.Options{}, []string{"blackscholes"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkFutureWorkHybrid(b *testing.B) {
 
 func BenchmarkAblationNoiseSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.NoiseSweep([]float64{0, 2}, experiments.Options{WorkScale: 0.5})
+		rows, err := hotpotato.NoiseSweep([]float64{0, 2}, experiments.Options{WorkScale: 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func BenchmarkAblationNoiseSweep(b *testing.B) {
 
 func BenchmarkAblationHeadroomSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.HeadroomSweep([]float64{0.5, 4}, experiments.Options{WorkScale: 0.5})
+		rows, err := hotpotato.HeadroomSweep([]float64{0.5, 4}, experiments.Options{WorkScale: 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,11 +208,33 @@ func BenchmarkCharacterizeHeterogeneity(b *testing.B) {
 
 // --- Parallel sweep harness -------------------------------------------------
 
-// BenchmarkParallelSweep measures the worker-pool fan-out of the experiment
-// harness on a fixed multi-seed Fig. 4(b) sweep (2 seeds × 2 rates × 2
-// schedulers = 8 independent simulation cells). On an N-core machine the
-// workers=N variant should approach N× the workers=1 throughput; the rows
-// are bit-identical at every worker count (TestWorkerCountInvariance).
+// BenchmarkHotloopSweep is the top of the hot-loop stack for the committed
+// BENCH_hotloop.json baseline (make bench): a small multi-seed Fig. 4(b)
+// sweep on the harness's ExecuteSweepCells pool. One op = 2 seeds × 2 rates
+// × 2 schedulers = 8 full simulations; every one of their epoch loops runs
+// the zero-allocation stepping path, so allocs/op here tracks only
+// per-epoch and harness-level work.
+func BenchmarkHotloopSweep(b *testing.B) {
+	opts := hotpotato.ExperimentOptions{GridEdge: 4, WorkScale: 0.3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := hotpotato.Fig4bMultiSeed(opts, []float64{100, 200}, 6, []int64{1, 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 2 {
+			b.Fatalf("rows = %d", len(rows))
+		}
+	}
+}
+
+// BenchmarkParallelSweep measures the ExecuteSweepCells fan-out of the
+// experiment harness on a fixed multi-seed Fig. 4(b) sweep (2 seeds × 2
+// rates × 2 schedulers = 8 independent simulation cells). On an N-core
+// machine the workers=N variant should approach N× the workers=1
+// throughput; the rows are bit-identical at every worker count
+// (TestHarnessGoldenDigests).
 func BenchmarkParallelSweep(b *testing.B) {
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	if counts[2] <= 2 {
@@ -222,7 +244,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			opts := hotpotato.ExperimentOptions{GridEdge: 4, WorkScale: 0.3, Workers: w}
 			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig4bMultiSeed(opts, []float64{100, 200}, 6, []int64{1, 2})
+				rows, err := hotpotato.Fig4bMultiSeed(opts, []float64{100, 200}, 6, []int64{1, 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -236,7 +258,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 
 func BenchmarkBaselinesLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Baselines(experiments.Options{WorkScale: 0.5}, "x264")
+		rows, err := hotpotato.Baselines(hotpotato.ExperimentOptions{WorkScale: 0.5}, "x264")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -165,7 +165,7 @@ func fig2() error {
 }
 
 func fig4a(opts experiments.Options) error {
-	rows, err := experiments.Fig4a(opts)
+	rows, err := hotpotato.Fig4a(opts)
 	if err != nil {
 		return err
 	}
@@ -179,7 +179,7 @@ func fig4a(opts experiments.Options) error {
 }
 
 func fig4b(opts experiments.Options, seed int64) error {
-	rows, err := experiments.Fig4b(opts, experiments.DefaultFig4bRates(), 20, seed)
+	rows, err := hotpotato.Fig4b(opts, experiments.DefaultFig4bRates(), 20, seed)
 	if err != nil {
 		return err
 	}
@@ -205,7 +205,7 @@ func overhead() error {
 }
 
 func ablations(opts experiments.Options) error {
-	taus, err := experiments.TauSweep(experiments.DefaultTaus())
+	taus, err := hotpotato.TauSweep(experiments.DefaultTaus())
 	if err != nil {
 		return err
 	}
@@ -215,14 +215,14 @@ func ablations(opts experiments.Options) error {
 	})
 	fmt.Println()
 
-	scope, err := experiments.RingScope()
+	scope, err := hotpotato.RingScope()
 	if err != nil {
 		return err
 	}
 	experiments.WriteRingScope(os.Stdout, scope)
 	fmt.Println()
 
-	mig, err := experiments.MigrationCostSweep([]float64{0.5, 1, 2, 4, 8}, opts)
+	mig, err := hotpotato.MigrationCostSweep([]float64{0.5, 1, 2, 4, 8}, opts)
 	if err != nil {
 		return err
 	}
@@ -236,21 +236,21 @@ func ablations(opts experiments.Options) error {
 	experiments.WriteAnalyticVsBrute(os.Stdout, avb)
 	fmt.Println()
 
-	noise, err := experiments.NoiseSweep([]float64{0, 0.5, 1, 2, 4}, opts)
+	noise, err := hotpotato.NoiseSweep([]float64{0, 0.5, 1, 2, 4}, opts)
 	if err != nil {
 		return err
 	}
 	experiments.WriteNoiseSweep(os.Stdout, noise)
 	fmt.Println()
 
-	headroom, err := experiments.HeadroomSweep([]float64{0.5, 1, 2, 4}, opts)
+	headroom, err := hotpotato.HeadroomSweep([]float64{0.5, 1, 2, 4}, opts)
 	if err != nil {
 		return err
 	}
 	experiments.WriteHeadroomSweep(os.Stdout, headroom)
 	fmt.Println()
 
-	contention, err := experiments.Contention(opts, []string{"streamcluster", "canneal"})
+	contention, err := hotpotato.Contention(opts, []string{"streamcluster", "canneal"})
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func characterize() error {
 }
 
 func hybrid(opts experiments.Options) error {
-	rows, err := experiments.Hybrid(opts, []string{"blackscholes", "x264", "swaptions"})
+	rows, err := hotpotato.Hybrid(opts, []string{"blackscholes", "x264", "swaptions"})
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func threed() error {
 }
 
 func baselines(opts experiments.Options) error {
-	rows, err := experiments.Baselines(opts, "x264")
+	rows, err := hotpotato.Baselines(opts, "x264")
 	if err != nil {
 		return err
 	}

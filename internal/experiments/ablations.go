@@ -4,217 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/floorplan"
 	"repro/internal/matrix"
 	"repro/internal/rotation"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/thermal"
-	"repro/internal/workload"
 )
-
-// TauSweepRow is one rotation-interval setting of the τ ablation.
-type TauSweepRow struct {
-	Tau        float64 // seconds
-	Response   float64 // seconds
-	PeakTemp   float64 // °C
-	Migrations int
-}
-
-// TauSweep runs the Fig. 2(c) scenario at several rotation intervals,
-// exposing the trade-off Algorithm 2 navigates: faster rotation averages
-// temperature better but pays more migration overhead. The intervals run
-// concurrently, each cell fully isolated; rows keep the input order.
-func TauSweep(taus []float64) ([]TauSweepRow, error) {
-	rows := make([]TauSweepRow, len(taus))
-	err := forEach(0, len(taus), func(i int) error {
-		tau := taus[i]
-		slots := map[sim.ThreadID]int{
-			{Task: 0, Thread: 0}: 0,
-			{Task: 0, Thread: 1}: 2,
-		}
-		rot, err := sched.NewRotationStatic(slots, []int{5, 6, 10, 9}, tau)
-		if err != nil {
-			return err
-		}
-		plat, err := newPlatform(4)
-		if err != nil {
-			return err
-		}
-		b, err := workload.ByName("blackscholes")
-		if err != nil {
-			return err
-		}
-		task, err := workload.NewTask(0, b, 2, 0, 1)
-		if err != nil {
-			return err
-		}
-		cfg := sim.DefaultConfig()
-		cfg.DTMEnabled = false // expose the raw thermal consequence of τ
-		s, err := sim.New(plat, cfg, rot, []*workload.Task{task})
-		if err != nil {
-			return err
-		}
-		res, err := s.Run()
-		if err != nil {
-			return err
-		}
-		rows[i] = TauSweepRow{
-			Tau: tau, Response: res.AvgResponse,
-			PeakTemp: res.PeakTemp, Migrations: res.Migrations,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// DefaultTaus spans the τ adaptation range of HotPotato.
-func DefaultTaus() []float64 {
-	return []float64{0.125e-3, 0.25e-3, 0.5e-3, 1e-3, 2e-3, 4e-3}
-}
-
-// RingScopeRow compares rotation scopes.
-type RingScopeRow struct {
-	Scope    string
-	Response float64
-	PeakTemp float64
-}
-
-// RingScope contrasts HotPotato's within-ring rotation against rotating the
-// same two threads around the whole chip perimeter: whole-chip rotation
-// visits high-AMD cores (slower LLC) without a thermal advantage worth the
-// cost — the reason HotPotato confines rotation to AMD rings.
-func RingScope() ([]RingScopeRow, error) {
-	slots := map[sim.ThreadID]int{
-		{Task: 0, Thread: 0}: 0,
-		{Task: 0, Thread: 1}: 2,
-	}
-	fp := floorplan.MustNew(4, 4, 0.0009)
-	var outer []int
-	for _, ring := range fp.Rings() {
-		if len(ring.Cores) > len(outer) {
-			outer = ring.Cores
-		}
-	}
-	scopes := []struct {
-		name  string
-		cores []int
-	}{
-		{"inner-ring (HotPotato)", []int{5, 6, 10, 9}},
-		{"outer-ring", outer},
-	}
-	rows := make([]RingScopeRow, len(scopes))
-	err := forEach(0, len(scopes), func(i int) error {
-		sc := scopes[i]
-		slotsHere := map[sim.ThreadID]int{}
-		for id := range slots {
-			slotsHere[id] = slots[id] % len(sc.cores)
-		}
-		// Keep the two threads maximally separated in the cycle.
-		slotsHere[sim.ThreadID{Task: 0, Thread: 1}] = len(sc.cores) / 2
-		rot, err := sched.NewRotationStatic(slotsHere, sc.cores, 0.5e-3)
-		if err != nil {
-			return err
-		}
-		plat, err := newPlatform(4)
-		if err != nil {
-			return err
-		}
-		b, err := workload.ByName("streamcluster") // memory-bound: AMD matters
-		if err != nil {
-			return err
-		}
-		task, err := workload.NewTask(0, b, 2, 0, 0.5)
-		if err != nil {
-			return err
-		}
-		s, err := sim.New(plat, sim.DefaultConfig(), rot, []*workload.Task{task})
-		if err != nil {
-			return err
-		}
-		res, err := s.Run()
-		if err != nil {
-			return err
-		}
-		rows[i] = RingScopeRow{Scope: sc.name, Response: res.AvgResponse, PeakTemp: res.PeakTemp}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// MigrationCostRow is one point of the migration-cost sensitivity ablation.
-type MigrationCostRow struct {
-	CostScale      float64 // multiplier on the per-migration OS overhead
-	HotPotato      float64 // makespan, seconds
-	PCMig          float64
-	SpeedupPercent float64
-}
-
-// MigrationCostSweep rescales the per-migration cost and reruns a hot
-// homogeneous workload: HotPotato's advantage must shrink as migrations get
-// more expensive — the observation the whole paper rests on (cheap S-NUCA
-// migrations) run in reverse. The scale × scheduler cells fan out over
-// Options.Workers goroutines, each on its own reconfigured platform.
-func MigrationCostSweep(scales []float64, opts Options) ([]MigrationCostRow, error) {
-	opts = opts.withDefaults()
-	b, err := workload.ByName("blackscholes")
-	if err != nil {
-		return nil, err
-	}
-	total := opts.GridEdge * opts.GridEdge
-	specs, err := workload.HomogeneousFullLoad(b, total, []int{2, 4, 8})
-	if err != nil {
-		return nil, err
-	}
-	pair := comparisonPair(opts)
-	makespans := make([]float64, 2*len(scales))
-	err = forEach(opts.workers(), len(makespans), func(i int) error {
-		pcfg := sim.DefaultPlatformConfig(opts.GridEdge, opts.GridEdge)
-		pcfg.Cache.OSOverhead = cache.DefaultConfig().OSOverhead * scales[i/2]
-		plat, err := sim.NewPlatform(pcfg)
-		if err != nil {
-			return err
-		}
-		scaled := make([]workload.Spec, len(specs))
-		copy(scaled, specs)
-		for j := range scaled {
-			scaled[j].WorkScale *= opts.WorkScale
-		}
-		tasks, err := workload.Instantiate(scaled)
-		if err != nil {
-			return err
-		}
-		s, err := sim.New(plat, sim.DefaultConfig(), pair[i%2](plat), tasks)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run()
-		if err != nil {
-			return err
-		}
-		makespans[i] = res.Makespan
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]MigrationCostRow, len(scales))
-	for i, scale := range scales {
-		hp, pc := makespans[2*i], makespans[2*i+1]
-		rows[i] = MigrationCostRow{
-			CostScale: scale, HotPotato: hp, PCMig: pc,
-			SpeedupPercent: (pc - hp) / pc * 100,
-		}
-	}
-	return rows, nil
-}
 
 // AnalyticVsBruteRow compares Algorithm 1 against explicit transient
 // simulation.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -24,11 +23,9 @@ type HeterogeneityRow struct {
 // Heterogeneity tabulates placement and DVFS sensitivity of every PARSEC
 // model on the 64-core platform: memory-bound benchmarks care about
 // placement and shrug off DVFS; compute-bound benchmarks are the reverse.
-// The benchmarks evaluate concurrently against one shared Platform — the
-// read-only sharing the concurrency contract permits (all Platform query
-// methods are pure after construction).
+// These are model queries, not simulations, so they run serially.
 func Heterogeneity() ([]HeterogeneityRow, error) {
-	plat, err := newPlatform(8)
+	plat, err := sim.NewPlatform(sim.DefaultPlatformConfig(8, 8))
 	if err != nil {
 		return nil, err
 	}
@@ -46,8 +43,7 @@ func Heterogeneity() ([]HeterogeneityRow, error) {
 	fmax := plat.Power.DVFS().FMax
 	bs := workload.PARSEC()
 	rows := make([]HeterogeneityRow, len(bs))
-	err = forEach(0, len(bs), func(i int) error {
-		b := bs[i]
+	for i, b := range bs {
 		p := b.Perf()
 		bestIPS := plat.Perf.IPS(p, best, fmax)
 		worstIPS := plat.Perf.IPS(p, worst, fmax)
@@ -58,176 +54,6 @@ func Heterogeneity() ([]HeterogeneityRow, error) {
 			WorstIPS:             worstIPS,
 			PlacementGainPercent: (bestIPS/worstIPS - 1) * 100,
 			DVFSSlowdownPercent:  (slow - 1) * 100,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// NoiseSweepRow is one sensor-noise level of the robustness ablation.
-type NoiseSweepRow struct {
-	NoiseStdDev float64 // K
-	Makespan    float64 // seconds
-	PeakTemp    float64
-	DTMTime     float64
-}
-
-// NoiseSweep reruns a hot full-load workload under HotPotato with increasing
-// scheduler-visible thermal-sensor noise. HotPotato leans on the Algorithm 1
-// model rather than raw sensor values, so moderate noise should cost little.
-// The noise levels run concurrently over Options.Workers goroutines; every
-// cell seeds its own noise source, so rows are deterministic and ordered.
-func NoiseSweep(levels []float64, opts Options) ([]NoiseSweepRow, error) {
-	opts = opts.withDefaults()
-	b, err := workload.ByName("blackscholes")
-	if err != nil {
-		return nil, err
-	}
-	specs, err := workload.HomogeneousFullLoad(b, opts.GridEdge*opts.GridEdge, []int{2, 4, 8})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]NoiseSweepRow, len(levels))
-	err = forEach(opts.workers(), len(levels), func(i int) error {
-		cfg := sim.DefaultConfig()
-		cfg.SensorNoiseStdDev = levels[i]
-		cfg.SensorNoiseSeed = 77
-		res, err := runWorkload(opts, func(p *sim.Platform) sim.Scheduler {
-			return sched.NewHotPotato(p, opts.TDTM)
-		}, specs, cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = NoiseSweepRow{
-			NoiseStdDev: levels[i],
-			Makespan:    res.Makespan,
-			PeakTemp:    res.PeakTemp,
-			DTMTime:     res.DTMTime,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// HeadroomSweepRow is one Δ setting of the headroom ablation.
-type HeadroomSweepRow struct {
-	Delta     float64 // K
-	Makespan  float64
-	PeakTemp  float64
-	DTMEvents int
-}
-
-// HeadroomSweep varies HotPotato's Δ (paper default 1 °C): a larger margin
-// buys fewer DTM excursions at the cost of more conservative scheduling.
-// The Δ settings run concurrently over Options.Workers goroutines.
-func HeadroomSweep(deltas []float64, opts Options) ([]HeadroomSweepRow, error) {
-	opts = opts.withDefaults()
-	b, err := workload.ByName("blackscholes")
-	if err != nil {
-		return nil, err
-	}
-	specs, err := workload.HomogeneousFullLoad(b, opts.GridEdge*opts.GridEdge, []int{2, 4, 8})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]HeadroomSweepRow, len(deltas))
-	err = forEach(opts.workers(), len(deltas), func(i int) error {
-		delta := deltas[i]
-		res, err := runWorkload(opts, func(p *sim.Platform) sim.Scheduler {
-			return sched.NewHotPotato(p, opts.TDTM, sched.WithHeadroom(delta))
-		}, specs, sim.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		rows[i] = HeadroomSweepRow{
-			Delta:     delta,
-			Makespan:  res.Makespan,
-			PeakTemp:  res.PeakTemp,
-			DTMEvents: res.DTMEvents,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// ContentionRow compares one benchmark with the NoC/bank contention model on
-// and off.
-type ContentionRow struct {
-	Benchmark         string
-	HotPotatoOff      float64 // makespan, contention-free
-	HotPotatoOn       float64 // makespan with contention
-	PCMigOn           float64
-	SpeedupOnPercent  float64 // HotPotato vs PCMig, both with contention
-	ContentionCostPct float64 // HotPotato slowdown from enabling contention
-}
-
-// Contention reruns the headline comparison with the bandwidth model
-// enabled for the memory-heavy benchmarks: the HotPotato-vs-PCMig
-// conclusion must survive shared-resource queueing. The three runs per
-// benchmark (HotPotato off/on, PCMig on) fan out over Options.Workers
-// goroutines together with the benchmark dimension.
-func Contention(opts Options, benchmarks []string) ([]ContentionRow, error) {
-	opts = opts.withDefaults()
-	specsPer := make([][]workload.Spec, len(benchmarks))
-	for i, name := range benchmarks {
-		b, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		specs, err := workload.HomogeneousFullLoad(b, opts.GridEdge*opts.GridEdge, []int{2, 4, 8})
-		if err != nil {
-			return nil, err
-		}
-		specsPer[i] = specs
-	}
-	cfgOn := sim.DefaultConfig()
-	cfgOn.NoCContention = true
-	pair := comparisonPair(opts)
-	// Cells per benchmark: 0 = HotPotato contention-free, 1 = HotPotato with
-	// contention, 2 = PCMig with contention.
-	const cells = 3
-	results := make([]*sim.Result, cells*len(benchmarks))
-	err := forEach(opts.workers(), len(results), func(i int) error {
-		bi, ci := i/cells, i%cells
-		cfg := cfgOn
-		mk := pair[0]
-		if ci == 0 {
-			cfg = sim.DefaultConfig()
-		}
-		if ci == 2 {
-			mk = pair[1]
-		}
-		res, err := runWorkload(opts, mk, specsPer[bi], cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ContentionRow, len(benchmarks))
-	for bi, name := range benchmarks {
-		hpOff := results[bi*cells]
-		hpOn := results[bi*cells+1]
-		pcOn := results[bi*cells+2]
-		rows[bi] = ContentionRow{
-			Benchmark:         name,
-			HotPotatoOff:      hpOff.Makespan,
-			HotPotatoOn:       hpOn.Makespan,
-			PCMigOn:           pcOn.Makespan,
-			SpeedupOnPercent:  (pcOn.Makespan - hpOn.Makespan) / pcOn.Makespan * 100,
-			ContentionCostPct: (hpOn.Makespan/hpOff.Makespan - 1) * 100,
 		}
 	}
 	return rows, nil

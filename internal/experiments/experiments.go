@@ -1,41 +1,32 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI): the Table I platform, the Fig. 2 motivational thermal
-// traces, the Fig. 4(a) homogeneous and Fig. 4(b) heterogeneous comparative
-// evaluations of HotPotato vs. PCMig, the run-time overhead measurement, and
-// the ablations DESIGN.md calls out. Each experiment is a plain function
-// returning typed rows, so tests can assert the paper's qualitative shape
-// and the cmd/experiments binary can print paper-style tables.
+// Package experiments holds the paper's evaluation (§VI) outside the
+// simulation cells: the row types of every table and figure, their
+// paper-style writers and CSV emitters, and the measurements that are not
+// grids of independent simulations — the Table I platform, the Fig. 2
+// motivational thermal traces, the per-benchmark heterogeneity table, the
+// 3D exploration, the run-time overhead and the analytic-vs-brute timing.
+// These run serially; Overhead and AnalyticVsBrute must, since concurrent
+// work would corrupt the wall-clock times they report.
 //
-// # Concurrency
-//
-// Every sweep is embarrassingly parallel: each (benchmark, scheduler, seed,
-// load-level) cell builds its own Platform, Scheduler, and task set, so
-// cells share no mutable state and fan out across a bounded worker pool
-// (see forEach). Options.Workers bounds the pool; the default is
-// runtime.GOMAXPROCS(0). Results are collected by cell index, never by
-// completion order, so output is bit-identical at any worker count — the
-// determinism contract docs/CONCURRENCY.md spells out. The two exceptions,
-// Overhead and AnalyticVsBrute, measure host wall-clock time and stay
-// deliberately serial: concurrent cells would contend for cores and corrupt
-// the very numbers they report.
+// The figures that are grids of simulations (Fig. 4a/4b and the ablations)
+// live in the root package's harness, which runs them as RunSpec cells on
+// the sweep executor and fills the row types declared here.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Options scales experiments down for quick runs; the zero value means the
 // paper's full scale.
 type Options struct {
-	// Cores is the chip's edge length (default 8 → 64 cores, Table I).
+	// GridEdge is the chip's edge length (default 8 → 64 cores, Table I).
 	GridEdge int
 	// WorkScale multiplies every task's instruction count (default 1).
 	WorkScale float64
-	// TDTM is the DTM threshold (default 70 °C, §VI).
+	// TDTM is the DTM threshold handed to the schedulers (default 70 °C,
+	// §VI).
 	TDTM float64
 	// Workers bounds the number of simulation cells run concurrently
 	// (default runtime.GOMAXPROCS(0)). Any value yields bit-identical
@@ -43,15 +34,9 @@ type Options struct {
 	Workers int
 }
 
-// workers resolves the effective pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) withDefaults() Options {
+// WithDefaults returns a copy with the zero fields set to the paper's full
+// scale; a zero Workers stays zero (the executor's GOMAXPROCS default).
+func (o Options) WithDefaults() Options {
 	if o.GridEdge == 0 {
 		o.GridEdge = 8
 	}
@@ -62,35 +47,6 @@ func (o Options) withDefaults() Options {
 		o.TDTM = 70
 	}
 	return o
-}
-
-func newPlatform(edge int) (*sim.Platform, error) {
-	return sim.NewPlatform(sim.DefaultPlatformConfig(edge, edge))
-}
-
-// runWorkload executes one scheduler over one set of specs on a fresh
-// platform. Safe to call concurrently: every invocation builds its own
-// Platform, Scheduler, and task instances and reads specs without mutating
-// them (the WorkScale adjustment happens on a private copy).
-func runWorkload(opts Options, mkSched func(*sim.Platform) sim.Scheduler, specs []workload.Spec, cfg sim.Config) (*sim.Result, error) {
-	plat, err := newPlatform(opts.GridEdge)
-	if err != nil {
-		return nil, err
-	}
-	scaled := make([]workload.Spec, len(specs))
-	copy(scaled, specs)
-	for i := range scaled {
-		scaled[i].WorkScale *= opts.WorkScale
-	}
-	tasks, err := workload.Instantiate(scaled)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(plat, cfg, mkSched(plat), tasks)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
 }
 
 // TableIRow is one platform parameter.

@@ -36,9 +36,9 @@ type Fig2Result struct {
 // blackscholes on cores 5 and 10 of a 16-core S-NUCA chip, under (a) no
 // management, (b) TSP-based DVFS, and (c) synchronous rotation over the four
 // centre cores at τ = 0.5 ms. traceStride > 0 records every traceStride-th
-// slice of the centre-core thermal trace. The three policy executions run
-// concurrently — each on its own platform, task, and trace buffer — and are
-// deterministic at any parallelism.
+// slice of the centre-core thermal trace. The three executions share one
+// platform and run serially: each needs a per-slice trace hook, which the
+// sweep executor's RunSpec cells do not carry.
 func Fig2(traceStride int) (*Fig2Result, error) {
 	pins := map[sim.ThreadID]int{
 		{Task: 0, Thread: 0}: 5,
@@ -57,36 +57,35 @@ func Fig2(traceStride int) (*Fig2Result, error) {
 
 	res := &Fig2Result{}
 	type policy struct {
-		out  *Fig2Policy
-		name string
-		mk   func(*sim.Platform) sim.Scheduler
-		dtm  bool
+		out   *Fig2Policy
+		name  string
+		sched sim.Scheduler
+		dtm   bool
 	}
 	policies := []policy{
-		{&res.None, "unmanaged-4GHz", func(*sim.Platform) sim.Scheduler { return sched.NewStatic(pins, 0) }, false},
-		{&res.TSP, "tsp-dvfs", func(*sim.Platform) sim.Scheduler { return sched.NewTSPGovernor(pins, 70) }, true},
-		{&res.Rotation, "sync-rotation-0.5ms", func(*sim.Platform) sim.Scheduler { return rotSched }, true},
+		{&res.None, "unmanaged-4GHz", sched.NewStatic(pins, 0), false},
+		{&res.TSP, "tsp-dvfs", sched.NewTSPGovernor(pins, 70), true},
+		{&res.Rotation, "sync-rotation-0.5ms", rotSched, true},
 	}
 
-	err = forEach(0, len(policies), func(i int) error {
-		p := policies[i]
-		plat, err := newPlatform(4)
-		if err != nil {
-			return err
-		}
-		b, err := workload.ByName("blackscholes")
-		if err != nil {
-			return err
-		}
+	plat, err := sim.NewPlatform(sim.DefaultPlatformConfig(4, 4))
+	if err != nil {
+		return nil, err
+	}
+	b, err := workload.ByName("blackscholes")
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range policies {
 		task, err := workload.NewTask(0, b, 2, 0, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg := sim.DefaultConfig()
 		cfg.DTMEnabled = p.dtm
-		s, err := sim.New(plat, cfg, p.mk(plat), []*workload.Task{task})
+		s, err := sim.New(plat, cfg, p.sched, []*workload.Task{task})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var trace []Fig2Sample
 		if traceStride > 0 {
@@ -106,7 +105,7 @@ func Fig2(traceStride int) (*Fig2Result, error) {
 		}
 		out, err := s.Run()
 		if err != nil {
-			return fmt.Errorf("experiments: fig2 %s: %w", p.name, err)
+			return nil, fmt.Errorf("experiments: fig2 %s: %w", p.name, err)
 		}
 		*p.out = Fig2Policy{
 			Name:       p.name,
@@ -116,10 +115,6 @@ func Fig2(traceStride int) (*Fig2Result, error) {
 			Migrations: out.Migrations,
 			Trace:      trace,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

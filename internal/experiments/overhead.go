@@ -34,9 +34,9 @@ type OverheadResult struct {
 // Overhead measures HotPotato's run-time cost on a fully loaded 64-core
 // platform. Deliberately serial — unlike the sweep experiments it reports
 // host wall-clock timings, which concurrent cells sharing the CPU would
-// inflate; do not fan this out over the worker pool.
+// inflate; do not run it as sweep cells.
 func Overhead() (*OverheadResult, error) {
-	plat, err := newPlatform(8)
+	plat, err := sim.NewPlatform(sim.DefaultPlatformConfig(8, 8))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 // Package service is the HTTP/JSON serving layer of the reproduction: it
 // turns declarative hotpotato.RunSpec documents into simulation runs on a
-// bounded worker pool (the internal/experiments pool pattern, made
-// long-lived), shares eigendecomposed Platforms between requests through a
+// long-lived bounded worker pool, shares eigendecomposed Platforms between requests through a
 // cache, and honours request deadlines and disconnects mid-run through
 // hotpotato.RunContext.
 package service

@@ -113,6 +113,12 @@ var schedulerRegistry = map[string]func(*Platform, SchedulerSpec) (Scheduler, er
 		}
 		return sched.NewRotationStatic(s.Pins, s.Cores, tau)
 	},
+	"async-migration": func(_ *Platform, s SchedulerSpec) (Scheduler, error) {
+		if err := s.needTDTM(); err != nil {
+			return nil, err
+		}
+		return sched.NewAsyncMigrate(s.TDTM), nil
+	},
 	"reactive": func(_ *Platform, s SchedulerSpec) (Scheduler, error) {
 		if err := s.needTDTM(); err != nil {
 			return nil, err

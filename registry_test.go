@@ -18,7 +18,7 @@ import (
 // experiment harness hours later.
 func TestEveryRegisteredPolicyRunsAnEpoch(t *testing.T) {
 	names := hotpotato.SchedulerNames()
-	want := []string{"hotpotato", "hotpotato-dvfs", "pcmig", "reactive", "rotation", "static", "tsp"}
+	want := []string{"async-migration", "hotpotato", "hotpotato-dvfs", "pcmig", "reactive", "rotation", "static", "tsp"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("SchedulerNames() = %v, want %v", names, want)
 	}

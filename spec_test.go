@@ -195,7 +195,7 @@ func TestExecuteSpecSolverEquivalence(t *testing.T) {
 // TestSchedulerRegistryCoversAllPolicies pins the registry to the full
 // policy set and checks every name constructs.
 func TestSchedulerRegistryCoversAllPolicies(t *testing.T) {
-	want := []string{"hotpotato", "hotpotato-dvfs", "pcmig", "reactive", "rotation", "static", "tsp"}
+	want := []string{"async-migration", "hotpotato", "hotpotato-dvfs", "pcmig", "reactive", "rotation", "static", "tsp"}
 	if got := hotpotato.SchedulerNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SchedulerNames() = %v, want %v", got, want)
 	}
