@@ -1,8 +1,8 @@
 package experiments_test
 
-// The shape tests of the cell-based harness figures, which live in the root
-// package (harness.go). They sit in this directory's external test package
-// because they also exercise this package's writers.
+// The shape and determinism tests of the cell-based harness figures, which
+// live in the root package (harness.go). They sit in this directory's
+// external test package because they also exercise this package's writers.
 
 import (
 	"bytes"
@@ -265,5 +265,49 @@ func TestContentionShape(t *testing.T) {
 	experiments.WriteContention(&buf, rows)
 	if !strings.Contains(buf.String(), "streamcluster") {
 		t.Error("contention report incomplete")
+	}
+}
+
+func TestConcurrentPairDeterministic(t *testing.T) {
+	// Fig4b fans its scheduler cells out on the sweep executor; results must
+	// be identical across repeated invocations (no shared state between cells).
+	opts := hotpotato.ExperimentOptions{GridEdge: 4, WorkScale: 0.3}
+	run := func() []hotpotato.Fig4bRow {
+		rows, err := hotpotato.Fig4b(opts, []float64{100}, 6, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	a, b := run(), run()
+	if a[0].HotPotatoResponse != b[0].HotPotatoResponse ||
+		a[0].PCMigResponse != b[0].PCMigResponse {
+		t.Fatalf("concurrent pair runs diverge: %+v vs %+v", a[0], b[0])
+	}
+}
+
+func TestWorkerCountInvariance(t *testing.T) {
+	// The acceptance property of the parallel harness: workers=1 and
+	// workers=8 produce bit-identical Fig4b aggregate rows for the same
+	// seeds. Any divergence means a cell leaked state into another.
+	rates := []float64{100, 200}
+	seeds := []int64{1, 2}
+	run := func(workers int) []hotpotato.Fig4bAggRow {
+		opts := hotpotato.ExperimentOptions{GridEdge: 4, WorkScale: 0.3, Workers: workers}
+		rows, err := hotpotato.Fig4bMultiSeed(opts, rates, 6, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	serial, parallel := run(1), run(8)
+	if len(serial) != len(rates) || len(parallel) != len(rates) {
+		t.Fatalf("row counts %d / %d, want %d", len(serial), len(parallel), len(rates))
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("rate %.0f: workers=1 row %+v != workers=8 row %+v",
+				rates[i], serial[i], parallel[i])
+		}
 	}
 }
