@@ -250,10 +250,10 @@ func TestFabricDocRoutesMatchDispatcher(t *testing.T) {
 }
 
 // TestAPIDocErrorCodesMatchService keeps the docs/API.md error-code table
-// equal to the Code* string constants of internal/service/errors.go.
+// equal to the Code* string constants of internal/fabric/errors.go.
 func TestAPIDocErrorCodesMatchService(t *testing.T) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "internal/service/errors.go", nil, 0)
+	f, err := parser.ParseFile(fset, "internal/fabric/errors.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAPIDocErrorCodesMatchService(t *testing.T) {
 		return true
 	})
 	if len(codes) == 0 {
-		t.Fatal("no Code* constants found in internal/service/errors.go")
+		t.Fatal("no Code* constants found in internal/fabric/errors.go")
 	}
 
 	data, err := os.ReadFile("docs/API.md")
@@ -290,7 +290,7 @@ func TestAPIDocErrorCodesMatchService(t *testing.T) {
 	}
 	for c := range codes {
 		if !doc[c] {
-			t.Errorf("error code %q is defined by internal/service but missing from the docs/API.md code table", c)
+			t.Errorf("error code %q is defined by internal/fabric but missing from the docs/API.md code table", c)
 		}
 	}
 	for c := range doc {

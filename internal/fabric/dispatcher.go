@@ -81,12 +81,12 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// cell lifecycle states.
+// cell lifecycle states. cellDone covers every final status — the record's
+// Status says which.
 const (
 	cellPending = iota
 	cellLeased
 	cellDone
-	cellFailed
 )
 
 // cellTask is one cell's control-plane state.
@@ -117,7 +117,10 @@ type sweepState struct {
 	began    time.Time
 	finished time.Time // zero while the sweep is active
 
-	completed, failed, canceledN, prunedN, cacheHits int
+	// summary holds the finished-cell tallies, counted only through
+	// SweepSummary.Observe; Counts, the status surface and the manifest all
+	// read it.
+	summary hotpotato.SweepSummary
 	// requeues counts cells re-queued by lease expiries — the recovery work
 	// the status surface reports per sweep.
 	requeues int
@@ -290,7 +293,8 @@ func (s *Sweep) Records() <-chan hotpotato.SweepResultRecord { return s.st.recor
 func (s *Sweep) Counts() (completed, failed, canceled, pruned, cacheHits int) {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
-	return s.st.completed, s.st.failed, s.st.canceledN, s.st.prunedN, s.st.cacheHits
+	sum := s.st.summary
+	return sum.Completed, sum.Failed, sum.Canceled, sum.Pruned, sum.CacheHits
 }
 
 // Cancel aborts the sweep: pending cells are dropped, leased cells' late
@@ -670,29 +674,15 @@ func (d *Dispatcher) cancelSweep(sw *sweepState) {
 // close when it was the last. A cell finishes exactly once — later calls
 // (a late result for a canceled sweep's cell) are dropped. Callers hold d.mu.
 func (d *Dispatcher) finishCellLocked(t *cellTask, rec hotpotato.SweepResultRecord) {
-	if t.state == cellDone || t.state == cellFailed {
+	if t.state == cellDone {
 		return
 	}
+	t.state = cellDone
 	sw := t.sweep
-	switch rec.Status {
-	case "ok":
-		t.state = cellDone
-		sw.completed++
-		metricCellsCompleted.Inc()
-	case "canceled":
-		t.state = cellDone
-		sw.canceledN++
-	case "pruned":
-		t.state = cellDone
-		sw.prunedN++
-	default:
-		t.state = cellFailed
-		sw.failed++
-		metricCellsFailed.Inc()
-	}
-	if rec.Cached {
-		sw.cacheHits++
-	}
+	before := sw.summary
+	sw.summary.Observe(rec)
+	metricCellsCompleted.Add(int64(sw.summary.Completed - before.Completed))
+	metricCellsFailed.Add(int64(sw.summary.Failed - before.Failed))
 	sw.outstanding--
 	if !sw.closed && !sw.canceled {
 		// Buffered to total and each cell finishes exactly once, so this
@@ -725,12 +715,13 @@ func (d *Dispatcher) closeSweepLocked(sw *sweepState) {
 		d.recent = append(d.recent[:0], d.recent[len(d.recent)-d.cfg.RecentSweeps:]...)
 	}
 	if d.cfg.Archive != nil && !sw.canceled {
+		sum := sw.summary
 		m := Manifest{
 			SweepID: sw.id, RequestID: sw.requestID, TraceID: sw.traceID,
-			Total: sw.total, Completed: sw.completed, Failed: sw.failed,
-			Canceled:  sw.canceledN,
-			Pruned:    sw.prunedN,
-			CacheHits: sw.cacheHits,
+			Total: sw.total, Completed: sum.Completed, Failed: sum.Failed,
+			Canceled:  sum.Canceled,
+			Pruned:    sum.Pruned,
+			CacheHits: sum.CacheHits,
 			Requeues:  sw.requeues,
 			ElapsedMS: float64(sw.finished.Sub(sw.began).Nanoseconds()) / 1e6,
 		}
@@ -739,8 +730,8 @@ func (d *Dispatcher) closeSweepLocked(sw *sweepState) {
 		}
 	}
 	d.logger.Info("fabric sweep finished",
-		"sweep", sw.id, "completed", sw.completed, "failed", sw.failed,
-		"canceled", sw.canceledN, "cache_hits", sw.cacheHits)
+		"sweep", sw.id, "completed", sw.summary.Completed, "failed", sw.summary.Failed,
+		"canceled", sw.summary.Canceled, "cache_hits", sw.summary.CacheHits)
 }
 
 // Stats is the dispatcher's health snapshot.

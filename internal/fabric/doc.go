@@ -17,9 +17,11 @@
 // cell is reported "failed"), so a kill -9 mid-sweep costs one lease TTL, not
 // the sweep.
 //
-// The client-facing POST /v1/batch keeps the exact NDJSON/SSE wire contract
-// of the single-node server (sweep header, result records in completion
-// order, progress heartbeats, terminal summary), so clients cannot tell a
+// The client-facing POST /v1/batch is the single-node server's: both
+// handlers are thin callers of this package's AdmitSweep, WantsSSE,
+// StreamSweep and WriteError, so the NDJSON/SSE wire contract (sweep header,
+// result records in completion order, progress heartbeats, terminal summary)
+// and the error envelope are one implementation. Clients cannot tell a
 // dispatcher from a hotpotato-server — except that the sweep header also
 // carries a sweep_id naming the archive entry. Completed results land in a
 // date/ID-organized Archive keyed by SpecHash; a re-posted sweep whose cells

@@ -1,12 +1,11 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	hotpotato "repro"
 	"repro/internal/obs"
@@ -30,9 +29,8 @@ import (
 //	POST /fabric/v1/results
 //	GET  /fabric/v1/workers     registered workers with liveness and health
 //
-// Errors reuse the v1 envelope shape {"error":{"code","message"}} with the
-// same code strings as the single-node server, so one client error path
-// covers both.
+// Errors use the v1 envelope (WriteError) shared with the single-node
+// server, so one client error path covers both.
 func (d *Dispatcher) Handler() http.Handler {
 	obs.Default().PublishExpvar("hotpotato")
 	mux := http.NewServeMux()
@@ -51,136 +49,43 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
-// Error-envelope codes shared with the single-node server (see
-// internal/service errors.go — duplicated literals rather than an import so
-// fabric stays importable by service without a cycle).
-const (
-	codeInvalidRequest = "invalid_request"
-	codeTooLarge       = "too_large"
-	codeNotFound       = "not_found"
-)
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	type apiError struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}
-	writeJSON(w, status, struct {
-		Error apiError `json:"error"`
-	}{apiError{Code: code, Message: err.Error()}})
-}
-
-// wantsSSE mirrors the single-node server's negotiation: SSE only on an
-// explicit Accept: text/event-stream, NDJSON otherwise.
-func wantsSSE(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
-// handleBatch is the dispatcher's client-facing sweep endpoint: identical
-// wire contract to hotpotato-server's POST /v1/batch (one "sweep" header,
-// "result" records in completion order, "progress" heartbeats, terminal
-// "summary"), except the header also carries the sweep_id naming the archive
-// entry. Cells are executed by leased workers instead of a local pool.
+// handleBatch is the dispatcher's client-facing sweep endpoint: the shared
+// /v1/batch contract (AdmitSweep, StreamSweep), except that the header also
+// carries the sweep_id naming the archive entry. Cells are executed by
+// leased workers instead of a local pool; the dispatcher's solver default
+// is applied at admission, and the workers execute the cells verbatim and
+// never re-default, so the hash the dispatcher archives under is the hash
+// the worker caches under.
 func (d *Dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var spec hotpotato.SweepSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decoding SweepSpec: %w", err))
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	if n := spec.CellCount(); n > d.cfg.MaxSweepCells {
-		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
-			fmt.Errorf("sweep expands to %d cells, dispatcher limit is %d", n, d.cfg.MaxSweepCells))
-		return
-	}
-	cells, err := spec.Expand()
+	_, cells, status, err := AdmitSweep(r.Body, d.cfg.MaxSweepCells, d.cfg.DefaultSolver)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, err)
+		WriteError(w, status, err)
 		return
 	}
-	// Apply the dispatcher's solver default exactly where the single-node
-	// server applies its own (post-expansion, pre-hash): the workers execute
-	// the cells verbatim and never re-default, so the hash the dispatcher
-	// archives under is the hash the worker caches under.
-	for i := range cells {
-		ApplyDefaultSolver(&cells[i].Spec, d.cfg.DefaultSolver)
-	}
-
 	requestID := r.Header.Get("X-Request-Id")
 	sweep := d.Submit(cells, requestID, r.Header.Get(obs.TraceParentHeader))
-	defer sweep.Cancel() // no-op when the sweep already finished
+	// A client disconnect cancels the sweep; cancelation finishes every
+	// outstanding cell, which closes the record channel and so ends the
+	// stream loop.
+	defer context.AfterFunc(r.Context(), sweep.Cancel)()
 
 	d.logger.Info("fabric batch started",
-		"sweep", sweep.ID, "cells", sweep.Total, "sse", wantsSSE(r))
-
-	stream := NewRecordStream(w, wantsSSE(r), func(typ, reason string) {
+		"sweep", sweep.ID, "cells", sweep.Total, "sse", WantsSSE(r))
+	stream := NewRecordStream(w, WantsSSE(r), func(typ, reason string) {
 		metricDroppedRecords.Inc()
 		d.logger.Warn("fabric dropped stream record", "sweep", sweep.ID, "record", typ, "reason", reason)
 	})
-	began := d.clock.Now()
-	stream.Send("sweep", hotpotato.SweepStarted{
+	summary := StreamSweep(stream, hotpotato.SweepStarted{
 		Type: "sweep", Total: sweep.Total, RequestID: requestID, SweepID: sweep.ID,
-	})
-
-	var heartbeat <-chan time.Time
-	if d.cfg.Heartbeat > 0 {
-		tick := time.NewTicker(d.cfg.Heartbeat)
-		defer tick.Stop()
-		heartbeat = tick.C
-	}
-
-	records := sweep.Records()
-	done := 0
-stream:
-	for {
-		select {
-		case rec, ok := <-records:
-			if !ok {
-				break stream
-			}
-			done++
-			stream.Send("result", rec)
-		case <-heartbeat:
-			stream.Send("progress", hotpotato.SweepProgress{
-				Type: "progress", Done: done, Total: sweep.Total,
-				ElapsedMS: float64(d.clock.Now().Sub(began).Nanoseconds()) / 1e6,
-			})
-		case <-r.Context().Done():
-			// Client went away: cancel the sweep and drain the (buffered,
-			// already-closing) record channel so tallies settle.
-			sweep.Cancel()
-			for range records {
-			}
-			break stream
-		}
-	}
-
-	completed, failed, canceled, pruned, cacheHits := sweep.Counts()
-	// The select loop is the only sender and it has exited, so nothing can
-	// interleave after this terminal record (and RecordStream would refuse
-	// it anyway).
-	stream.Send("summary", hotpotato.SweepSummary{
-		Type: "summary", Total: sweep.Total, Completed: completed, Failed: failed,
-		Canceled: canceled, Pruned: pruned, CacheHits: cacheHits,
-		ElapsedMS: float64(d.clock.Now().Sub(began).Nanoseconds()) / 1e6,
-	})
+	}, sweep.Records(), d.cfg.Heartbeat)
 	d.logger.Info("fabric batch finished",
-		"sweep", sweep.ID, "completed", completed, "failed", failed,
-		"canceled", canceled, "pruned", pruned, "cache_hits", cacheHits,
+		"sweep", sweep.ID, "completed", summary.Completed, "failed", summary.Failed,
+		"canceled", summary.Canceled, "pruned", summary.Pruned, "cache_hits", summary.CacheHits,
 		"dropped", stream.Dropped())
 }
 
 func (d *Dispatcher) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Stats
 		// Fleet is the federated counter snapshot (worker metric name →
 		// folded value), omitted until a worker has heartbeated telemetry.
@@ -189,18 +94,18 @@ func (d *Dispatcher) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.SweepStatuses(50))
+	WriteJSON(w, http.StatusOK, d.SweepStatuses(50))
 }
 
 func (d *Dispatcher) handleSweep(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := d.SweepStatus(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("sweep %q is neither active nor retained (older sweeps live in the archive manifests)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (d *Dispatcher) handleSweepSpans(w http.ResponseWriter, r *http.Request) {
@@ -213,7 +118,7 @@ func (d *Dispatcher) handleSweepSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Unlock()
 	if sw == nil || spans == nil {
-		writeError(w, http.StatusNotFound, codeNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("no span tree for sweep %q (unknown sweep, or span tracking disabled)", id))
 		return
 	}
@@ -224,11 +129,11 @@ func (d *Dispatcher) handleSweepSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tree, _ := d.SweepSpans(id)
-	writeJSON(w, http.StatusOK, tree)
+	WriteJSON(w, http.StatusOK, tree)
 }
 
 func (d *Dispatcher) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.WorkerStatuses())
+	WriteJSON(w, http.StatusOK, d.WorkerStatuses())
 }
 
 func (d *Dispatcher) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -239,57 +144,42 @@ func (d *Dispatcher) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, d.Register(req))
+	WriteJSON(w, http.StatusOK, d.Register(req))
 }
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.WorkerID == "" {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("worker_id is required"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("worker_id is required"))
 		return
 	}
-	writeJSON(w, http.StatusOK, LeaseResponse{Lease: d.Lease(req.WorkerID, req.MaxCells)})
+	WriteJSON(w, http.StatusOK, LeaseResponse{Lease: d.Lease(req.WorkerID, req.MaxCells)})
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ok, canceled := d.Heartbeat(req.LeaseID)
 	d.FoldTelemetry(req.WorkerID, req.Counters, req.Gauges)
-	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, Canceled: canceled})
+	WriteJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, Canceled: canceled})
 }
 
 func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 	var req ResultsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	accepted, ok := d.PostResults(req)
-	writeJSON(w, http.StatusOK, ResultsResponse{Accepted: accepted, OK: ok})
-}
-
-// ApplyDefaultSolver fills spec's thermal solver when it is empty — the one
-// post-defaults policy knob in the serving stack. Both of the single-node
-// server's endpoints (/v1/run via decodeSpec, /v1/batch per expanded cell)
-// and the dispatcher call this same helper at the same point in the pipeline
-// (after WithDefaults, before hashing), which is what guarantees one spec
-// yields one SpecHash — and so one cache key and one archive key — no matter
-// which door it came through. WithDefaults never fills the solver itself
-// (sim.DefaultConfig leaves it empty), so "empty after defaults" is exactly
-// "the client did not choose".
-func ApplyDefaultSolver(spec *hotpotato.RunSpec, solver string) {
-	if solver != "" && spec.Platform.Thermal.Solver == "" {
-		spec.Platform.Thermal.Solver = solver
-	}
+	WriteJSON(w, http.StatusOK, ResultsResponse{Accepted: accepted, OK: ok})
 }

@@ -156,11 +156,11 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		TraceID:   sw.traceID,
 		State:     "active",
 		Total:     sw.total,
-		Completed: sw.completed,
-		Failed:    sw.failed,
-		Canceled:  sw.canceledN,
-		Pruned:    sw.prunedN,
-		CacheHits: sw.cacheHits,
+		Completed: sw.summary.Completed,
+		Failed:    sw.summary.Failed,
+		Canceled:  sw.summary.Canceled,
+		Pruned:    sw.summary.Pruned,
+		CacheHits: sw.summary.CacheHits,
 		Requeues:  sw.requeues,
 	}
 	end := now
@@ -183,7 +183,7 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		}
 	}
 	st.ElapsedMS = float64(end.Sub(sw.began).Nanoseconds()) / 1e6
-	finishedCells := sw.completed + sw.failed + sw.canceledN + sw.prunedN
+	finishedCells := sw.total - sw.outstanding
 	if !sw.closed && finishedCells > 0 && st.ElapsedMS > 0 {
 		rate := float64(finishedCells) / st.ElapsedMS // cells per ms
 		st.ETAMS = float64(sw.total-finishedCells) / rate

@@ -2,77 +2,38 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	hotpotato "repro"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
-// The batch stream writer lives in internal/fabric (fabric.RecordStream):
-// the dispatcher's client-facing /v1/batch speaks the identical wire
-// contract, so both endpoints share one implementation — including the
-// structural guarantee that nothing can be written after the terminal
-// "summary" record, and that a record the stream refuses (marshal failure,
-// post-terminal) is counted and logged instead of silently vanishing.
-
-// wantsSSE reports whether the request negotiated Server-Sent Events; the
-// default (and anything ambiguous) is NDJSON.
-func wantsSSE(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
-// handleBatch streams a sweep: it expands the SweepSpec cross-product,
-// admission-checks the cell count, then executes every cell over the shared
-// worker semaphore — each cell through the result cache, so repeated cells
-// (and re-posted sweeps) replay instead of re-simulating. Records go out in
-// completion order as NDJSON lines (or SSE events via Accept:
-// text/event-stream): one "sweep" header, one "result" per cell, periodic
-// "progress" heartbeats, and a terminal "summary". A client disconnect
-// cancels the request context, which stops in-flight cells within one
-// scheduler epoch and fails the rest immediately.
+// handleBatch streams a sweep. Admission, SSE negotiation, the stream loop
+// and the error envelope are the fabric's (fabric.AdmitSweep,
+// fabric.StreamSweep): the dispatcher's /v1/batch speaks the identical wire
+// contract through the same code. What is the server's own is the record
+// source — every cell runs over the shared worker semaphore through the
+// result cache, so repeated cells (and re-posted sweeps) replay instead of
+// re-simulating. A client disconnect cancels the request context, which
+// stops in-flight cells within one scheduler epoch and fails the rest
+// immediately.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
+		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
-	var sweep hotpotato.SweepSpec
-	if err := json.NewDecoder(r.Body).Decode(&sweep); err != nil {
-		metricBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding SweepSpec: %w", err))
-		return
-	}
-	if err := sweep.Validate(); err != nil {
-		metricBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if n := sweep.CellCount(); n > s.cfg.MaxSweepCells {
-		metricBatchRejected.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("sweep expands to %d cells, server limit is %d", n, s.cfg.MaxSweepCells))
-		return
-	}
-	cells, err := sweep.Expand()
+	sweep, cells, status, err := fabric.AdmitSweep(r.Body, s.cfg.MaxSweepCells, s.cfg.DefaultSolver)
 	if err != nil {
-		// Unreachable after the admission check, but fail closed.
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		if status == http.StatusRequestEntityTooLarge {
+			metricBatchRejected.Inc()
+		} else {
+			metricBadRequests.Inc()
+		}
+		fabric.WriteError(w, status, err)
 		return
-	}
-	// Expand has already applied WithDefaults per cell (which never fills the
-	// solver), so the shared helper sees exactly the cells whose clients left
-	// the choice open — the same post-defaults point where decodeSpec applies
-	// it for /v1/run, keeping SpecHash (and so the cache key) endpoint-
-	// independent for identical specs.
-	for i := range cells {
-		fabric.ApplyDefaultSolver(&cells[i].Spec, s.cfg.DefaultSolver)
 	}
 
 	// The sweep dies with the request (client disconnect) or the server
@@ -85,53 +46,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.runs.Done()
 
 	metricBatchRequests.Inc()
-	requestID := requestIDFrom(r.Context())
 	logger := obs.LoggerFrom(r.Context())
-	logger.Info("batch started", "cells", len(cells), "sse", wantsSSE(r))
-
-	stream := fabric.NewRecordStream(w, wantsSSE(r), func(typ, reason string) {
-		metricBatchDroppedRecords.Inc()
-		logger.Warn("batch dropped stream record", "record", typ, "reason", reason)
-	})
-	began := time.Now()
-	stream.Send("sweep", hotpotato.SweepStarted{Type: "sweep", Total: len(cells), RequestID: requestID})
-
-	var done atomic.Int64
-	// stopHeartbeat joins the heartbeat goroutine. It MUST run before the
-	// summary is sent, not on handler return: a late tick racing the terminal
-	// record would put a "progress" after the documented-final "summary"
-	// (stream.Send would refuse and count it, but the contract is to stop the
-	// source, not lean on the guard). The deferred call makes the early
-	// writeError/panic exits safe; stopHeartbeat is idempotent.
-	stopHeartbeat := func() {}
-	if s.cfg.BatchHeartbeat > 0 {
-		tick := time.NewTicker(s.cfg.BatchHeartbeat)
-		hbCtx, hbStop := context.WithCancel(ctx)
-		hbDone := make(chan struct{})
-		var hbOnce sync.Once
-		stopHeartbeat = func() {
-			hbOnce.Do(func() {
-				hbStop()
-				<-hbDone
-				tick.Stop()
-			})
-		}
-		defer stopHeartbeat()
-		go func() {
-			defer close(hbDone)
-			for {
-				select {
-				case <-hbCtx.Done():
-					return
-				case <-tick.C:
-					stream.Send("progress", hotpotato.SweepProgress{
-						Type: "progress", Done: int(done.Load()), Total: len(cells),
-						ElapsedMS: float64(time.Since(began).Nanoseconds()) / 1e6,
-					})
-				}
-			}
-		}()
-	}
+	logger.Info("batch started", "cells", len(cells), "sse", fabric.WantsSSE(r))
 
 	// A sweep that asks for pruning gets it only when the server holds a twin
 	// model; without one every cell simulates (the stream stays well-formed,
@@ -141,30 +57,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		prune = hotpotato.NewTwinSweepPruner(s.twin, *sweep.PruneAboveTemp)
 	}
 
-	summary := hotpotato.SweepSummary{Type: "summary", Total: len(cells)}
-	sweepErr := hotpotato.ExecuteSweepCells(ctx, cells, hotpotato.SweepOptions{
-		Workers: s.cfg.Workers,
-		Run:     s.ExecuteCell,
-		Prune:   prune,
-	}, func(cellRes hotpotato.SweepCellResult) {
-		// emit is serialized by ExecuteSweepCells, so the counters are safe.
-		rec := hotpotato.NewSweepResultRecord(cellRes)
-		summary.Observe(rec)
-		if rec.Status == "pruned" {
-			metricBatchPruned.Inc()
-		}
-		done.Add(1)
-		stream.Send("result", rec)
+	// Buffered to one slot per cell, so the pool never blocks on the stream;
+	// closing it after ExecuteSweepCells returns ends the stream loop.
+	records := make(chan hotpotato.SweepResultRecord, len(cells))
+	var sweepErr error
+	go func() {
+		defer close(records)
+		sweepErr = hotpotato.ExecuteSweepCells(ctx, cells, hotpotato.SweepOptions{
+			Workers: s.cfg.Workers,
+			Run:     s.ExecuteCell,
+			Prune:   prune,
+		}, func(cellRes hotpotato.SweepCellResult) {
+			rec := hotpotato.NewSweepResultRecord(cellRes)
+			if rec.Status == "pruned" {
+				metricBatchPruned.Inc()
+			}
+			records <- rec
+		})
+	}()
+
+	stream := fabric.NewRecordStream(w, fabric.WantsSSE(r), func(typ, reason string) {
+		metricBatchDroppedRecords.Inc()
+		logger.Warn("batch dropped stream record", "record", typ, "reason", reason)
 	})
-
-	// Every result is out and the heartbeat goroutine is joined before the
-	// terminal record goes on the wire — "summary is the last record" holds
-	// by construction, and RecordStream seals the stream right after as a
-	// second line of defense.
-	stopHeartbeat()
-
-	summary.ElapsedMS = float64(time.Since(began).Nanoseconds()) / 1e6
-	stream.Send("summary", summary)
+	summary := fabric.StreamSweep(stream, hotpotato.SweepStarted{
+		Type: "sweep", Total: len(cells), RequestID: requestIDFrom(r.Context()),
+	}, records, s.cfg.BatchHeartbeat)
 	logger.Info("batch finished",
 		"cells", summary.Total, "completed", summary.Completed,
 		"failed", summary.Failed, "canceled", summary.Canceled,

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	hotpotato "repro"
+	"repro/internal/fabric"
 )
 
 // quickSweepJSON is a 2 schedulers × 2 workloads sweep of fast 4×4 cells.
@@ -72,6 +76,92 @@ func postBatch(t *testing.T, url, body string) (*http.Response, []batchRecord) {
 		t.Fatal(err)
 	}
 	return resp, records
+}
+
+// batchDoor is one implementation of POST /v1/batch under test.
+type batchDoor struct{ name, url string }
+
+// batchDoors serves cfg's sweeps through both doors: the server itself, and
+// a dispatcher (same admission limit, heartbeat and solver default) whose one
+// in-process worker executes cells on a second, separate service stack — so
+// neither door warms the other's result cache.
+func batchDoors(t *testing.T, cfg Config) []batchDoor {
+	t.Helper()
+	svc, ts := newTestServer(t, cfg)
+	worker, _ := newTestServer(t, cfg)
+	d := fabric.NewDispatcher(fabric.Config{
+		MaxSweepCells: svc.cfg.MaxSweepCells,
+		Heartbeat:     svc.cfg.BatchHeartbeat,
+		DefaultSolver: svc.cfg.DefaultSolver,
+	})
+	ds := httptest.NewServer(d.Handler())
+	ctx, stop := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w := &fabric.Worker{Dispatcher: ds.URL, Exec: worker.ExecuteCell, IdlePoll: 5 * time.Millisecond}
+		_ = w.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		stop()
+		<-stopped
+		ds.Close()
+	})
+	return []batchDoor{{"server", ts.URL}, {"dispatcher", ds.URL}}
+}
+
+// TestBatchRejectionsMatchAcrossDoors: every admission rejection answers
+// with the same status and the same decoded error envelope from the server
+// and the dispatcher. An oversized sweep whose cross-product saturated
+// CellCount says "more than" the structural ceiling instead of printing the
+// saturated count as if it were exact.
+func TestBatchRejectionsMatchAcrossDoors(t *testing.T) {
+	doors := batchDoors(t, Config{Workers: 1, MaxSweepCells: 2})
+	seeds := make([]string, 300)
+	schedulers := make([]string, 300)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+		schedulers[i] = `{"name": "hotpotato"}`
+	}
+	saturated := `{"axes": {"seeds": [` + strings.Join(seeds, ",") +
+		`], "schedulers": [` + strings.Join(schedulers, ",") + `]}}`
+	cases := []struct {
+		name, body string
+		status     int
+		code       string
+		fragment   string
+	}{
+		{"bad version", `{"version": "v9"}`, http.StatusBadRequest, fabric.CodeInvalidRequest, "version"},
+		{"bad solvers axis", `{"axes": {"solvers": ["x"]}}`, http.StatusBadRequest, fabric.CodeInvalidRequest, "solvers axis entry 0"},
+		{"undecodable body", `[1,2`, http.StatusBadRequest, fabric.CodeInvalidRequest, "decoding SweepSpec"},
+		{"oversized sweep", `{"axes": {"seeds": [1, 2, 3], "solvers": ["dense", "sparse"]}}`,
+			http.StatusRequestEntityTooLarge, fabric.CodeTooLarge, "expands to 6 cells, admission limit is 2"},
+		{"saturated sweep", saturated,
+			http.StatusRequestEntityTooLarge, fabric.CodeTooLarge, "expands to more than 65536 cells"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var envs []fabric.ErrorEnvelope
+			for _, door := range doors {
+				resp, body := postJSON(t, door.url+"/v1/batch", c.body)
+				if resp.StatusCode != c.status {
+					t.Fatalf("%s: status %d, want %d: %s", door.name, resp.StatusCode, c.status, body)
+				}
+				var env fabric.ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil {
+					t.Fatalf("%s: body is not the error envelope: %v\n%s", door.name, err, body)
+				}
+				if env.Error.Code != c.code || !strings.Contains(env.Error.Message, c.fragment) {
+					t.Errorf("%s: envelope %+v, want code %q and a message containing %q",
+						door.name, env.Error, c.code, c.fragment)
+				}
+				envs = append(envs, env)
+			}
+			if !reflect.DeepEqual(envs[0], envs[1]) {
+				t.Errorf("doors disagree:\n%s: %+v\n%s: %+v", doors[0].name, envs[0], doors[1].name, envs[1])
+			}
+		})
+	}
 }
 
 // TestBatchStreamsSweep: the 2×2 sweep streams one header, four result
@@ -310,10 +400,8 @@ func TestBatchSSE(t *testing.T) {
 }
 
 // TestBatchHeartbeat: an idle stream (slow single cell) emits progress
-// records at the configured cadence.
+// records at the configured cadence, from either door.
 func TestBatchHeartbeat(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, BatchHeartbeat: 10 * time.Millisecond})
-
 	sweep := `{
 		"base": {
 			"platform": {"width": 4, "height": 4},
@@ -321,18 +409,22 @@ func TestBatchHeartbeat(t *testing.T) {
 			"workload": {"kind": "explicit", "tasks": [{"bench": "blackscholes", "threads": 2, "work_scale": 100}]}
 		}
 	}`
-	_, records := postBatch(t, ts.URL+"/v1/batch", sweep)
-	var progress int
-	for _, rec := range records {
-		if rec.Type == "progress" {
-			progress++
-			if rec.Total != 1 {
-				t.Errorf("progress total %d, want 1", rec.Total)
+	for _, door := range batchDoors(t, Config{Workers: 1, BatchHeartbeat: 10 * time.Millisecond}) {
+		t.Run(door.name, func(t *testing.T) {
+			_, records := postBatch(t, door.url+"/v1/batch", sweep)
+			var progress int
+			for _, rec := range records {
+				if rec.Type == "progress" {
+					progress++
+					if rec.Total != 1 {
+						t.Errorf("progress total %d, want 1", rec.Total)
+					}
+				}
 			}
-		}
-	}
-	if progress == 0 {
-		t.Error("no progress heartbeat on a slow stream")
+			if progress == 0 {
+				t.Error("no progress heartbeat on a slow stream")
+			}
+		})
 	}
 }
 
@@ -397,36 +489,42 @@ func TestJobsListing(t *testing.T) {
 
 // TestBatchSummaryAlwaysLast: regression for the heartbeat-after-summary
 // bug. With a heartbeat cadence far shorter than the sweep, ticks race the
-// terminal record constantly; the handler must join the heartbeat goroutine
-// before sending "summary", so the summary is the stream's last record on
-// every run.
+// terminal record constantly; the stream loop sends heartbeats and the
+// summary from one goroutine, so the summary is the stream's last record on
+// every run, from either door.
 func TestBatchSummaryAlwaysLast(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, BatchHeartbeat: time.Millisecond})
-
-	for i := 0; i < 5; i++ {
-		_, records := postBatch(t, ts.URL+"/v1/batch", quickSweepJSON)
-		if len(records) == 0 {
-			t.Fatal("empty stream")
-		}
-		last := records[len(records)-1]
-		if last.Type != "summary" {
-			t.Fatalf("run %d: last record is %q, want summary", i, last.Type)
-		}
-		for j, rec := range records[:len(records)-1] {
-			if rec.Type == "summary" {
-				t.Fatalf("run %d: summary at position %d of %d is not terminal", i, j, len(records))
+	for _, door := range batchDoors(t, Config{Workers: 2, BatchHeartbeat: time.Millisecond}) {
+		t.Run(door.name, func(t *testing.T) {
+			for i := 0; i < 5; i++ {
+				_, records := postBatch(t, door.url+"/v1/batch", quickSweepJSON)
+				if len(records) == 0 {
+					t.Fatal("empty stream")
+				}
+				last := records[len(records)-1]
+				if last.Type != "summary" {
+					t.Fatalf("run %d: last record is %q, want summary", i, last.Type)
+				}
+				for j, rec := range records[:len(records)-1] {
+					if rec.Type == "summary" {
+						t.Fatalf("run %d: summary at position %d of %d is not terminal", i, j, len(records))
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 // TestBatchSSEFraming: every SSE event's name matches the "type" field of
 // the data payload it frames, the first event is the "sweep" header, and the
-// last is the terminal "summary".
+// last is the terminal "summary" — from either door.
 func TestBatchSSEFraming(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, BatchHeartbeat: time.Millisecond})
+	for _, door := range batchDoors(t, Config{Workers: 2, BatchHeartbeat: time.Millisecond}) {
+		t.Run(door.name, func(t *testing.T) { checkSSEFraming(t, door.url) })
+	}
+}
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", strings.NewReader(quickSweepJSON))
+func checkSSEFraming(t *testing.T, url string) {
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/batch", strings.NewReader(quickSweepJSON))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	hotpotato "repro"
+	"repro/internal/fabric"
 )
 
 // TestErrorEnvelope drives every non-2xx path of the v1 surface and asserts
@@ -31,49 +32,49 @@ func TestErrorEnvelope(t *testing.T) {
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return postJSON(t, ts.URL+"/v1/run", `{not json`)
 			},
-			status: http.StatusBadRequest, code: CodeInvalidRequest, fragment: "decoding RunSpec",
+			status: http.StatusBadRequest, code: fabric.CodeInvalidRequest, fragment: "decoding RunSpec",
 		},
 		{
 			name: "invalid run spec lists every field",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return postJSON(t, ts.URL+"/v1/run", `{"scheduler": {"name": "no-such"}, "workload": {"kind": "bogus"}}`)
 			},
-			status: http.StatusBadRequest, code: CodeInvalidRequest, fragment: "no-such", wantFields: true,
+			status: http.StatusBadRequest, code: fabric.CodeInvalidRequest, fragment: "no-such", wantFields: true,
 		},
 		{
 			name: "undecodable sweep body",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return postJSON(t, ts.URL+"/v1/batch", `[1,2`)
 			},
-			status: http.StatusBadRequest, code: CodeInvalidRequest, fragment: "decoding SweepSpec",
+			status: http.StatusBadRequest, code: fabric.CodeInvalidRequest, fragment: "decoding SweepSpec",
 		},
 		{
 			name: "unknown sweep version",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return postJSON(t, ts.URL+"/v1/batch", `{"version": "v9"}`)
 			},
-			status: http.StatusBadRequest, code: CodeInvalidRequest, fragment: "version",
+			status: http.StatusBadRequest, code: fabric.CodeInvalidRequest, fragment: "version",
 		},
 		{
 			name: "oversized sweep",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return postJSON(t, ts.URL+"/v1/batch", `{"axes": {"seeds": [1, 2, 3], "solvers": ["dense", "sparse"]}}`)
 			},
-			status: http.StatusRequestEntityTooLarge, code: CodeTooLarge, fragment: "6 cells",
+			status: http.StatusRequestEntityTooLarge, code: fabric.CodeTooLarge, fragment: "6 cells",
 		},
 		{
 			name: "unknown job",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return getJSON(t, ts.URL+"/v1/jobs/job-999")
 			},
-			status: http.StatusNotFound, code: CodeNotFound, fragment: "job-999",
+			status: http.StatusNotFound, code: fabric.CodeNotFound, fragment: "job-999",
 		},
 		{
 			name: "bad jobs status filter",
 			do: func(t *testing.T) (*http.Response, []byte) {
 				return getJSON(t, ts.URL+"/v1/jobs?status=exploded")
 			},
-			status: http.StatusBadRequest, code: CodeInvalidRequest, fragment: "exploded",
+			status: http.StatusBadRequest, code: fabric.CodeInvalidRequest, fragment: "exploded",
 		},
 	}
 	for _, c := range cases {
@@ -82,7 +83,7 @@ func TestErrorEnvelope(t *testing.T) {
 			if resp.StatusCode != c.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, c.status, body)
 			}
-			var env errorEnvelope
+			var env fabric.ErrorEnvelope
 			if err := json.Unmarshal(body, &env); err != nil {
 				t.Fatalf("body is not the error envelope: %v\n%s", err, body)
 			}
@@ -115,12 +116,12 @@ func TestErrorEnvelopeOverCapacityAndUnavailable(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("queue overflow status %d, want 429: %s", resp.StatusCode, body)
 	}
-	var env errorEnvelope
+	var env fabric.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("429 body is not the envelope: %v\n%s", err, body)
 	}
-	if env.Error.Code != CodeOverCapacity {
-		t.Errorf("429 code %q, want %q", env.Error.Code, CodeOverCapacity)
+	if env.Error.Code != fabric.CodeOverCapacity {
+		t.Errorf("429 code %q, want %q", env.Error.Code, fabric.CodeOverCapacity)
 	}
 
 	// Shut down (force-cancel the long jobs) and assert the 503 envelope on
@@ -134,13 +135,13 @@ func TestErrorEnvelopeOverCapacityAndUnavailable(t *testing.T) {
 			t.Errorf("%s after shutdown: status %d", path, resp.StatusCode)
 			continue
 		}
-		var env errorEnvelope
+		var env fabric.ErrorEnvelope
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Errorf("%s 503 body is not the envelope: %v\n%s", path, err, body)
 			continue
 		}
-		if env.Error.Code != CodeUnavailable {
-			t.Errorf("%s 503 code %q, want %q", path, env.Error.Code, CodeUnavailable)
+		if env.Error.Code != fabric.CodeUnavailable {
+			t.Errorf("%s 503 code %q, want %q", path, env.Error.Code, fabric.CodeUnavailable)
 		}
 	}
 }
@@ -164,17 +165,17 @@ func TestCachedErrorKeepsTimeoutIdentity(t *testing.T) {
 // TestErrorCodeMapping pins the status→code table documented in docs/API.md.
 func TestErrorCodeMapping(t *testing.T) {
 	want := map[int]string{
-		http.StatusBadRequest:            CodeInvalidRequest,
-		http.StatusNotFound:              CodeNotFound,
-		http.StatusRequestEntityTooLarge: CodeTooLarge,
-		http.StatusTooManyRequests:       CodeOverCapacity,
-		http.StatusServiceUnavailable:    CodeUnavailable,
-		http.StatusInternalServerError:   CodeInternal,
-		http.StatusTeapot:                CodeInternal, // anything unmapped is internal
+		http.StatusBadRequest:            fabric.CodeInvalidRequest,
+		http.StatusNotFound:              fabric.CodeNotFound,
+		http.StatusRequestEntityTooLarge: fabric.CodeTooLarge,
+		http.StatusTooManyRequests:       fabric.CodeOverCapacity,
+		http.StatusServiceUnavailable:    fabric.CodeUnavailable,
+		http.StatusInternalServerError:   fabric.CodeInternal,
+		http.StatusTeapot:                fabric.CodeInternal, // anything unmapped is internal
 	}
 	for status, code := range want {
-		if got := errorCode(status); got != code {
-			t.Errorf("errorCode(%d) = %q, want %q", status, got, code)
+		if got := fabric.ErrorCode(status); got != code {
+			t.Errorf("fabric.ErrorCode(%d) = %q, want %q", status, got, code)
 		}
 	}
 }

@@ -47,25 +47,25 @@ func predictETag(specHash, modelHash string) string {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
+		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
 	if s.twin == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		fabric.WriteError(w, http.StatusServiceUnavailable,
 			errors.New("no twin model loaded (start the server with -twin-model)"))
 		return
 	}
 	var spec hotpotato.PredictSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		metricBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding PredictSpec: %w", err))
+		fabric.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding PredictSpec: %w", err))
 		return
 	}
 	spec.RunSpec = spec.RunSpec.WithDefaults()
 	fabric.ApplyDefaultSolver(&spec.RunSpec, s.cfg.DefaultSolver)
 	if err := spec.RunSpec.Validate(); err != nil {
 		metricBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
+		fabric.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Validate succeeded, so hashing cannot fail.
@@ -80,7 +80,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	metricPredictRequests.Inc()
 	plat, err := s.cache.Get(spec.RunSpec.Platform)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		fabric.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	pred, err := hotpotato.TwinPredict(s.twin, plat, spec.RunSpec)
@@ -89,10 +89,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, hotpotato.ErrTwinDomain):
 		metricPredictDomainRejected.Inc()
 		obs.LoggerFrom(r.Context()).Info("predict out of domain", "error", err.Error())
-		writeError(w, http.StatusUnprocessableEntity, err)
+		fabric.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		fabric.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// Arm the drift tracker: if a full run of this exact spec comes through
@@ -100,7 +100,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// prediction (see drift.go).
 	s.drift.Predict(hash, pred.TransientPeakC)
 	w.Header().Set("ETag", etag)
-	writeJSON(w, http.StatusOK, predictResponse{
+	fabric.WriteJSON(w, http.StatusOK, predictResponse{
 		Prediction:   pred,
 		ModelVersion: s.twin.Version,
 		ModelHash:    s.twin.Hash,

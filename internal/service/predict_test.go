@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	hotpotato "repro"
+	"repro/internal/fabric"
 )
 
 // inDomainSpecJSON is a run the analytical twin can answer conclusively:
@@ -51,12 +52,12 @@ func TestPredictWithoutModelUnavailable(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 when no -twin-model is loaded", resp.StatusCode)
 	}
-	var env errorEnvelope
+	var env fabric.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("non-envelope error body: %v\n%s", err, body)
 	}
-	if env.Error.Code != CodeUnavailable {
-		t.Errorf("code %q, want %q", env.Error.Code, CodeUnavailable)
+	if env.Error.Code != fabric.CodeUnavailable {
+		t.Errorf("code %q, want %q", env.Error.Code, fabric.CodeUnavailable)
 	}
 	if !strings.Contains(env.Error.Message, "twin-model") {
 		t.Errorf("message does not point at the flag: %q", env.Error.Message)
@@ -70,12 +71,12 @@ func TestPredictBadBody(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
 		}
-		var env errorEnvelope
+		var env fabric.ErrorEnvelope
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("non-envelope error body: %v\n%s", err, raw)
 		}
-		if env.Error.Code != CodeInvalidRequest {
-			t.Errorf("POST %q: code %q, want %q", body, env.Error.Code, CodeInvalidRequest)
+		if env.Error.Code != fabric.CodeInvalidRequest {
+			t.Errorf("POST %q: code %q, want %q", body, env.Error.Code, fabric.CodeInvalidRequest)
 		}
 	}
 }
@@ -94,12 +95,12 @@ func TestPredictOutOfDomain(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status %d, want 422", name, resp.StatusCode)
 		}
-		var env errorEnvelope
+		var env fabric.ErrorEnvelope
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("%s: non-envelope error body: %v\n%s", name, err, raw)
 		}
-		if env.Error.Code != CodeOutOfDomain {
-			t.Errorf("%s: code %q, want %q", name, env.Error.Code, CodeOutOfDomain)
+		if env.Error.Code != fabric.CodeOutOfDomain {
+			t.Errorf("%s: code %q, want %q", name, env.Error.Code, fabric.CodeOutOfDomain)
 		}
 	}
 }

@@ -210,3 +210,15 @@ func approxResultBytes(res *hotpotato.Result) int64 {
 	}
 	return int64(len(b))
 }
+
+// cachedError replays a MaxTime stop stored in the result cache. The live
+// error chain (fmt.Errorf wrapping sim.ErrTimeout) is not serializable, so
+// the cache stores only its text; this type restores the errors.Is identity
+// clients and handlers branch on. Only timeout outcomes are ever cached —
+// every other error is transient (cancellation) or already rejected before
+// execution — so ErrTimeout is the only identity to restore.
+type cachedError struct{ msg string }
+
+func (e cachedError) Error() string { return e.msg }
+
+func (e cachedError) Is(target error) bool { return target == hotpotato.ErrTimeout }

@@ -366,7 +366,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (hotpotato.R
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		metricBadRequests.Inc()
 		obs.LoggerFrom(r.Context()).Warn("bad request", "reason", "undecodable RunSpec", "error", err.Error())
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding RunSpec: %w", err))
+		fabric.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding RunSpec: %w", err))
 		return spec, false
 	}
 	spec = spec.WithDefaults()
@@ -378,7 +378,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (hotpotato.R
 	if err := spec.Validate(); err != nil {
 		metricBadRequests.Inc()
 		obs.LoggerFrom(r.Context()).Warn("bad request", "reason", "invalid RunSpec", "error", err.Error())
-		writeError(w, http.StatusBadRequest, err)
+		fabric.WriteError(w, http.StatusBadRequest, err)
 		return spec, false
 	}
 	return spec, true
@@ -473,7 +473,7 @@ func ifNoneMatchHas(header, etag string) bool {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
+		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
 	spec, ok := s.decodeSpec(w, r)
@@ -513,22 +513,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		w.Header().Set("ETag", etag)
-		writeJSON(w, http.StatusOK, runResponse{Result: res, Profile: prof, Cached: cached})
+		fabric.WriteJSON(w, http.StatusOK, runResponse{Result: res, Profile: prof, Cached: cached})
 	case errors.Is(err, hotpotato.ErrTimeout):
 		// The simulation hit its own MaxTime: a complete answer about an
 		// incomplete workload, not a transport failure.
 		w.Header().Set("ETag", etag)
-		writeJSON(w, http.StatusOK, runResponse{Result: res, Profile: prof, Cached: cached, Error: err.Error()})
+		fabric.WriteJSON(w, http.StatusOK, runResponse{Result: res, Profile: prof, Cached: cached, Error: err.Error()})
 	case errors.Is(err, hotpotato.ErrCanceled):
-		writeError(w, http.StatusServiceUnavailable, err)
+		fabric.WriteError(w, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		fabric.WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
+		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
 	spec, ok := s.decodeSpec(w, r)
@@ -559,11 +559,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		metricQueueDepth.Set(float64(len(s.queue)))
 		obs.LoggerFrom(r.Context()).Info("job queued",
 			"job_id", j.job.ID, "queue_depth", len(s.queue))
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		fabric.WriteJSON(w, http.StatusAccepted, j.snapshot())
 	default:
 		s.jobs.remove(j.job.ID)
 		metricJobsRejected.Inc()
-		writeError(w, http.StatusTooManyRequests,
+		fabric.WriteError(w, http.StatusTooManyRequests,
 			fmt.Errorf("job queue full (%d pending)", s.cfg.QueueDepth))
 	}
 }
@@ -582,16 +582,16 @@ type jobTrace struct {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		fabric.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if j.tracer == nil {
-		writeError(w, http.StatusNotFound,
+		fabric.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("job %q has no trace (server runs with tracing disabled)", r.PathValue("id")))
 		return
 	}
 	snap := j.snapshot()
-	writeJSON(w, http.StatusOK, jobTrace{
+	fabric.WriteJSON(w, http.StatusOK, jobTrace{
 		ID:      snap.ID,
 		Status:  snap.Status,
 		Total:   j.tracer.Total(),
@@ -614,11 +614,11 @@ type jobSpans struct {
 func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		fabric.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if j.spans == nil {
-		writeError(w, http.StatusNotFound,
+		fabric.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("job %q has no spans (server runs with span tracing disabled)", r.PathValue("id")))
 		return
 	}
@@ -628,7 +628,7 @@ func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := j.snapshot()
-	writeJSON(w, http.StatusOK, jobSpans{
+	fabric.WriteJSON(w, http.StatusOK, jobSpans{
 		ID:      snap.ID,
 		Status:  snap.Status,
 		Total:   j.spans.Total(),
@@ -645,10 +645,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		fabric.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	fabric.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 // jobList is the envelope of GET /v1/jobs.
@@ -668,13 +668,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		switch filter {
 		case JobQueued, JobRunning, JobDone, JobFailed, JobCanceled:
 		default:
-			writeError(w, http.StatusBadRequest,
+			fabric.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("unknown status filter %q (want queued, running, done, failed or canceled)", q))
 			return
 		}
 	}
 	jobs := s.jobs.list(filter)
-	writeJSON(w, http.StatusOK, jobList{Jobs: jobs, Count: len(jobs)})
+	fabric.WriteJSON(w, http.StatusOK, jobList{Jobs: jobs, Count: len(jobs)})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -695,7 +695,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body["result_cache_evictions"] = rEvictions
 		body["result_cache_abandoned"] = s.results.AbandonedFallbacks()
 	}
-	writeJSON(w, http.StatusOK, body)
+	fabric.WriteJSON(w, http.StatusOK, body)
 }
 
 // Shutdown stops accepting work and drains: it waits for running and queued
@@ -725,12 +725,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.cancelRuns() // release the base context either way
 	return err
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is out; nothing sensible to do on error
 }

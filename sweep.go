@@ -446,9 +446,11 @@ type (
 // Observe counts one result record into the summary. Every record lands in
 // exactly one of Completed/Failed/Canceled/Pruned (keyed on Status, with
 // unknown statuses counted as failed so totals still partition), plus
-// CacheHits when Cached. All stream producers — the /v1/batch handler, the
-// fabric dispatcher's aggregate, and `hotpotato-sim -sweep` — count through
-// this method so their summaries classify identically.
+// CacheHits when Cached. It is the only status classifier: the shared
+// /v1/batch stream loop (fabric.StreamSweep, behind both hotpotato-server and
+// the dispatcher), the dispatcher's per-sweep tallies and
+// `hotpotato-sim -sweep` all count through it, so their summaries classify
+// identically.
 func (s *SweepSummary) Observe(rec SweepResultRecord) {
 	switch rec.Status {
 	case "ok":
