@@ -135,9 +135,10 @@ type (
 	// RotationPlan is a periodic power schedule: δ epochs of τ seconds.
 	// Treated as read-only by the calculator; safe to share once built.
 	RotationPlan = rotation.Plan
-	// PeakCalculator evaluates rotation plans analytically. It is
-	// immutable after construction — evaluations allocate their own
-	// scratch — so one calculator may serve concurrent goroutines.
+	// PeakCalculator evaluates rotation plans analytically. Evaluations
+	// allocate their own scratch and the ring evaluator's response tables
+	// fill under a once-per-key guard, so one calculator may serve
+	// concurrent goroutines.
 	// Against a sparse-mode thermal model it solves the periodic steady
 	// state by certified conjugate gradients instead of the eigenbasis
 	// (same results within rotation.DefaultIterTol; see
@@ -335,9 +336,10 @@ func RandomMix(count int, arrivalRate float64, seed int64) ([]Spec, error) {
 // Tasks carry run state and must not be shared between concurrent Runs.
 func Instantiate(specs []Spec) ([]*Task, error) { return workload.Instantiate(specs) }
 
-// NewPeakCalculator builds the Algorithm 1 peak-temperature calculator for a
-// platform's thermal model (the design-time phase). The calculator is
-// immutable and safe for concurrent evaluations from many goroutines.
+// NewPeakCalculator builds a private Algorithm 1 peak-temperature
+// calculator for a platform's thermal model, safe for concurrent
+// evaluations from many goroutines. Platform.PeakCalculator returns the
+// platform's shared one, whose ring tables HotPotato runs keep warm.
 func NewPeakCalculator(plat *Platform) *PeakCalculator {
 	return rotation.NewCalculator(plat.Thermal)
 }

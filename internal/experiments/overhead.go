@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/rotation"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -42,15 +41,18 @@ func Overhead() (*OverheadResult, error) {
 	}
 	out := &OverheadResult{}
 
-	// Algorithm 1 cost: one mid-chip ring evaluation.
-	calc := rotation.NewCalculator(plat.Thermal)
-	ev := calc.NewRingEvaluator()
+	// Algorithm 1 cost: one mid-chip ring evaluation, after the call that
+	// builds its (ring, τ) response table.
+	ev := plat.PeakCalculator().NewRingEvaluator()
 	rings := plat.FP.Rings()
 	ring := rings[len(rings)/2]
 	base := matrix.Constant(64, 2.0)
 	slotWatts := make([]float64, len(ring.Cores))
 	for i := range slotWatts {
 		slotWatts[i] = 0.3 + float64(i%3)*2.5
+	}
+	if _, err := ev.PeakRingRotation(0.5e-3, base, ring.Cores, slotWatts); err != nil {
+		return nil, err
 	}
 	const alg1Iters = 2000
 	start := time.Now()
@@ -78,7 +80,9 @@ func Overhead() (*OverheadResult, error) {
 	out.Calls = decideIters
 	out.EpochFraction = out.DecidePerCall.Seconds() / 0.5e-3
 
-	// Placement cost: fresh scheduler, place all 64 threads, divide.
+	// Placement cost: fresh scheduler, place all 64 threads, divide. The
+	// platform's response tables are warm from the runs above, as they are
+	// for every run after a platform's first.
 	hp2 := sched.NewHotPotato(plat, 70)
 	st2, err := fullLoadState(plat)
 	if err != nil {

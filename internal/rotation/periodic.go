@@ -99,10 +99,6 @@ func (c *Calculator) evaluateIterative(plan Plan, subsamples int) (*Result, erro
 // applied the period propagator M. stepper steps one epoch of the plan.
 func (c *Calculator) periodicStart(plan Plan, stepper *thermal.Stepper) ([]float64, int, error) {
 	delta := float64(plan.Delta())
-	period, err := c.m.NewStepper(plan.Tau * delta)
-	if err != nil {
-		return nil, 0, err
-	}
 	amb := c.m.AmbientSteady()
 	N := c.nNodes
 
@@ -125,7 +121,20 @@ func (c *Calculator) periodicStart(plan Plan, stepper *thermal.Stepper) ([]float
 	x0 := make([]float64, N)
 	stepper.SteadyStateInto(x0, mean)
 	matrix.VecSubTo(x0, x0, amb)
+	return c.solvePeriodic(g, x0, amb, stepper, delta, c.iterTol)
+}
 
+// solvePeriodic solves (I − M)·x = g by conjugate gradients from the guess
+// x0 (relative to ambient; consumed) until the start-state error is
+// certified below tol kelvin, and returns x + offset (offset may be nil) and
+// the number of period propagations. stepper steps one epoch; a period is
+// delta of them.
+func (c *Calculator) solvePeriodic(g, x0, offset []float64, stepper *thermal.Stepper, delta, tol float64) ([]float64, int, error) {
+	period, err := c.m.NewStepper(stepper.Dt() * delta)
+	if err != nil {
+		return nil, 0, err
+	}
+	N := c.nNodes
 	dotA := func(u, v []float64) float64 {
 		var s float64
 		for i, a := range c.a {
@@ -184,10 +193,14 @@ func (c *Calculator) periodicStart(plan Plan, stepper *thermal.Stepper) ([]float
 		if fresh {
 			certified = math.Min(certified, bound)
 		}
-		if bound < c.iterTol {
+		if bound < tol {
 			if fresh {
-				for i := range x0 {
-					x0[i] += d[i] + amb[i]
+				if offset == nil {
+					matrix.VecAddTo(x0, d)
+				} else {
+					for i := range x0 {
+						x0[i] += d[i] + offset[i]
+					}
 				}
 				return x0, matvecs, nil
 			}
@@ -203,7 +216,7 @@ func (c *Calculator) periodicStart(plan Plan, stepper *thermal.Stepper) ([]float
 			continue
 		}
 		if matvecs >= maxMatvecs {
-			return nil, matvecs, fmt.Errorf("rotation: periodic steady state not certified within %d period propagations: best start-state error bound %.3g K exceeds IterTol %g K", maxMatvecs, certified, c.iterTol)
+			return nil, matvecs, fmt.Errorf("rotation: periodic steady state not certified within %d period propagations: best start-state error bound %.3g K exceeds the tolerance %g K", maxMatvecs, certified, tol)
 		}
 		applyK(q, p)
 		pq := dotA(p, q)

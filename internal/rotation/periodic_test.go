@@ -101,8 +101,8 @@ func TestIterativeFineMatchesEigenbasis(t *testing.T) {
 }
 
 // TestRingEvaluatorSparseFallback checks the ring evaluator built over a
-// sparse model delegates to the iterative path and matches the dense ring
-// evaluator.
+// sparse model — response tables from the certified iterative solve —
+// matches the dense ring evaluator.
 func TestRingEvaluatorSparseFallback(t *testing.T) {
 	cd, cs := iterPair(t, 4, 4, fastConfig())
 	red := cd.NewRingEvaluator()
@@ -124,15 +124,20 @@ func TestRingEvaluatorSparseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(want-got) > 2*DefaultIterTol {
-		t.Fatalf("ring peak %.9f (eigen) vs %.9f (fallback)", want, got)
+		t.Fatalf("ring peak %.9f (eigen) vs %.9f (tables)", want, got)
 	}
 
-	// Argument validation must behave identically in fallback mode.
+	// Argument validation must behave identically on the sparse backend.
 	if _, err := res.PeakRingRotation(2e-4, base, []int{}, nil); err == nil {
-		t.Fatal("empty ring accepted by fallback")
+		t.Fatal("empty ring accepted by the sparse evaluator")
 	}
 	if _, err := res.PeakRingRotation(2e-4, base, []int{99}, []float64{1}); err == nil {
-		t.Fatal("out-of-range ring core accepted by fallback")
+		t.Fatal("out-of-range ring core accepted by the sparse evaluator")
+	}
+	// Slot powers whose table error budget Σ|wᵢ|·tableTol passes IterTol
+	// are refused, not answered uncertified.
+	if _, err := res.PeakRingRotation(2e-4, base, ring, []float64{1e6, 1e6, 0, 0}); err == nil || !strings.Contains(err.Error(), "certify") {
+		t.Fatalf("ring power beyond the certified budget: err = %v", err)
 	}
 }
 

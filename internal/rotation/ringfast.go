@@ -3,73 +3,54 @@ package rotation
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/matrix"
 )
 
-// RingEvaluator is the run-time-optimised form of Algorithm 1 for the
-// schedule shapes HotPotato actually evaluates: a constant background power
-// field plus one ring whose slot powers rotate. Exploiting linearity, the
-// background is folded into the eigenspace once, and each epoch's deviation
-// touches only the ring's cores — O(N·size) per epoch instead of O(N²).
+// RingEvaluator is the run-time form of Algorithm 1 for the schedule shape
+// HotPotato evaluates: a constant background power field plus one ring whose
+// slot powers rotate. By linearity the core temperatures at the end of epoch
+// e of the periodic steady state are
 //
-// Build it once per thermal model (it precomputes W = V⁻¹B⁻¹ and the core
-// rows of V — the design-time α/β constants of Algorithm 1) and reuse it for
-// every evaluation.
+//	T(e) = S·base − Σ_{c∈ring} base[c]·S[:,c] + Σᵢ slotWatts[i]·H[(e+i) mod δ]
+//
+// with S the n×n core block of B⁻¹ and H the ring's response table for τ
+// (ringtable.go): the background minus the ring cores' share of it, plus the
+// rotating slots. An evaluation is therefore a table lookup and O(n·δ²)
+// multiply-adds on either thermal backend; the tables are built once per
+// (ring, τ) and shared by every evaluator of the Calculator.
+//
+// A RingEvaluator holds per-goroutine scratch: the table pointers it has
+// resolved and the image S·base of the last background it saw, so a caller
+// that scores several rings against one background (HotPotato's evalPeak)
+// pays the n² product once. Confine each evaluator to one goroutine
+// (docs/CONCURRENCY.md); create as many as needed — they are cheap.
 type RingEvaluator struct {
 	c *Calculator
-	// wT[j] is the j-th core's power-to-eigenspace column of W = V⁻¹B⁻¹,
-	// stored row-major for fast accumulation: n×N.
-	wT *matrix.Dense
-	// vCore is the core-row block of V: n×N (maps eigenspace back to core
-	// temperatures only).
-	vCore *matrix.Dense
 
-	// Scratch reused across PeakRingRotation calls — the reason a
-	// RingEvaluator is confined to one goroutine (docs/CONCURRENCY.md).
-	// After the first call for a given ring size, an evaluation allocates
-	// nothing.
-	decay []float64   // e^{−λτ} per eigenmode
-	yBase []float64   // eigenspace image of the background power field
-	y     [][]float64 // per-epoch deviation images, grown to the largest δ seen
-	z     []float64   // Horner accumulator of the periodic forcing
-	u     []float64   // periodic-steady-state eigenstate
-	coreT []float64   // core temperatures at one epoch boundary
+	// memo holds, by τ, the shared tables this evaluator has resolved, so a
+	// steady-state lookup takes no lock and allocates nothing. Tables the
+	// calculator did not retain are not memoized either.
+	memo map[float64][]*ringTable
+
+	base  []float64 // the background of the last call (zero at first)
+	sBase []float64 // S·base for it
+	bg    []float64 // the background minus the ring cores' share
+	coreT []float64 // core temperatures at one epoch boundary
 }
 
-// NewRingEvaluator precomputes the design-time constants. Against a
-// sparse-mode model (Calculator.Iterative) there is no eigenbasis to fold
-// into; the evaluator is then a thin adapter whose PeakRingRotation
-// synthesizes the rotation plan and delegates to the calculator's iterative
-// solver (periodic.go) — correct within IterTol, but allocating and taking
-// milliseconds per evaluation where the eigenbasis fast path takes tens of
-// microseconds.
+// NewRingEvaluator returns an evaluator over the calculator's shared
+// response tables. It is cheap: the design-time work happens lazily, once
+// per Calculator, on the first evaluation of each (ring, τ).
 func (c *Calculator) NewRingEvaluator() *RingEvaluator {
-	if c.Iterative() {
-		return &RingEvaluator{c: c}
-	}
-	N := c.nNodes
-	n := c.n
-	wFull := c.vinv.Mul(c.binv) // N×N; power only enters at core nodes
-	wT := matrix.New(n, N)
-	for j := 0; j < n; j++ {
-		for k := 0; k < N; k++ {
-			wT.Set(j, k, wFull.At(k, j))
-		}
-	}
-	vCore := matrix.New(n, N)
-	for i := 0; i < n; i++ {
-		for k := 0; k < N; k++ {
-			vCore.Set(i, k, c.v.At(i, k))
-		}
-	}
 	return &RingEvaluator{
-		c: c, wT: wT, vCore: vCore,
-		decay: make([]float64, N),
-		yBase: make([]float64, N),
-		z:     make([]float64, N),
-		u:     make([]float64, N),
-		coreT: make([]float64, n),
+		c:     c,
+		memo:  map[float64][]*ringTable{},
+		base:  make([]float64, c.n),
+		sBase: make([]float64, c.n),
+		bg:    make([]float64, c.n),
+		coreT: make([]float64, c.n),
 	}
 }
 
@@ -78,12 +59,16 @@ func (c *Calculator) NewRingEvaluator() *RingEvaluator {
 // where slot i's power slotWatts[i] executes on ringCores[(i+e) mod size]
 // during epoch e. The rotation period is δ = len(ringCores) epochs of τ
 // seconds.
+//
+// Against a sparse-mode model the response tables are certified to
+// tableTol kelvin per watt, so the result is within Σ|slotWatts|·tableTol
+// of the exact periodic steady state; a call whose slot powers would push
+// that bound past IterTol is refused with an error.
 func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores []int, slotWatts []float64) (float64, error) {
 	c := e.c
 	n := c.n
-	N := c.nNodes
 	size := len(ringCores)
-	if tau <= 0 {
+	if !(tau > 0) { // NaN too: it would key a new table per call
 		return 0, fmt.Errorf("rotation: epoch length τ must be positive, got %g", tau)
 	}
 	if len(base) != n {
@@ -100,101 +85,76 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 			return 0, fmt.Errorf("rotation: ring core %d out of range", cr)
 		}
 	}
-	if e.wT == nil {
-		// Sparse-mode fallback: materialize the ring schedule as a Plan and
-		// run the iterative evaluator (which counts the evaluation metric).
-		powers := make([][]float64, size)
-		for ep := range powers {
-			p := append([]float64(nil), base...)
-			for i, w := range slotWatts {
-				p[ringCores[(i+ep)%size]] = w
-			}
-			powers[ep] = p
+	if c.Iterative() {
+		var sum float64
+		for _, w := range slotWatts {
+			sum += math.Abs(w)
 		}
-		res, err := c.Evaluate(Plan{Tau: tau, Powers: powers})
-		if err != nil {
-			return 0, err
+		if sum*tableTol > c.iterTol {
+			return 0, fmt.Errorf("rotation: ring power %g W exceeds the %g W the response tables certify to IterTol %g K", sum, c.iterTol/tableTol, c.iterTol)
 		}
-		return res.Peak, nil
 	}
 	metricEvals.Inc()
-
-	decay := e.decay
-	for k, l := range c.lambda {
-		decay[k] = math.Exp(-l * tau)
+	tab, err := e.table(tau, ringCores)
+	if err != nil {
+		return 0, err
 	}
 
-	// Background image in eigenspace: yBase = W·P_base. W's rows are the
-	// transposed columns in wT, so accumulate column-wise.
-	yBase := e.yBase
-	for k := range yBase {
-		yBase[k] = 0
+	// Background: S·base, reused while base repeats, minus the ring cores'
+	// share, which the rotating slots replace. S is symmetric (B is), so
+	// its row c serves as column c.
+	s := c.m.CoreInfluence()
+	if !slices.Equal(e.base, base) {
+		copy(e.base, base)
+		s.MulVecTo(e.sBase, base)
 	}
-	for j := 0; j < n; j++ {
-		w := base[j]
-		if w == 0 {
-			continue
+	bg := e.bg
+	copy(bg, e.sBase)
+	for _, cr := range ringCores {
+		w := base[cr]
+		col := s.RowView(cr)
+		for i := range bg {
+			bg[i] -= w * col[i]
 		}
-		row := e.wT.RowView(j)
-		for k := 0; k < N; k++ {
-			yBase[k] += w * row[k]
-		}
 	}
 
-	// Per-epoch deviation images: only the ring's cores differ from base.
-	// The rows live in the evaluator's scratch, grown to the largest ring
-	// evaluated so far.
-	for len(e.y) < size {
-		e.y = append(e.y, make([]float64, N))
-	}
-	y := e.y[:size]
+	// Walk one period of the table; track the hottest core at epoch
+	// boundaries (Eq. 11). Slot i's response is slot 0's shifted by i epochs.
+	peak := math.Inf(-1)
+	t := e.coreT
 	for ep := 0; ep < size; ep++ {
-		ye := y[ep]
-		copy(ye, yBase)
-		for i, watts := range slotWatts {
-			core := ringCores[(i+ep)%size]
-			d := watts - base[core]
-			if d == 0 {
+		copy(t, bg)
+		for i, w := range slotWatts {
+			if w == 0 {
 				continue
 			}
-			row := e.wT.RowView(core)
-			for k := 0; k < N; k++ {
-				ye[k] += d * row[k]
+			row := tab.row((ep + i) % size)
+			for k := range t {
+				t[k] += w * row[k]
 			}
 		}
+		if m := matrix.VecMax(t); m > peak {
+			peak = m
+		}
 	}
+	return peak + c.m.Ambient(), nil
+}
 
-	// Horner accumulation of the periodic forcing, then the fixed point
-	// (the geometric-series closed form of Eqs. 9–10).
-	z := e.z
-	for k := range z {
-		z[k] = 0
-	}
-	for ep := 0; ep < size; ep++ {
-		for k := 0; k < N; k++ {
-			z[k] = decay[k]*z[k] + (1-decay[k])*y[ep][k]
+// table returns the response table of (τ, ring), from the evaluator's memo
+// when it has resolved it before and from the Calculator's shared cache
+// otherwise.
+func (e *RingEvaluator) table(tau float64, ringCores []int) (*ringTable, error) {
+	for _, t := range e.memo[tau] {
+		if slices.Equal(t.cores, ringCores) {
+			return t, nil
 		}
 	}
-	u := e.u
-	for k := 0; k < N; k++ {
-		denom := 1 - math.Exp(-c.lambda[k]*tau*float64(size))
-		if denom <= 0 {
-			return 0, fmt.Errorf("rotation: non-decaying eigenmode %d", k)
-		}
-		u[k] = z[k] / denom
+	t, retained, err := e.c.ringTable(tau, ringCores)
+	if err != nil {
+		return nil, err
 	}
-
-	// Walk one period; track the hottest core at epoch boundaries (Eq. 11).
-	ambient := c.m.Ambient()
-	peak := math.Inf(-1)
-	for ep := 0; ep < size; ep++ {
-		for k := 0; k < N; k++ {
-			u[k] = decay[k]*u[k] + (1-decay[k])*y[ep][k]
-		}
-		e.vCore.MulVecTo(e.coreT, u)
-		if t := matrix.VecMax(e.coreT); t > peak {
-			peak = t
-		}
+	if retained {
+		e.memo[tau] = append(e.memo[tau], t)
 	}
-	return peak + ambient, nil
+	return t, nil
 }

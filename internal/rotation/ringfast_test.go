@@ -54,6 +54,9 @@ func TestRingFastValidation(t *testing.T) {
 	if _, err := ev.PeakRingRotation(0, base, []int{0, 1}, []float64{1, 1}); err == nil {
 		t.Error("zero τ accepted")
 	}
+	if _, err := ev.PeakRingRotation(math.NaN(), base, []int{0, 1}, []float64{1, 1}); err == nil {
+		t.Error("NaN τ accepted")
+	}
 	if _, err := ev.PeakRingRotation(1e-3, base[:2], []int{0, 1}, []float64{1, 1}); err == nil {
 		t.Error("short base accepted")
 	}

@@ -120,6 +120,10 @@ type Calculator struct {
 	sqrtMinA float64
 
 	iterTol float64 // certified start-state tolerance of the iterative path, K
+
+	// tables holds the ring evaluator's response tables (ringtable.go),
+	// built lazily and shared by every RingEvaluator of the Calculator.
+	tables tableCache
 }
 
 // DefaultIterTol is the default convergence tolerance (kelvin) of the
@@ -137,6 +141,7 @@ func NewCalculator(m *thermal.Model) *Calculator {
 		n:       m.NumCores(),
 		nNodes:  m.NumNodes(),
 		iterTol: DefaultIterTol,
+		tables:  tableCache{entries: map[string]*tableEntry{}, limit: maxTableDoubles},
 	}
 	if eig := m.Eigen(); eig != nil {
 		c.lambda = eig.Lambda

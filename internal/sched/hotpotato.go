@@ -33,6 +33,8 @@ import (
 // lcm of all ring sizes, and makes slot choice within a ring a spacing
 // heuristic rather than an exhaustive scan.
 type HotPotato struct {
+	// calc is the platform's shared Algorithm 1 calculator and its
+	// response tables; ringEval is this scheduler's own evaluator over them.
 	calc     *rotation.Calculator
 	ringEval *rotation.RingEvaluator
 	rings    []floorplan.Ring
@@ -70,6 +72,13 @@ type HotPotato struct {
 	estimator          RingPeakEstimator
 	estimatorHits      int
 	estimatorFallbacks int
+
+	// evalPeak scratch, sized at construction so a decision allocates
+	// nothing for Algorithm 1's inputs.
+	ringMean     []float64
+	ringOccupied []bool
+	base         []float64
+	slotWatts    []float64
 }
 
 type slotEntry struct {
@@ -123,11 +132,12 @@ func WithRebalanceEvery(interval float64) HotPotatoOption {
 	return func(h *HotPotato) { h.rebalanceEvery = interval }
 }
 
-// NewHotPotato builds the scheduler for a platform (the design-time phase of
-// Algorithm 1 runs here).
+// NewHotPotato builds the scheduler for a platform. Algorithm 1's
+// design-time work lives on the platform (sim.Platform.PeakCalculator) and
+// is shared by every run on it.
 func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *HotPotato {
 	rings := plat.FP.Rings()
-	calc := rotation.NewCalculator(plat.Thermal)
+	calc := plat.PeakCalculator()
 	h := &HotPotato{
 		calc:           calc,
 		ringEval:       calc.NewRingEvaluator(),
@@ -143,11 +153,17 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		rebalanceEvery: 5e-3,
 		powerScale:     1,
 		idleWatts:      plat.Power.IdleWatts,
+		ringMean:       make([]float64, len(rings)),
+		ringOccupied:   make([]bool, len(rings)),
+		base:           make([]float64, plat.NumCores()),
 	}
 	h.slots = make([][]slotEntry, len(rings))
+	maxRing := 0
 	for r, ring := range rings {
 		h.slots[r] = make([]slotEntry, len(ring.Cores))
+		maxRing = max(maxRing, len(ring.Cores))
 	}
+	h.slotWatts = make([]float64, 0, maxRing)
 	for _, o := range opts {
 		o(h)
 	}
@@ -179,14 +195,12 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	}
 
 	// Admissions (Algorithm 2 lines 1–14), gang FIFO per task.
-	arrived := false
 	for _, group := range queuedTasks(st) {
 		if h.freeSlotCount() < len(group.threads) {
 			break
 		}
 		for _, th := range group.threads {
 			h.placeThread(st, live, th)
-			arrived = true
 		}
 	}
 
@@ -203,7 +217,6 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 		h.rebalance(st, live)
 		h.lastRebalance = st.Time
 	}
-	_ = arrived
 
 	// Materialise the assignment with the current rotation offset.
 	assignment := make(map[sim.ThreadID]int, len(h.place))
@@ -291,7 +304,7 @@ func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 		}
 		h.slots[r][slot] = slotEntry{id: th.ID, used: true}
 		h.place[th.ID] = slotRef{r, slot}
-		if h.evalPeak(st, live)+0 < h.tdtm-h.delta {
+		if h.evalPeak(st, live) < h.tdtm-h.delta {
 			return
 		}
 		h.slots[r][slot] = slotEntry{}
@@ -464,17 +477,19 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 // evalPeak estimates the rotation's steady-periodic peak temperature with
 // Algorithm 1: each occupied ring is evaluated rotating explicitly while the
 // other rings contribute their time-averaged power; the worst ring wins.
+// Every ring is scored against the same background, so the evaluator's
+// S·base image is computed once per call and each ring costs a response
+// table lookup. Allocation-free once the tables are memoized.
 func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
 	if !h.rotate {
 		return h.evalStaticPeak(st, live)
 	}
-	n := st.Platform.NumCores()
 	idle := st.Platform.Power.IdleWatts
 
 	// Ring means for the averaged background.
-	ringMean := make([]float64, len(h.rings))
-	ringOccupied := make([]bool, len(h.rings))
+	ringMean, ringOccupied := h.ringMean, h.ringOccupied
 	for r, ring := range h.rings {
+		ringOccupied[r] = false
 		total := 0.0
 		for i := range h.slots[r] {
 			if h.slots[r][i].used {
@@ -488,7 +503,7 @@ func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo
 	}
 
 	// Constant background: every ring contributes its time-averaged power.
-	base := make([]float64, n)
+	base := h.base
 	for i := range base {
 		base[i] = idle
 	}
@@ -499,7 +514,7 @@ func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo
 	}
 
 	peak := h.calc.Model().Ambient()
-	slotWatts := make([]float64, 0, 32)
+	slotWatts := h.slotWatts
 	for r, ring := range h.rings {
 		if !ringOccupied[r] {
 			continue

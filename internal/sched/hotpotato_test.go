@@ -337,3 +337,32 @@ func TestPropHotPotatoAssignmentAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A warm rotating evalPeak — the Algorithm 1 scoring every HotPotato
+// decision repeats per candidate — allocates nothing: its inputs live in
+// scratch on the scheduler and the ring tables are memoized.
+func TestHotPotatoEvalPeakZeroAllocs(t *testing.T) {
+	plat := testPlatform(t, 8, 8)
+	hp := NewHotPotato(plat, 70)
+	st := &sim.State{Platform: plat, CoreTemps: make([]float64, 64)}
+	for i := range st.CoreTemps {
+		st.CoreTemps[i] = 50
+	}
+	for i := 0; i < 6; i++ {
+		st.Threads = append(st.Threads, sim.ThreadInfo{ID: sim.ThreadID{Task: 0, Thread: i}, Core: -1, CPI: 1, AvgPower: 4 + float64(i)})
+	}
+	hp.Decide(st)
+	if len(hp.place) != len(st.Threads) {
+		t.Fatalf("placed %d of %d threads", len(hp.place), len(st.Threads))
+	}
+	hp.rotate = true
+	live := liveSet(st)
+	want := hp.evalPeak(st, live)
+	var got float64
+	if a := testing.AllocsPerRun(50, func() { got = hp.evalPeak(st, live) }); a != 0 {
+		t.Errorf("warm rotating evalPeak allocates %v per run, want 0", a)
+	}
+	if got != want {
+		t.Errorf("evalPeak %v after warm-up, %v before", got, want)
+	}
+}

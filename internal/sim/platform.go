@@ -9,12 +9,14 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/floorplan"
 	"repro/internal/noc"
 	"repro/internal/perf"
 	"repro/internal/power"
+	"repro/internal/rotation"
 	"repro/internal/thermal"
 )
 
@@ -26,6 +28,9 @@ type Platform struct {
 	Thermal *thermal.Model
 	Power   power.Model
 	Perf    *perf.Model
+
+	peakOnce sync.Once
+	peak     *rotation.Calculator
 }
 
 // PlatformConfig collects the knobs of all substrates. The zero value is not
@@ -98,3 +103,14 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 
 // NumCores returns the core count of the platform.
 func (p *Platform) NumCores() int { return p.FP.NumCores() }
+
+// PeakCalculator returns the platform's Algorithm 1 calculator, built on
+// first call and shared by every scheduler and goroutine running on the
+// platform: its response tables (rotation.RingEvaluator) fill lazily, once
+// per (ring, τ), and stay for the platform's lifetime. Callers must not
+// change its tolerance (SetIterTol); build a private rotation.Calculator
+// for that.
+func (p *Platform) PeakCalculator() *rotation.Calculator {
+	p.peakOnce.Do(func() { p.peak = rotation.NewCalculator(p.Thermal) })
+	return p.peak
+}

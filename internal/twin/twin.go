@@ -123,7 +123,7 @@ type Sample struct {
 // RingCase is one ring-rotation evaluation point: the inputs of Algorithm
 // 1's HotPotato fast path (rotation.RingEvaluator.PeakRingRotation), reduced
 // to numbers. The twin's ring model predicts the steady-periodic peak so the
-// scheduler can skip the eigenspace evaluation when the bound is conclusive.
+// scheduler can skip the exact evaluation when the bound is conclusive.
 type RingCase struct {
 	// Width and Height are the grid dimensions (the platform bucket).
 	Width, Height int

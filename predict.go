@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -331,12 +332,12 @@ func calibrateBucket(ctx context.Context, seed int64, width, height, samples, ri
 		oracle = append(oracle, s)
 	}
 
-	ringEval := rotation.NewCalculator(plat.Thermal).NewRingEvaluator()
+	ringPeak := newTwinRingOracle(plat)
 	steadyPeak := twinSteadyPeakFunc(plat)
 	ringOracle := make([]twin.RingSample, 0, ringSamples)
 	for i := 0; i < ringSamples; i++ {
 		rc := twinDesignRing(ringRng, plat, steadyPeak)
-		peak, err := ringEval.PeakRingRotation(rc.Tau, rc.Base, rc.RingCores, rc.SlotWatts)
+		peak, err := ringPeak(rc.Tau, rc.Base, rc.RingCores, rc.SlotWatts)
 		if err != nil {
 			return twin.BucketModel{}, fmt.Errorf("ring sample %d: %w", i, err)
 		}
@@ -344,6 +345,125 @@ func calibrateBucket(ctx context.Context, seed int64, width, height, samples, ri
 	}
 
 	return twin.FitBucket(width, height, plat.Thermal.Ambient(), oracle, ringOracle)
+}
+
+// twinRingOracle is the ring model's calibration oracle: Algorithm 1's ring
+// evaluation as an eigenspace walk over δ epochs, the form
+// rotation.RingEvaluator had before it moved to response tables. The two
+// agree to ~1e-13 K, but the committed TWIN_model.json (and the /v1/predict
+// goldens hashed from it) were fitted to this walk's exact bits, so
+// calibration keeps it. ROADMAP item 3 deletes it together with the ring
+// model.
+type twinRingOracle struct {
+	lambda []float64
+	wT     *matrix.Dense // core columns of W = V⁻¹B⁻¹ as rows, n×N
+	vCore  *matrix.Dense // core rows of V, n×N
+	amb    float64
+
+	decay, yBase, z, u, coreT []float64
+	y                         [][]float64
+}
+
+// newTwinRingOracle returns the ring oracle of a platform: the walk on a
+// dense (eigenbasis) model, the response-table evaluator on a sparse one,
+// which has no eigenbasis to walk.
+func newTwinRingOracle(plat *Platform) func(tau float64, base []float64, ringCores []int, slotWatts []float64) (float64, error) {
+	m := plat.Thermal
+	eig := m.Eigen()
+	if eig == nil {
+		return rotation.NewCalculator(m).NewRingEvaluator().PeakRingRotation
+	}
+	N, n := m.NumNodes(), m.NumCores()
+	wFull := eig.VInv.Mul(m.BInv())
+	o := &twinRingOracle{
+		lambda: eig.Lambda,
+		wT:     matrix.New(n, N),
+		vCore:  matrix.New(n, N),
+		amb:    m.Ambient(),
+		decay:  make([]float64, N),
+		yBase:  make([]float64, N),
+		z:      make([]float64, N),
+		u:      make([]float64, N),
+		coreT:  make([]float64, n),
+	}
+	for j := 0; j < n; j++ {
+		for k := 0; k < N; k++ {
+			o.wT.Set(j, k, wFull.At(k, j))
+			o.vCore.Set(j, k, eig.V.At(j, k))
+		}
+	}
+	return o.peak
+}
+
+// peak returns the steady-periodic peak core temperature (°C) of the ring
+// rotation, as rotation.RingEvaluator.PeakRingRotation defines it.
+func (o *twinRingOracle) peak(tau float64, base []float64, ringCores []int, slotWatts []float64) (float64, error) {
+	N := len(o.u)
+	size := len(ringCores)
+	if tau <= 0 || size == 0 || len(slotWatts) != size || len(base) != len(o.coreT) {
+		return 0, fmt.Errorf("hotpotato: invalid twin ring case (τ %g, %d cores, %d slots)", tau, size, len(slotWatts))
+	}
+	for k, l := range o.lambda {
+		o.decay[k] = math.Exp(-l * tau)
+	}
+	for k := range o.yBase {
+		o.yBase[k] = 0
+	}
+	for j, w := range base {
+		if w == 0 {
+			continue
+		}
+		row := o.wT.RowView(j)
+		for k := 0; k < N; k++ {
+			o.yBase[k] += w * row[k]
+		}
+	}
+	for len(o.y) < size {
+		o.y = append(o.y, make([]float64, N))
+	}
+	y := o.y[:size]
+	for ep := 0; ep < size; ep++ {
+		ye := y[ep]
+		copy(ye, o.yBase)
+		for i, watts := range slotWatts {
+			core := ringCores[(i+ep)%size]
+			d := watts - base[core]
+			if d == 0 {
+				continue
+			}
+			row := o.wT.RowView(core)
+			for k := 0; k < N; k++ {
+				ye[k] += d * row[k]
+			}
+		}
+	}
+	decay, z, u := o.decay, o.z, o.u
+	for k := range z {
+		z[k] = 0
+	}
+	for ep := 0; ep < size; ep++ {
+		for k := 0; k < N; k++ {
+			z[k] = decay[k]*z[k] + (1-decay[k])*y[ep][k]
+		}
+	}
+	for k := 0; k < N; k++ {
+		denom := 1 - math.Exp(-o.lambda[k]*tau*float64(size))
+		if denom <= 0 {
+			return 0, fmt.Errorf("hotpotato: non-decaying eigenmode %d", k)
+		}
+		u[k] = z[k] / denom
+	}
+	peak := math.Inf(-1)
+	for ep := 0; ep < size; ep++ {
+		for k := 0; k < N; k++ {
+			u[k] = decay[k]*u[k] + (1-decay[k])*y[ep][k]
+		}
+		o.vCore.MulVecTo(o.coreT, u)
+		if t := matrix.VecMax(o.coreT); t > peak {
+			peak = t
+		}
+	}
+	return peak + o.amb, nil
 }
 
 // twinOracleSample runs one calibration spec against the full simulator and
