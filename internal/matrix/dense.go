@@ -240,6 +240,29 @@ func (m *Dense) MulVecTo(dst, x []float64) {
 	}
 }
 
+// MulVecPrefixTo computes m[:, :len(x)]·x into dst (length m.Rows()): the
+// product with the first len(x) columns only, summed left to right exactly
+// like MulVecTo. For a finite m it is bit-identical to MulVecTo on x padded
+// with zeros to m.Cols(): each skipped term is ±0, the accumulator starts at
+// +0 and can never become −0, and adding ±0 leaves it unchanged. It panics
+// if x is longer than a row; no allocation; dst must not alias x.
+func (m *Dense) MulVecPrefixTo(dst, x []float64) {
+	if len(x) > m.cols {
+		panic(fmt.Sprintf("matrix: cannot multiply the first %d columns of a %dx%d matrix", len(x), m.rows, m.cols))
+	}
+	if len(dst) != m.rows {
+		panic(fmt.Sprintf("matrix: MulVecPrefixTo destination length %d, want %d", len(dst), m.rows))
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : i*m.cols+len(x)]
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+}
+
 // Transpose returns mᵀ.
 func (m *Dense) Transpose() *Dense {
 	t := New(m.cols, m.rows)

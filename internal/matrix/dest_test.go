@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,61 @@ func TestMulVecToShapePanics(t *testing.T) {
 			m.MulVecTo(tc.dst, tc.x)
 		}()
 	}
+}
+
+// TestMulVecPrefixToMatchesZeroPadded pins the bit-identity the dense
+// steady state relies on: a product over the first k columns equals, bit for
+// bit, the full product with x padded by +0 — at any sign pattern of the
+// matrix, with ±0 inside the prefix, and at k = 0 and k = cols.
+func TestMulVecPrefixToMatchesZeroPadded(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+r.Intn(40), 1+r.Intn(40)
+		m := randomDense(r, rows, cols)
+		for i := range m.data {
+			switch r.Intn(8) {
+			case 0:
+				m.data[i] = 0
+			case 1:
+				m.data[i] = math.Copysign(0, -1)
+			}
+		}
+		k := r.Intn(cols + 1)
+		switch trial {
+		case 0:
+			k = 0
+		case 1:
+			k = cols
+		}
+		x := randomVec(r, k)
+		for i := range x {
+			switch r.Intn(6) {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = math.Copysign(0, -1)
+			}
+		}
+		padded := make([]float64, cols)
+		copy(padded, x)
+		want := make([]float64, rows)
+		m.MulVecTo(want, padded)
+		got := randomVec(r, rows) // stale garbage must be fully overwritten
+		m.MulVecPrefixTo(got, x)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (%dx%d, k=%d): row %d = %v (%#x), zero-padded product %v (%#x)",
+					trial, rows, cols, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("MulVecPrefixTo accepted a prefix longer than the row")
+		}
+	}()
+	New(3, 4).MulVecPrefixTo(make([]float64, 3), make([]float64, 5))
 }
 
 // --- hot-loop kernel baseline (make bench → BENCH_hotloop.json) -------------

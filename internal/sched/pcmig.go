@@ -139,6 +139,7 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 	d := st.Platform.Power.DVFS()
 	fmax := d.FMax
 	idle := st.Platform.Power.IdleWatts
+	levels := d.Levels()
 	freqs := uniformFreq(n, fmax)
 	for id, core := range p.assignment {
 		th := live[id]
@@ -161,7 +162,7 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 			}
 		}
 		best := d.FMin
-		for _, f := range d.Levels() {
+		for _, f := range levels {
 			if duty*execAt(f)+(1-duty)*idle <= budget {
 				best = f
 			}

@@ -406,9 +406,7 @@ func (m *Model) ExtendPower(coreWatts []float64) []float64 {
 // ExtendPowerInto is the destination-passing form of ExtendPower: dst (length
 // N) receives coreWatts on the core nodes and zeros elsewhere. No allocation.
 func (m *Model) ExtendPowerInto(dst, coreWatts []float64) {
-	if len(coreWatts) != m.n {
-		panic(fmt.Sprintf("thermal: power vector length %d, want %d cores", len(coreWatts), m.n))
-	}
+	m.checkCorePower(coreWatts)
 	if len(dst) != m.N {
 		panic(fmt.Sprintf("thermal: extended power destination length %d, want %d nodes", len(dst), m.N))
 	}
@@ -422,9 +420,31 @@ func (m *Model) ExtendPowerInto(dst, coreWatts []float64) {
 // power vector, returning the temperature of all N nodes in °C. Works in
 // both solver modes; the zero-allocation twin is Stepper.SteadyStateInto.
 func (m *Model) SteadyState(coreWatts []float64) []float64 {
-	t := m.solveB(m.ExtendPower(coreWatts))
+	var t []float64
+	if m.sp != nil {
+		t = m.solveB(m.ExtendPower(coreWatts))
+	} else {
+		t = make([]float64, m.N)
+		m.coreColumnsSolve(t, coreWatts)
+	}
 	matrix.VecAddTo(t, m.steadyAmbient)
 	return t
+}
+
+// coreColumnsSolve sets dst (length N) = B⁻¹·P for per-core power coreWatts
+// in dense mode, multiplying only B⁻¹'s first n columns: bit-identical to
+// solving on the extended power, whose other entries are zero
+// (matrix.Dense.MulVecPrefixTo).
+func (m *Model) coreColumnsSolve(dst, coreWatts []float64) {
+	m.checkCorePower(coreWatts)
+	m.binv.MulVecPrefixTo(dst, coreWatts)
+}
+
+// checkCorePower panics unless coreWatts has one entry per core.
+func (m *Model) checkCorePower(coreWatts []float64) {
+	if len(coreWatts) != m.n {
+		panic(fmt.Sprintf("thermal: power vector length %d, want %d cores", len(coreWatts), m.n))
+	}
 }
 
 // InitialTemps returns the simulation starting point: every node at ambient

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/matrix"
 )
@@ -17,7 +18,10 @@ const stepKrylovTol = 1e-14
 //	T(t+dt) = T_steady(P) + e^{C·dt} (T(t) − T_steady(P))
 //
 // In dense mode e^{C·dt} is computed once from the model's
-// eigendecomposition, so each step costs one matrix–vector product (O(N²)).
+// eigendecomposition, so each step costs one N×N propagator product, plus
+// an N×n steady-state product (B⁻¹'s core columns) only when the core power
+// differs from the previous step's: leakage does not depend on temperature,
+// so equal power means an equal steady state, and StepTo reuses it.
 // In sparse mode the propagator is never materialized: the difference term
 // is whitened to v̂ = A^{1/2}(T − T_steady), e^{Ĉ·dt}·v̂ is evaluated by the
 // matrix-free Krylov kernel (matrix.KrylovExpm over Â = −A^{−1/2}BA^{−1/2},
@@ -28,7 +32,8 @@ const stepKrylovTol = 1e-14
 // interval-simulation contract.
 //
 // A Stepper owns a scratch block that its methods reuse, so the per-step hot
-// path allocates nothing in either mode. The scratch makes a Stepper NOT
+// path allocates nothing in either mode. The scratch, which includes the
+// power the remembered steady state was solved for, makes a Stepper NOT
 // goroutine-safe: build one per worker (they are cheap next to the model's
 // factorization), per the run-state rule of docs/CONCURRENCY.md. The
 // underlying Model remains freely shareable.
@@ -42,10 +47,15 @@ type Stepper struct {
 	solveScratch []float64 // banded-solve scratch, length N−1
 
 	// Scratch reused by the methods (never escapes a call).
-	p     []float64 // extended power vector, length N
-	tss   []float64 // steady state for the step's power, length N
+	p     []float64 // extended power vector (sparse mode), length N
+	tss   []float64 // steady state for tssWatts, length N
 	diff  []float64 // T − T_steady, length N
 	white []float64 // whitened propagator input (sparse mode), length N
+
+	// tssWatts is the core power tss was solved for, valid once tssValid
+	// is set; StepTo skips the solve while its power is bit-equal to it.
+	tssWatts []float64 // length n
+	tssValid bool
 }
 
 // NewStepper precomputes the transient kernel for step size dt (seconds):
@@ -57,9 +67,9 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	}
 	s := &Stepper{
 		m: m, dt: dt,
-		p:    make([]float64, m.N),
-		tss:  make([]float64, m.N),
-		diff: make([]float64, m.N),
+		tss:      make([]float64, m.N),
+		diff:     make([]float64, m.N),
+		tssWatts: make([]float64, m.n),
 	}
 	if m.sp != nil {
 		// Tighter than matrix.DefaultKrylovTol: the estimate lives in the
@@ -70,6 +80,7 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 		// cost of about one extra Lanczos dimension per step.
 		s.kry = matrix.NewKrylovExpm(newWhitenedOp(m.sp), 0, stepKrylovTol)
 		s.solveScratch = make([]float64, m.N-1)
+		s.p = make([]float64, m.N)
 		s.white = make([]float64, m.N)
 		return s, nil
 	}
@@ -94,11 +105,20 @@ func (s *Stepper) Step(t []float64, coreWatts []float64) []float64 {
 // writing the new node temperatures into dst (length N). It allocates
 // nothing. dst may alias t — stepping a state in place is the intended hot
 // path — but must not alias the stepper's scratch or coreWatts.
+//
+// When coreWatts is bit-equal (math.Float64bits) to the power of the
+// previous StepTo, the steady state solved then is reused: the result is
+// bit-identical to solving again. coreWatts is copied, so the caller may
+// rewrite it in place between calls.
 func (s *Stepper) StepTo(dst, t, coreWatts []float64) {
 	if len(t) != s.m.N {
 		panic(fmt.Sprintf("thermal: temperature vector length %d, want %d", len(t), s.m.N))
 	}
-	s.SteadyStateInto(s.tss, coreWatts)
+	if !s.tssValid || !bitsEqual(coreWatts, s.tssWatts) {
+		s.SteadyStateInto(s.tss, coreWatts)
+		copy(s.tssWatts, coreWatts)
+		s.tssValid = true
+	}
 	matrix.VecSubTo(s.diff, t, s.tss)
 	s.PropagateTo(dst, s.diff)
 	matrix.VecAddTo(dst, s.tss)
@@ -154,13 +174,32 @@ func (s *Stepper) expmWhite(dst []float64, dt float64) {
 	s.expmWhite(dst, dt/2)
 }
 
-// SteadyStateInto solves Eq. 3 into dst (length N) using the stepper's
-// scratch for the extended power vector; the zero-allocation twin of
-// Model.SteadyState, in either solver mode. dst must not alias the
-// stepper's scratch. Not goroutine-safe (see the Stepper doc).
+// bitsEqual reports whether a and b hold the same float64 bit patterns:
+// unlike ==, it tells +0 from −0 and matches a NaN to itself.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SteadyStateInto solves Eq. 3 into dst (length N); the zero-allocation twin
+// of Model.SteadyState, in either solver mode. Dense mode multiplies only
+// B⁻¹'s core columns (the rest of the extended power is zero); sparse mode
+// solves on the extended power in the stepper's scratch. dst must not alias
+// the stepper's scratch. Not goroutine-safe (see the Stepper doc).
 func (s *Stepper) SteadyStateInto(dst, coreWatts []float64) {
-	s.m.ExtendPowerInto(s.p, coreWatts)
-	s.SolveBInto(dst, s.p)
+	if s.m.sp != nil {
+		s.m.ExtendPowerInto(s.p, coreWatts)
+		s.SolveBInto(dst, s.p)
+	} else {
+		s.m.coreColumnsSolve(dst, coreWatts)
+	}
 	matrix.VecAddTo(dst, s.m.steadyAmbient)
 }
 
