@@ -6,7 +6,9 @@
 //
 // Matrices are small and dense (an N-node thermal network has N on the order
 // of a few hundred), so the package favours clarity and numerical robustness
-// over blocked performance tricks.
+// over blocked performance tricks. The one exception is the row kernel behind
+// MulVecTo, which keeps four rows' sums in flight at once without changing
+// the order of any sum.
 package matrix
 
 import (
@@ -230,14 +232,7 @@ func (m *Dense) MulVecTo(dst, x []float64) {
 	if len(dst) != m.rows {
 		panic(fmt.Sprintf("matrix: MulVecTo destination length %d, want %d", len(dst), m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
+	mulRowsTo(dst, m.data, m.cols, x)
 }
 
 // MulVecPrefixTo computes m[:, :len(x)]·x into dst (length m.Rows()): the
@@ -253,11 +248,38 @@ func (m *Dense) MulVecPrefixTo(dst, x []float64) {
 	if len(dst) != m.rows {
 		panic(fmt.Sprintf("matrix: MulVecPrefixTo destination length %d, want %d", len(dst), m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : i*m.cols+len(x)]
+	mulRowsTo(dst, m.data, m.cols, x)
+}
+
+// mulRowsTo sets dst[i] = Σⱼ data[i·stride+j]·x[j] for every i < len(dst),
+// each sum starting at +0 and adding its terms for j = 0, 1, … in order. It
+// runs four rows per pass with one accumulator each, so four independent
+// chains of adds are in flight instead of one, while every row sees the same
+// roundings in the same order as the one-row loop: the result is bit-identical
+// to it. Wider passes measured slower. Each row is resliced to len(x), which
+// lets the compiler drop the bounds checks in the inner loops.
+func mulRowsTo(dst, data []float64, stride int, x []float64) {
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := data[i*stride:][:n]
+		r1 := data[(i+1)*stride:][:n]
+		r2 := data[(i+2)*stride:][:n]
+		r3 := data[(i+3)*stride:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		row := data[i*stride:][:n]
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		for j, xj := range x {
+			s += row[j] * xj
 		}
 		dst[i] = s
 	}

@@ -125,6 +125,9 @@ func TestDestinationKernelsZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { m.MulVecTo(dst, x) }); a != 0 {
 		t.Errorf("MulVecTo allocates %v per run, want 0", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { m.MulVecPrefixTo(dst, x[:64]) }); a != 0 {
+		t.Errorf("MulVecPrefixTo allocates %v per run, want 0", a)
+	}
 	b := randomVec(r, n)
 	if a := testing.AllocsPerRun(100, func() { VecSubTo(dst, x, b) }); a != 0 {
 		t.Errorf("VecSubTo allocates %v per run, want 0", a)
@@ -211,6 +214,70 @@ func TestMulVecPrefixToMatchesZeroPadded(t *testing.T) {
 	New(3, 4).MulVecPrefixTo(make([]float64, 3), make([]float64, 5))
 }
 
+// TestMulVecRowsMatchOneRowLoop pins the four-row kernel behind MulVecTo and
+// MulVecPrefixTo to the one-row loop, bit for bit: each row is its own sum
+// from +0 over j in order, whatever the row count mod 4, the prefix length,
+// and the signs, zeros, infinities and NaNs in the data. Only NaN payloads
+// are exempt: which of two NaNs an add returns depends on the operand order
+// the compiler picks, which Go leaves open.
+func TestMulVecRowsMatchOneRowLoop(t *testing.T) {
+	oneRow := func(m *Dense, x []float64) []float64 {
+		out := make([]float64, m.rows)
+		for i := range out {
+			var s float64
+			for j := range x {
+				s += m.data[i*m.cols+j] * x[j]
+			}
+			out[i] = s
+		}
+		return out
+	}
+	r := rand.New(rand.NewSource(18))
+	// special draws an entry: a signed normal value, or with probability
+	// rate one of ±0, ±Inf and NaN.
+	special := func(rate float64) float64 {
+		if r.Float64() < rate {
+			return []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}[r.Intn(5)]
+		}
+		return r.NormFloat64()
+	}
+	check := func(name string, m *Dense, x, got []float64) {
+		t.Helper()
+		want := oneRow(m, x)
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s %dx%d, len(x)=%d: row %d = %v (%#x), one-row loop %v (%#x)",
+					name, m.rows, m.cols, len(x), i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 129} {
+		for _, cols := range []int{1, 2, 5, 64, 129} {
+			for _, rate := range []float64{0, 0.02, 0.3} {
+				// New rejects a 0-row matrix; the kernel must still handle
+				// an empty destination.
+				m := &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
+				for i := range m.data {
+					m.data[i] = special(rate)
+				}
+				x := make([]float64, cols)
+				for i := range x {
+					x[i] = special(rate)
+				}
+				got := randomVec(r, rows) // stale garbage must be fully overwritten
+				m.MulVecTo(got, x)
+				check("MulVecTo", m, x, got)
+				for _, k := range []int{0, 1, cols} {
+					got := randomVec(r, rows)
+					m.MulVecPrefixTo(got, x[:k])
+					check("MulVecPrefixTo", m, x[:k], got)
+				}
+			}
+		}
+	}
+}
+
 // --- hot-loop kernel baseline (make bench → BENCH_hotloop.json) -------------
 
 func benchKernelSetup(b *testing.B) (*Dense, []float64, []float64) {
@@ -235,5 +302,18 @@ func BenchmarkHotloopMulVecTo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVecTo(dst, x)
+	}
+}
+
+// BenchmarkHotloopMulVecPrefixTo is the dense steady-state product: the
+// 129×129 B⁻¹ of the paper's 8×8 chip times the 64 core powers, over the
+// core columns only.
+func BenchmarkHotloopMulVecPrefixTo(b *testing.B) {
+	m, x, dst := benchKernelSetup(b)
+	x = x[:64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVecPrefixTo(dst, x)
 	}
 }

@@ -112,7 +112,7 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 	copy(bg, e.sBase)
 	for _, cr := range ringCores {
 		w := base[cr]
-		col := s.RowView(cr)
+		col := s.RowView(cr)[:len(bg)]
 		for i := range bg {
 			bg[i] -= w * col[i]
 		}
@@ -120,17 +120,35 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 
 	// Walk one period of the table; track the hottest core at epoch
 	// boundaries (Eq. 11). Slot i's response is slot 0's shifted by i epochs.
+	// The non-zero slots are added two per pass over t: Go evaluates
+	// t[k] + a + b left to right, so each core sees the same roundings as
+	// one pass per slot, at half the loads and stores of t.
 	peak := math.Inf(-1)
 	t := e.coreT
 	for ep := 0; ep < size; ep++ {
 		copy(t, bg)
+		var w0 float64
+		var r0 []float64
+		pending := false
 		for i, w := range slotWatts {
 			if w == 0 {
 				continue
 			}
 			row := tab.row((ep + i) % size)
+			if !pending {
+				w0, r0, pending = w, row, true
+				continue
+			}
+			r0, row = r0[:len(t)], row[:len(t)]
 			for k := range t {
-				t[k] += w * row[k]
+				t[k] = t[k] + w0*r0[k] + w*row[k]
+			}
+			pending = false
+		}
+		if pending {
+			r0 = r0[:len(t)]
+			for k := range t {
+				t[k] += w0 * r0[k]
 			}
 		}
 		if m := matrix.VecMax(t); m > peak {

@@ -128,6 +128,86 @@ func TestRingFastUniformBackgroundIsSteadyState(t *testing.T) {
 	}
 }
 
+// TestPeakRingRotationPairedWalkBitIdentical pins the epoch walk, which adds
+// the non-zero slots two per pass over the core temperatures, to the walk
+// with one pass per slot over the same table and background: the peak and
+// the last epoch's temperatures must match bit for bit for rings of 1–8
+// slots under every zero/non-zero slot pattern, on both backends.
+func TestPeakRingRotationPairedWalkBitIdentical(t *testing.T) {
+	const tau = 0.5e-3
+	for _, tc := range []struct {
+		c    *Calculator
+		ring []int
+	}{
+		{newCalc(t, 8, 8, thermal.DefaultConfig()), []int{27, 28, 36, 35, 34, 26, 18, 19}},
+		{newCalc(t, 16, 16, thermal.DefaultConfig()), []int{119, 120, 136, 135, 134, 118, 102, 103}},
+	} {
+		c := tc.c
+		ev := c.NewRingEvaluator()
+		s := c.m.CoreInfluence()
+		r := rand.New(rand.NewSource(int64(c.n)))
+		for size := 1; size <= len(tc.ring); size++ {
+			ring := tc.ring[:size]
+			for mask := 0; mask < 1<<size; mask++ {
+				base := make([]float64, c.n)
+				for i := range base {
+					base[i] = 0.2 + r.Float64()
+				}
+				slotWatts := make([]float64, size)
+				for i := range slotWatts {
+					switch {
+					case mask&(1<<i) != 0:
+						slotWatts[i] = 0.3 + 9*r.Float64()
+					case i%2 == 1:
+						slotWatts[i] = math.Copysign(0, -1) // skipped like +0
+					}
+				}
+				got, err := ev.PeakRingRotation(tau, base, ring, slotWatts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := ev.table(tau, ring)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bg := s.MulVec(base)
+				for _, cr := range ring {
+					for i := range bg {
+						bg[i] -= base[cr] * s.At(cr, i)
+					}
+				}
+				want := math.Inf(-1)
+				temp := make([]float64, c.n)
+				for ep := 0; ep < size; ep++ {
+					copy(temp, bg)
+					for i, w := range slotWatts {
+						if w == 0 {
+							continue
+						}
+						row := tab.row((ep + i) % size)
+						for k := range temp {
+							temp[k] += w * row[k]
+						}
+					}
+					if m := matrix.VecMax(temp); m > want {
+						want = m
+					}
+				}
+				want += c.m.Ambient()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, ring of %d, slots %v: peak %v, unpaired walk %v", c.m.Solver(), size, slotWatts, got, want)
+				}
+				for k := range temp {
+					if math.Float64bits(ev.coreT[k]) != math.Float64bits(temp[k]) {
+						t.Fatalf("%s, ring of %d, slots %v: core %d ends the period at %v, unpaired walk %v",
+							c.m.Solver(), size, slotWatts, k, ev.coreT[k], temp[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkRingFast64Core(b *testing.B) {
 	m, err := thermal.New(floorplan.MustNew(8, 8, 0.0009), thermal.DefaultConfig())
 	if err != nil {

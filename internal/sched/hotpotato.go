@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/floorplan"
 	"repro/internal/rotation"
@@ -79,6 +80,36 @@ type HotPotato struct {
 	ringOccupied []bool
 	base         []float64
 	slotWatts    []float64
+
+	// cands is the migration candidate list of pushOutward and rebalance,
+	// reused across calls.
+	cands []cand
+}
+
+// cand is a placed thread that may migrate, with its CPI.
+type cand struct {
+	id  sim.ThreadID
+	cpi float64
+}
+
+// byCPI orders candidates by CPI, lowest first, then by thread ID. Thread
+// IDs are unique and CPIs finite, so this is a total order: the unstable
+// sort puts the candidates, which come from iterating a map, in one order
+// every run.
+func byCPI(a, b cand) int {
+	if c := cmp.Compare(a.cpi, b.cpi); c != 0 {
+		return c
+	}
+	return cmpID(a.id, b.id)
+}
+
+// byCPIDesc is byCPI with the highest CPI first; ties still go by ascending
+// thread ID.
+func byCPIDesc(a, b cand) int {
+	if c := cmp.Compare(b.cpi, a.cpi); c != 0 {
+		return c
+	}
+	return cmpID(a.id, b.id)
 }
 
 type slotEntry struct {
@@ -339,25 +370,17 @@ func (h *HotPotato) pushOutward(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 		if h.evalPeak(st, live) < h.tdtm-h.delta {
 			return
 		}
-		type cand struct {
-			id  sim.ThreadID
-			cpi float64
-		}
-		var cands []cand
+		cands := h.cands[:0]
 		for id, ref := range h.place {
 			if ref.ring < len(h.rings)-1 {
 				cands = append(cands, cand{id, live[id].CPI})
 			}
 		}
+		h.cands = cands
 		if len(cands) == 0 {
 			return
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].cpi != cands[b].cpi {
-				return cands[a].cpi < cands[b].cpi // lowest CPI first
-			}
-			return less(cands[a].id, cands[b].id)
-		})
+		slices.SortFunc(cands, byCPI)
 		moved := false
 		for _, c := range cands {
 			ref := h.place[c.id]
@@ -405,22 +428,14 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 		if h.evalPeak(st, live) >= h.tdtm-h.delta {
 			break
 		}
-		type cand struct {
-			id  sim.ThreadID
-			cpi float64
-		}
-		var cands []cand
+		cands := h.cands[:0]
 		for id, ref := range h.place {
 			if ref.ring > 0 {
 				cands = append(cands, cand{id, live[id].CPI})
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].cpi != cands[b].cpi {
-				return cands[a].cpi > cands[b].cpi // highest CPI first
-			}
-			return less(cands[a].id, cands[b].id)
-		})
+		h.cands = cands
+		slices.SortFunc(cands, byCPIDesc)
 		promoted := false
 		for _, c := range cands {
 			ref := h.place[c.id]
@@ -608,6 +623,14 @@ func less(a, b sim.ThreadID) bool {
 		return a.Task < b.Task
 	}
 	return a.Thread < b.Thread
+}
+
+// cmpID orders thread IDs by task, then by thread within the task.
+func cmpID(a, b sim.ThreadID) int {
+	if c := cmp.Compare(a.Task, b.Task); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Thread, b.Thread)
 }
 
 func abs(x int) int {
