@@ -175,3 +175,38 @@ func TestGraftOntoNilAndEmpty(t *testing.T) {
 		t.Fatalf("parent-0 graft: got %d roots", len(tree))
 	}
 }
+
+// FuzzParseTraceParent throws arbitrary strings at the traceparent parser —
+// the code every service and dispatcher request runs on an untrusted header.
+// Properties: it never panics; an accepted header yields a Valid context;
+// and that context's Header parses back to the same context.
+func FuzzParseTraceParent(f *testing.F) {
+	for _, s := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // valid
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // wrong version
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  // uppercase hex
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // all-zero trace ID
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0",   // one short
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-011", // one long
+		"00-0af7651916cd43dd8448eb211c80319-cb7ad6b7169203331-01",  // misplaced dash
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceParent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as invalid context %+v", s, tc)
+		}
+		back, ok := ParseTraceParent(tc.Header())
+		if !ok || back != tc {
+			t.Fatalf("%q: Header %q parses to %+v ok=%v, want %+v", s, tc.Header(), back, ok, tc)
+		}
+	})
+}

@@ -429,9 +429,10 @@ func TestBatchHeartbeat(t *testing.T) {
 }
 
 // TestJobsListing: GET /v1/jobs lists jobs in submission order with the
-// status filter, and an empty store lists as [].
+// status filter, and an empty store lists as []. Twelve jobs carry the IDs
+// past job-9, where string order and submission order part.
 func TestJobsListing(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16})
 
 	resp, body := getJSON(t, ts.URL+"/v1/jobs")
 	if resp.StatusCode != http.StatusOK {
@@ -441,7 +442,7 @@ func TestJobsListing(t *testing.T) {
 		t.Errorf("empty listing should marshal jobs as []: %s", body)
 	}
 
-	const jobs = 3
+	const jobs = 12
 	for i := 0; i < jobs; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
 		if resp.StatusCode != http.StatusAccepted {
@@ -468,7 +469,7 @@ func TestJobsListing(t *testing.T) {
 		if job.Status != JobDone {
 			t.Errorf("filtered listing contains status %q", job.Status)
 		}
-		if i > 0 && listing.Jobs[i-1].ID >= job.ID {
+		if i > 0 && jobNumber(t, listing.Jobs[i-1].ID) >= jobNumber(t, job.ID) {
 			t.Errorf("listing out of submission order: %q then %q", listing.Jobs[i-1].ID, job.ID)
 		}
 	}
@@ -485,6 +486,16 @@ func TestJobsListing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("empty filter result: status %d: %s", resp.StatusCode, body)
 	}
+}
+
+// jobNumber is the submission counter in a "job-N" ID.
+func jobNumber(t *testing.T, id string) int {
+	t.Helper()
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil {
+		t.Fatalf("job ID %q is not job-N", id)
+	}
+	return n
 }
 
 // TestBatchSummaryAlwaysLast: regression for the heartbeat-after-summary

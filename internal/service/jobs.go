@@ -57,14 +57,13 @@ type jobState struct {
 	tracer *obs.RingTracer
 	// spans records the job's phase timings for GET /v1/jobs/{id}/spans;
 	// nil when the server disables span tracing. rootSpan is the "run" span
-	// opened at submission and closed at the terminal transition; queueSpan
-	// covers submission → worker pickup. Both are nil-safe.
-	spans     *obs.SpanRecorder
-	rootSpan  *obs.Span
-	queueSpan *obs.Span
+	// opened at submission and closed at the terminal transition; it is
+	// nil-safe.
+	spans    *obs.SpanRecorder
+	rootSpan *obs.Span
 	// submittedAt anchors the job's RunProfile total and queue durations.
 	submittedAt time.Time
-	// doneAt is when the job reached a terminal status; the janitor evicts
+	// doneAt is when the job reached a terminal status; the store evicts
 	// the record once it has been terminal for the configured retention.
 	doneAt time.Time
 }
@@ -75,30 +74,6 @@ func (j *jobState) snapshot() Job {
 	return j.job
 }
 
-func (j *jobState) setStatus(s JobStatus) {
-	j.mu.Lock()
-	j.job.Status = s
-	j.mu.Unlock()
-}
-
-func (j *jobState) finish(status JobStatus, res *hotpotato.Result, prof *obs.RunProfile, err error) {
-	j.mu.Lock()
-	j.job.Status = status
-	j.job.Result = res
-	j.job.Profile = prof
-	if err != nil {
-		j.job.Error = err.Error()
-	}
-	j.doneAt = time.Now()
-	j.mu.Unlock()
-	j.rootSpan.SetError(err)
-	j.rootSpan.SetAttr("status", string(status))
-	j.rootSpan.End()
-	// A job canceled while still queued never reached runJob; close its
-	// queue-wait span here so the tree has no dangling open phases.
-	j.queueSpan.End()
-}
-
 // terminalSince returns when the job entered a terminal status, and whether
 // it has.
 func (j *jobState) terminalSince() (time.Time, bool) {
@@ -107,20 +82,37 @@ func (j *jobState) terminalSince() (time.Time, bool) {
 	return j.doneAt, j.job.Status.Terminal()
 }
 
-// jobStore tracks every submission by ID.
+// jobStore tracks every submission by ID. It admits a job only while fewer
+// than capacity jobs are unfinished, and it evicts jobs that have been
+// terminal for longer than retention inside its own create, get and list
+// calls (negative retention keeps them forever).
 type jobStore struct {
+	capacity  int
+	retention time.Duration
+
 	mu   sync.Mutex
 	seq  int
 	jobs map[string]*jobState
+	// queued counts the jobs waiting for a worker slot; unfinished counts
+	// those plus the running ones.
+	queued, unfinished int
+	// swept is when expire last scanned the store.
+	swept time.Time
 }
 
-func newJobStore() *jobStore {
-	return &jobStore{jobs: make(map[string]*jobState)}
+func newJobStore(capacity int, retention time.Duration) *jobStore {
+	return &jobStore{capacity: capacity, retention: retention, jobs: make(map[string]*jobState)}
 }
 
+// create admits a queued job, or returns nil when capacity jobs are already
+// unfinished.
 func (s *jobStore) create(spec hotpotato.RunSpec, requestID string) *jobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expire()
+	if s.unfinished >= s.capacity {
+		return nil
+	}
 	s.seq++
 	j := &jobState{
 		job:         Job{ID: fmt.Sprintf("job-%d", s.seq), Status: JobQueued, RequestID: requestID},
@@ -129,28 +121,72 @@ func (s *jobStore) create(spec hotpotato.RunSpec, requestID string) *jobState {
 		submittedAt: time.Now(),
 	}
 	s.jobs[j.job.ID] = j
+	s.unfinished++
+	s.setQueued(s.queued + 1)
 	return j
+}
+
+// start moves a queued job to running once it holds a worker slot.
+func (s *jobStore) start(j *jobState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.mu.Lock()
+	j.job.Status = JobRunning
+	j.mu.Unlock()
+	s.setQueued(s.queued - 1)
+}
+
+// finish records a job's terminal state and closes its root span.
+func (s *jobStore) finish(j *jobState, status JobStatus, res *hotpotato.Result, prof *obs.RunProfile, err error) {
+	s.mu.Lock()
+	j.mu.Lock()
+	if j.job.Status == JobQueued {
+		s.setQueued(s.queued - 1)
+	}
+	s.unfinished--
+	j.job.Status = status
+	j.job.Result = res
+	j.job.Profile = prof
+	if err != nil {
+		j.job.Error = err.Error()
+	}
+	j.doneAt = time.Now()
+	j.mu.Unlock()
+	s.mu.Unlock()
+	j.rootSpan.SetError(err)
+	j.rootSpan.SetAttr("status", string(status))
+	j.rootSpan.End()
+}
+
+// setQueued sets the queued count and the gauge that exports it; s.mu must
+// be held.
+func (s *jobStore) setQueued(n int) {
+	s.queued = n
+	metricQueueDepth.Set(float64(n))
+}
+
+// queuedJobs returns how many jobs are waiting for a worker slot.
+func (s *jobStore) queuedJobs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queued
 }
 
 func (s *jobStore) get(id string) (*jobState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expire()
 	j, ok := s.jobs[id]
 	return j, ok
 }
 
-func (s *jobStore) remove(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-}
-
 // list returns snapshots of every stored job in submission order, keeping
 // only those whose status equals filter ("" keeps all). Evicted jobs are
-// simply absent — the store is a live view bounded by the retention janitor,
-// not an archive.
+// simply absent — the store is a live view bounded by the retention, not an
+// archive.
 func (s *jobStore) list(filter JobStatus) []Job {
 	s.mu.Lock()
+	s.expire()
 	states := make([]*jobState, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		states = append(states, j)
@@ -168,18 +204,26 @@ func (s *jobStore) list(filter JobStatus) []Job {
 	return jobs
 }
 
-func (s *jobStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
+// expire evicts the jobs terminal for longer than the retention. It scans at
+// most once per quarter retention, so a store polled in a tight loop does
+// not rescan every job on every call, and a job outlives its retention by at
+// most a quarter. s.mu must be held.
+func (s *jobStore) expire() {
+	if s.retention < 0 {
+		return
+	}
+	now := time.Now()
+	if now.Sub(s.swept) < s.retention/4 {
+		return
+	}
+	s.swept = now
+	s.evictTerminal(now.Add(-s.retention))
 }
 
 // evictTerminal removes every job that reached a terminal status at or before
 // cutoff, returning how many were evicted. Queued and running jobs are never
-// touched.
+// touched. s.mu must be held.
 func (s *jobStore) evictTerminal(cutoff time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	evicted := 0
 	for id, j := range s.jobs {
 		if doneAt, terminal := j.terminalSince(); terminal && !doneAt.After(cutoff) {

@@ -11,13 +11,13 @@ var (
 	metricJobsSubmitted = obs.NewCounter("service_jobs_submitted_total",
 		"Asynchronous jobs accepted via POST /v1/jobs.")
 	metricJobsRejected = obs.NewCounter("service_jobs_rejected_total",
-		"Job submissions answered 429 because the queue was full.")
+		"Job submissions answered 429 because Workers + QueueDepth jobs were unfinished.")
 	metricJobsFinished = obs.NewCounter("service_jobs_finished_total",
 		"Asynchronous jobs that reached a terminal status (done, failed, canceled).")
 	metricBadRequests = obs.NewCounter("service_bad_requests_total",
 		"Request bodies rejected with 400 (undecodable or invalid RunSpec).")
 	metricQueueDepth = obs.NewGauge("service_job_queue_depth",
-		"Asynchronous jobs currently waiting in the queue.")
+		"Asynchronous jobs admitted and waiting for a worker slot (status queued).")
 	metricRunLatency = obs.NewHistogram("service_run_seconds",
 		"POST /v1/run wall-clock from accepted spec to response, seconds.",
 		obs.DefLatencyBuckets)

@@ -25,11 +25,12 @@ type Config struct {
 	// async alike — the serving-side twin of ExperimentOptions.Workers.
 	// 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth bounds the async job queue; POST /v1/jobs answers
-	// 429 Too Many Requests once it is full. 0 means 64.
+	// QueueDepth is how many async jobs may wait for a worker slot: POST
+	// /v1/jobs answers 429 Too Many Requests once Workers + QueueDepth jobs
+	// are unfinished (queued or running). 0 means 64.
 	QueueDepth int
 	// JobRetention is how long finished jobs (done, failed, canceled) stay
-	// queryable via GET /v1/jobs/{id} before the janitor evicts them —
+	// queryable via GET /v1/jobs/{id} before the job store evicts them —
 	// without eviction a long-running server grows its job store without
 	// bound. 0 means 10 minutes; negative disables eviction (jobs are kept
 	// forever, the pre-retention behaviour).
@@ -96,11 +97,12 @@ const DefaultBatchHeartbeat = 10 * time.Second
 //	POST /v1/jobs       asynchronous: body RunSpec, response 202 {id, status}
 //	GET  /v1/jobs       job listing (?status= filter)
 //	GET  /v1/jobs/{id}  job status/result
-//	GET  /healthz       liveness + queue depth + cache stats
+//	GET  /healthz       liveness + queued jobs + cache stats
 //
 // All executions go through one semaphore of Config.Workers slots, so the
 // server never runs more simulations than the host has been budgeted for,
-// no matter how requests arrive. Platforms are shared between requests via
+// no matter how requests arrive: an admitted job is one goroutine waiting
+// for a slot exactly like a /v1/run request. Platforms are shared between requests via
 // a PlatformCache. Shutdown stops intake, drains, then force-cancels
 // stragglers through their run contexts.
 type Server struct {
@@ -117,7 +119,6 @@ type Server struct {
 	// SpecHash to track the twin's online residual (see drift.go).
 	drift *driftTracker
 	jobs  *jobStore
-	queue chan *jobState
 	sem   chan struct{}
 
 	// baseCtx parents every async run (and is grafted onto sync request
@@ -125,13 +126,12 @@ type Server struct {
 	baseCtx    context.Context
 	cancelRuns context.CancelFunc
 
-	stop    chan struct{} // closed by Shutdown: stop intake, wind down workers
-	closed  atomic.Bool
-	workers sync.WaitGroup // async worker goroutines
-	runs    sync.WaitGroup // in-flight sync handlers
+	closed atomic.Bool    // set by Shutdown: stop intake
+	runs   sync.WaitGroup // in-flight requests and unfinished jobs
 }
 
-// New builds a server and starts its worker pool.
+// New builds a server. It starts no goroutines: requests and jobs run on
+// their own.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -166,47 +166,12 @@ func New(cfg Config) *Server {
 		twin:       cfg.TwinModel,
 		results:    results,
 		drift:      newDriftTracker(),
-		jobs:       newJobStore(),
-		queue:      make(chan *jobState, cfg.QueueDepth),
+		jobs:       newJobStore(cfg.Workers+cfg.QueueDepth, cfg.JobRetention),
 		sem:        make(chan struct{}, cfg.Workers),
 		baseCtx:    baseCtx,
 		cancelRuns: cancel,
-		stop:       make(chan struct{}),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
-	if cfg.JobRetention > 0 {
-		s.workers.Add(1)
-		go s.janitor()
 	}
 	return s
-}
-
-// janitor periodically evicts jobs that have been terminal for longer than
-// Config.JobRetention, bounding the job store on a long-running server.
-// Sweeping at a quarter of the retention keeps the actual lifetime within
-// 1.25× the configured value.
-func (s *Server) janitor() {
-	defer s.workers.Done()
-	interval := s.cfg.JobRetention / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case now := <-tick.C:
-			s.jobs.evictTerminal(now.Add(-s.cfg.JobRetention))
-		}
-	}
 }
 
 // Cache exposes the platform cache (introspection and tests).
@@ -235,36 +200,12 @@ func (s *Server) Handler() http.Handler {
 	return s.withObservability(mux)
 }
 
-// worker is one slot of the async pool: it claims queued jobs until Shutdown,
-// then drains whatever is still queued as canceled.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for {
-		select {
-		case <-s.stop:
-			for {
-				select {
-				case j := <-s.queue:
-					j.finish(JobCanceled, nil, nil, errors.New("server shutting down"))
-				default:
-					return
-				}
-			}
-		case j := <-s.queue:
-			s.runJob(j)
-		}
-	}
-}
-
+// runJob runs one admitted job to its terminal state. It waits for a slot
+// like any /v1/run request; a job whose slot comes free only after Shutdown
+// began ends canceled without running.
 func (s *Server) runJob(j *jobState) {
-	metricQueueDepth.Set(float64(len(s.queue)))
-	j.queueSpan.End()
-	queueWait := time.Since(j.submittedAt)
-	j.setStatus(JobRunning)
+	defer s.runs.Done()
 	logger := s.logger.With("job_id", j.job.ID, "request_id", j.job.RequestID)
-	logger.Info("job started", "queue_wait_ms", float64(queueWait.Nanoseconds())/1e6)
-
-	began := time.Now()
 	// A typed-nil *RingTracer must become a nil interface, or the simulator
 	// would see a non-nil tracer and call through the nil pointer.
 	var tracer hotpotato.EpochTracer
@@ -273,12 +214,22 @@ func (s *Server) runJob(j *jobState) {
 	}
 	ctx := obs.ContextWithSpan(s.baseCtx, j.rootSpan)
 	ctx = obs.ContextWithLogger(ctx, logger)
-	res, prof, err := s.execute(ctx, j.spec, tracer)
-	metricJobLatency.Observe(time.Since(began).Seconds())
+	began := time.Now()
+	res, prof, err := s.execute(ctx, j.spec, tracer, func() error {
+		if s.closed.Load() {
+			return fmt.Errorf("%w before starting: server shutting down", hotpotato.ErrCanceled)
+		}
+		s.jobs.start(j)
+		logger.Info("job started", "queue_wait_ms", float64(time.Since(j.submittedAt).Nanoseconds())/1e6)
+		return nil
+	})
+	// execute timed the slot wait from began; the job queued from submission.
+	prof.QueueNS += began.Sub(j.submittedAt).Nanoseconds()
+	prof.TotalNS = time.Since(j.submittedAt).Nanoseconds()
+	ran := prof.TotalNS - prof.QueueNS
+	metricJobLatency.Observe(float64(ran) / 1e9)
 	metricJobsFinished.Inc()
 
-	prof.QueueNS += queueWait.Nanoseconds()
-	prof.TotalNS = time.Since(j.submittedAt).Nanoseconds()
 	status := JobDone
 	switch {
 	case err == nil:
@@ -287,10 +238,10 @@ func (s *Server) runJob(j *jobState) {
 	default:
 		status = JobFailed
 	}
-	j.finish(status, res, prof, err)
+	s.jobs.finish(j, status, res, prof, err)
 	logger.Info("job finished",
 		"status", string(status),
-		"duration_ms", float64(prof.TotalNS-prof.QueueNS)/1e6,
+		"duration_ms", float64(ran)/1e6,
 		"epochs", prof.Epochs,
 		"error", errString(err),
 	)
@@ -306,12 +257,13 @@ func errString(err error) string {
 
 // execute runs one validated spec under the concurrency bound. The semaphore
 // wait respects ctx, so a client that disconnects while queued never
-// occupies a slot at all. The returned RunProfile is always non-nil and
-// carries the phase breakdown measured so far (slot wait, platform build,
-// decide/step split); callers fold in what only they can see (job-queue
-// wait, end-to-end total). If ctx carries a span, each phase also records a
-// child span.
-func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hotpotato.EpochTracer) (*hotpotato.Result, *obs.RunProfile, error) {
+// occupies a slot at all. onSlot, when non-nil, runs once the slot is held;
+// an error from it ends the run there. The returned RunProfile is always
+// non-nil and carries the phase breakdown measured so far (slot wait,
+// platform build, decide/step split); callers fold in what only they can see
+// (job-queue wait, end-to-end total). If ctx carries a span, each phase also
+// records a child span.
+func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hotpotato.EpochTracer, onSlot func() error) (*hotpotato.Result, *obs.RunProfile, error) {
 	prof := &obs.RunProfile{}
 	root := obs.SpanFromContext(ctx)
 
@@ -320,6 +272,7 @@ func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hot
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
+		prof.QueueNS += time.Since(slotBegan).Nanoseconds()
 		err := fmt.Errorf("%w before starting: %v", hotpotato.ErrCanceled, context.Cause(ctx))
 		slotSpan.SetError(err)
 		slotSpan.End()
@@ -328,6 +281,11 @@ func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hot
 	defer func() { <-s.sem }()
 	slotSpan.End()
 	prof.QueueNS += time.Since(slotBegan).Nanoseconds()
+	if onSlot != nil {
+		if err := onSlot(); err != nil {
+			return nil, prof, err
+		}
+	}
 
 	spec = spec.WithDefaults()
 	buildSpan := root.StartChild("platform_build")
@@ -419,12 +377,12 @@ func (s *Server) cachedExecute(ctx context.Context, spec hotpotato.RunSpec, hash
 		}
 	}()
 	if s.results == nil || hash == "" {
-		res, prof, err := s.execute(ctx, spec, nil)
+		res, prof, err := s.execute(ctx, spec, nil, nil)
 		return res, prof, false, err
 	}
 	entry, leader := s.results.Lookup(hash)
 	if leader {
-		res, prof, err := s.execute(ctx, spec, nil)
+		res, prof, err := s.execute(ctx, spec, nil, nil)
 		if err == nil || errors.Is(err, hotpotato.ErrTimeout) {
 			s.results.Fulfill(hash, res, errString(err))
 		} else {
@@ -443,7 +401,7 @@ func (s *Server) cachedExecute(ctx context.Context, spec hotpotato.RunSpec, hash
 		// re-elect each other forever. This uncached re-run is a miss the
 		// Lookup above did not count (only leaders count there).
 		s.results.RecordAbandonedFallback()
-		res, prof, err := s.execute(ctx, spec, nil)
+		res, prof, err := s.execute(ctx, spec, nil, nil)
 		return res, prof, false, err
 	}
 	s.results.RecordHit()
@@ -536,6 +494,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := s.jobs.create(spec, requestIDFrom(r.Context()))
+	if j == nil {
+		metricJobsRejected.Inc()
+		fabric.WriteError(w, http.StatusTooManyRequests,
+			fmt.Errorf("job queue full (%d pending)", s.jobs.capacity))
+		return
+	}
 	if s.cfg.TraceDepth >= 0 {
 		j.tracer = obs.NewRingTracer(s.cfg.TraceDepth)
 	}
@@ -551,21 +515,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.rootSpan.SetAttr("trace_id", tc.TraceID)
 			j.rootSpan.SetAttr("parent_span_id", tc.SpanID)
 		}
-		j.queueSpan = j.rootSpan.StartChild("queue_wait")
 	}
-	select {
-	case s.queue <- j:
-		metricJobsSubmitted.Inc()
-		metricQueueDepth.Set(float64(len(s.queue)))
-		obs.LoggerFrom(r.Context()).Info("job queued",
-			"job_id", j.job.ID, "queue_depth", len(s.queue))
-		fabric.WriteJSON(w, http.StatusAccepted, j.snapshot())
-	default:
-		s.jobs.remove(j.job.ID)
-		metricJobsRejected.Inc()
-		fabric.WriteError(w, http.StatusTooManyRequests,
-			fmt.Errorf("job queue full (%d pending)", s.cfg.QueueDepth))
-	}
+	metricJobsSubmitted.Inc()
+	obs.LoggerFrom(r.Context()).Info("job queued",
+		"job_id", j.job.ID, "queue_depth", s.jobs.queuedJobs())
+	// The snapshot precedes the goroutine so the response reads "queued".
+	snap := j.snapshot()
+	s.runs.Add(1)
+	go s.runJob(j)
+	fabric.WriteJSON(w, http.StatusAccepted, snap)
 }
 
 // jobTrace is the envelope of GET /v1/jobs/{id}/trace.
@@ -659,8 +617,8 @@ type jobList struct {
 }
 
 // handleJobs lists known jobs in submission order, optionally filtered with
-// ?status= (queued, running, done, failed, canceled). Jobs evicted by the
-// retention janitor are absent — the list is a live view, not an archive.
+// ?status= (queued, running, done, failed, canceled). Jobs evicted after
+// their retention are absent — the list is a live view, not an archive.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var filter JobStatus
 	if q := r.URL.Query().Get("status"); q != "" {
@@ -681,7 +639,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	hits, misses := s.cache.Stats()
 	body := map[string]any{
 		"status":          "ok",
-		"queued":          len(s.queue),
+		"queued":          s.jobs.queuedJobs(),
 		"workers":         s.cfg.Workers,
 		"platform_hits":   hits,
 		"platform_misses": misses,
@@ -698,20 +656,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fabric.WriteJSON(w, http.StatusOK, body)
 }
 
-// Shutdown stops accepting work and drains: it waits for running and queued
-// jobs plus in-flight sync requests until ctx expires, then force-cancels
-// the remaining simulations — each aborts within one scheduler epoch of
-// simulated progress (hotpotato.ErrCanceled) — and waits for the pool to
-// exit. Safe to call once; later calls return immediately.
+// Shutdown stops accepting work and drains: jobs still queued end canceled
+// without running, and running jobs plus in-flight requests may finish until
+// ctx expires. Then it force-cancels the remaining simulations — each aborts
+// within one scheduler epoch of simulated progress (hotpotato.ErrCanceled) —
+// and waits for them. Safe to call once; later calls return immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.logger.Info("shutdown: draining", "queued", len(s.queue))
-	close(s.stop)
+	s.logger.Info("shutdown: draining", "queued", s.jobs.queuedJobs())
 	done := make(chan struct{})
 	go func() {
-		s.workers.Wait()
 		s.runs.Wait()
 		close(done)
 	}()

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -284,11 +286,8 @@ func TestQueueOverflowAnswers429(t *testing.T) {
 		resp, _ := postJSON(t, ts.URL+"/v1/jobs", longSpecJSON)
 		statuses[i] = resp.StatusCode
 	}
-	if statuses[0] != http.StatusAccepted {
-		t.Fatalf("first job rejected: %d", statuses[0])
-	}
-	if statuses[2] != http.StatusTooManyRequests {
-		t.Fatalf("queue overflow not rejected: statuses %v", statuses)
+	if want := []int{http.StatusAccepted, http.StatusAccepted, http.StatusTooManyRequests}; !reflect.DeepEqual(statuses, want) {
+		t.Fatalf("statuses %v, want %v", statuses, want)
 	}
 
 	// Shutdown must cancel the still-running job within its drain budget:
@@ -299,6 +298,85 @@ func TestQueueOverflowAnswers429(t *testing.T) {
 	_ = svc.Shutdown(ctx)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("shutdown took %s; force-cancel did not reach the running simulation", elapsed)
+	}
+}
+
+// TestShutdownCancelsQueuedJob: with one slot, a long job runs and a second
+// one waits for the slot reading "queued". Shutdown ends the waiting job
+// canceled without a single epoch, and the running one canceled once the
+// drain budget runs out.
+func TestShutdownCancelsQueuedJob(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	hugeSpecJSON := strings.Replace(longSpecJSON, `"work_scale": 100`, `"work_scale": 100000`, 1)
+
+	job := func(resp *http.Response, body []byte) Job {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var j Job
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	running := job(postJSON(t, ts.URL+"/v1/jobs", hugeSpecJSON))
+	deadline := time.Now().Add(30 * time.Second)
+	for job(getJSON(t, ts.URL+"/v1/jobs/"+running.ID)).Status != JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued := job(postJSON(t, ts.URL+"/v1/jobs", hugeSpecJSON))
+	if got := job(getJSON(t, ts.URL+"/v1/jobs/"+queued.ID)); got.Status != JobQueued {
+		t.Fatalf("job waiting for the slot reads %s, want queued", got.Status)
+	}
+	var health struct {
+		Queued int `json:"queued"`
+	}
+	if _, body := getJSON(t, ts.URL+"/healthz"); json.Unmarshal(body, &health) != nil || health.Queued != 1 {
+		t.Errorf("healthz queued = %d, want 1: %s", health.Queued, body)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := svc.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Shutdown = %v, want the drain budget exceeded", err)
+	}
+	if got := job(getJSON(t, ts.URL+"/v1/jobs/"+running.ID)); got.Status != JobCanceled {
+		t.Errorf("running job ended %s, want canceled", got.Status)
+	}
+	got := job(getJSON(t, ts.URL+"/v1/jobs/"+queued.ID))
+	if got.Status != JobCanceled {
+		t.Errorf("queued job ended %s, want canceled", got.Status)
+	}
+	if got.Result != nil || (got.Profile != nil && got.Profile.Epochs != 0) {
+		t.Errorf("queued job ran: result %v, profile %+v", got.Result, got.Profile)
+	}
+	if _, body := getJSON(t, ts.URL+"/healthz"); json.Unmarshal(body, &health) != nil || health.Queued != 0 {
+		t.Errorf("healthz queued = %d after shutdown, want 0: %s", health.Queued, body)
+	}
+}
+
+// TestServerStartsNoGoroutines: a server costs no goroutines until work
+// arrives, and Shutdown leaves none behind.
+func TestServerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{Workers: 4})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("New started %d goroutines", n-before)
+	}
+	if err := svc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown's drain waiter exits just after it reports; give it a moment.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -376,23 +454,26 @@ func TestShutdownRejectsNewWork(t *testing.T) {
 // level: only jobs that were terminal at or before the cutoff go; queued,
 // running and recently-finished jobs all survive.
 func TestEvictTerminalSparesLiveJobs(t *testing.T) {
-	store := newJobStore()
+	store := newJobStore(5, -1)
 	var spec hotpotato.RunSpec
 
 	queued := store.create(spec, "")
 	running := store.create(spec, "")
-	running.setStatus(JobRunning)
+	store.start(running)
 	oldDone := store.create(spec, "")
-	oldDone.finish(JobDone, nil, nil, nil)
+	store.finish(oldDone, JobDone, nil, nil, nil)
 	oldFailed := store.create(spec, "")
-	oldFailed.finish(JobFailed, nil, nil, context.Canceled)
+	store.finish(oldFailed, JobFailed, nil, nil, context.Canceled)
 	freshDone := store.create(spec, "")
-	freshDone.finish(JobDone, nil, nil, nil)
+	store.finish(freshDone, JobDone, nil, nil, nil)
 	freshDone.mu.Lock()
 	freshDone.doneAt = time.Now().Add(time.Hour) // "finished in the future" = after any cutoff
 	freshDone.mu.Unlock()
 
-	if n := store.evictTerminal(time.Now()); n != 2 {
+	store.mu.Lock()
+	n := store.evictTerminal(time.Now())
+	store.mu.Unlock()
+	if n != 2 {
 		t.Fatalf("evicted %d jobs, want 2 (the stale done + failed)", n)
 	}
 	for _, keep := range []*jobState{queued, running, freshDone} {
@@ -407,10 +488,10 @@ func TestEvictTerminalSparesLiveJobs(t *testing.T) {
 	}
 }
 
-// TestJanitorEvictsFinishedJobs is the leak regression test: with a short
+// TestRetentionEvictsFinishedJobs is the leak regression test: with a short
 // retention, a completed async job must eventually answer 404, while a job
 // that is still running is never touched.
-func TestJanitorEvictsFinishedJobs(t *testing.T) {
+func TestRetentionEvictsFinishedJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4, JobRetention: 50 * time.Millisecond})
 
 	// A job slow enough (in host time) to still be running when the quick
@@ -471,7 +552,7 @@ func TestJanitorEvictsFinishedJobs(t *testing.T) {
 }
 
 // TestNegativeRetentionKeepsJobsForever checks the opt-out: JobRetention < 0
-// runs no janitor, so finished jobs stay queryable.
+// evicts nothing, so finished jobs stay queryable.
 func TestNegativeRetentionKeepsJobsForever(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobRetention: -1})
 

@@ -227,7 +227,7 @@ func TestJobSpansEndpoint(t *testing.T) {
 
 	names := map[string]int{}
 	collectNames(envelope.Spans, names)
-	for _, want := range []string{"queue_wait", "slot_wait", "platform_build", "execute_spec", "workload_build", "simulate"} {
+	for _, want := range []string{"slot_wait", "platform_build", "execute_spec", "workload_build", "simulate"} {
 		if names[want] != 1 {
 			t.Errorf("span %q appears %d times, want 1 (all names: %v)", want, names[want], names)
 		}
@@ -381,7 +381,7 @@ func TestConcurrentTracedJobs(t *testing.T) {
 		}
 		names := map[string]int{}
 		collectNames(envelope.Spans, names)
-		for _, want := range []string{"queue_wait", "execute_spec", "simulate"} {
+		for _, want := range []string{"slot_wait", "execute_spec", "simulate"} {
 			if names[want] != 1 {
 				t.Errorf("job %s: span %q count %d", sub.job.ID, want, names[want])
 			}

@@ -188,8 +188,8 @@ func NewSchedulerFromSpec(plat *Platform, spec SchedulerSpec) (Scheduler, error)
 }
 
 // AutoPin returns a copy of spec with the pin map (and, for rotation, the
-// core cycle) filled in when empty, using the deterministic placement the
-// thermal-trace tool has always used: threads are pinned over the
+// core cycle) filled in when empty, using one deterministic placement shared
+// by hotpotato-sim and RunSpec execution: threads are pinned over the
 // platform's rings innermost-first in task order, and rotation slots spread
 // evenly over the rotation cycle. Specs that already carry pins, and
 // policies that take none, are returned unchanged.

@@ -58,12 +58,11 @@ func TestEveryRegisteredPolicyRunsAnEpoch(t *testing.T) {
 // TestCLIUsageListsSchedulersFromRegistry pins the CLIs' -sched help text to
 // the registry: each command must generate its scheduler list by calling
 // SchedulerNames, so a newly registered policy shows up in usage output
-// without anyone remembering to edit three strings.
+// without anyone remembering to edit two strings.
 func TestCLIUsageListsSchedulersFromRegistry(t *testing.T) {
 	for _, path := range []string{
 		"cmd/hotpotato-sim/main.go",
 		"cmd/experiments/main.go",
-		"cmd/thermal-trace/main.go",
 	} {
 		src, err := os.ReadFile(path)
 		if err != nil {
