@@ -102,8 +102,9 @@ type (
 	// stateful and single-goroutine: build one instance per Simulation and
 	// never share a live instance between two runs.
 	Scheduler = sim.Scheduler
-	// SchedulerState is the snapshot handed to a Scheduler. The simulator
-	// hands each Scheduler private copies of the mutable slices.
+	// SchedulerState is the epoch view handed to a Scheduler. The simulator
+	// owns it and refills it in place every epoch: it and its slices are
+	// borrowed for the Decide call, so copy whatever must outlive it.
 	SchedulerState = sim.State
 	// SchedulerDecision is a scheduler's thread→core mapping and DVFS answer.
 	SchedulerDecision = sim.Decision
@@ -112,7 +113,8 @@ type (
 	// ThreadInfo is the scheduler-visible view of one thread.
 	ThreadInfo = sim.ThreadInfo
 	// TraceFunc observes every simulation slice. It is called on the
-	// goroutine driving Run, never concurrently with itself.
+	// goroutine driving Run, never concurrently with itself, with buffers
+	// the simulator reuses: they are valid only during the call.
 	TraceFunc = sim.TraceFunc
 )
 

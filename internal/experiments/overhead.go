@@ -65,10 +65,7 @@ func Overhead() (*OverheadResult, error) {
 
 	// Fast-path Decide cost: full 64-thread load rotating steadily.
 	hp := sched.NewHotPotato(plat, 70)
-	st, err := fullLoadState(plat)
-	if err != nil {
-		return nil, err
-	}
+	st := fullLoadState(plat)
 	hp.Decide(st) // placement (slow path) happens once here
 	const decideIters = 2000
 	start = time.Now()
@@ -84,10 +81,7 @@ func Overhead() (*OverheadResult, error) {
 	// platform's response tables are warm from the runs above, as they are
 	// for every run after a platform's first.
 	hp2 := sched.NewHotPotato(plat, 70)
-	st2, err := fullLoadState(plat)
-	if err != nil {
-		return nil, err
-	}
+	st2 := fullLoadState(plat)
 	start = time.Now()
 	hp2.Decide(st2)
 	out.PlacementPerThread = time.Since(start) / time.Duration(len(st2.Threads))
@@ -97,7 +91,7 @@ func Overhead() (*OverheadResult, error) {
 
 // fullLoadState builds a synthetic scheduler state with 64 live threads of a
 // mixed workload, as seen by the scheduler at steady full load.
-func fullLoadState(plat *sim.Platform) (*sim.State, error) {
+func fullLoadState(plat *sim.Platform) *sim.State {
 	bs := workload.PARSEC()
 	temps := make([]float64, plat.NumCores())
 	for i := range temps {
@@ -122,7 +116,7 @@ func fullLoadState(plat *sim.Platform) (*sim.State, error) {
 		Threads:   threads,
 		Platform:  plat,
 		TDTM:      70,
-	}, nil
+	}
 }
 
 // String renders the result in the paper's reporting style.

@@ -7,11 +7,13 @@ import "time"
 // tree. All durations are host nanoseconds.
 //
 // The phases tile the run: Total ≈ Queue + Build + Decide + Step (small gaps
-// are bookkeeping between phases). Queue covers both the async job queue and
-// the worker-semaphore wait; Build is the platform-cache lookup (microseconds
-// on a hit, the full eigendecomposition on a miss); Decide is the host time
-// inside scheduler Decide calls summed over every epoch; Step is the
-// remainder of the simulation — dominated by slice-batch thermal stepping.
+// are bookkeeping between phases). Queue is the time from submission to a
+// worker slot: for an async job from its POST /v1/jobs, for /v1/run and
+// batch cells the semaphore wait alone. Build is the platform-cache lookup
+// (microseconds on a hit, the full eigendecomposition on a miss); Decide is
+// the host time inside scheduler Decide calls summed over every epoch; Step
+// is the remainder of the simulation — dominated by slice-batch thermal
+// stepping.
 type RunProfile struct {
 	TotalNS  int64 `json:"total_ns"`
 	QueueNS  int64 `json:"queue_ns"`

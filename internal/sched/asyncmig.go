@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+
 	"repro/internal/sim"
 )
 
@@ -37,48 +39,11 @@ func (a *AsyncMigrate) Name() string { return "async-migration" }
 
 // Decide implements sim.Scheduler.
 func (a *AsyncMigrate) Decide(st *sim.State) sim.Decision {
-	live := liveSet(st)
-	for id := range a.assignment {
-		if _, ok := live[id]; !ok {
-			delete(a.assignment, id)
-		}
-	}
-
-	// Shared gang-FIFO admission, cache-aware ordering.
-	n := st.Platform.NumCores()
-	for _, group := range queuedTasks(st) {
-		free := coresByAMD(st, freeCores(n, a.assignment))
-		if len(free) < len(group.threads) {
-			break
-		}
-		for i, th := range group.threads {
-			a.assignment[th.ID] = free[i]
-		}
-	}
-
-	// On-demand migration away from hot cores, deterministic order.
-	free := freeCores(n, a.assignment)
-	for _, id := range sortedIDs(a.assignment) {
-		core := a.assignment[id]
-		if st.CoreTemps[core] < a.tdtm-a.margin {
-			continue
-		}
-		bestCore, bestTemp, bestIdx := -1, st.CoreTemps[core]-a.minGain, -1
-		for i, c := range free {
-			if st.CoreTemps[c] < bestTemp {
-				bestCore, bestTemp, bestIdx = c, st.CoreTemps[c], i
-			}
-		}
-		if bestCore >= 0 {
-			free[bestIdx] = core
-			a.assignment[id] = bestCore
-		}
-	}
-
-	out := make(map[sim.ThreadID]int, len(a.assignment))
-	for id, core := range a.assignment {
-		out[id] = core
-	}
+	// Shared gang-FIFO admission with cache-aware ordering, then on-demand
+	// migration away from hot cores.
+	dropDeparted(st, a.assignment)
+	admitByAMD(st, a.assignment, queuedTasks(st))
+	migrateHot(st, a.assignment, a.tdtm-a.margin, a.minGain)
 	// No DVFS: peak frequency everywhere (nil Freq).
-	return sim.Decision{Assignment: out, NextInvoke: a.epoch}
+	return sim.Decision{Assignment: maps.Clone(a.assignment), NextInvoke: a.epoch}
 }

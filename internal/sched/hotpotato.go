@@ -213,12 +213,11 @@ func (h *HotPotato) Rotating() bool { return h.rotate }
 // Decide implements sim.Scheduler.
 func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	h.advanceRotation(st.Time)
-	live := liveSet(st)
 
 	// Departures free slots and create headroom (Algorithm 2 line 15).
 	departed := false
 	for id, ref := range h.place {
-		if _, ok := live[id]; !ok {
+		if _, ok := st.Thread(id); !ok {
 			h.slots[ref.ring][ref.slot] = slotEntry{}
 			delete(h.place, id)
 			departed = true
@@ -231,7 +230,7 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 			break
 		}
 		for _, th := range group.threads {
-			h.placeThread(st, live, th)
+			h.placeThread(st, th)
 		}
 	}
 
@@ -240,12 +239,12 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	// so the evaluation cost stays off the per-epoch fast path.
 	maxTemp := maxOf(st.CoreTemps)
 	if maxTemp > h.tdtm-h.delta && st.Time-h.lastSafety >= 1e-3 {
-		h.tighten(st, live)
+		h.tighten(st)
 		h.lastSafety = st.Time
 	}
 
 	if departed || st.Time-h.lastRebalance >= h.rebalanceEvery {
-		h.rebalance(st, live)
+		h.rebalance(st)
 		h.lastRebalance = st.Time
 	}
 
@@ -326,7 +325,7 @@ func (h *HotPotato) bestFreeSlot(r int) int {
 }
 
 // placeThread implements Algorithm 2 lines 1–14 for one new thread.
-func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo, th sim.ThreadInfo) {
+func (h *HotPotato) placeThread(st *sim.State, th sim.ThreadInfo) {
 	// Lines 2–6: inside-out ring scan; accept the first thermally safe ring.
 	for r := range h.rings {
 		slot := h.bestFreeSlot(r)
@@ -335,7 +334,7 @@ func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 		}
 		h.slots[r][slot] = slotEntry{id: th.ID, used: true}
 		h.place[th.ID] = slotRef{r, slot}
-		if h.evalPeak(st, live) < h.tdtm-h.delta {
+		if h.evalPeak(st) < h.tdtm-h.delta {
 			return
 		}
 		h.slots[r][slot] = slotEntry{}
@@ -358,22 +357,23 @@ func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 		h.rotate = true
 		h.tau = h.tauInit
 	}
-	h.pushOutward(st, live)
-	h.tighten(st, live)
+	h.pushOutward(st)
+	h.tighten(st)
 }
 
 // pushOutward migrates the lowest-CPI (most compute-bound, least
 // placement-sensitive) threads to higher-AMD rings until the configuration
 // is safe or no move helps (Algorithm 2 lines 8–11).
-func (h *HotPotato) pushOutward(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
+func (h *HotPotato) pushOutward(st *sim.State) {
 	for guard := 0; guard < 16; guard++ {
-		if h.evalPeak(st, live) < h.tdtm-h.delta {
+		if h.evalPeak(st) < h.tdtm-h.delta {
 			return
 		}
 		cands := h.cands[:0]
 		for id, ref := range h.place {
 			if ref.ring < len(h.rings)-1 {
-				cands = append(cands, cand{id, live[id].CPI})
+				th, _ := st.Thread(id)
+				cands = append(cands, cand{id, th.CPI})
 			}
 		}
 		h.cands = cands
@@ -407,12 +407,12 @@ func (h *HotPotato) pushOutward(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 
 // tighten shrinks τ toward τ_min until the configuration is safe
 // (Algorithm 2 lines 12–14).
-func (h *HotPotato) tighten(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
+func (h *HotPotato) tighten(st *sim.State) {
 	if !h.rotate {
 		h.rotate = true
 		h.tau = h.tauInit
 	}
-	for h.tau > h.tauMin && h.evalPeak(st, live) >= h.tdtm-h.delta {
+	for h.tau > h.tauMin && h.evalPeak(st) >= h.tdtm-h.delta {
 		h.tau /= 2
 		if h.tau < h.tauMin {
 			h.tau = h.tauMin
@@ -422,16 +422,17 @@ func (h *HotPotato) tighten(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo)
 
 // rebalance implements Algorithm 2 lines 15–27: promote memory-bound threads
 // inward while headroom allows, then relax τ — up to stopping rotation.
-func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
+func (h *HotPotato) rebalance(st *sim.State) {
 	// Promotions: highest CPI first (most to gain from a low-AMD ring).
 	for guard := 0; guard < 16; guard++ {
-		if h.evalPeak(st, live) >= h.tdtm-h.delta {
+		if h.evalPeak(st) >= h.tdtm-h.delta {
 			break
 		}
 		cands := h.cands[:0]
 		for id, ref := range h.place {
 			if ref.ring > 0 {
-				cands = append(cands, cand{id, live[id].CPI})
+				th, _ := st.Thread(id)
+				cands = append(cands, cand{id, th.CPI})
 			}
 		}
 		h.cands = cands
@@ -447,7 +448,7 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 				h.slots[ref.ring][ref.slot] = slotEntry{}
 				h.slots[r][slot] = slotEntry{id: c.id, used: true}
 				h.place[c.id] = slotRef{r, slot}
-				if h.evalPeak(st, live) < h.tdtm-h.delta {
+				if h.evalPeak(st) < h.tdtm-h.delta {
 					promoted = true
 					break
 				}
@@ -467,12 +468,12 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 
 	// τ relaxation (lines 23–27): slower rotation means fewer migrations;
 	// stop rotating entirely when static placement is safe.
-	if h.evalPeak(st, live) >= h.tdtm-h.delta {
-		h.tighten(st, live)
+	if h.evalPeak(st) >= h.tdtm-h.delta {
+		h.tighten(st)
 		return
 	}
 	for h.rotate {
-		if h.evalStaticPeak(st, live) < h.tdtm-h.delta {
+		if h.evalStaticPeak(st) < h.tdtm-h.delta {
 			h.rotate = false
 			break
 		}
@@ -482,7 +483,7 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 		}
 		old := h.tau
 		h.tau = next
-		if h.evalPeak(st, live) >= h.tdtm-h.delta {
+		if h.evalPeak(st) >= h.tdtm-h.delta {
 			h.tau = old
 			break
 		}
@@ -495,9 +496,9 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 // Every ring is scored against the same background, so the evaluator's
 // S·base image is computed once per call and each ring costs a response
 // table lookup. Allocation-free once the tables are memoized.
-func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
+func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	if !h.rotate {
-		return h.evalStaticPeak(st, live)
+		return h.evalStaticPeak(st)
 	}
 	idle := st.Platform.Power.IdleWatts
 
@@ -508,7 +509,7 @@ func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo
 		total := 0.0
 		for i := range h.slots[r] {
 			if h.slots[r][i].used {
-				total += h.threadPower(live, h.slots[r][i].id)
+				total += h.threadPower(st, h.slots[r][i].id)
 				ringOccupied[r] = true
 			} else {
 				total += idle
@@ -538,7 +539,7 @@ func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo
 		for _, entry := range h.slots[r] {
 			w := idle
 			if entry.used {
-				w = h.threadPower(live, entry.id)
+				w = h.threadPower(st, entry.id)
 			}
 			slotWatts = append(slotWatts, w)
 		}
@@ -581,7 +582,7 @@ func (h *HotPotato) EstimatorStats() (hits, fallbacks int) {
 
 // evalStaticPeak is the non-rotating (τ stopped) safety check: the
 // steady-state peak of the pinned assignment.
-func (h *HotPotato) evalStaticPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
+func (h *HotPotato) evalStaticPeak(st *sim.State) float64 {
 	n := st.Platform.NumCores()
 	idle := st.Platform.Power.IdleWatts
 	p := make([]float64, n)
@@ -594,7 +595,7 @@ func (h *HotPotato) evalStaticPeak(st *sim.State, live map[sim.ThreadID]sim.Thre
 		if h.rotate {
 			idx = (ref.slot + h.rotSteps) % len(cores)
 		}
-		p[cores[idx]] = h.threadPower(live, id)
+		p[cores[idx]] = h.threadPower(st, id)
 	}
 	ss := h.calc.Model().SteadyState(p)
 	return h.calc.Model().MaxCoreTemp(ss)
@@ -604,8 +605,8 @@ func (h *HotPotato) evalStaticPeak(st *sim.State, live map[sim.ThreadID]sim.Thre
 // history average (the simulator substitutes the conservative nominal power
 // until a history exists), with the above-idle component rescaled by
 // powerScale for frequency projection.
-func (h *HotPotato) threadPower(live map[sim.ThreadID]sim.ThreadInfo, id sim.ThreadID) float64 {
-	th, ok := live[id]
+func (h *HotPotato) threadPower(st *sim.State, id sim.ThreadID) float64 {
+	th, ok := st.Thread(id)
 	if !ok {
 		return 0
 	}
@@ -616,13 +617,6 @@ func (h *HotPotato) threadPower(live map[sim.ThreadID]sim.ThreadInfo, id sim.Thr
 		return th.AvgPower
 	}
 	return h.idleWatts + (th.AvgPower-h.idleWatts)*h.powerScale
-}
-
-func less(a, b sim.ThreadID) bool {
-	if a.Task != b.Task {
-		return a.Task < b.Task
-	}
-	return a.Thread < b.Thread
 }
 
 // cmpID orders thread IDs by task, then by thread within the task.

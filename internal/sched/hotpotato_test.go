@@ -2,7 +2,7 @@ package sched
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -300,7 +300,7 @@ func TestPropHotPotatoAssignmentAlwaysValid(t *testing.T) {
 			for _, lt := range live {
 				threads = append(threads, lt.info)
 			}
-			sort.Slice(threads, func(a, b int) bool { return less(threads[a].ID, threads[b].ID) })
+			slices.SortFunc(threads, func(a, b sim.ThreadInfo) int { return cmpID(a.ID, b.ID) })
 			temps := make([]float64, 16)
 			for i := range temps {
 				temps[i] = 46 + r.Float64()*25
@@ -356,10 +356,9 @@ func TestHotPotatoEvalPeakZeroAllocs(t *testing.T) {
 		t.Fatalf("placed %d of %d threads", len(hp.place), len(st.Threads))
 	}
 	hp.rotate = true
-	live := liveSet(st)
-	want := hp.evalPeak(st, live)
+	want := hp.evalPeak(st)
 	var got float64
-	if a := testing.AllocsPerRun(50, func() { got = hp.evalPeak(st, live) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { got = hp.evalPeak(st) }); a != 0 {
 		t.Errorf("warm rotating evalPeak allocates %v per run, want 0", a)
 	}
 	if got != want {

@@ -58,12 +58,11 @@ func (h *HotPotatoDVFS) Decide(st *sim.State) sim.Decision {
 // even τ_min rotation at the current frequency is predicted unsafe, up when
 // the next level would still be safe.
 func (h *HotPotatoDVFS) adjustFrequency(st *sim.State) {
-	live := liveSet(st)
 	d := h.plat.Power.DVFS()
 
 	// Safety at the current frequency (measurements were taken at it, so no
 	// projection needed).
-	if h.evalPeak(st, live) >= h.tdtm-h.delta {
+	if h.evalPeak(st) >= h.tdtm-h.delta {
 		// Rotation has already been tightened by HotPotato.Decide; if it is
 		// at its floor and still unsafe, DVFS is the remaining knob.
 		if h.tau <= h.tauMin+1e-12 && h.freq > d.FMin {
@@ -78,7 +77,7 @@ func (h *HotPotatoDVFS) adjustFrequency(st *sim.State) {
 	}
 	next := d.StepUp(h.freq)
 	h.powerScale = h.projectionScale(next)
-	safe := h.evalPeak(st, live) < h.tdtm-h.delta
+	safe := h.evalPeak(st) < h.tdtm-h.delta
 	h.powerScale = 1
 	if safe {
 		h.freq = next

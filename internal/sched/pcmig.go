@@ -1,7 +1,9 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -67,63 +69,28 @@ func (p *PCMig) Name() string { return "pcmig" }
 
 // Decide implements sim.Scheduler.
 func (p *PCMig) Decide(st *sim.State) sim.Decision {
-	live := liveSet(st)
-
-	// Drop departed threads.
-	for id := range p.assignment {
-		if _, ok := live[id]; !ok {
-			delete(p.assignment, id)
-			delete(p.lastFreq, id)
-		}
-	}
+	dropDeparted(st, p.assignment)
+	dropDeparted(st, p.lastFreq)
 
 	// Gang admission, FIFO: map each queued task's threads onto free cores,
-	// memory-bound threads to low-AMD cores first (PCGov's cache-aware rule).
-	n := st.Platform.NumCores()
-	for _, group := range queuedTasks(st) {
-		free := coresByAMD(st, freeCores(n, p.assignment))
-		if len(free) < len(group.threads) {
-			break // head-of-line blocking keeps admission fair across schedulers
-		}
-		threads := append([]sim.ThreadInfo(nil), group.threads...)
-		sort.SliceStable(threads, func(a, b int) bool {
-			return threads[a].CPI > threads[b].CPI
-		})
-		for i, th := range threads {
-			p.assignment[th.ID] = free[i]
-		}
+	// memory-bound threads to low-AMD cores first (PCGov's cache-aware rule;
+	// the stable sort keeps queuedTasks' order among equal CPIs).
+	groups := queuedTasks(st)
+	for _, g := range groups {
+		slices.SortStableFunc(g.threads, func(a, b sim.ThreadInfo) int { return cmp.Compare(b.CPI, a.CPI) })
 	}
+	admitByAMD(st, p.assignment, groups)
 
 	// Performance-driven migration (the prediction-based migrations of
 	// [10], [21]): when cores free up, the thread with the highest effective
 	// CPI — the one losing the most to LLC distance — moves to the best
 	// free lower-AMD core, provided the steady-state prediction stays safe.
 	// One move per control epoch, mirroring the baseline's caution.
-	p.performanceMigration(st, live)
+	p.performanceMigration(st)
 
 	// Asynchronous on-demand migration: threads on cores within margin of
-	// TDTM move to the coolest free core if it is clearly cooler. Iterate in
-	// deterministic ID order — map order would make tie-breaks (and thus
-	// whole runs) irreproducible.
-	free := freeCores(n, p.assignment)
-	for _, id := range sortedIDs(p.assignment) {
-		core := p.assignment[id]
-		if st.CoreTemps[core] < p.tdtm-p.margin {
-			continue
-		}
-		bestCore, bestTemp := -1, st.CoreTemps[core]-p.minGain
-		bestIdx := -1
-		for i, c := range free {
-			if st.CoreTemps[c] < bestTemp {
-				bestCore, bestTemp = c, st.CoreTemps[c]
-				bestIdx = i
-			}
-		}
-		if bestCore >= 0 {
-			free[bestIdx] = core // the vacated core becomes free
-			p.assignment[id] = bestCore
-		}
-	}
+	// TDTM move to the coolest free core if it is clearly cooler.
+	migrateHot(st, p.assignment, p.tdtm-p.margin, p.minGain)
 
 	// TSP-based DVFS on the active cores. The budget is enforced against
 	// each thread's predicted power (PCMig's predictor works from observed
@@ -140,9 +107,9 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 	fmax := d.FMax
 	idle := st.Platform.Power.IdleWatts
 	levels := d.Levels()
-	freqs := uniformFreq(n, fmax)
+	freqs := uniformFreq(st.Platform.NumCores(), fmax)
 	for id, core := range p.assignment {
-		th := live[id]
+		th, _ := st.Thread(id)
 		prev, ok := p.lastFreq[id]
 		if !ok {
 			prev = fmax
@@ -171,17 +138,13 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 		p.lastFreq[id] = best
 	}
 
-	out := make(map[sim.ThreadID]int, len(p.assignment))
-	for id, core := range p.assignment {
-		out[id] = core
-	}
-	return sim.Decision{Assignment: out, Freq: freqs, NextInvoke: p.epoch}
+	return sim.Decision{Assignment: maps.Clone(p.assignment), Freq: freqs, NextInvoke: p.epoch}
 }
 
 // performanceMigration moves at most one thread to a clearly better (lower
 // AMD) free core when the predicted speedup justifies the migration cost and
 // the steady-state temperature stays below the threshold.
-func (p *PCMig) performanceMigration(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
+func (p *PCMig) performanceMigration(st *sim.State) {
 	n := st.Platform.NumCores()
 	free := coresByAMD(st, freeCores(n, p.assignment))
 	if len(free) == 0 {
@@ -199,7 +162,7 @@ func (p *PCMig) performanceMigration(st *sim.State, live map[sim.ThreadID]sim.Th
 	best := cand{gain: 1.02} // require > 2% predicted speedup
 	for _, id := range sortedIDs(p.assignment) {
 		core := p.assignment[id]
-		th, ok := live[id]
+		th, ok := st.Thread(id)
 		if !ok {
 			continue
 		}
@@ -223,7 +186,7 @@ func (p *PCMig) performanceMigration(st *sim.State, live map[sim.ThreadID]sim.Th
 		powers[i] = idle
 	}
 	for id, core := range p.assignment {
-		if th, ok := live[id]; ok {
+		if th, ok := st.Thread(id); ok {
 			powers[core] = th.AvgPower
 		}
 	}

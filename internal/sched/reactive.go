@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+
 	"repro/internal/sim"
 )
 
@@ -39,29 +41,15 @@ func (r *Reactive) Name() string { return "reactive" }
 
 // Decide implements sim.Scheduler.
 func (r *Reactive) Decide(st *sim.State) sim.Decision {
-	live := liveSet(st)
-	for id := range r.assignment {
-		if _, ok := live[id]; !ok {
-			delete(r.assignment, id)
-		}
-	}
+	dropDeparted(st, r.assignment)
 
 	// Same gang-FIFO admission as every other scheduler; cache-aware
 	// ordering like PCMig.
-	n := st.Platform.NumCores()
-	for _, group := range queuedTasks(st) {
-		free := coresByAMD(st, freeCores(n, r.assignment))
-		if len(free) < len(group.threads) {
-			break
-		}
-		for i, th := range group.threads {
-			r.assignment[th.ID] = free[i]
-		}
-	}
+	admitByAMD(st, r.assignment, queuedTasks(st))
 
 	// Step-wise per-core DVFS feedback.
 	d := st.Platform.Power.DVFS()
-	freqs := uniformFreq(n, d.FMax)
+	freqs := uniformFreq(st.Platform.NumCores(), d.FMax)
 	for _, core := range r.assignment {
 		f, ok := r.coreFreq[core]
 		if !ok {
@@ -77,9 +65,5 @@ func (r *Reactive) Decide(st *sim.State) sim.Decision {
 		freqs[core] = f
 	}
 
-	out := make(map[sim.ThreadID]int, len(r.assignment))
-	for id, core := range r.assignment {
-		out[id] = core
-	}
-	return sim.Decision{Assignment: out, Freq: freqs, NextInvoke: r.epoch}
+	return sim.Decision{Assignment: maps.Clone(r.assignment), Freq: freqs, NextInvoke: r.epoch}
 }

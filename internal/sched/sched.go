@@ -14,19 +14,11 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 )
-
-// liveSet indexes scheduler-visible threads by ID.
-func liveSet(st *sim.State) map[sim.ThreadID]sim.ThreadInfo {
-	m := make(map[sim.ThreadID]sim.ThreadInfo, len(st.Threads))
-	for _, th := range st.Threads {
-		m[th.ID] = th
-	}
-	return m
-}
 
 // taskGroup is a task's live threads, used for gang admission.
 type taskGroup struct {
@@ -59,22 +51,76 @@ func queuedTasks(st *sim.State) []taskGroup {
 		// workers should claim the better ones. Both schedulers share this
 		// order, keeping the comparison about thermal policy, not placement
 		// luck.
-		sort.Slice(g.threads, func(a, b int) bool {
-			ta, tb := g.threads[a].ID.Thread, g.threads[b].ID.Thread
+		slices.SortFunc(g.threads, func(a, b sim.ThreadInfo) int {
+			ta, tb := a.ID.Thread, b.ID.Thread
 			if (ta == 0) != (tb == 0) {
-				return tb == 0
+				if ta == 0 {
+					return 1
+				}
+				return -1
 			}
-			return ta < tb
+			return cmp.Compare(ta, tb)
 		})
 		groups = append(groups, *g)
 	}
-	sort.Slice(groups, func(a, b int) bool {
-		if groups[a].arrival != groups[b].arrival {
-			return groups[a].arrival < groups[b].arrival
+	slices.SortFunc(groups, func(a, b taskGroup) int {
+		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+			return c
 		}
-		return groups[a].taskID < groups[b].taskID
+		return cmp.Compare(a.taskID, b.taskID)
 	})
 	return groups
+}
+
+// dropDeparted deletes the threads that are no longer in st from m.
+func dropDeparted[V any](st *sim.State, m map[sim.ThreadID]V) {
+	for id := range m {
+		if _, ok := st.Thread(id); !ok {
+			delete(m, id)
+		}
+	}
+}
+
+// admitByAMD is the gang-FIFO admission of the cache-aware policies: each
+// task of groups in turn maps its threads, in order, onto the lowest-AMD free
+// cores. The first task that does not fit stops admission: head-of-line
+// blocking keeps admission fair across schedulers.
+func admitByAMD(st *sim.State, assignment map[sim.ThreadID]int, groups []taskGroup) {
+	n := st.Platform.NumCores()
+	for _, group := range groups {
+		free := coresByAMD(st, freeCores(n, assignment))
+		if len(free) < len(group.threads) {
+			return
+		}
+		for i, th := range group.threads {
+			assignment[th.ID] = free[i]
+		}
+	}
+}
+
+// migrateHot is the asynchronous on-demand migration of PCMig and
+// AsyncMigrate: every thread whose core has reached trigger moves to the coolest
+// free core that is at least minGain cooler, and the core it vacates becomes
+// free. Threads go in ID order — map order would make tie-breaks (and thus
+// whole runs) irreproducible.
+func migrateHot(st *sim.State, assignment map[sim.ThreadID]int, trigger, minGain float64) {
+	free := freeCores(st.Platform.NumCores(), assignment)
+	for _, id := range sortedIDs(assignment) {
+		core := assignment[id]
+		if st.CoreTemps[core] < trigger {
+			continue
+		}
+		bestCore, bestTemp, bestIdx := -1, st.CoreTemps[core]-minGain, -1
+		for i, c := range free {
+			if st.CoreTemps[c] < bestTemp {
+				bestCore, bestTemp, bestIdx = c, st.CoreTemps[c], i
+			}
+		}
+		if bestCore >= 0 {
+			free[bestIdx] = core
+			assignment[id] = bestCore
+		}
+	}
 }
 
 // freeCores returns the cores not used by the given assignment, ascending.
@@ -96,11 +142,11 @@ func freeCores(n int, assignment map[sim.ThreadID]int) []int {
 func coresByAMD(st *sim.State, cores []int) []int {
 	fp := st.Platform.FP
 	out := append([]int(nil), cores...)
-	sort.Slice(out, func(a, b int) bool {
-		if fp.AMD(out[a]) != fp.AMD(out[b]) {
-			return fp.AMD(out[a]) < fp.AMD(out[b])
+	slices.SortFunc(out, func(a, b int) int {
+		if c := cmp.Compare(fp.AMD(a), fp.AMD(b)); c != 0 {
+			return c
 		}
-		return out[a] < out[b]
+		return cmp.Compare(a, b)
 	})
 	return out
 }
@@ -111,6 +157,6 @@ func sortedIDs(m map[sim.ThreadID]int) []sim.ThreadID {
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(a, b int) bool { return less(out[a], out[b]) })
+	slices.SortFunc(out, cmpID)
 	return out
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -50,6 +51,59 @@ func TestEngineSliceBodyDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// fixedDecision returns the same preallocated Decision every epoch, so a run
+// under it allocates only what the engine itself allocates.
+type fixedDecision struct{ dec Decision }
+
+func (f *fixedDecision) Name() string           { return "fixed" }
+func (f *fixedDecision) Decide(*State) Decision { return f.dec }
+
+// The engine's per-epoch share — the sensor view, the State refill, the
+// Decide call, validating and installing the decision — must be
+// allocation-free once the first epoch has sized its scratch. Two runs over
+// the same 500 slices, one with 100 epochs and one with 500, must allocate
+// the same; no tracer or span is attached, so every extra allocation would be
+// the engine's.
+func TestEngineEpochDoesNotAllocate(t *testing.T) {
+	plat := testPlatform(t, 4, 4)
+	sched := &fixedDecision{Decision{Assignment: map[ThreadID]int{}}}
+	for i := 0; i < 4; i++ {
+		sched.dec.Assignment[ThreadID{Task: 0, Thread: i}] = i
+	}
+	run := func(epoch float64) {
+		cfg := DefaultConfig()
+		cfg.SchedulerEpoch = epoch
+		cfg.MaxTime = 0.05
+		task := smallTask(t, "blackscholes", 4, 0, 1000) // cannot finish in MaxTime
+		s, err := New(plat, cfg, sched, []*workload.Task{task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("run with epoch %g: want ErrTimeout, got %v", epoch, err)
+		}
+		if want := int(cfg.MaxTime/epoch + 0.5); res.SchedulerInvocations != want {
+			t.Fatalf("run with epoch %g: %d epochs, want %d", epoch, res.SchedulerInvocations, want)
+		}
+	}
+	// The fewest allocations of five runs: under -race, sync.Pool drops
+	// items at random, so the fmt.Errorf that reports the timeout sometimes
+	// allocates a fresh printer. The engine's own count does not vary.
+	measure := func(epoch float64) float64 {
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(1, func() { run(epoch) }))
+		}
+		return least
+	}
+	coarse, fine := measure(0.5e-3), measure(0.1e-3)
+	if extra := fine - coarse; extra >= 1 {
+		t.Errorf("engine allocates per epoch: %v extra allocs over 400 extra epochs (coarse run %v, fine run %v)",
+			extra, coarse, fine)
+	}
+}
+
 // --- hot-loop epoch baseline (make bench → BENCH_hotloop.json) --------------
 
 // BenchmarkHotloopEpoch measures the engine's epoch loop end to end: one op
@@ -74,11 +128,17 @@ func BenchmarkHotloopEpoch(b *testing.B) {
 // recorder (one span per epoch) and a disabled-level slog logger in the
 // context add per-epoch cost only. Both runs cover identical epoch counts, so
 // epoch-level span allocations cancel and the per-slice delta must stay zero.
+// A per-slice trace hook is installed too: the engine hands it borrowed
+// buffers, so it adds no allocation either.
 func TestEngineSliceBodyDoesNotAllocateWithObservability(t *testing.T) {
 	plat := testPlatform(t, 4, 4)
 	const dt = 0.1e-3
+	var traced float64
 	run := func(dt float64) {
 		s := timeoutSim(t, plat, dt)
+		s.SetTrace(func(_ float64, temps, watts, freqs []float64) {
+			traced += temps[0] + watts[0] + freqs[0]
+		})
 		rec := obs.NewSpanRecorder(1 << 10)
 		root := rec.Start("run")
 		ctx := obs.ContextWithSpan(context.Background(), root)

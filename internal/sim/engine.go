@@ -238,7 +238,10 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// TraceFunc observes every simulation slice (for Fig. 2 style traces).
+// TraceFunc observes every simulation slice (for Fig. 2 style traces): the
+// true per-core temperatures, the power each core drew over the slice and
+// its frequency after DTM throttling. The three slices are engine-owned
+// buffers, valid only during the call; copy what must outlive it.
 type TraceFunc func(t float64, coreTemps, coreWatts, coreFreq []float64)
 
 // Simulator runs one workload under one scheduler on one platform.
@@ -347,6 +350,11 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 
 	coreTemps := make([]float64, n)
 	corePower := make([]float64, n)
+	effFreqs := make([]float64, n)
+	// The scheduler's view: refilled in place every epoch and borrowed by
+	// Decide. Its CoreTemps is the sensor-view buffer itself.
+	st := &State{CoreTemps: coreTemps, Platform: s.plat, TDTM: s.cfg.TDTM}
+	owner := make([]int, n) // apply's per-core scratch
 
 	for {
 		// Admit arrivals whose time has come.
@@ -391,7 +399,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 					coreTemps[i] += noise.NormFloat64() * s.cfg.SensorNoiseStdDev
 				}
 			}
-			st := s.buildState(now, coreTemps, live, dtmActive, medianCore)
+			s.fillState(st, now, live, dtmActive, medianCore)
 			begin := time.Now()
 			dec := s.sched.Decide(st)
 			wall := time.Since(begin)
@@ -399,7 +407,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 			res.SchedulerInvocations++
 			metricEpochs.Inc()
 			migBefore := res.Migrations
-			if err := s.apply(dec, live, freqs, res); err != nil {
+			if err := s.apply(dec, live, owner, freqs, res); err != nil {
 				return nil, err
 			}
 			if s.epochTracer != nil {
@@ -463,14 +471,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 				// reflecting the thread's last execution.
 				continue
 			}
-			f := freqs[th.core]
-			throttled := dtmActive
-			if s.cfg.DTMPerCore {
-				throttled = dtmCore[th.core]
-			}
-			if throttled && f > s.cfg.DTMThrottleFreq {
-				f = s.cfg.DTMThrottleFreq
-			}
+			f := s.effectiveFreq(freqs, th.core, dtmActive, dtmCore)
 			w, instr := s.executeSlice(th, f, dt, now, contention)
 			corePower[th.core] = w
 			llcAccesses += instr * th.task.Bench.MPKI / 1000
@@ -513,17 +514,10 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 
 		if s.trace != nil {
 			copy(coreTemps, temps[:n])
-			effFreqs := append([]float64(nil), freqs...)
-			for i := range effFreqs {
-				throttled := dtmActive
-				if s.cfg.DTMPerCore {
-					throttled = dtmCore[i]
-				}
-				if throttled && effFreqs[i] > s.cfg.DTMThrottleFreq {
-					effFreqs[i] = s.cfg.DTMThrottleFreq
-				}
+			for c := range effFreqs {
+				effFreqs[c] = s.effectiveFreq(freqs, c, dtmActive, dtmCore)
 			}
-			s.trace(now, coreTemps, append([]float64(nil), corePower...), effFreqs)
+			s.trace(now, coreTemps, corePower, effFreqs)
 		}
 	}
 
@@ -537,6 +531,19 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		"decide_host_ns", res.SchedulerHostTime.Nanoseconds(),
 	)
 	return res, nil
+}
+
+// effectiveFreq is core c's frequency after hardware DTM: the throttle
+// frequency caps it while DTM holds the chip (or, per core, that core).
+func (s *Simulator) effectiveFreq(freqs []float64, c int, dtmActive bool, dtmCore []bool) float64 {
+	throttled := dtmActive
+	if s.cfg.DTMPerCore {
+		throttled = dtmCore[c]
+	}
+	if throttled && freqs[c] > s.cfg.DTMThrottleFreq {
+		return s.cfg.DTMThrottleFreq
+	}
+	return freqs[c]
 }
 
 // executeSlice advances thread th on its core at frequency f for dt seconds
@@ -607,59 +614,61 @@ func (s *Simulator) recordEpoch(dec Decision, res *Result, now float64, temps, f
 	})
 }
 
-// buildState snapshots the system for the scheduler.
-func (s *Simulator) buildState(now float64, coreTemps []float64, live []*threadRt, dtm bool, medianCore int) *State {
+// fillState refills the engine-owned scheduler view in place: the epoch's
+// time and DTM flag, and one ThreadInfo per live thread in live's order.
+// After the first epochs have grown Threads it allocates nothing.
+func (s *Simulator) fillState(st *State, now float64, live []*threadRt, dtm bool, medianCore int) {
 	fmax := s.plat.Power.DVFS().FMax
-	infos := make([]ThreadInfo, len(live))
-	for i, th := range live {
-		core := th.core
-		cpiCore := core
+	st.Time, st.DTMActive = now, dtm
+	st.Threads = st.Threads[:0]
+	for _, th := range live {
+		cpiCore := th.core
 		if cpiCore < 0 {
 			cpiCore = medianCore
 		}
-		infos[i] = ThreadInfo{
+		st.Threads = append(st.Threads, ThreadInfo{
 			ID:             th.id,
 			Benchmark:      th.task.Bench.Name,
 			Perf:           th.task.Bench.Perf(),
 			NominalWatts:   th.task.Bench.NominalWatts,
 			State:          th.task.State(th.idx),
-			Core:           core,
+			Core:           th.core,
 			AvgPower:       th.history.Average(th.task.Bench.NominalWatts),
 			CPI:            s.plat.Perf.EffectiveCPI(th.task.Bench.Perf(), cpiCore, fmax),
 			RemainingInstr: th.task.TotalRemaining(),
 			Arrival:        th.task.Arrival,
-		}
-	}
-	tempsCopy := append([]float64(nil), coreTemps...)
-	return &State{
-		Time:      now,
-		CoreTemps: tempsCopy,
-		Threads:   infos,
-		Platform:  s.plat,
-		TDTM:      s.cfg.TDTM,
-		DTMActive: dtm,
+		})
 	}
 }
 
-// apply validates and installs a scheduler decision.
-func (s *Simulator) apply(dec Decision, live []*threadRt, freqs []float64, res *Result) error {
+// apply validates and installs a scheduler decision. Validation walks live
+// and looks each thread up in the assignment: owner (one entry per core,
+// zeroed on return) records which live thread claimed a core, and a mapped
+// count short of len(dec.Assignment) means the decision names a thread that
+// is not live. Nothing is moved until the whole decision has passed.
+func (s *Simulator) apply(dec Decision, live []*threadRt, owner []int, freqs []float64, res *Result) error {
 	n := s.plat.NumCores()
-	liveSet := make(map[ThreadID]*threadRt, len(live))
-	for _, th := range live {
-		liveSet[th.id] = th
-	}
-	coreUsed := make(map[int]ThreadID, len(dec.Assignment))
-	for id, core := range dec.Assignment {
-		if _, ok := liveSet[id]; !ok {
-			return fmt.Errorf("sim: scheduler %s assigned unknown thread %v", s.sched.Name(), id)
+	defer clear(owner)
+	mapped := 0
+	for i, th := range live {
+		core, ok := dec.Assignment[th.id]
+		if !ok {
+			continue
 		}
+		mapped++
 		if core < 0 || core >= n {
-			return fmt.Errorf("sim: scheduler %s assigned thread %v to invalid core %d", s.sched.Name(), id, core)
+			return fmt.Errorf("sim: scheduler %s assigned thread %v to invalid core %d", s.sched.Name(), th.id, core)
 		}
-		if prev, clash := coreUsed[core]; clash {
-			return fmt.Errorf("sim: scheduler %s assigned threads %v and %v to core %d", s.sched.Name(), prev, id, core)
+		if prev := owner[core]; prev != 0 {
+			return fmt.Errorf("sim: scheduler %s assigned threads %v and %v to core %d", s.sched.Name(), live[prev-1].id, th.id, core)
 		}
-		coreUsed[core] = id
+		owner[core] = i + 1
+	}
+	if unknown := len(dec.Assignment) - mapped; unknown > 0 {
+		return fmt.Errorf("sim: scheduler %s assigned %d thread(s) that are not live", s.sched.Name(), unknown)
+	}
+	if dec.Freq != nil && len(dec.Freq) != n {
+		return fmt.Errorf("sim: scheduler %s returned %d frequencies for %d cores", s.sched.Name(), len(dec.Freq), n)
 	}
 	for _, th := range live {
 		core, mapped := dec.Assignment[th.id]
@@ -676,9 +685,6 @@ func (s *Simulator) apply(dec Decision, live []*threadRt, freqs []float64, res *
 		}
 	}
 	if dec.Freq != nil {
-		if len(dec.Freq) != n {
-			return fmt.Errorf("sim: scheduler %s returned %d frequencies for %d cores", s.sched.Name(), len(dec.Freq), n)
-		}
 		d := s.plat.Power.DVFS()
 		for i, f := range dec.Freq {
 			freqs[i] = d.Clamp(f)

@@ -377,6 +377,23 @@ func (b *badScheduler) Decide(st *State) Decision {
 		return Decision{Assignment: a}
 	case "unknown":
 		return Decision{Assignment: map[ThreadID]int{{Task: 77, Thread: 3}: 0}}
+	case "unknown-among-valid":
+		// Every live thread is validly placed, so only the count of mapped
+		// live threads against len(Assignment) can catch the stranger.
+		a := map[ThreadID]int{{Task: 77, Thread: 3}: 15}
+		for i, th := range st.Threads {
+			a[th.ID] = i
+		}
+		return Decision{Assignment: a}
+	case "clash-among-valid":
+		// Distinct cores for all but the last thread, which lands on the
+		// first thread's core.
+		a := map[ThreadID]int{}
+		for i, th := range st.Threads {
+			a[th.ID] = i
+		}
+		a[st.Threads[len(st.Threads)-1].ID] = 0
+		return Decision{Assignment: a}
 	case "shortfreq":
 		return Decision{Assignment: map[ThreadID]int{}, Freq: []float64{1e9}}
 	}
@@ -384,15 +401,24 @@ func (b *badScheduler) Decide(st *State) Decision {
 }
 
 func TestInvalidDecisionsRejected(t *testing.T) {
-	for _, mode := range []string{"clash", "range", "unknown", "shortfreq"} {
+	for mode, want := range map[string]string{
+		"clash":               "to core 0",
+		"range":               "invalid core 999",
+		"unknown":             "1 thread(s) that are not live",
+		"shortfreq":           "1 frequencies",
+		"unknown-among-valid": "1 thread(s) that are not live",
+		"clash-among-valid":   "to core 0",
+	} {
 		plat := testPlatform(t, 4, 4)
-		task := smallTask(t, "blackscholes", 2, 0, 0.1)
+		task := smallTask(t, "blackscholes", 3, 0, 0.1)
 		s, err := New(plat, DefaultConfig(), &badScheduler{mode: mode}, []*workload.Task{task})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(); err == nil {
 			t.Errorf("mode %q: invalid decision accepted", mode)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("mode %q: error %q does not mention %q", mode, err, want)
 		}
 	}
 }
