@@ -390,19 +390,22 @@ func NewTraceRecorder(stride int) (*TraceRecorder, error) { return tracerec.New(
 // Observability types (docs/OBSERVABILITY.md).
 type (
 	// EpochEvent is one structured record per scheduler epoch: the mapping
-	// and frequencies chosen, the temperatures at the decision instant, and
-	// the decision's cost (migrations, host wall-clock).
+	// and frequencies chosen, the temperatures at the decision instant, the
+	// decision's migrations, and the epoch's measured host-time phases
+	// (state, decide, apply, step).
 	EpochEvent = obs.EpochEvent
-	// EpochTracer receives one EpochEvent per scheduler epoch; install it
-	// with Simulation.SetEpochTracer before Run. It is called on the
-	// goroutine driving the simulation, never concurrently with itself.
+	// EpochTracer receives one borrowed EpochEvent per scheduler epoch,
+	// after the epoch's slice batch has run, and copies what it keeps.
+	// Install tracers with Simulation.SetEpochTracer or pass them to
+	// ExecuteSpecOnPlatform; each is called on the goroutine driving the
+	// simulation, never concurrently with itself.
 	EpochTracer = obs.Tracer
 	// RingTracer is the bounded EpochTracer: a concurrency-safe ring buffer
 	// that overwrites the oldest epochs once full, so tracing a long run
 	// costs fixed memory.
 	RingTracer = obs.RingTracer
 	// MetricsRegistry holds named counters, gauges and histograms and
-	// renders them as Prometheus text or a JSON-encodable snapshot.
+	// renders them as Prometheus text.
 	MetricsRegistry = obs.Registry
 	// Span is one live timed phase of a run; close it with End. Spans are
 	// nil-safe: every method no-ops on a nil receiver, so uninstrumented
@@ -415,8 +418,8 @@ type (
 	SpanRecord = obs.SpanRecord
 	// SpanNode is one node of an assembled span tree.
 	SpanNode = obs.SpanNode
-	// RunProfile is the wall-clock breakdown of one served run
-	// (total/queue/build/decide/step), embedded in job responses.
+	// RunProfile is the wall-clock breakdown of one served run, embedded in
+	// job responses; as an EpochTracer it sums the run's epoch phases.
 	RunProfile = obs.RunProfile
 )
 
@@ -427,7 +430,7 @@ func NewRingTracer(capacity int) *RingTracer { return obs.NewRingTracer(capacity
 
 // Metrics returns the process-wide metrics registry that the simulator,
 // schedulers, rotation evaluator and serving layer all register into. Serve
-// it with WriteMetrics or Registry.Snapshot.
+// it with WriteMetrics.
 func Metrics() *MetricsRegistry { return obs.Default() }
 
 // WriteMetrics renders every registered metric in Prometheus text exposition

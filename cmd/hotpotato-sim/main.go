@@ -176,7 +176,7 @@ func main() {
 	}
 
 	// The run is driven through a context carrying the logger and, when
-	// -spans is set, a root span: the engine opens one child span per
+	// -spans is set, a root span: the engine records one child span per
 	// scheduler epoch under it.
 	ctx := hotpotato.ContextWithLogger(context.Background(), logger)
 	var spans *hotpotato.SpanRecorder

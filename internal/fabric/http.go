@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 
@@ -19,7 +18,6 @@ import (
 //	GET  /v1/sweeps/{id}/spans  the merged fleet span tree (?format=jsonl for records)
 //	GET  /healthz               dispatcher Stats plus fleet_* counter snapshot
 //	GET  /metrics               Prometheus text exposition
-//	GET  /debug/vars            expvar JSON (registry published as "hotpotato")
 //
 // Worker-facing (the wire.go types):
 //
@@ -32,7 +30,6 @@ import (
 // Errors use the v1 envelope (WriteError) shared with the single-node
 // server, so one client error path covers both.
 func (d *Dispatcher) Handler() http.Handler {
-	obs.Default().PublishExpvar("hotpotato")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/batch", d.handleBatch)
 	mux.HandleFunc("GET /v1/sweeps", d.handleSweeps)
@@ -40,7 +37,6 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/spans", d.handleSweepSpans)
 	mux.HandleFunc("GET /healthz", d.handleHealth)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("POST /fabric/v1/register", d.handleRegister)
 	mux.HandleFunc("POST /fabric/v1/lease", d.handleLease)
 	mux.HandleFunc("POST /fabric/v1/heartbeat", d.handleHeartbeat)

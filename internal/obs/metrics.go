@@ -12,16 +12,14 @@
 //     *Gauge / *Histogram handles in package-level variables so the hot path
 //     performs no registry lookups and no interface calls.
 //   - No dependencies: exposition is hand-rolled Prometheus text format
-//     (version 0.0.4) plus an expvar.Func JSON snapshot, both reading the
-//     same atomics.
+//     (version 0.0.4) reading the atomics directly.
 //   - Metrics are process-global by default (the Default registry), matching
-//     expvar and net/http/pprof: one process serves one /metrics page.
+//     net/http/pprof: one process serves one /metrics page.
 //
 // See docs/OBSERVABILITY.md for the metric inventory.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -154,8 +152,6 @@ type Registry struct {
 	counters   []*Counter
 	gauges     []*Gauge
 	histograms []*Histogram
-
-	publishOnce sync.Once
 }
 
 // NewRegistry returns an empty registry. Most code uses Default instead.
@@ -310,42 +306,6 @@ func promFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Snapshot returns a plain-data view of every metric, suitable for JSON
-// encoding: counters as integers, gauges as floats, histograms as
-// {count, sum, buckets: {"le": cumulative}}.
-func (r *Registry) Snapshot() map[string]any {
-	cs, gs, hs := r.snapshotLists()
-	out := make(map[string]any, len(cs)+len(gs)+len(hs))
-	for _, c := range cs {
-		out[c.name] = c.Value()
-	}
-	for _, g := range gs {
-		v := g.Value()
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			out[g.name] = promFloat(v) // JSON has no NaN/Inf
-			continue
-		}
-		out[g.name] = v
-	}
-	for _, h := range hs {
-		bounds, cum := h.Buckets()
-		buckets := make(map[string]int64, len(bounds))
-		for i, b := range bounds {
-			le := promFloat(b)
-			if math.IsInf(b, 1) {
-				le = "+Inf"
-			}
-			buckets[le] = cum[i]
-		}
-		out[h.name] = map[string]any{
-			"count":   h.Count(),
-			"sum":     h.Sum(),
-			"buckets": buckets,
-		}
-	}
-	return out
-}
-
 // Values snapshots every counter and gauge value by name — the federation
 // payload a fabric worker diffs between heartbeats. Histograms are excluded:
 // their cumulative buckets do not fold additively across processes without
@@ -361,14 +321,4 @@ func (r *Registry) Values() (counters map[string]int64, gauges map[string]float6
 		gauges[g.name] = g.Value()
 	}
 	return counters, gauges
-}
-
-// PublishExpvar publishes the registry under the given expvar name (JSON at
-// GET /debug/vars), once; later calls are no-ops. expvar panics on duplicate
-// names, so the once-guard makes the call safe from multiple servers in one
-// process (tests).
-func (r *Registry) PublishExpvar(name string) {
-	r.publishOnce.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	})
 }

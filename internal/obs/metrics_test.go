@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -149,33 +148,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if !(strings.Index(out, "peak_celsius") < strings.Index(out, "req_seconds") &&
 		strings.Index(out, "req_seconds") < strings.Index(out, "runs_total")) {
 		t.Errorf("output not sorted by metric name:\n%s", out)
-	}
-}
-
-func TestSnapshotIsJSONEncodable(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("a_total", "").Add(2)
-	r.NewGauge("b", "").Set(math.Inf(-1)) // non-finite must not break JSON
-	r.NewHistogram("c_seconds", "", []float64{1}).Observe(0.5)
-
-	snap := r.Snapshot()
-	b, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatalf("snapshot not JSON-encodable: %v", err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["a_total"].(float64) != 2 {
-		t.Errorf("a_total = %v", back["a_total"])
-	}
-	if back["b"].(string) != "-Inf" {
-		t.Errorf("non-finite gauge = %v, want \"-Inf\"", back["b"])
-	}
-	hist := back["c_seconds"].(map[string]any)
-	if hist["count"].(float64) != 1 {
-		t.Errorf("histogram count = %v", hist["count"])
 	}
 }
 

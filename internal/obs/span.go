@@ -10,7 +10,7 @@ import (
 
 // span.go is the hierarchical span tracer: dependency-free wall-clock phase
 // timing for one run (service request → queue wait → platform build →
-// ExecuteSpec → per-epoch decide/step), recorded into a bounded in-memory
+// ExecuteSpec → one span per epoch), recorded into a bounded in-memory
 // SpanRecorder and exported as a JSON tree (GET /v1/jobs/{id}/spans) or JSON
 // Lines (hotpotato-sim -spans). The granularity contract matches the epoch
 // tracer: one span per scheduler epoch at most, never one per slice, so the
@@ -62,7 +62,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.rec.start(name, s.id)
+	return s.rec.add(&Span{rec: s.rec, parent: s.id, name: name, start: time.Now()})
 }
 
 // SetAttr attaches one key-value annotation. Nil-safe. Values should be
@@ -102,6 +102,25 @@ func (s *Span) End() {
 		s.dur = time.Since(s.start)
 	}
 	s.mu.Unlock()
+}
+
+// RecordEpoch implements Tracer: it records one finished "epoch" child of s
+// whose duration is the sum of the event's phases, ending now. Nil-safe.
+func (s *Span) RecordEpoch(ev EpochEvent) {
+	if s == nil {
+		return
+	}
+	dur := time.Duration(ev.StateNS + ev.WallNS + ev.ApplyNS + ev.StepNS)
+	s.rec.add(&Span{
+		rec: s.rec, parent: s.id, name: "epoch", start: time.Now().Add(-dur),
+		dur: dur, ended: true,
+		attrs: map[string]any{
+			"epoch":      ev.Epoch,
+			"sim_time_s": ev.Time,
+			"decide_ns":  ev.WallNS,
+			"migrations": ev.Migrations,
+		},
+	})
 }
 
 // record snapshots the span. An un-ended span reports its running duration
@@ -181,13 +200,14 @@ func (r *SpanRecorder) Start(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	return r.start(name, 0)
+	return r.add(&Span{rec: r, name: name, start: time.Now()})
 }
 
-func (r *SpanRecorder) start(name string, parent SpanID) *Span {
+// add numbers s and retains it if the capacity allows.
+func (r *SpanRecorder) add(s *Span) *Span {
 	r.mu.Lock()
 	r.nextID++
-	s := &Span{rec: r, id: r.nextID, parent: parent, name: name, start: time.Now()}
+	s.id = r.nextID
 	if len(r.spans)+len(r.grafted) < cap(r.spans) {
 		r.spans = append(r.spans, s)
 	} else {

@@ -3,16 +3,18 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
+	"slices"
 	"sync"
-	"time"
 )
 
 // EpochEvent is one structured record per scheduler epoch — the paper's
 // evaluation telemetry (§V) emitted natively by the simulator instead of
-// being reconstructed from per-slice traces. The simulator records it right
-// after applying a scheduler decision, so Mapping/Freqs describe the epoch
-// that is about to execute while the temperatures describe the chip at the
-// decision instant.
+// being reconstructed from per-slice traces. The simulator fills it when it
+// applies a scheduler decision and delivers it once the epoch's slice batch
+// has run: Mapping/Freqs describe the epoch that executed, the temperatures
+// the chip at the decision instant, and the four phases (StateNS, WallNS,
+// ApplyNS, StepNS) tile the epoch's host time.
 type EpochEvent struct {
 	// Epoch is the 0-based scheduler invocation index.
 	Epoch int `json:"epoch"`
@@ -38,19 +40,22 @@ type EpochEvent struct {
 	AmbientDelta float64 `json:"ambient_delta_k"`
 	// Migrations is how many thread migrations this decision performed.
 	Migrations int `json:"migrations"`
-	// WallNS is the host wall-clock the scheduler's Decide call took,
-	// nanoseconds (the paper's §VI overhead metric, per decision).
-	WallNS int64 `json:"wall_ns"`
+	// StateNS, WallNS, ApplyNS and StepNS are the epoch's host-time phases,
+	// nanoseconds: the sensor read and scheduler-view refill, the Decide call
+	// (the paper's §VI overhead metric, per decision), validating and
+	// installing the decision, and the slice batch up to the next decision.
+	StateNS int64 `json:"state_ns"`
+	WallNS  int64 `json:"wall_ns"`
+	ApplyNS int64 `json:"apply_ns"`
+	StepNS  int64 `json:"step_ns"`
 }
-
-// Wall returns the Decide wall-clock as a Duration.
-func (e EpochEvent) Wall() time.Duration { return time.Duration(e.WallNS) }
 
 // Tracer receives one event per scheduler epoch. RecordEpoch is called on
 // the goroutine driving the simulation, never concurrently with itself; a
 // Tracer that is read from other goroutines (RingTracer) must synchronize
-// internally. The simulator's nil-tracer fast path means an uninstrumented
-// run pays a single pointer test per epoch.
+// internally. The event is borrowed: its Mapping and slices are the engine's
+// buffers, refilled for the next epoch, so a Tracer copies what it keeps.
+// With no Tracer attached the engine fills no event.
 type Tracer interface {
 	RecordEpoch(ev EpochEvent)
 }
@@ -80,8 +85,12 @@ func NewRingTracer(capacity int) *RingTracer {
 	return &RingTracer{events: make([]EpochEvent, 0, capacity)}
 }
 
-// RecordEpoch implements Tracer.
+// RecordEpoch implements Tracer; it keeps a copy of the borrowed event.
 func (t *RingTracer) RecordEpoch(ev EpochEvent) {
+	ev.Mapping = maps.Clone(ev.Mapping)
+	ev.Freqs = slices.Clone(ev.Freqs)
+	ev.CoreTemps = slices.Clone(ev.CoreTemps)
+	ev.CorePower = slices.Clone(ev.CorePower)
 	t.mu.Lock()
 	if len(t.events) < cap(t.events) {
 		t.events = append(t.events, ev)

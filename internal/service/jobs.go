@@ -27,8 +27,8 @@ const (
 // correlation ID of the submitting request — the same value the submit
 // response carried in its X-Request-Id header — so a caller can join job
 // polls, access-log lines and span trees on one key. Profile is the
-// wall-clock breakdown (queue/build/decide/step) filled in when the job
-// reaches a terminal state.
+// wall-clock breakdown (queue/build and the epoch phases) filled in when the
+// job reaches a terminal state.
 type Job struct {
 	ID        string            `json:"id"`
 	Status    JobStatus         `json:"status"`

@@ -81,29 +81,6 @@ func TestBadSpecCountsAsBadRequest(t *testing.T) {
 	}
 }
 
-func TestExpvarEndpointServesSnapshot(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, body := getJSON(t, ts.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/vars: status %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("expvar body not JSON: %v", err)
-	}
-	snap, ok := vars["hotpotato"]
-	if !ok {
-		t.Fatal("expvar output missing the hotpotato metrics snapshot")
-	}
-	var metrics map[string]any
-	if err := json.Unmarshal(snap, &metrics); err != nil {
-		t.Fatalf("hotpotato snapshot not a JSON object: %v", err)
-	}
-	if _, ok := metrics["sim_runs_total"]; !ok {
-		t.Error("snapshot missing sim_runs_total")
-	}
-}
-
 // waitForJob polls until the job reaches a terminal status and returns it.
 func waitForJob(t *testing.T, url, id string) Job {
 	t.Helper()

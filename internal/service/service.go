@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -184,7 +183,6 @@ func (s *Server) Results() *ResultCache { return s.results }
 // Handler returns the HTTP routes, wrapped in the observability middleware
 // (request-ID propagation + one structured access-log line per request).
 func (s *Server) Handler() http.Handler {
-	obs.Default().PublishExpvar("hotpotato")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -196,7 +194,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleJobSpans)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return s.withObservability(mux)
 }
 
@@ -260,7 +257,8 @@ func errString(err error) string {
 // occupies a slot at all. onSlot, when non-nil, runs once the slot is held;
 // an error from it ends the run there. The returned RunProfile is always
 // non-nil and carries the phase breakdown measured so far (slot wait,
-// platform build, decide/step split); callers fold in what only they can see
+// platform build, the run's epoch phases, which the profile sums as one of
+// the run's epoch tracers); callers fold in what only they can see
 // (job-queue wait, end-to-end total). If ctx carries a span, each phase also
 // records a child span.
 func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hotpotato.EpochTracer, onSlot func() error) (*hotpotato.Result, *obs.RunProfile, error) {
@@ -299,20 +297,9 @@ func (s *Server) execute(ctx context.Context, spec hotpotato.RunSpec, tracer hot
 	}
 
 	execCtx, execSpan := obs.StartSpan(ctx, "execute_spec")
-	execBegan := time.Now()
-	res, err := hotpotato.ExecuteSpecOnPlatformTraced(execCtx, plat, spec, tracer)
-	execNS := time.Since(execBegan).Nanoseconds()
+	res, err := hotpotato.ExecuteSpecOnPlatform(execCtx, plat, spec, prof, tracer)
 	execSpan.SetError(err)
 	execSpan.End()
-	if res != nil {
-		prof.DecideNS = res.SchedulerHostTime.Nanoseconds()
-		prof.Epochs = res.SchedulerInvocations
-		if prof.StepNS = execNS - prof.DecideNS; prof.StepNS < 0 {
-			prof.StepNS = 0
-		}
-	} else {
-		prof.StepNS = execNS
-	}
 	return res, prof, err
 }
 

@@ -196,8 +196,15 @@ func TestJobSpansEndpoint(t *testing.T) {
 	if done.Profile.TotalNS <= 0 || done.Profile.Epochs <= 0 {
 		t.Errorf("profile = %+v", done.Profile)
 	}
-	if sum := done.Profile.QueueNS + done.Profile.BuildNS + done.Profile.DecideNS + done.Profile.StepNS; sum > done.Profile.TotalNS*2 {
-		t.Errorf("profile phases (%d ns) wildly exceed total (%d ns)", sum, done.Profile.TotalNS)
+	// The phases are measured, not derived: they never add up to more than
+	// the job's end-to-end time, and the profile counts every epoch the run
+	// made.
+	p := done.Profile
+	if sum := p.QueueNS + p.BuildNS + p.StateNS + p.DecideNS + p.ApplyNS + p.StepNS; sum > p.TotalNS {
+		t.Errorf("profile phases sum to %d ns, more than the total %d ns: %+v", sum, p.TotalNS, *p)
+	}
+	if done.Result == nil || p.Epochs != done.Result.SchedulerInvocations {
+		t.Errorf("profile counts %d epochs, result %+v", p.Epochs, done.Result)
 	}
 
 	resp, body = getJSON(t, url+"/v1/jobs/"+job.ID+"/spans")

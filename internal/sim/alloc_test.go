@@ -62,45 +62,58 @@ func (f *fixedDecision) Decide(*State) Decision { return f.dec }
 // Decide call, validating and installing the decision — must be
 // allocation-free once the first epoch has sized its scratch. Two runs over
 // the same 500 slices, one with 100 epochs and one with 500, must allocate
-// the same; no tracer or span is attached, so every extra allocation would be
-// the engine's.
+// the same; no span is attached, so every extra allocation would be the
+// engine's. With a RunProfile attached the engine also fills the epoch event
+// every epoch, into buffers it reuses, so that must not allocate either.
 func TestEngineEpochDoesNotAllocate(t *testing.T) {
 	plat := testPlatform(t, 4, 4)
 	sched := &fixedDecision{Decision{Assignment: map[ThreadID]int{}}}
 	for i := 0; i < 4; i++ {
 		sched.dec.Assignment[ThreadID{Task: 0, Thread: i}] = i
 	}
-	run := func(epoch float64) {
-		cfg := DefaultConfig()
-		cfg.SchedulerEpoch = epoch
-		cfg.MaxTime = 0.05
-		task := smallTask(t, "blackscholes", 4, 0, 1000) // cannot finish in MaxTime
-		s, err := New(plat, cfg, sched, []*workload.Task{task})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("run with epoch %g: want ErrTimeout, got %v", epoch, err)
-		}
-		if want := int(cfg.MaxTime/epoch + 0.5); res.SchedulerInvocations != want {
-			t.Fatalf("run with epoch %g: %d epochs, want %d", epoch, res.SchedulerInvocations, want)
-		}
-	}
-	// The fewest allocations of five runs: under -race, sync.Pool drops
-	// items at random, so the fmt.Errorf that reports the timeout sometimes
-	// allocates a fresh printer. The engine's own count does not vary.
-	measure := func(epoch float64) float64 {
-		least := math.Inf(1)
-		for range 5 {
-			least = min(least, testing.AllocsPerRun(1, func() { run(epoch) }))
-		}
-		return least
-	}
-	coarse, fine := measure(0.5e-3), measure(0.1e-3)
-	if extra := fine - coarse; extra >= 1 {
-		t.Errorf("engine allocates per epoch: %v extra allocs over 400 extra epochs (coarse run %v, fine run %v)",
-			extra, coarse, fine)
+	for _, tc := range []struct {
+		name   string
+		tracer obs.Tracer
+	}{
+		{"bare", nil},
+		{"profile", &obs.RunProfile{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(epoch float64) {
+				cfg := DefaultConfig()
+				cfg.SchedulerEpoch = epoch
+				cfg.MaxTime = 0.05
+				task := smallTask(t, "blackscholes", 4, 0, 1000) // cannot finish in MaxTime
+				s, err := New(plat, cfg, sched, []*workload.Task{task})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetEpochTracer(tc.tracer)
+				res, err := s.Run()
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("run with epoch %g: want ErrTimeout, got %v", epoch, err)
+				}
+				if want := int(cfg.MaxTime/epoch + 0.5); res.SchedulerInvocations != want {
+					t.Fatalf("run with epoch %g: %d epochs, want %d", epoch, res.SchedulerInvocations, want)
+				}
+			}
+			// The fewest allocations of five runs: under -race, sync.Pool drops
+			// items at random, so the fmt.Errorf that reports the timeout
+			// sometimes allocates a fresh printer. The engine's own count does
+			// not vary.
+			measure := func(epoch float64) float64 {
+				least := math.Inf(1)
+				for range 5 {
+					least = min(least, testing.AllocsPerRun(1, func() { run(epoch) }))
+				}
+				return least
+			}
+			coarse, fine := measure(0.5e-3), measure(0.1e-3)
+			if extra := fine - coarse; extra >= 1 {
+				t.Errorf("engine allocates per epoch: %v extra allocs over 400 extra epochs (coarse run %v, fine run %v)",
+					extra, coarse, fine)
+			}
+		})
 	}
 }
 
@@ -119,6 +132,28 @@ func BenchmarkHotloopEpoch(b *testing.B) {
 		s := timeoutSim(b, plat, 0.1e-3)
 		b.StartTimer()
 		if _, err := s.Run(); !errors.Is(err, ErrTimeout) {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotloopEpochObserved is BenchmarkHotloopEpoch with all three
+// sinks of the epoch stream attached — a RunProfile, a RingTracer and the
+// context's span — so its ns/op against the bare run is the cost of
+// observing every epoch. The ring and the recorder hold the run's 100 epochs,
+// so no per-run buffer beyond that is charged to the observers.
+func BenchmarkHotloopEpochObserved(b *testing.B) {
+	plat := testPlatform(b, 4, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := timeoutSim(b, plat, 0.1e-3)
+		s.SetEpochTracer(&obs.RunProfile{}, obs.NewRingTracer(128))
+		root := obs.NewSpanRecorder(128).Start("run")
+		ctx := obs.ContextWithSpan(context.Background(), root)
+		b.StartTimer()
+		if _, err := s.RunContext(ctx); !errors.Is(err, ErrTimeout) {
 			b.Fatal(err)
 		}
 	}

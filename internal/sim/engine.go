@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -246,12 +247,12 @@ type TraceFunc func(t float64, coreTemps, coreWatts, coreFreq []float64)
 
 // Simulator runs one workload under one scheduler on one platform.
 type Simulator struct {
-	plat        *Platform
-	cfg         Config
-	sched       Scheduler
-	tasks       []*workload.Task
-	trace       TraceFunc
-	epochTracer obs.Tracer
+	plat    *Platform
+	cfg     Config
+	sched   Scheduler
+	tasks   []*workload.Task
+	trace   TraceFunc
+	tracers []obs.Tracer
 }
 
 // New prepares a simulation. Tasks may arrive at any time ≥ 0; they are
@@ -279,11 +280,21 @@ func New(plat *Platform, cfg Config, sched Scheduler, tasks []*workload.Task) (*
 // SetTrace installs a per-slice observer. Must be called before Run.
 func (s *Simulator) SetTrace(fn TraceFunc) { s.trace = fn }
 
-// SetEpochTracer installs a per-epoch structured-event observer (one
-// obs.EpochEvent per scheduler invocation). Must be called before Run. A nil
-// tracer keeps the hot loop untouched: the only cost is a nil-check on the
-// epoch cadence, never on the slice path.
-func (s *Simulator) SetEpochTracer(t obs.Tracer) { s.epochTracer = t }
+// SetEpochTracer installs the per-epoch observers, replacing earlier ones
+// and dropping nil entries. Each receives one borrowed obs.EpochEvent per
+// scheduler invocation (see obs.Tracer). Must be called before Run.
+func (s *Simulator) SetEpochTracer(ts ...obs.Tracer) {
+	s.tracers = slices.DeleteFunc(slices.Clone(ts), func(t obs.Tracer) bool { return t == nil })
+}
+
+// sinks returns a run's epoch observers: the installed tracers, plus the
+// context's span, which records one finished "epoch" child per event.
+func (s *Simulator) sinks(ctx context.Context) []obs.Tracer {
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		return append(slices.Clip(s.tracers), sp)
+	}
+	return s.tracers
+}
 
 // threadRt is the runtime state of one thread.
 type threadRt struct {
@@ -293,6 +304,7 @@ type threadRt struct {
 	core    int // -1 while queued
 	penalty float64
 	history *power.History
+	key     string // id.String(), the event's Mapping key; set if the run has sinks
 }
 
 // Run executes the simulation to completion (all tasks done) and returns the
@@ -319,14 +331,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// Span instrumentation: one child span per scheduler epoch under the
-	// context's current span, covering the Decide call and the slice batch
-	// until the next decision. Resolved once here — the slice loop never
-	// consults the context, and a nil runSpan keeps the epoch block at a
-	// single pointer test (the same contract as the epoch tracer).
-	runSpan := obs.SpanFromContext(ctx)
-	var epochSpan *obs.Span
-	defer func() { epochSpan.End() }()
+	ep := epochStream{sinks: s.sinks(ctx)}
 
 	metricRuns.Inc()
 	res := &Result{Scheduler: s.sched.Name(), PeakTemp: math.Inf(-1)}
@@ -366,12 +371,16 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				live = append(live, &threadRt{
+				th := &threadRt{
 					task: task, idx: ti,
 					id:      ThreadID{Task: task.ID, Thread: ti},
 					core:    -1,
 					history: h,
-				})
+				}
+				if len(ep.sinks) > 0 {
+					th.key = th.id.String()
+				}
+				live = append(live, th)
 			}
 			needSched = true
 		}
@@ -381,6 +390,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 			break
 		}
 		if now >= s.cfg.MaxTime {
+			ep.end()
 			s.finalize(res, now)
 			return res, fmt.Errorf("%w after %.3f s with %d live threads", ErrTimeout, now, len(live))
 		}
@@ -389,6 +399,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		// epoch cadence, so aborting costs at most one epoch of simulated
 		// progress without touching the per-slice hot path.
 		if needSched || now >= nextSched-dt/2 {
+			ep.end()
 			if err := ctx.Err(); err != nil {
 				s.finalize(res, now)
 				return res, fmt.Errorf("%w after %.3f s: %v", ErrCanceled, now, err)
@@ -400,30 +411,20 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 				}
 			}
 			s.fillState(st, now, live, dtmActive, medianCore)
-			begin := time.Now()
+			ep.ev.StateNS = ep.lap()
 			dec := s.sched.Decide(st)
-			wall := time.Since(begin)
-			res.SchedulerHostTime += wall
+			ep.ev.WallNS = ep.lap()
+			res.SchedulerHostTime += time.Duration(ep.ev.WallNS)
 			res.SchedulerInvocations++
 			metricEpochs.Inc()
 			migBefore := res.Migrations
 			if err := s.apply(dec, live, owner, freqs, res); err != nil {
 				return nil, err
 			}
-			if s.epochTracer != nil {
-				s.recordEpoch(dec, res, now, temps, freqs, corePower, res.Migrations-migBefore, wall)
-			}
-			if runSpan != nil {
-				// The previous epoch's span absorbed the slice batch that just
-				// executed; close it and open the next. One span per epoch,
-				// never per slice.
-				epochSpan.End()
-				epochSpan = runSpan.StartChild("epoch")
-				epochSpan.SetAttr("epoch", res.SchedulerInvocations-1)
-				epochSpan.SetAttr("sim_time_s", now)
-				epochSpan.SetAttr("decide_ns", wall.Nanoseconds())
-				epochSpan.SetAttr("migrations", res.Migrations-migBefore)
-			}
+			ep.ev.ApplyNS = ep.lap()
+			ep.ev.Epoch, ep.ev.Time = res.SchedulerInvocations-1, now
+			ep.ev.Migrations = res.Migrations - migBefore
+			ep.begin(s.plat, live, temps[:n], freqs, corePower)
 			interval := dec.NextInvoke
 			if interval <= 0 {
 				interval = s.cfg.SchedulerEpoch
@@ -521,6 +522,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	ep.end()
 	s.finalize(res, now)
 	obs.LoggerFrom(ctx).Debug("sim: run complete",
 		"scheduler", res.Scheduler,
@@ -590,28 +592,62 @@ func (s *Simulator) executeSlice(th *threadRt, f, dt, now, contention float64) (
 	return avg, instructions
 }
 
-// recordEpoch builds and delivers one obs.EpochEvent. Called only when a
-// tracer is installed, on the epoch cadence — the copies and the map
-// allocation here never touch the per-slice hot path.
-func (s *Simulator) recordEpoch(dec Decision, res *Result, now float64, temps, freqs, corePower []float64, migrations int, wall time.Duration) {
-	n := s.plat.NumCores()
-	peak := s.plat.Thermal.MaxCoreTemp(temps)
-	mapping := make(map[string]int, len(dec.Assignment))
-	for id, core := range dec.Assignment {
-		mapping[id.String()] = core
+// epochStream is the engine's one per-epoch report: an engine-owned event,
+// refilled in place every epoch and lent to every sink once the epoch's slice
+// batch has run. Its phases come from contiguous clock reads, so they tile
+// the epoch; sink time, and filling the event for them, is in no phase.
+type epochStream struct {
+	sinks   []obs.Tracer
+	ev      obs.EpochEvent
+	pending bool      // ev describes an epoch whose slice batch has not ended
+	mark    time.Time // the end of the last measured phase
+}
+
+// lap ends the phase that began at the mark and returns its length.
+func (e *epochStream) lap() int64 {
+	now := time.Now()
+	d := now.Sub(e.mark).Nanoseconds()
+	e.mark = now
+	return d
+}
+
+// begin starts the decided epoch's slice batch. With sinks it first refills
+// the event's map and slices: the mapping and frequencies just installed, and
+// the temperatures and per-core power at the decision instant.
+func (e *epochStream) begin(plat *Platform, live []*threadRt, temps, freqs, corePower []float64) {
+	e.pending = true
+	if len(e.sinks) == 0 {
+		return
 	}
-	s.epochTracer.RecordEpoch(obs.EpochEvent{
-		Epoch:        res.SchedulerInvocations - 1,
-		Time:         now,
-		Mapping:      mapping,
-		Freqs:        append([]float64(nil), freqs...),
-		CoreTemps:    append([]float64(nil), temps[:n]...),
-		CorePower:    append([]float64(nil), corePower...),
-		PeakTemp:     peak,
-		AmbientDelta: peak - s.plat.Thermal.Ambient(),
-		Migrations:   migrations,
-		WallNS:       wall.Nanoseconds(),
-	})
+	ev := &e.ev
+	if ev.Mapping == nil {
+		ev.Mapping = make(map[string]int, len(live))
+	}
+	clear(ev.Mapping)
+	for _, th := range live {
+		if th.core >= 0 {
+			ev.Mapping[th.key] = th.core
+		}
+	}
+	ev.Freqs = append(ev.Freqs[:0], freqs...)
+	ev.CoreTemps = append(ev.CoreTemps[:0], temps...)
+	ev.CorePower = append(ev.CorePower[:0], corePower...)
+	ev.PeakTemp = plat.Thermal.MaxCoreTemp(temps)
+	ev.AmbientDelta = ev.PeakTemp - plat.Thermal.Ambient()
+	e.mark = time.Now()
+}
+
+// end closes the pending epoch, if any: its slice batch ends now and the
+// event goes to every sink. The clock for the next epoch starts after them.
+func (e *epochStream) end() {
+	if e.pending {
+		e.pending = false
+		e.ev.StepNS = e.lap()
+		for _, t := range e.sinks {
+			t.RecordEpoch(e.ev)
+		}
+	}
+	e.mark = time.Now()
 }
 
 // fillState refills the engine-owned scheduler view in place: the epoch's

@@ -2,13 +2,17 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
+// TestEpochTracerRecordsOneEventPerEpoch checks the content of each event;
+// TestEpochStreamSinksAgree checks the counts and the phases.
 func TestEpochTracerRecordsOneEventPerEpoch(t *testing.T) {
 	plat := testPlatform(t, 2, 2)
 	cfg := DefaultConfig()
@@ -23,9 +27,6 @@ func TestEpochTracerRecordsOneEventPerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() != int64(res.SchedulerInvocations) {
-		t.Fatalf("recorded %d events for %d scheduler invocations", tr.Total(), res.SchedulerInvocations)
-	}
 	if tr.Dropped() != 0 {
 		t.Fatalf("dropped %d events with an oversized ring", tr.Dropped())
 	}
@@ -34,9 +35,6 @@ func TestEpochTracerRecordsOneEventPerEpoch(t *testing.T) {
 	n := plat.NumCores()
 	var migrations int
 	for i, ev := range events {
-		if ev.Epoch != i {
-			t.Fatalf("event %d has epoch %d", i, ev.Epoch)
-		}
 		if i > 0 && ev.Time <= events[i-1].Time {
 			t.Errorf("event %d time %g not after %g", i, ev.Time, events[i-1].Time)
 		}
@@ -62,9 +60,6 @@ func TestEpochTracerRecordsOneEventPerEpoch(t *testing.T) {
 			if core < 0 || core >= n {
 				t.Fatalf("event %d maps %q to invalid core %d", i, key, core)
 			}
-		}
-		if ev.WallNS < 0 {
-			t.Errorf("event %d negative wall clock %d", i, ev.WallNS)
 		}
 		migrations += ev.Migrations
 	}
@@ -110,60 +105,118 @@ func TestRunAdvancesObsCounters(t *testing.T) {
 	}
 }
 
-// TestRunContextRecordsEpochSpans pins the span granularity contract: one
-// child span per scheduler epoch (never per slice), each carrying the epoch
-// index and the decision's host wall-clock.
-func TestRunContextRecordsEpochSpans(t *testing.T) {
-	plat := testPlatform(t, 2, 2)
-	task := smallTask(t, "blackscholes", 2, 0, 0.02)
-	s, err := New(plat, DefaultConfig(), &greedy{}, []*workload.Task{task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewSpanRecorder(1 << 16)
-	root := rec.Start("run")
-	ctx := obs.ContextWithSpan(context.Background(), root)
-	res, err := s.RunContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
+// cancelAfter is greedy until its k-th decision, which cancels the run's
+// context: the engine stops at the next epoch boundary with ErrCanceled.
+type cancelAfter struct {
+	greedy
+	k      int
+	cancel context.CancelFunc
+}
 
-	roots := rec.Tree()
-	if len(roots) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(roots))
+func (c *cancelAfter) Decide(st *State) Decision {
+	if c.k--; c.k == 0 {
+		c.cancel()
 	}
-	epochs := roots[0].Children
-	if len(epochs) != res.SchedulerInvocations {
-		t.Fatalf("recorded %d epoch spans for %d scheduler invocations",
-			len(epochs), res.SchedulerInvocations)
+	return c.greedy.Decide(st)
+}
+
+// TestEpochStreamSinksAgree pins the one epoch stream: a RunProfile, a
+// RingTracer and the context's span receive the same events, so their sums
+// agree exactly, on every exit path. It also pins the span sink's contract:
+// one finished "epoch" child of the context's span per scheduler invocation,
+// with the attributes perfbench reads.
+func TestEpochStreamSinksAgree(t *testing.T) {
+	plat := testPlatform(t, 2, 2)
+	cases := []struct {
+		name    string
+		maxTime float64
+		scale   float64
+		cancelK int // cancel during the k-th decision; 0 never
+		wantErr error
+	}{
+		{"completion", 30, 0.02, 0, nil},
+		{"timeout", 0.01, 1000, 0, ErrTimeout},
+		{"canceled", 30, 1000, 7, ErrCanceled},
 	}
-	var decideTotal int64
-	for i, ep := range epochs {
-		if ep.Name != "epoch" {
-			t.Fatalf("child %d named %q, want epoch", i, ep.Name)
-		}
-		if !ep.Done {
-			t.Errorf("epoch span %d left open", i)
-		}
-		if got, ok := ep.Attrs["epoch"].(int); !ok || got != i {
-			t.Errorf("epoch span %d attr epoch = %v", i, ep.Attrs["epoch"])
-		}
-		ns, ok := ep.Attrs["decide_ns"].(int64)
-		if !ok || ns < 0 {
-			t.Errorf("epoch span %d attr decide_ns = %v", i, ep.Attrs["decide_ns"])
-		}
-		decideTotal += ns
-		if _, ok := ep.Attrs["sim_time_s"].(float64); !ok {
-			t.Errorf("epoch span %d missing sim_time_s", i)
-		}
-		if _, ok := ep.Attrs["migrations"].(int); !ok {
-			t.Errorf("epoch span %d missing migrations", i)
-		}
-	}
-	if decideTotal > res.SchedulerHostTime.Nanoseconds() {
-		t.Errorf("epoch spans sum to %d ns of decide time, result says %d",
-			decideTotal, res.SchedulerHostTime.Nanoseconds())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxTime = tc.maxTime
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var sched Scheduler = &greedy{}
+			if tc.cancelK > 0 {
+				sched = &cancelAfter{k: tc.cancelK, cancel: cancel}
+			}
+			s, err := New(plat, cfg, sched, []*workload.Task{smallTask(t, "blackscholes", 2, 0, tc.scale)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := &obs.RunProfile{}
+			ring := obs.NewRingTracer(1 << 16)
+			s.SetEpochTracer(prof, nil, ring)
+			rec := obs.NewSpanRecorder(1 << 16)
+			root := rec.Start("run")
+			res, err := s.RunContext(obs.ContextWithSpan(ctx, root))
+			root.End()
+			if tc.wantErr == nil && err != nil || tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.cancelK > 0 && res.SchedulerInvocations != tc.cancelK {
+				t.Fatalf("canceled run made %d decisions, want %d", res.SchedulerInvocations, tc.cancelK)
+			}
+
+			events := ring.Events()
+			if prof.Epochs != res.SchedulerInvocations || ring.Total() != int64(prof.Epochs) || len(events) != prof.Epochs {
+				t.Fatalf("profile %d epochs, ring %d events (%d kept), result %d invocations",
+					prof.Epochs, ring.Total(), len(events), res.SchedulerInvocations)
+			}
+			var sum obs.RunProfile
+			for i, ev := range events {
+				if ev.Epoch != i {
+					t.Fatalf("event %d has epoch %d", i, ev.Epoch)
+				}
+				if ev.StateNS < 0 || ev.WallNS < 0 || ev.ApplyNS < 0 || ev.StepNS < 0 {
+					t.Errorf("event %d has a negative phase: %+v", i, ev)
+				}
+				sum.RecordEpoch(ev)
+			}
+			if sum != *prof {
+				t.Errorf("profile %+v, events sum to %+v", *prof, sum)
+			}
+			if prof.DecideNS != res.SchedulerHostTime.Nanoseconds() {
+				t.Errorf("profile decide %d ns, result host time %d ns", prof.DecideNS, res.SchedulerHostTime.Nanoseconds())
+			}
+			// The ring kept copies: epoch 0 still shows the initial chip,
+			// though the engine refilled its buffers every epoch since.
+			if n := plat.NumCores(); !slices.Equal(events[0].CoreTemps, plat.Thermal.InitialTemps()[:n]) {
+				t.Errorf("epoch 0 temperatures %v overwritten", events[0].CoreTemps)
+			}
+
+			roots := rec.Tree()
+			if len(roots) != 1 {
+				t.Fatalf("got %d root spans, want 1", len(roots))
+			}
+			spans := roots[0].Children
+			if len(spans) != len(events) {
+				t.Fatalf("recorded %d epoch spans for %d events", len(spans), len(events))
+			}
+			var spanNS int64
+			for i, sp := range spans {
+				ev := events[i]
+				if sp.Name != "epoch" || !sp.Done {
+					t.Fatalf("child %d is %q, done=%v; want a finished epoch span", i, sp.Name, sp.Done)
+				}
+				if sp.Attrs["epoch"] != ev.Epoch || sp.Attrs["sim_time_s"] != ev.Time ||
+					sp.Attrs["decide_ns"] != ev.WallNS || sp.Attrs["migrations"] != ev.Migrations {
+					t.Errorf("epoch span %d attrs %v, event %+v", i, sp.Attrs, ev)
+				}
+				spanNS += sp.DurationNS
+			}
+			if total := sum.StateNS + sum.DecideNS + sum.ApplyNS + sum.StepNS; spanNS != total {
+				t.Errorf("epoch spans last %d ns, event phases sum to %d ns", spanNS, total)
+			}
+		})
 	}
 }
 

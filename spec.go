@@ -391,16 +391,11 @@ func ExecuteSpec(ctx context.Context, spec RunSpec) (*Result, error) {
 // ExecuteSpecOnPlatform is ExecuteSpec on an already-built platform — the
 // serving path, where plat comes from a cache shared between requests and
 // must match spec.Platform. The Platform is only read (it is immutable after
-// construction), so any number of concurrent calls may share one.
-func ExecuteSpecOnPlatform(ctx context.Context, plat *Platform, spec RunSpec) (*Result, error) {
-	return ExecuteSpecOnPlatformTraced(ctx, plat, spec, nil)
-}
-
-// ExecuteSpecOnPlatformTraced is ExecuteSpecOnPlatform with an epoch tracer
-// attached to the run: tracer receives one EpochEvent per scheduler epoch
-// (GET /v1/jobs/{id}/trace and hotpotato-sim -trace are built on it). A nil
-// tracer is the untraced fast path — identical to ExecuteSpecOnPlatform.
-func ExecuteSpecOnPlatformTraced(ctx context.Context, plat *Platform, spec RunSpec, tracer EpochTracer) (*Result, error) {
+// construction), so any number of concurrent calls may share one. Each
+// tracer receives one borrowed EpochEvent per scheduler epoch, as does a
+// span in ctx (GET /v1/jobs/{id}/trace and the served RunProfile are built
+// on it); nil tracers are skipped.
+func ExecuteSpecOnPlatform(ctx context.Context, plat *Platform, spec RunSpec, tracers ...EpochTracer) (*Result, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -410,7 +405,7 @@ func ExecuteSpecOnPlatformTraced(ctx context.Context, plat *Platform, spec RunSp
 	// a span — a service job root or the CLI's -spans recorder — the two
 	// phases of an execution show up as children: workload_build (task
 	// instantiation + scheduler construction) and simulate (the run itself,
-	// which the engine further splits into per-epoch spans). With no span in
+	// under which the engine records one span per epoch). With no span in
 	// ctx all of this is nil no-ops.
 	buildSpan := obs.SpanFromContext(ctx).StartChild("workload_build")
 	taskSpecs, err := spec.Workload.specs(plat.NumCores())
@@ -445,9 +440,7 @@ func ExecuteSpecOnPlatformTraced(ctx context.Context, plat *Platform, spec RunSp
 	if err != nil {
 		return nil, err
 	}
-	if tracer != nil {
-		simulation.SetEpochTracer(tracer)
-	}
+	simulation.SetEpochTracer(tracers...)
 	runCtx, simSpan := obs.StartSpan(ctx, "simulate")
 	res, err := simulation.RunContext(runCtx)
 	simSpan.SetError(err)
