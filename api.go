@@ -107,6 +107,8 @@ type (
 	// borrowed for the Decide call, so copy whatever must outlive it.
 	SchedulerState = sim.State
 	// SchedulerDecision is a scheduler's thread→core mapping and DVFS answer.
+	// It is borrowed from the scheduler until its next Decide, so a custom
+	// scheduler may return a map and slice it refills every call.
 	SchedulerDecision = sim.Decision
 	// ThreadID identifies one thread of one task. A comparable value type.
 	ThreadID = sim.ThreadID

@@ -114,8 +114,14 @@ func (m *Model) EffectiveCPI(p Params, core int, f float64) float64 {
 // busy (compute) and stall (memory) shares, which the power model converts
 // into watts. busy + stall = 1.
 func (m *Model) Fractions(p Params, core int, f float64) (busy, stall float64) {
+	return FractionsAt(p, f, m.MemTimePerInstr(p, core))
+}
+
+// FractionsAt is Fractions for a core whose MemTimePerInstr is mem, for
+// callers that scan many frequencies on one core: bit-identical to
+// Fractions(p, core, f).
+func FractionsAt(p Params, f, mem float64) (busy, stall float64) {
 	compute := p.BaseCPI / f
-	mem := m.MemTimePerInstr(p, core)
 	total := compute + mem
 	return compute / total, mem / total
 }

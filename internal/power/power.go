@@ -49,6 +49,31 @@ func (d DVFS) Levels() []float64 {
 	return out
 }
 
+// Level is one rung of the ladder with the ratios ActivePower scales by,
+// computed once so that a scan over the ladder repeats no clamp and no
+// voltage interpolation per level.
+type Level struct {
+	F  float64 // the frequency as given (Levels' value for a rung), Hz
+	FR float64 // Clamp(F)/FMax
+	VR float64 // VoltageAt(Clamp(F))/VMax
+}
+
+// LevelOf returns f's Level.
+func (d DVFS) LevelOf(f float64) Level {
+	c := d.Clamp(f)
+	return Level{F: f, FR: c / d.FMax, VR: d.VoltageAt(c) / d.VMax}
+}
+
+// Ladder returns the Level of every frequency of Levels, ascending.
+func (d DVFS) Ladder() []Level {
+	levels := d.Levels()
+	out := make([]Level, len(levels))
+	for i, f := range levels {
+		out[i] = d.LevelOf(f)
+	}
+	return out
+}
+
 // Clamp snaps f onto the ladder: the highest level not exceeding f, never
 // below FMin.
 func (d DVFS) Clamp(f float64) float64 {
@@ -172,11 +197,14 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 //
 // Dynamic power scales with f·V², leakage roughly with V.
 func (m Model) ActivePower(nominalWatts, f float64) float64 {
-	f = m.dvfs.Clamp(f)
-	vr := m.dvfs.VoltageAt(f) / m.dvfs.VMax
-	fr := f / m.dvfs.FMax
-	dyn := m.DynFraction * nominalWatts * fr * vr * vr
-	leak := (1 - m.DynFraction) * nominalWatts * vr
+	return m.LevelPower(nominalWatts, m.dvfs.LevelOf(f))
+}
+
+// LevelPower is ActivePower at a Level of the model's ladder (DVFS.LevelOf,
+// DVFS.Ladder): bit-identical to ActivePower(nominalWatts, l.F).
+func (m Model) LevelPower(nominalWatts float64, l Level) float64 {
+	dyn := m.DynFraction * nominalWatts * l.FR * l.VR * l.VR
+	leak := (1 - m.DynFraction) * nominalWatts * l.VR
 	return dyn + leak
 }
 

@@ -21,6 +21,7 @@ type AsyncMigrate struct {
 	epoch   float64
 
 	assignment map[sim.ThreadID]int
+	scr        scratch
 }
 
 // NewAsyncMigrate builds the migration-only policy.
@@ -42,8 +43,8 @@ func (a *AsyncMigrate) Decide(st *sim.State) sim.Decision {
 	// Shared gang-FIFO admission with cache-aware ordering, then on-demand
 	// migration away from hot cores.
 	dropDeparted(st, a.assignment)
-	admitByAMD(st, a.assignment, queuedTasks(st))
-	migrateHot(st, a.assignment, a.tdtm-a.margin, a.minGain)
+	a.scr.admitByAMD(st, a.assignment, a.scr.queuedTasks(st))
+	a.scr.migrateHot(st, a.assignment, a.tdtm-a.margin, a.minGain)
 	// No DVFS: peak frequency everywhere (nil Freq).
 	return sim.Decision{Assignment: maps.Clone(a.assignment), NextInvoke: a.epoch}
 }

@@ -84,6 +84,10 @@ type HotPotato struct {
 	// cands is the migration candidate list of pushOutward and rebalance,
 	// reused across calls.
 	cands []cand
+	scr   scratch
+	// assignment is the Assignment of every Decision returned, refilled
+	// each Decide (borrowed until the next, see sim.Decision).
+	assignment map[sim.ThreadID]int
 }
 
 // cand is a placed thread that may migrate, with its CPI.
@@ -181,6 +185,7 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		tau:            0.5e-3,
 		rotate:         true,
 		place:          map[sim.ThreadID]slotRef{},
+		assignment:     map[sim.ThreadID]int{},
 		rebalanceEvery: 5e-3,
 		powerScale:     1,
 		idleWatts:      plat.Power.IdleWatts,
@@ -225,7 +230,7 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	}
 
 	// Admissions (Algorithm 2 lines 1–14), gang FIFO per task.
-	for _, group := range queuedTasks(st) {
+	for _, group := range h.scr.queuedTasks(st) {
 		if h.freeSlotCount() < len(group.threads) {
 			break
 		}
@@ -249,7 +254,8 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	}
 
 	// Materialise the assignment with the current rotation offset.
-	assignment := make(map[sim.ThreadID]int, len(h.place))
+	assignment := h.assignment
+	clear(assignment)
 	for id, ref := range h.place {
 		cores := h.rings[ref.ring].Cores
 		idx := ref.slot

@@ -19,6 +19,9 @@ type HotPotatoDVFS struct {
 	*HotPotato
 	plat *sim.Platform
 	freq float64
+	// freqs is the Freq of every Decision returned (borrowed until the next
+	// Decide, see sim.Decision).
+	freqs []float64
 	// lastAdjust rate-limits frequency moves to one step per control period.
 	lastAdjust float64
 	// adjustEvery is the minimum time between frequency steps.
@@ -50,7 +53,8 @@ func (h *HotPotatoDVFS) Decide(st *sim.State) sim.Decision {
 		h.adjustFrequency(st)
 	}
 
-	dec.Freq = uniformFreq(st.Platform.NumCores(), h.freq)
+	h.freqs = fillFreq(h.freqs, st.Platform.NumCores(), h.freq)
+	dec.Freq = h.freqs
 	return dec
 }
 

@@ -5,6 +5,8 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/perf"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -32,7 +34,19 @@ type PCMig struct {
 	epoch   float64
 
 	assignment map[sim.ThreadID]int
-	lastFreq   map[sim.ThreadID]float64
+	// out and freqs are the Assignment and Freq of every Decision returned,
+	// refilled each Decide (borrowed until the next, see sim.Decision): a
+	// caller that writes to them cannot reach the mapping above.
+	out   map[sim.ThreadID]int
+	freqs []float64
+	// lastLevel is each thread's DVFS level of the previous epoch.
+	lastLevel map[sim.ThreadID]power.Level
+
+	ladder ladder
+	tsp    tspCache
+	scr    scratch
+	// powers is performanceMigration's steady-state power field.
+	powers []float64
 }
 
 // PCMigOption customises the baseline.
@@ -56,7 +70,8 @@ func NewPCMig(tdtm float64, opts ...PCMigOption) *PCMig {
 		minGain:    2,
 		epoch:      1e-3,
 		assignment: map[sim.ThreadID]int{},
-		lastFreq:   map[sim.ThreadID]float64{},
+		out:        map[sim.ThreadID]int{},
+		lastLevel:  map[sim.ThreadID]power.Level{},
 	}
 	for _, o := range opts {
 		o(p)
@@ -70,16 +85,16 @@ func (p *PCMig) Name() string { return "pcmig" }
 // Decide implements sim.Scheduler.
 func (p *PCMig) Decide(st *sim.State) sim.Decision {
 	dropDeparted(st, p.assignment)
-	dropDeparted(st, p.lastFreq)
+	dropDeparted(st, p.lastLevel)
 
 	// Gang admission, FIFO: map each queued task's threads onto free cores,
 	// memory-bound threads to low-AMD cores first (PCGov's cache-aware rule;
 	// the stable sort keeps queuedTasks' order among equal CPIs).
-	groups := queuedTasks(st)
+	groups := p.scr.queuedTasks(st)
 	for _, g := range groups {
 		slices.SortStableFunc(g.threads, func(a, b sim.ThreadInfo) int { return cmp.Compare(b.CPI, a.CPI) })
 	}
-	admitByAMD(st, p.assignment, groups)
+	p.scr.admitByAMD(st, p.assignment, groups)
 
 	// Performance-driven migration (the prediction-based migrations of
 	// [10], [21]): when cores free up, the thread with the highest effective
@@ -90,37 +105,32 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 
 	// Asynchronous on-demand migration: threads on cores within margin of
 	// TDTM move to the coolest free core if it is clearly cooler.
-	migrateHot(st, p.assignment, p.tdtm-p.margin, p.minGain)
+	p.scr.migrateHot(st, p.assignment, p.tdtm-p.margin, p.minGain)
 
 	// TSP-based DVFS on the active cores. The budget is enforced against
 	// each thread's predicted power (PCMig's predictor works from observed
 	// behaviour, not the worst-case nominal): the measured average power at
 	// the previously set frequency is decomposed into an executing-power
 	// component and a duty cycle using the interval model's busy/stall
-	// fractions, and re-projected to each candidate frequency.
-	var active []int
-	for _, core := range p.assignment {
-		active = append(active, core)
-	}
-	budget := TSPBudget(st.Platform, active, p.tdtm)
-	d := st.Platform.Power.DVFS()
-	fmax := d.FMax
-	idle := st.Platform.Power.IdleWatts
-	levels := d.Levels()
-	freqs := uniformFreq(st.Platform.NumCores(), fmax)
+	// fractions, and re-projected to each candidate frequency. Every level
+	// is tried: the projected power need not rise with f, since above the
+	// frequency where ActivePower passes StallWatts, a faster clock moves
+	// time from the stalled state into the cheaper busy one.
+	budget := p.tsp.budget(st.Platform, p.assignment, p.tdtm)
+	pw := &st.Platform.Power
+	d := pw.DVFS()
+	idle := pw.IdleWatts
+	levels := p.ladder.of(*pw)
+	p.freqs = fillFreq(p.freqs, st.Platform.NumCores(), d.FMax)
 	for id, core := range p.assignment {
 		th, _ := st.Thread(id)
-		prev, ok := p.lastFreq[id]
+		mem := st.Platform.Perf.MemTimePerInstr(th.Perf, core)
+		prev, ok := p.lastLevel[id]
 		if !ok {
-			prev = fmax
-		}
-		execAt := func(f float64) float64 {
-			busy, stall := st.Platform.Perf.Fractions(th.Perf, core, f)
-			return busy*st.Platform.Power.ActivePower(th.NominalWatts, f) +
-				stall*st.Platform.Power.StallWatts
+			prev = d.LevelOf(d.FMax)
 		}
 		duty := 1.0
-		if execPrev := execAt(prev); execPrev > idle {
+		if execPrev := execWatts(pw, &th, mem, prev); execPrev > idle {
 			duty = (th.AvgPower - idle) / (execPrev - idle)
 			if duty < 0 {
 				duty = 0
@@ -128,17 +138,27 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 				duty = 1
 			}
 		}
-		best := d.FMin
-		for _, f := range levels {
-			if duty*execAt(f)+(1-duty)*idle <= budget {
-				best = f
+		best := levels[0] // FMin
+		for _, l := range levels {
+			if duty*execWatts(pw, &th, mem, l)+(1-duty)*idle <= budget {
+				best = l
 			}
 		}
-		freqs[core] = best
-		p.lastFreq[id] = best
+		p.freqs[core] = best.F
+		p.lastLevel[id] = best
 	}
 
-	return sim.Decision{Assignment: maps.Clone(p.assignment), Freq: freqs, NextInvoke: p.epoch}
+	clear(p.out)
+	maps.Copy(p.out, p.assignment)
+	return sim.Decision{Assignment: p.out, Freq: p.freqs, NextInvoke: p.epoch}
+}
+
+// execWatts is the power of thread th executing at level l on a core where
+// it stalls mem seconds per instruction: the busy share at the level's
+// active power, the stalled share at StallWatts.
+func execWatts(pw *power.Model, th *sim.ThreadInfo, mem float64, l power.Level) float64 {
+	busy, stall := perf.FractionsAt(th.Perf, l.F, mem)
+	return busy*pw.LevelPower(th.NominalWatts, l) + stall*pw.StallWatts
 }
 
 // performanceMigration moves at most one thread to a clearly better (lower
@@ -146,11 +166,23 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 // the steady-state temperature stays below the threshold.
 func (p *PCMig) performanceMigration(st *sim.State) {
 	n := st.Platform.NumCores()
-	free := coresByAMD(st, freeCores(n, p.assignment))
+	fp := st.Platform.FP
+	free := p.scr.freeCores(n, p.assignment)
 	if len(free) == 0 {
 		return
 	}
-	fp := st.Platform.FP
+	// The free core of lowest AMD, ties to the lowest ID (free ascends).
+	dst := free[0]
+	for _, c := range free[1:] {
+		if fp.AMD(c) < fp.AMD(dst) {
+			dst = c
+		}
+	}
+	// Only a thread on a core of higher AMD than dst can gain: when the
+	// free cores are the outer ones (the common epoch), skip the scan.
+	if !anyCore(p.assignment, func(core int) bool { return fp.AMD(dst) < fp.AMD(core) }) {
+		return
+	}
 	fmax := st.Platform.Power.DVFS().FMax
 
 	type cand struct {
@@ -160,13 +192,12 @@ func (p *PCMig) performanceMigration(st *sim.State) {
 		found bool
 	}
 	best := cand{gain: 1.02} // require > 2% predicted speedup
-	for _, id := range sortedIDs(p.assignment) {
+	for _, id := range p.scr.sortedIDs(p.assignment) {
 		core := p.assignment[id]
 		th, ok := st.Thread(id)
 		if !ok {
 			continue
 		}
-		dst := free[0]
 		if fp.AMD(dst) >= fp.AMD(core) {
 			continue
 		}
@@ -180,7 +211,8 @@ func (p *PCMig) performanceMigration(st *sim.State) {
 		return
 	}
 	// Steady-state thermal check of the move using measured powers.
-	powers := make([]float64, n)
+	powers := slices.Grow(p.powers[:0], n)[:n]
+	p.powers = powers
 	idle := st.Platform.Power.IdleWatts
 	for i := range powers {
 		powers[i] = idle

@@ -22,6 +22,7 @@ type Reactive struct {
 
 	assignment map[sim.ThreadID]int
 	coreFreq   map[int]float64
+	scr        scratch
 }
 
 // NewReactive builds the governor for a DTM threshold.
@@ -45,11 +46,11 @@ func (r *Reactive) Decide(st *sim.State) sim.Decision {
 
 	// Same gang-FIFO admission as every other scheduler; cache-aware
 	// ordering like PCMig.
-	admitByAMD(st, r.assignment, queuedTasks(st))
+	r.scr.admitByAMD(st, r.assignment, r.scr.queuedTasks(st))
 
 	// Step-wise per-core DVFS feedback.
 	d := st.Platform.Power.DVFS()
-	freqs := uniformFreq(st.Platform.NumCores(), d.FMax)
+	freqs := fillFreq(nil, st.Platform.NumCores(), d.FMax)
 	for _, core := range r.assignment {
 		f, ok := r.coreFreq[core]
 		if !ok {

@@ -27,25 +27,41 @@ type taskGroup struct {
 	threads []sim.ThreadInfo
 }
 
+// scratch holds the buffers the shared admission and migration helpers write
+// into. A scheduler keeps one and reuses it every Decide, so a steady-state
+// decision allocates nothing; what a helper returns stays valid until the
+// next call of that helper on the same scratch.
+type scratch struct {
+	groups []taskGroup
+	used   []bool
+	free   []int
+	byAMD  []int
+	ids    []sim.ThreadID
+}
+
 // queuedTasks groups the queued (core == -1) threads by task, ordered FIFO by
 // arrival time (ties broken by task ID). Gang admission: a task is admitted
 // only when all of its threads fit at once, and tasks are never reordered —
 // identical policy for every scheduler so comparisons are fair.
-func queuedTasks(st *sim.State) []taskGroup {
-	byTask := map[int]*taskGroup{}
+func (s *scratch) queuedTasks(st *sim.State) []taskGroup {
+	groups := s.groups[:0]
+	g := -1 // the group of the previous queued thread: a task's threads are usually adjacent
 	for _, th := range st.Threads {
 		if th.Core >= 0 {
 			continue
 		}
-		g, ok := byTask[th.ID.Task]
-		if !ok {
-			g = &taskGroup{taskID: th.ID.Task, arrival: th.Arrival}
-			byTask[th.ID.Task] = g
+		if g < 0 || groups[g].taskID != th.ID.Task {
+			g = slices.IndexFunc(groups, func(tg taskGroup) bool { return tg.taskID == th.ID.Task })
 		}
-		g.threads = append(g.threads, th)
+		if g < 0 {
+			// Reuse the thread storage a group of an earlier call left behind.
+			groups = slices.Grow(groups, 1)[:len(groups)+1]
+			g = len(groups) - 1
+			groups[g] = taskGroup{taskID: th.ID.Task, arrival: th.Arrival, threads: groups[g].threads[:0]}
+		}
+		groups[g].threads = append(groups[g].threads, th)
 	}
-	groups := make([]taskGroup, 0, len(byTask))
-	for _, g := range byTask {
+	for _, g := range groups {
 		// Workers first (ascending), master last: workers execute the
 		// parallel bulk of a task, so when cores differ in quality the
 		// workers should claim the better ones. Both schedulers share this
@@ -61,7 +77,6 @@ func queuedTasks(st *sim.State) []taskGroup {
 			}
 			return cmp.Compare(ta, tb)
 		})
-		groups = append(groups, *g)
 	}
 	slices.SortFunc(groups, func(a, b taskGroup) int {
 		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
@@ -69,6 +84,7 @@ func queuedTasks(st *sim.State) []taskGroup {
 		}
 		return cmp.Compare(a.taskID, b.taskID)
 	})
+	s.groups = groups
 	return groups
 }
 
@@ -85,10 +101,10 @@ func dropDeparted[V any](st *sim.State, m map[sim.ThreadID]V) {
 // task of groups in turn maps its threads, in order, onto the lowest-AMD free
 // cores. The first task that does not fit stops admission: head-of-line
 // blocking keeps admission fair across schedulers.
-func admitByAMD(st *sim.State, assignment map[sim.ThreadID]int, groups []taskGroup) {
+func (s *scratch) admitByAMD(st *sim.State, assignment map[sim.ThreadID]int, groups []taskGroup) {
 	n := st.Platform.NumCores()
 	for _, group := range groups {
-		free := coresByAMD(st, freeCores(n, assignment))
+		free := s.coresByAMD(st, s.freeCores(n, assignment))
 		if len(free) < len(group.threads) {
 			return
 		}
@@ -103,9 +119,15 @@ func admitByAMD(st *sim.State, assignment map[sim.ThreadID]int, groups []taskGro
 // free core that is at least minGain cooler, and the core it vacates becomes
 // free. Threads go in ID order — map order would make tie-breaks (and thus
 // whole runs) irreproducible.
-func migrateHot(st *sim.State, assignment map[sim.ThreadID]int, trigger, minGain float64) {
-	free := freeCores(st.Platform.NumCores(), assignment)
-	for _, id := range sortedIDs(assignment) {
+func (s *scratch) migrateHot(st *sim.State, assignment map[sim.ThreadID]int, trigger, minGain float64) {
+	// Only a thread whose core is at the trigger moves, and a move makes no
+	// other thread's core hot: without one (the common epoch) there is
+	// nothing to order.
+	if !anyCore(assignment, func(core int) bool { return !(st.CoreTemps[core] < trigger) }) {
+		return
+	}
+	free := s.freeCores(st.Platform.NumCores(), assignment)
+	for _, id := range s.sortedIDs(assignment) {
 		core := assignment[id]
 		if st.CoreTemps[core] < trigger {
 			continue
@@ -124,39 +146,53 @@ func migrateHot(st *sim.State, assignment map[sim.ThreadID]int, trigger, minGain
 }
 
 // freeCores returns the cores not used by the given assignment, ascending.
-func freeCores(n int, assignment map[sim.ThreadID]int) []int {
-	used := make([]bool, n)
+func (s *scratch) freeCores(n int, assignment map[sim.ThreadID]int) []int {
+	used := slices.Grow(s.used[:0], n)[:n]
+	clear(used)
 	for _, c := range assignment {
 		used[c] = true
 	}
-	var out []int
+	out := s.free[:0]
 	for c := 0; c < n; c++ {
 		if !used[c] {
 			out = append(out, c)
 		}
 	}
+	s.used, s.free = used, out
 	return out
 }
 
 // coresByAMD returns core IDs sorted by ascending AMD (ties by ID).
-func coresByAMD(st *sim.State, cores []int) []int {
+func (s *scratch) coresByAMD(st *sim.State, cores []int) []int {
 	fp := st.Platform.FP
-	out := append([]int(nil), cores...)
+	out := append(s.byAMD[:0], cores...)
 	slices.SortFunc(out, func(a, b int) int {
 		if c := cmp.Compare(fp.AMD(a), fp.AMD(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
+	s.byAMD = out
 	return out
 }
 
 // sortedIDs returns the map's thread IDs in deterministic order.
-func sortedIDs(m map[sim.ThreadID]int) []sim.ThreadID {
-	out := make([]sim.ThreadID, 0, len(m))
+func (s *scratch) sortedIDs(m map[sim.ThreadID]int) []sim.ThreadID {
+	out := s.ids[:0]
 	for id := range m {
 		out = append(out, id)
 	}
 	slices.SortFunc(out, cmpID)
+	s.ids = out
 	return out
+}
+
+// anyCore reports whether some core of the assignment satisfies pred.
+func anyCore(assignment map[sim.ThreadID]int, pred func(core int) bool) bool {
+	for _, core := range assignment {
+		if pred(core) {
+			return true
+		}
+	}
+	return false
 }

@@ -44,7 +44,7 @@ func runSim(t testing.TB, plat *sim.Platform, cfg sim.Config, sch sim.Scheduler,
 }
 
 func TestHelperFreeCores(t *testing.T) {
-	free := freeCores(4, map[sim.ThreadID]int{{Task: 0, Thread: 0}: 1, {Task: 0, Thread: 1}: 3})
+	free := new(scratch).freeCores(4, map[sim.ThreadID]int{{Task: 0, Thread: 0}: 1, {Task: 0, Thread: 1}: 3})
 	if len(free) != 2 || free[0] != 0 || free[1] != 2 {
 		t.Fatalf("freeCores = %v", free)
 	}
@@ -59,7 +59,7 @@ func TestHelperQueuedTasksOrderAndGrouping(t *testing.T) {
 			{ID: sim.ThreadID{Task: 3, Thread: 0}, Core: 4, Arrival: 0.1}, // mapped: excluded
 		},
 	}
-	groups := queuedTasks(st)
+	groups := new(scratch).queuedTasks(st)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}

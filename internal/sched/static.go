@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -38,17 +39,18 @@ func (s *Static) Decide(st *sim.State) sim.Decision {
 	}
 	var freqs []float64
 	if s.freq > 0 {
-		freqs = uniformFreq(st.Platform.NumCores(), s.freq)
+		freqs = fillFreq(nil, st.Platform.NumCores(), s.freq)
 	}
 	return sim.Decision{Assignment: assignment, Freq: freqs}
 }
 
-func uniformFreq(n int, f float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = f
+// fillFreq sets buf to n copies of f, reusing its storage, and returns it.
+func fillFreq(buf []float64, n int, f float64) []float64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = f
 	}
-	return out
+	return buf
 }
 
 // RotationStatic rotates a fixed set of threads synchronously around a fixed

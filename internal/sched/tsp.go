@@ -2,7 +2,9 @@ package sched
 
 import (
 	"math"
+	"slices"
 
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -57,15 +59,68 @@ func TSPBudget(plat *sim.Platform, active []int, tdtm float64) float64 {
 	return budget
 }
 
-// maxFreqWithinBudget returns the highest DVFS level at which a thread of
-// the given nominal power stays within the power budget (at least the
-// minimum level — TSP cannot power-gate a running thread).
-func maxFreqWithinBudget(plat *sim.Platform, nominalWatts, budget float64) float64 {
-	d := plat.Power.DVFS()
-	best := d.FMin
-	for _, f := range d.Levels() {
-		if plat.Power.ActivePower(nominalWatts, f) <= budget {
-			best = f
+// tspCache holds the TSP budget of the last active-core set a scheduler
+// asked for, so an epoch whose set did not change computes no budget.
+// TSPBudget stays the single formula.
+type tspCache struct {
+	plat  *sim.Platform
+	tdtm  float64
+	set   []bool // per core: active in the set value belongs to
+	value float64
+
+	cur   []bool // scratch: the set asked for
+	cores []int  // scratch: cur as ascending core IDs
+}
+
+// budget returns TSPBudget(plat, cores of assignment, tdtm), computing it
+// only when the set of assigned cores differs from the previous call's.
+func (c *tspCache) budget(plat *sim.Platform, assignment map[sim.ThreadID]int, tdtm float64) float64 {
+	n := plat.NumCores()
+	cur := slices.Grow(c.cur[:0], n)[:n]
+	clear(cur)
+	for _, core := range assignment {
+		cur[core] = true
+	}
+	if plat == c.plat && tdtm == c.tdtm && slices.Equal(cur, c.set) {
+		c.cur = cur
+		return c.value
+	}
+	cores := c.cores[:0]
+	for core, on := range cur {
+		if on {
+			cores = append(cores, core)
+		}
+	}
+	c.cores = cores
+	c.plat, c.tdtm, c.value = plat, tdtm, TSPBudget(plat, cores, tdtm)
+	c.set, c.cur = cur, c.set
+	return c.value
+}
+
+// ladder is a scheduler's copy of a power model's DVFS ladder
+// (power.DVFS.Ladder), built on first use and again only if the model
+// changes.
+type ladder struct {
+	model  power.Model
+	levels []power.Level
+}
+
+// of returns m's ladder, ascending; the first level is FMin.
+func (l *ladder) of(m power.Model) []power.Level {
+	if l.levels == nil || l.model != m {
+		l.model, l.levels = m, m.DVFS().Ladder()
+	}
+	return l.levels
+}
+
+// maxFreqWithinBudget returns the highest level of the power model's ladder
+// at which a thread of the given nominal power stays within the power budget
+// (at least the minimum level — TSP cannot power-gate a running thread).
+func maxFreqWithinBudget(pw *power.Model, levels []power.Level, nominalWatts, budget float64) float64 {
+	best := levels[0].F
+	for _, l := range levels {
+		if pw.LevelPower(nominalWatts, l) <= budget {
+			best = l.F
 		}
 	}
 	return best
@@ -75,8 +130,9 @@ func maxFreqWithinBudget(plat *sim.Platform, nominalWatts, budget float64) float
 // choosing per-core DVFS levels so the steady state stays below TDTM — the
 // DVFS-only management of the paper's Fig. 2(b).
 type TSPGovernor struct {
-	pins map[sim.ThreadID]int
-	tdtm float64
+	pins   map[sim.ThreadID]int
+	tdtm   float64
+	ladder ladder
 }
 
 // NewTSPGovernor builds the governor for a pinned mapping.
@@ -106,10 +162,11 @@ func (g *TSPGovernor) Decide(st *sim.State) sim.Decision {
 		nominal[core] = th.NominalWatts
 	}
 	budget := TSPBudget(st.Platform, active, g.tdtm)
-	fmax := st.Platform.Power.DVFS().FMax
-	freqs := uniformFreq(st.Platform.NumCores(), fmax)
+	pw := &st.Platform.Power
+	levels := g.ladder.of(*pw)
+	freqs := fillFreq(nil, st.Platform.NumCores(), pw.DVFS().FMax)
 	for core, nom := range nominal {
-		freqs[core] = maxFreqWithinBudget(st.Platform, nom, budget)
+		freqs[core] = maxFreqWithinBudget(pw, levels, nom, budget)
 	}
 	return sim.Decision{Assignment: assignment, Freq: freqs}
 }

@@ -110,6 +110,11 @@ func (st *State) Thread(id ThreadID) (ThreadInfo, bool) {
 // Decision is the scheduler's answer: a thread→core mapping and per-core
 // frequencies. Threads omitted from Assignment stay (or become) queued and
 // make no progress. Cores may hold at most one thread.
+//
+// A Decision is borrowed from its scheduler, as State is from the engine:
+// its Assignment map and Freq slice stay valid until the scheduler's next
+// Decide, so a scheduler may return storage it owns and refill it then. A
+// caller reads them before that call and copies whatever it keeps.
 type Decision struct {
 	Assignment map[ThreadID]int
 	// Freq is the per-core frequency in Hz; nil means peak frequency on
@@ -123,8 +128,9 @@ type Decision struct {
 
 // Scheduler is the policy plug-in interface. Implementations live in
 // internal/sched (HotPotato, PCMig, TSP, static policies). Decide borrows
-// st for the duration of the call (see State); the engine in turn reads the
-// returned Decision before the next call and keeps no reference to it.
+// st for the duration of the call (see State); the returned Decision is in
+// turn borrowed until the next call (see Decision), and the engine reads it
+// before then and keeps no reference to it.
 type Scheduler interface {
 	Name() string
 	Decide(st *State) Decision

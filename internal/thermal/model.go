@@ -133,6 +133,9 @@ type Model struct {
 	// Lazily computed core block of B⁻¹ (CoreInfluence).
 	coreInflOnce sync.Once
 	coreInfl     *matrix.Dense
+
+	// Dense-mode propagators e^{C·dt}, one per step size (NewStepper).
+	props propagatorCache
 }
 
 // New builds and factorizes the RC model for the given floorplan.
@@ -152,6 +155,7 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 // solver backend and precomputes the all-idle steady state. Shared by New
 // and NewStacked.
 func (m *Model) finish(builder *matrix.SparseBuilder) error {
+	m.props.limit = maxPropagatorDoubles
 	m.solver = resolveSolver(m.cfg.Solver, m.N)
 	if m.solver == SolverSparse {
 		sp, err := newSparseSolver(builder.ToCSR(), m.aDiag)

@@ -3,6 +3,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/matrix"
 )
@@ -17,8 +18,9 @@ const stepKrylovTol = 1e-14
 //
 //	T(t+dt) = T_steady(P) + e^{C·dt} (T(t) − T_steady(P))
 //
-// In dense mode e^{C·dt} is computed once from the model's
-// eigendecomposition, so each step costs one N×N propagator product, plus
+// In dense mode e^{C·dt} is computed once per step size from the model's
+// eigendecomposition and shared by every Stepper of that dt, so each step
+// costs one N×N propagator product, plus
 // an N×n steady-state product (B⁻¹'s core columns) only when the core power
 // differs from the previous step's: leakage does not depend on temperature,
 // so equal power means an equal steady state, and StepTo reuses it.
@@ -40,7 +42,7 @@ const stepKrylovTol = 1e-14
 type Stepper struct {
 	m   *Model
 	dt  float64
-	exp *matrix.Dense // e^{C·dt}; nil in sparse mode
+	exp *matrix.Dense // e^{C·dt}, shared with every Stepper of dt; nil in sparse mode
 
 	// Sparse-mode kernel (nil in dense mode).
 	kry          *matrix.KrylovExpm
@@ -59,7 +61,8 @@ type Stepper struct {
 }
 
 // NewStepper precomputes the transient kernel for step size dt (seconds):
-// the dense propagator e^{C·dt}, or in sparse mode the Krylov scratch (the
+// the dense propagator e^{C·dt}, which the first stepper of dt on the model
+// computes and later ones share, or in sparse mode the Krylov scratch (the
 // step size is then only used at evaluation time).
 func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	if dt <= 0 {
@@ -84,9 +87,55 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 		s.white = make([]float64, m.N)
 		return s, nil
 	}
-	negLambda := matrix.VecScale(-1, m.eig.Lambda) // eigenvalues of C
-	s.exp = matrix.ExpmEigen(m.eig.V, negLambda, m.eig.VInv, dt)
+	s.exp = m.propagator(dt)
 	return s, nil
+}
+
+// maxPropagatorDoubles bounds the dense propagators a Model retains (32 MiB).
+// A run needs one per step size: 130 KB at 8×8, 2 MB at 16×16. Only callers
+// sweeping arbitrary step sizes reach the bound — a server's cached
+// platform serves every spec's time_slice — and propagators beyond it are
+// built for the stepper that asked and dropped with it.
+const maxPropagatorDoubles = 4 << 20
+
+// propagatorCache holds a dense Model's e^{C·dt} per step size. Each is
+// built once: the first caller builds it, concurrent callers of the same dt
+// wait on its sync.Once, callers of other step sizes proceed. A built
+// propagator is immutable and shared read-only by every Stepper of its dt.
+type propagatorCache struct {
+	mu      sync.Mutex
+	entries map[uint64]*propagatorEntry // by math.Float64bits(dt)
+	doubles int                         // matrix storage retained in entries
+	limit   int                         // bound on doubles, maxPropagatorDoubles outside tests
+}
+
+type propagatorEntry struct {
+	once sync.Once
+	exp  *matrix.Dense
+}
+
+// propagator returns the dense-mode e^{C·dt}, computing it on first use.
+func (m *Model) propagator(dt float64) *matrix.Dense {
+	pc := &m.props
+	key := math.Float64bits(dt)
+	pc.mu.Lock()
+	ent := pc.entries[key]
+	if ent == nil {
+		ent = &propagatorEntry{}
+		if size := m.N * m.N; pc.doubles+size <= pc.limit {
+			if pc.entries == nil {
+				pc.entries = map[uint64]*propagatorEntry{}
+			}
+			pc.entries[key] = ent
+			pc.doubles += size
+		}
+	}
+	pc.mu.Unlock()
+	ent.once.Do(func() {
+		negLambda := matrix.VecScale(-1, m.eig.Lambda) // eigenvalues of C
+		ent.exp = matrix.ExpmEigen(m.eig.V, negLambda, m.eig.VInv, dt)
+	})
+	return ent.exp
 }
 
 // Dt returns the step size in seconds.
@@ -214,11 +263,6 @@ func (s *Stepper) SolveBInto(dst, p []float64) {
 		s.m.binv.MulVecTo(dst, p)
 	}
 }
-
-// Propagator returns e^{C·dt}, or nil in sparse mode, where the propagator
-// is never materialized (the Krylov kernel applies it matrix-free). The
-// caller must not modify it.
-func (s *Stepper) Propagator() *matrix.Dense { return s.exp }
 
 // Transient simulates from the initial node temperatures t0 under a sequence
 // of per-core power vectors (one per step) and returns the temperature
