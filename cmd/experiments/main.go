@@ -204,57 +204,60 @@ func overhead() error {
 	return nil
 }
 
+// ablationResults is the -json document of -exp ablations.
+type ablationResults struct {
+	TauSweep        []hotpotato.TauSweepRow          `json:"tau_sweep"`
+	RingScope       []hotpotato.RingScopeRow         `json:"ring_scope"`
+	MigrationCost   []hotpotato.MigrationCostRow     `json:"migration_cost"`
+	AnalyticVsBrute []experiments.AnalyticVsBruteRow `json:"analytic_vs_brute"`
+	NoiseSweep      []hotpotato.NoiseSweepRow        `json:"noise_sweep"`
+	HeadroomSweep   []hotpotato.HeadroomSweepRow     `json:"headroom_sweep"`
+	Contention      []hotpotato.ContentionRow        `json:"contention"`
+}
+
 func ablations(opts experiments.Options) error {
-	taus, err := hotpotato.TauSweep(experiments.DefaultTaus())
-	if err != nil {
+	var r ablationResults
+	var err error
+	if r.TauSweep, err = hotpotato.TauSweep(experiments.DefaultTaus()); err != nil {
 		return err
 	}
-	experiments.WriteTauSweep(os.Stdout, taus)
+	if r.RingScope, err = hotpotato.RingScope(); err != nil {
+		return err
+	}
+	if r.MigrationCost, err = hotpotato.MigrationCostSweep([]float64{0.5, 1, 2, 4, 8}, opts); err != nil {
+		return err
+	}
+	if r.AnalyticVsBrute, err = experiments.AnalyticVsBrute([]int{2, 4, 8}); err != nil {
+		return err
+	}
+	if r.NoiseSweep, err = hotpotato.NoiseSweep([]float64{0, 0.5, 1, 2, 4}, opts); err != nil {
+		return err
+	}
+	if r.HeadroomSweep, err = hotpotato.HeadroomSweep([]float64{0.5, 1, 2, 4}, opts); err != nil {
+		return err
+	}
+	if r.Contention, err = hotpotato.Contention(opts, []string{"streamcluster", "canneal"}); err != nil {
+		return err
+	}
 	writeCSV("tau_sweep.csv", func(w *os.File) error {
-		return experiments.WriteTauSweepCSV(w, taus)
+		return experiments.WriteTauSweepCSV(w, r.TauSweep)
 	})
-	fmt.Println()
-
-	scope, err := hotpotato.RingScope()
-	if err != nil {
-		return err
+	if emit("ablations", r) {
+		return nil
 	}
-	experiments.WriteRingScope(os.Stdout, scope)
+	experiments.WriteTauSweep(os.Stdout, r.TauSweep)
 	fmt.Println()
-
-	mig, err := hotpotato.MigrationCostSweep([]float64{0.5, 1, 2, 4, 8}, opts)
-	if err != nil {
-		return err
-	}
-	experiments.WriteMigrationCostSweep(os.Stdout, mig)
+	experiments.WriteRingScope(os.Stdout, r.RingScope)
 	fmt.Println()
-
-	avb, err := experiments.AnalyticVsBrute([]int{2, 4, 8})
-	if err != nil {
-		return err
-	}
-	experiments.WriteAnalyticVsBrute(os.Stdout, avb)
+	experiments.WriteMigrationCostSweep(os.Stdout, r.MigrationCost)
 	fmt.Println()
-
-	noise, err := hotpotato.NoiseSweep([]float64{0, 0.5, 1, 2, 4}, opts)
-	if err != nil {
-		return err
-	}
-	experiments.WriteNoiseSweep(os.Stdout, noise)
+	experiments.WriteAnalyticVsBrute(os.Stdout, r.AnalyticVsBrute)
 	fmt.Println()
-
-	headroom, err := hotpotato.HeadroomSweep([]float64{0.5, 1, 2, 4}, opts)
-	if err != nil {
-		return err
-	}
-	experiments.WriteHeadroomSweep(os.Stdout, headroom)
+	experiments.WriteNoiseSweep(os.Stdout, r.NoiseSweep)
 	fmt.Println()
-
-	contention, err := hotpotato.Contention(opts, []string{"streamcluster", "canneal"})
-	if err != nil {
-		return err
-	}
-	experiments.WriteContention(os.Stdout, contention)
+	experiments.WriteHeadroomSweep(os.Stdout, r.HeadroomSweep)
+	fmt.Println()
+	experiments.WriteContention(os.Stdout, r.Contention)
 	return nil
 }
 

@@ -280,7 +280,7 @@ func runSweep(path string, workers int, twinPath string) {
 		if err != nil {
 			fatal(err)
 		}
-		prune = hotpotato.NewTwinSweepPruner(twin, *sweep.PruneAboveTemp)
+		prune = hotpotato.NewTwinSweepPruner(twin, hotpotato.NewPlatformCache(), *sweep.PruneAboveTemp)
 	}
 
 	ctx, stop := signal.NotifyContext(

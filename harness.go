@@ -11,7 +11,6 @@ package hotpotato
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
@@ -40,42 +39,27 @@ type (
 	RingScopeRow = experiments.RingScopeRow
 )
 
-// runCells executes specs as one sweep on ExecuteSweepCells and returns
-// their results in spec order. Each distinct PlatformConfig is built once,
-// on first use, and shared by its cells: platforms are immutable. Every
-// cell runs even after another fails; the error returned is the
-// lowest-index cell's, so it does not depend on the worker count.
+// runCells executes specs as one sweep on ExecuteSweepCells' default
+// runner, which builds each distinct PlatformConfig once and shares it
+// between its cells, and returns their results in spec order. Every cell
+// runs even after another fails; the error returned is the lowest-index
+// cell's, so it does not depend on the worker count.
 func runCells(figure string, workers int, specs []RunSpec) ([]*Result, error) {
-	type platform struct {
-		once sync.Once
-		plat *Platform
-		err  error
-	}
-	plats := map[PlatformConfig]*platform{}
 	cells := make([]SweepCell, len(specs))
 	for i, s := range specs {
-		s = s.WithDefaults()
 		cells[i] = SweepCell{Index: i, Spec: s}
-		if plats[s.Platform] == nil {
-			plats[s.Platform] = &platform{}
-		}
-	}
-	run := func(ctx context.Context, cell SweepCell) (*Result, bool, error) {
-		p := plats[cell.Spec.Platform]
-		p.once.Do(func() { p.plat, p.err = NewPlatformFromConfig(cell.Spec.Platform) })
-		if p.err != nil {
-			return nil, false, fmt.Errorf("cell %d: %w", cell.Index, p.err)
-		}
-		res, err := ExecuteSpecOnPlatform(ctx, p.plat, cell.Spec)
-		if err != nil {
-			err = fmt.Errorf("cell %d: %w", cell.Index, err)
-		}
-		return res, false, err
 	}
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
-	err := ExecuteSweepCells(context.Background(), cells, SweepOptions{Workers: workers, Run: run},
-		func(r SweepCellResult) { results[r.Index], errs[r.Index] = r.Result, r.Err })
+	err := ExecuteSweepCells(context.Background(), cells, SweepOptions{Workers: workers},
+		func(r SweepCellResult) {
+			results[r.Index], errs[r.Index] = r.Result, r.Err
+			// The executor names the cell in the errors of cells it rejects
+			// before running (those carry no hash); name it in run errors too.
+			if r.Err != nil && r.Hash != "" {
+				errs[r.Index] = fmt.Errorf("cell %d: %w", r.Index, r.Err)
+			}
+		})
 	if err != nil {
 		return results, err
 	}

@@ -1,8 +1,9 @@
 // Package matrix provides the dense linear algebra needed by the RC thermal
-// model and the analytical peak-temperature method: matrix arithmetic, LU
-// factorization with partial pivoting, a cyclic Jacobi eigensolver for
-// symmetric matrices, the symmetric-definite generalized eigenproblem, and
-// the matrix exponential (both Padé scaling-and-squaring and eigen-based).
+// model and the analytical peak-temperature method: matrix arithmetic,
+// Cholesky factorization, a cyclic Jacobi eigensolver for symmetric
+// matrices, the symmetric-definite generalized eigenproblem, and the
+// eigen-based matrix exponential. (The LU factorization and the Padé
+// exponential that check them live in the package's tests.)
 //
 // Matrices are small and dense (an N-node thermal network has N on the order
 // of a few hundred), so the package favours clarity and numerical robustness

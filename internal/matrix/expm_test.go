@@ -7,6 +7,73 @@ import (
 	"testing/quick"
 )
 
+// Expm computes the matrix exponential e^A with the scaling-and-squaring
+// method and a degree-6 Padé approximant: the independent oracle the
+// eigendecomposition-based ExpmEigen, which the thermal code uses, is
+// checked against.
+func Expm(a *Dense) *Dense {
+	if a.rows != a.cols {
+		panic("matrix: Expm of non-square matrix")
+	}
+	n := a.rows
+
+	// Scale A by 2^-s so that ‖A/2^s‖∞ ≤ 0.5.
+	norm := a.InfNorm()
+	s := 0
+	if norm > 0.5 {
+		s = int(math.Ceil(math.Log2(norm / 0.5)))
+	}
+	scaled := a.Scaled(math.Pow(2, -float64(s)))
+
+	// Degree-6 diagonal Padé approximant:
+	// e^X ≈ Q⁻¹ P with P = Σ c_k X^k (even+odd split for stability).
+	c := padeCoefficients(6)
+	x2 := scaled.Mul(scaled)
+
+	// Even part E = c0 I + c2 X² + c4 X⁴ + c6 X⁶
+	// Odd  part O = X (c1 I + c3 X² + c5 X⁴)
+	x4 := x2.Mul(x2)
+	x6 := x4.Mul(x2)
+
+	even := Identity(n).Scaled(c[0]).
+		Plus(x2.Scaled(c[2])).
+		Plus(x4.Scaled(c[4])).
+		Plus(x6.Scaled(c[6]))
+	oddInner := Identity(n).Scaled(c[1]).
+		Plus(x2.Scaled(c[3])).
+		Plus(x4.Scaled(c[5]))
+	odd := scaled.Mul(oddInner)
+
+	p := even.Plus(odd)
+	q := even.Minus(odd)
+
+	f, err := FactorLU(q)
+	if err != nil {
+		panic("matrix: Expm Padé denominator singular: " + err.Error())
+	}
+	r, err := f.Solve(p)
+	if err != nil {
+		panic("matrix: Expm Padé solve failed: " + err.Error())
+	}
+
+	// Undo scaling: square s times.
+	for i := 0; i < s; i++ {
+		r = r.Mul(r)
+	}
+	return r
+}
+
+// padeCoefficients returns the coefficients of the degree-m diagonal Padé
+// approximant numerator: c_k = m!(2m-k)! / ((2m)! k! (m-k)!).
+func padeCoefficients(m int) []float64 {
+	c := make([]float64, m+1)
+	c[0] = 1
+	for k := 1; k <= m; k++ {
+		c[k] = c[k-1] * float64(m-k+1) / (float64(k) * float64(2*m-k+1))
+	}
+	return c
+}
+
 func TestExpmZeroIsIdentity(t *testing.T) {
 	if got := Expm(New(3, 3)); !got.ApproxEqual(Identity(3), 1e-14) {
 		t.Fatalf("e^0 =\n%v", got)

@@ -1,11 +1,160 @@
 package matrix
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The LU factorization is the test oracle behind Expm (Padé) and the
+// Cholesky inverse; production code factors B with Cholesky only.
+
+// ErrSingular is returned when a factorization or solve encounters a
+// (numerically) singular matrix.
+var ErrSingular = errors.New("matrix: singular matrix")
+
+// LU holds an LU factorization with partial pivoting: P*A = L*U, where L is
+// unit lower triangular and U is upper triangular, stored compactly.
+type LU struct {
+	n     int
+	lu    *Dense
+	pivot []int
+	sign  float64
+}
+
+// FactorLU computes the LU factorization of the square matrix a with partial
+// pivoting. It returns ErrSingular when a pivot is exactly zero.
+func FactorLU(a *Dense) (*LU, error) {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("matrix: LU of non-square %dx%d matrix", a.rows, a.cols)
+	}
+	n := a.rows
+	f := &LU{n: n, lu: a.Clone(), pivot: make([]int, n), sign: 1}
+	lu := f.lu.data
+	for i := range f.pivot {
+		f.pivot[i] = i
+	}
+	for k := 0; k < n; k++ {
+		// Find pivot row.
+		p := k
+		max := math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu[i*n+k]); v > max {
+				max = v
+				p = i
+			}
+		}
+		if max == 0 {
+			return nil, ErrSingular
+		}
+		if p != k {
+			for j := 0; j < n; j++ {
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
+			}
+			f.pivot[k], f.pivot[p] = f.pivot[p], f.pivot[k]
+			f.sign = -f.sign
+		}
+		pivVal := lu[k*n+k]
+		for i := k + 1; i < n; i++ {
+			lik := lu[i*n+k] / pivVal
+			lu[i*n+k] = lik
+			if lik == 0 {
+				continue
+			}
+			for j := k + 1; j < n; j++ {
+				lu[i*n+j] -= lik * lu[k*n+j]
+			}
+		}
+	}
+	return f, nil
+}
+
+// SolveVec solves A*x = b for x using the factorization.
+func (f *LU) SolveVec(b []float64) ([]float64, error) {
+	if len(b) != f.n {
+		return nil, fmt.Errorf("matrix: rhs length %d, want %d", len(b), f.n)
+	}
+	n := f.n
+	lu := f.lu.data
+	x := make([]float64, n)
+	// Apply permutation.
+	for i := 0; i < n; i++ {
+		x[i] = b[f.pivot[i]]
+	}
+	// Forward substitution with unit lower triangle.
+	for i := 1; i < n; i++ {
+		var s float64
+		for j := 0; j < i; j++ {
+			s += lu[i*n+j] * x[j]
+		}
+		x[i] -= s
+	}
+	// Back substitution with upper triangle.
+	for i := n - 1; i >= 0; i-- {
+		var s float64
+		for j := i + 1; j < n; j++ {
+			s += lu[i*n+j] * x[j]
+		}
+		d := lu[i*n+i]
+		if d == 0 {
+			return nil, ErrSingular
+		}
+		x[i] = (x[i] - s) / d
+	}
+	return x, nil
+}
+
+// Solve solves A*X = B column by column.
+func (f *LU) Solve(b *Dense) (*Dense, error) {
+	if b.rows != f.n {
+		return nil, fmt.Errorf("matrix: rhs has %d rows, want %d", b.rows, f.n)
+	}
+	x := New(f.n, b.cols)
+	col := make([]float64, f.n)
+	for j := 0; j < b.cols; j++ {
+		for i := 0; i < f.n; i++ {
+			col[i] = b.data[i*b.cols+j]
+		}
+		sol, err := f.SolveVec(col)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < f.n; i++ {
+			x.data[i*x.cols+j] = sol[i]
+		}
+	}
+	return x, nil
+}
+
+// Determinant returns det(A) from the factorization.
+func (f *LU) Determinant() float64 {
+	d := f.sign
+	for i := 0; i < f.n; i++ {
+		d *= f.lu.data[i*f.n+i]
+	}
+	return d
+}
+
+// Inverse returns A⁻¹ computed from an LU factorization of a.
+func Inverse(a *Dense) (*Dense, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(Identity(a.rows))
+}
+
+// Solve solves a*x = b for a single right-hand side.
+func Solve(a *Dense, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveVec(b)
+}
 
 func TestSolveKnownSystem(t *testing.T) {
 	a := NewFromRows([][]float64{

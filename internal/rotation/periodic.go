@@ -43,10 +43,9 @@ import (
 const maxMatvecs = 200
 
 // evaluateIterative computes the plan's periodic steady state by conjugate
-// gradients and walks one period recording epoch boundaries; with
-// subsamples > 1 it additionally samples inside every epoch like
-// EvaluateFine. The plan is already validated.
-func (c *Calculator) evaluateIterative(plan Plan, subsamples int) (*Result, error) {
+// gradients and walks one period recording epoch boundaries. The plan is
+// already validated.
+func (c *Calculator) evaluateIterative(plan Plan) (*Result, error) {
 	metricEvals.Inc()
 	delta := plan.Delta()
 	stepper, err := c.m.NewStepper(plan.Tau)
@@ -63,33 +62,16 @@ func (c *Calculator) evaluateIterative(plan Plan, subsamples int) (*Result, erro
 		Peak:     math.Inf(-1),
 		Start:    append([]float64(nil), t...),
 	}
-	record := func(e int, temps []float64) {
+	for e := 0; e < delta; e++ {
+		stepper.StepTo(t, t, plan.Powers[e])
+		res.EpochEnd[e] = append([]float64(nil), t...)
 		for core := 0; core < c.n; core++ {
-			if temps[core] > res.Peak {
-				res.Peak = temps[core]
+			if t[core] > res.Peak {
+				res.Peak = t[core]
 				res.PeakEpoch = e
 				res.PeakCore = core
 			}
 		}
-	}
-	if subsamples <= 1 {
-		for e := 0; e < delta; e++ {
-			stepper.StepTo(t, t, plan.Powers[e])
-			res.EpochEnd[e] = append([]float64(nil), t...)
-			record(e, t)
-		}
-		return res, nil
-	}
-	sub, err := c.m.NewStepper(plan.Tau / float64(subsamples))
-	if err != nil {
-		return nil, err
-	}
-	for e := 0; e < delta; e++ {
-		for s := 0; s < subsamples; s++ {
-			sub.StepTo(t, t, plan.Powers[e])
-			record(e, t)
-		}
-		res.EpochEnd[e] = append([]float64(nil), t...)
 	}
 	return res, nil
 }

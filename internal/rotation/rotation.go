@@ -194,7 +194,7 @@ func (c *Calculator) Evaluate(plan Plan) (*Result, error) {
 		return nil, err
 	}
 	if c.Iterative() {
-		return c.evaluateIterative(plan, 1)
+		return c.evaluateIterative(plan)
 	}
 	metricEvals.Inc()
 	delta := plan.Delta()

@@ -1,6 +1,7 @@
 package rotation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,132 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/thermal"
 )
+
+// EvaluateFine computes the steady-periodic peak like Evaluate, but samples
+// `subsamples` points inside every epoch instead of only the epoch
+// boundaries Algorithm 1 inspects (Eq. 11). Within an epoch each node's
+// temperature relaxes exponentially toward that epoch's steady state, and a
+// node heating toward a hot steady state can peak strictly inside the epoch
+// before the next epoch pulls it down — so the boundary-only peak is a
+// (slight) underestimate. Subsampling quantifies that gap.
+//
+// subsamples = 1 reproduces Evaluate exactly. It is a test oracle: the
+// schedulers evaluate at epoch boundaries only, as Algorithm 1 does.
+func (c *Calculator) EvaluateFine(plan Plan, subsamples int) (*Result, error) {
+	if subsamples < 1 {
+		return nil, fmt.Errorf("rotation: subsamples must be ≥ 1, got %d", subsamples)
+	}
+	if err := plan.Validate(c.n); err != nil {
+		return nil, err
+	}
+	if c.Iterative() {
+		return c.evaluateFineIterative(plan, subsamples)
+	}
+	delta := plan.Delta()
+	N := c.nNodes
+	tau := plan.Tau
+	sub := tau / float64(subsamples)
+
+	decayEpoch := make([]float64, N) // e^{−λτ}
+	decaySub := make([]float64, N)   // e^{−λτ/subsamples}
+	for k, l := range c.lambda {
+		decayEpoch[k] = math.Exp(-l * tau)
+		decaySub[k] = math.Exp(-l * sub)
+	}
+
+	// Eigenspace images of the per-epoch steady states (node-space
+	// intermediates reused across epochs, as in Evaluate).
+	y := make([][]float64, delta)
+	p := make([]float64, N)
+	se := make([]float64, N)
+	for e := 0; e < delta; e++ {
+		c.m.ExtendPowerInto(p, plan.Powers[e])
+		c.binv.MulVecTo(se, p)
+		y[e] = c.vinv.MulVec(se)
+	}
+
+	// Period fixed point (same as Evaluate).
+	z := make([]float64, N)
+	for e := 0; e < delta; e++ {
+		for k := 0; k < N; k++ {
+			z[k] = decayEpoch[k]*z[k] + (1-decayEpoch[k])*y[e][k]
+		}
+	}
+	u := make([]float64, N)
+	for k := 0; k < N; k++ {
+		denom := 1 - math.Exp(-c.lambda[k]*tau*float64(delta))
+		if denom <= 0 {
+			return nil, fmt.Errorf("rotation: non-decaying eigenmode %d", k)
+		}
+		u[k] = z[k] / denom
+	}
+
+	ambient := c.m.AmbientSteady()
+	res := &Result{
+		EpochEnd: make([][]float64, delta),
+		Peak:     math.Inf(-1),
+	}
+	res.Start = matrix.VecAdd(c.v.MulVec(u), ambient)
+
+	te := make([]float64, N)
+	for e := 0; e < delta; e++ {
+		for s := 0; s < subsamples; s++ {
+			for k := 0; k < N; k++ {
+				u[k] = decaySub[k]*u[k] + (1-decaySub[k])*y[e][k]
+			}
+			c.v.MulVecTo(te, u)
+			abs := matrix.VecAdd(te, ambient)
+			for core := 0; core < c.n; core++ {
+				if abs[core] > res.Peak {
+					res.Peak = abs[core]
+					res.PeakEpoch = e
+					res.PeakCore = core
+				}
+			}
+			if s == subsamples-1 {
+				res.EpochEnd[e] = abs
+			}
+		}
+	}
+	return res, nil
+}
+
+// evaluateFineIterative is EvaluateFine on a sparse-mode model: from the
+// certified start of the periodic steady state it walks the period in
+// sub-steps of τ/subsamples, recording every sub-step.
+func (c *Calculator) evaluateFineIterative(plan Plan, subsamples int) (*Result, error) {
+	stepper, err := c.m.NewStepper(plan.Tau)
+	if err != nil {
+		return nil, err
+	}
+	t, _, err := c.periodicStart(plan, stepper)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := c.m.NewStepper(plan.Tau / float64(subsamples))
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		EpochEnd: make([][]float64, plan.Delta()),
+		Peak:     math.Inf(-1),
+		Start:    append([]float64(nil), t...),
+	}
+	for e := range res.EpochEnd {
+		for s := 0; s < subsamples; s++ {
+			sub.StepTo(t, t, plan.Powers[e])
+			for core := 0; core < c.n; core++ {
+				if t[core] > res.Peak {
+					res.Peak = t[core]
+					res.PeakEpoch = e
+					res.PeakCore = core
+				}
+			}
+		}
+		res.EpochEnd[e] = append([]float64(nil), t...)
+	}
+	return res, nil
+}
 
 func TestEvaluateFineValidation(t *testing.T) {
 	c := newCalc(t, 2, 2, thermal.DefaultConfig())

@@ -81,6 +81,12 @@ type HotPotato struct {
 	base         []float64
 	slotWatts    []float64
 
+	// evalStaticPeak scratch: the pinned per-core power, its steady state
+	// over every node, and the sparse backend's banded-solve scratch.
+	staticWatts   []float64
+	staticTemps   []float64
+	staticScratch []float64
+
 	// cands is the migration candidate list of pushOutward and rebalance,
 	// reused across calls.
 	cands []cand
@@ -192,6 +198,9 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		ringMean:       make([]float64, len(rings)),
 		ringOccupied:   make([]bool, len(rings)),
 		base:           make([]float64, plat.NumCores()),
+		staticWatts:    make([]float64, plat.NumCores()),
+		staticTemps:    make([]float64, calc.Model().N),
+		staticScratch:  make([]float64, calc.Model().N-1),
 	}
 	h.slots = make([][]slotEntry, len(rings))
 	maxRing := 0
@@ -587,11 +596,11 @@ func (h *HotPotato) EstimatorStats() (hits, fallbacks int) {
 }
 
 // evalStaticPeak is the non-rotating (τ stopped) safety check: the
-// steady-state peak of the pinned assignment.
+// steady-state peak of the pinned assignment. Allocation-free: it solves in
+// scratch kept on the scheduler.
 func (h *HotPotato) evalStaticPeak(st *sim.State) float64 {
-	n := st.Platform.NumCores()
 	idle := st.Platform.Power.IdleWatts
-	p := make([]float64, n)
+	p := h.staticWatts
 	for i := range p {
 		p[i] = idle
 	}
@@ -603,8 +612,9 @@ func (h *HotPotato) evalStaticPeak(st *sim.State) float64 {
 		}
 		p[cores[idx]] = h.threadPower(st, id)
 	}
-	ss := h.calc.Model().SteadyState(p)
-	return h.calc.Model().MaxCoreTemp(ss)
+	m := h.calc.Model()
+	m.SteadyStateInto(h.staticTemps, p, h.staticScratch)
+	return m.MaxCoreTemp(h.staticTemps)
 }
 
 // threadPower is the Algorithm 1 power estimate for a thread: its 10 ms

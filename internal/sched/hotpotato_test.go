@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -363,5 +365,91 @@ func TestHotPotatoEvalPeakZeroAllocs(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("evalPeak %v after warm-up, %v before", got, want)
+	}
+}
+
+// lightHotPotatoState is a chip whose 12 placed threads draw little enough
+// power that a rebalance relaxes τ through evalStaticPeak.
+func lightHotPotatoState(t *testing.T, plat *sim.Platform, hp *HotPotato) *sim.State {
+	t.Helper()
+	st := &sim.State{Platform: plat, CoreTemps: make([]float64, plat.NumCores()), TDTM: 70}
+	for i := range st.CoreTemps {
+		st.CoreTemps[i] = 50
+	}
+	for i := range 12 {
+		st.Threads = append(st.Threads, sim.ThreadInfo{ID: sim.ThreadID{Task: i / 2, Thread: i % 2}, Core: -1, CPI: 1 + float64(i%3)*0.4, AvgPower: 1 + 0.25*float64(i)})
+	}
+	dec := hp.Decide(st)
+	for i := range st.Threads {
+		core, ok := dec.Assignment[st.Threads[i].ID]
+		if !ok {
+			t.Fatalf("thread %v not placed", st.Threads[i].ID)
+		}
+		st.Threads[i].Core = core
+	}
+	return st
+}
+
+// TestHotPotatoStaticPeakMatchesSteadyState: the scratch-backed static
+// check returns, bit for bit, the hottest core of Model.SteadyState on the
+// pinned power map, on the dense and on the sparse backend, rotating or not.
+func TestHotPotatoStaticPeakMatchesSteadyState(t *testing.T) {
+	for _, solver := range []string{thermal.SolverDense, thermal.SolverSparse} {
+		cfg := sim.DefaultPlatformConfig(8, 8)
+		cfg.Thermal.Solver = solver
+		plat, err := sim.NewPlatform(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp := NewHotPotato(plat, 70)
+		st := lightHotPotatoState(t, plat, hp)
+		hp.rotSteps = 3
+		for _, rotate := range []bool{false, true} {
+			hp.rotate = rotate
+			p := make([]float64, plat.NumCores())
+			for i := range p {
+				p[i] = plat.Power.IdleWatts
+			}
+			for id, ref := range hp.place {
+				cores := hp.rings[ref.ring].Cores
+				idx := ref.slot
+				if rotate {
+					idx = (ref.slot + hp.rotSteps) % len(cores)
+				}
+				th, _ := st.Thread(id)
+				p[cores[idx]] = th.AvgPower
+			}
+			m := plat.Thermal
+			want := m.MaxCoreTemp(m.SteadyState(p))
+			if got := hp.evalStaticPeak(st); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s rotate=%v: evalStaticPeak %v, SteadyState peak %v", solver, rotate, got, want)
+			}
+		}
+	}
+}
+
+// TestHotPotatoRebalanceDecideDoesNotAllocate: a Decide that crosses a
+// rebalance point, relaxing τ through the static-placement check, allocates
+// nothing once the response tables are warm.
+func TestHotPotatoRebalanceDecideDoesNotAllocate(t *testing.T) {
+	plat := testPlatform(t, 8, 8)
+	hp := NewHotPotato(plat, 70)
+	st := lightHotPotatoState(t, plat, hp)
+	// Steps of two rebalance intervals: one interval can round below the
+	// Decide's st.Time − lastRebalance ≥ rebalanceEvery test.
+	for range 3 {
+		st.Time += 2 * hp.rebalanceEvery
+		hp.Decide(st)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		st.Time += 2 * hp.rebalanceEvery
+		hp.rotate = true // the relaxation ends by stopping rotation
+		hp.Decide(st)
+	})
+	if allocs != 0 {
+		t.Errorf("HotPotato.Decide across a rebalance: %v allocs, want 0", allocs)
+	}
+	if hp.rotate {
+		t.Error("rebalance kept rotating a light load: evalStaticPeak never decided")
 	}
 }

@@ -54,7 +54,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// just without "pruned" records).
 	var prune func(context.Context, hotpotato.SweepCell) (hotpotato.PruneDecision, bool)
 	if sweep.PruneAboveTemp != nil && s.twin != nil {
-		prune = hotpotato.NewTwinSweepPruner(s.twin, *sweep.PruneAboveTemp)
+		prune = hotpotato.NewTwinSweepPruner(s.twin, s.cache, *sweep.PruneAboveTemp)
 	}
 
 	// Buffered to one slot per cell, so the pool never blocks on the stream;

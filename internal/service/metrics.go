@@ -24,10 +24,6 @@ var (
 	metricJobLatency = obs.NewHistogram("service_job_seconds",
 		"Asynchronous job execution wall-clock (running to terminal), seconds.",
 		obs.DefLatencyBuckets)
-	metricCacheHits = obs.NewCounter("service_platform_cache_hits_total",
-		"Platform cache lookups served from an existing entry.")
-	metricCacheMisses = obs.NewCounter("service_platform_cache_misses_total",
-		"Platform cache lookups that built (eigendecomposed) a new platform.")
 	metricResultCacheHits = obs.NewCounter("service_result_cache_hits_total",
 		"Result cache lookups served from a cached (or coalesced in-flight) run.")
 	metricResultCacheMisses = obs.NewCounter("service_result_cache_misses_total",

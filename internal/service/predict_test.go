@@ -287,3 +287,64 @@ func TestBatchPruneRequiresModel(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchPrunerSharesServerPlatform: the /v1/batch twin pruner looks its
+// platform up in the server's own cache, so a sweep whose cells are all
+// pruned builds nothing once the server holds the default 4×4 chip — also
+// for cells that ask for the sparse solver, because the twin predicts on
+// DefaultPlatformConfig whatever the cell declares. The pruned records are
+// byte-equal to those of the pruner's earlier private platform.
+func TestBatchPrunerSharesServerPlatform(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 2, TwinModel: testTwinModel(t)})
+	if _, err := svc.Cache().Get(hotpotato.RunSpec{Platform: hotpotato.DefaultPlatformConfig(4, 4)}.WithDefaults().Platform); err != nil {
+		t.Fatal(err)
+	}
+	want := map[float64][]string{
+		200: {
+			`{"type":"result","index":0,"hash":"sha256:7ff9484fe04d5e5c371b850f6d150bac601f91a17948cc7c6f21afafbfd24726","status":"pruned","pruned":true,"prune":{"verdict":"below","peak_c":66.09945789005747,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":1,"hash":"sha256:9c013af646e5dde1cf02992f1f0b736e9431b000433d0c551b35d59d83f72a9f","status":"pruned","pruned":true,"prune":{"verdict":"below","peak_c":66.09945789005747,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":2,"hash":"sha256:8563d0c0d604332ee7417be515930377cd94669cb2a497c7d9ac890a844e25fc","status":"pruned","pruned":true,"prune":{"verdict":"below","peak_c":67.71828432900608,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":3,"hash":"sha256:a2e27aa63555608e980fe1cdf57717fe52efa232394b9a5a74d2f0a277686bed","status":"pruned","pruned":true,"prune":{"verdict":"below","peak_c":67.71828432900608,"bound_c":18.174769897192835}}`,
+		},
+		40: {
+			`{"type":"result","index":0,"hash":"sha256:7ff9484fe04d5e5c371b850f6d150bac601f91a17948cc7c6f21afafbfd24726","status":"pruned","pruned":true,"prune":{"verdict":"above","peak_c":66.09945789005747,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":1,"hash":"sha256:9c013af646e5dde1cf02992f1f0b736e9431b000433d0c551b35d59d83f72a9f","status":"pruned","pruned":true,"prune":{"verdict":"above","peak_c":66.09945789005747,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":2,"hash":"sha256:8563d0c0d604332ee7417be515930377cd94669cb2a497c7d9ac890a844e25fc","status":"pruned","pruned":true,"prune":{"verdict":"above","peak_c":67.71828432900608,"bound_c":18.174769897192835}}`,
+			`{"type":"result","index":3,"hash":"sha256:a2e27aa63555608e980fe1cdf57717fe52efa232394b9a5a74d2f0a277686bed","status":"pruned","pruned":true,"prune":{"verdict":"above","peak_c":67.71828432900608,"bound_c":18.174769897192835}}`,
+		},
+	}
+	for _, threshold := range []float64{200, 40} {
+		_, before := svc.Cache().Stats()
+		sweep := fmt.Sprintf(`{
+			"base": {"platform": {"width": 4, "height": 4}, "scheduler": {"name": "static"}, "sim": {"dtm_enabled": false}},
+			"axes": {"workloads": [
+				{"kind": "explicit", "tasks": [{"bench": "blackscholes", "threads": 2, "work_scale": 0.3}]},
+				{"kind": "explicit", "tasks": [{"bench": "swaptions", "threads": 4, "work_scale": 0.3}]}],
+				"solvers": ["", "sparse"]},
+			"prune_above_temp": %g
+		}`, threshold)
+		resp, body := postJSON(t, ts.URL+"/v1/batch", sweep)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("threshold %g: batch status %d: %s", threshold, resp.StatusCode, body)
+		}
+		got := make([]string, len(want[threshold]))
+		for _, line := range strings.Split(string(body), "\n") {
+			var rec batchRecord
+			if json.Unmarshal([]byte(line), &rec) != nil || rec.Type != "result" {
+				continue
+			}
+			if rec.Index < 0 || rec.Index >= len(got) {
+				t.Fatalf("threshold %g: record index %d out of range", threshold, rec.Index)
+			}
+			got[rec.Index] = line
+		}
+		for i := range got {
+			if got[i] != want[threshold][i] {
+				t.Errorf("threshold %g cell %d:\n got %s\nwant %s", threshold, i, got[i], want[threshold][i])
+			}
+		}
+		if _, after := svc.Cache().Stats(); after != before {
+			t.Errorf("threshold %g: pruned sweep built %d platforms, want 0", threshold, after-before)
+		}
+	}
+}

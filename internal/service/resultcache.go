@@ -20,13 +20,13 @@ const DefaultResultCacheEntries = 256
 // (host-time fields aside, which the cache does not store meaningfully) and
 // never goes stale — entries leave only by LRU eviction.
 //
-// Singleflight follows the PlatformCache pattern: the first requester of a
-// hash becomes the leader and runs the simulation; concurrent requesters for
-// the same hash block on the entry until the leader fulfills or abandons it.
-// Abandonment (the leader's run failed with a non-cacheable error, e.g. its
-// client disconnected) wakes followers with ok=false and they fall back to
-// running the spec themselves — a canceled leader must not poison the cell
-// for everyone behind it.
+// Singleflight follows the hotpotato.PlatformCache pattern: the first
+// requester of a hash becomes the leader and runs the simulation; concurrent
+// requesters for the same hash block on the entry until the leader fulfills
+// or abandons it. Abandonment (the leader's run failed with a non-cacheable
+// error, e.g. its client disconnected) wakes followers with ok=false and
+// they fall back to running the spec themselves — a canceled leader must not
+// poison the cell for everyone behind it.
 //
 // Only two outcomes are cached: clean completions and MaxTime stops (a
 // deterministic property of the spec, replayed with the ErrTimeout identity

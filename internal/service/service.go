@@ -1,3 +1,8 @@
+// Package service is the HTTP/JSON serving layer of the reproduction: it
+// turns declarative hotpotato.RunSpec documents into simulation runs on a
+// long-lived bounded worker pool, shares eigendecomposed Platforms between
+// requests through one hotpotato.PlatformCache, and honours request
+// deadlines and disconnects mid-run through hotpotato.RunContext.
 package service
 
 import (
@@ -101,13 +106,14 @@ const DefaultBatchHeartbeat = 10 * time.Second
 // All executions go through one semaphore of Config.Workers slots, so the
 // server never runs more simulations than the host has been budgeted for,
 // no matter how requests arrive: an admitted job is one goroutine waiting
-// for a slot exactly like a /v1/run request. Platforms are shared between requests via
-// a PlatformCache. Shutdown stops intake, drains, then force-cancels
-// stragglers through their run contexts.
+// for a slot exactly like a /v1/run request. Runs, predictions and the
+// /v1/batch twin pruner share Platforms through one hotpotato.PlatformCache.
+// Shutdown stops intake, drains, then force-cancels stragglers through their
+// run contexts.
 type Server struct {
 	cfg    Config
 	logger *slog.Logger
-	cache  *PlatformCache
+	cache  *hotpotato.PlatformCache
 	// twin is the analytical-twin model (Config.TwinModel); nil when the
 	// server runs without one.
 	twin *hotpotato.TwinModel
@@ -161,7 +167,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		logger:     cfg.Logger,
-		cache:      NewPlatformCache(),
+		cache:      hotpotato.NewPlatformCache(),
 		twin:       cfg.TwinModel,
 		results:    results,
 		drift:      newDriftTracker(),
@@ -174,7 +180,7 @@ func New(cfg Config) *Server {
 }
 
 // Cache exposes the platform cache (introspection and tests).
-func (s *Server) Cache() *PlatformCache { return s.cache }
+func (s *Server) Cache() *hotpotato.PlatformCache { return s.cache }
 
 // Results exposes the result cache (introspection and tests); nil when
 // result caching is disabled.

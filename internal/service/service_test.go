@@ -62,51 +62,6 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func TestPlatformCacheSingleflight(t *testing.T) {
-	c := NewPlatformCache()
-	cfg := hotpotato.DefaultPlatformConfig(4, 4)
-
-	const callers = 8
-	plats := make([]*hotpotato.Platform, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := c.Get(cfg)
-			if err != nil {
-				t.Error(err)
-			}
-			plats[i] = p
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 1; i < callers; i++ {
-		if plats[i] != plats[0] {
-			t.Fatalf("caller %d got a different *Platform: %p vs %p", i, plats[i], plats[0])
-		}
-	}
-	if hits, misses := c.Stats(); misses != 1 || hits != callers-1 {
-		t.Errorf("want 1 miss / %d hits, got %d / %d", callers-1, misses, hits)
-	}
-	if c.Len() != 1 {
-		t.Errorf("want 1 entry, got %d", c.Len())
-	}
-
-	// A different chip is a different entry and a different pointer.
-	other, err := c.Get(hotpotato.DefaultPlatformConfig(5, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == plats[0] {
-		t.Error("distinct configs shared a Platform")
-	}
-	if c.Len() != 2 {
-		t.Errorf("want 2 entries, got %d", c.Len())
-	}
-}
-
 // TestSyncRunMatchesInProcess is the serving half of the equivalence
 // contract: POST /v1/run must return a Result bit-identical to the in-process
 // ExecuteSpec of the same document (host-time fields aside).
@@ -382,17 +337,29 @@ func TestServerStartsNoGoroutines(t *testing.T) {
 
 // TestSyncCancellationAbandonsRun checks a disconnected client stops its
 // simulation: the handler returns promptly and the worker slot frees up.
+// The client disconnects only once the run holds the server's one worker
+// slot, and the run takes over a minute of host time (MaxTime raised past
+// its 5,700 simulated seconds), so the request cannot finish before the
+// cancellation arrives however loaded the host is.
 func TestSyncCancellationAbandonsRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	hugeSpecJSON := `{
+	"platform":  {"width": 4, "height": 4},
+	"sim":       {"dtm_enabled": true, "max_time": 10000},
+	"scheduler": {"name": "hotpotato"},
+	"workload":  {"kind": "explicit", "tasks": [{"bench": "blackscholes", "threads": 2, "work_scale": 100000}]}
+}`
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(longSpecJSON))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(hugeSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		defer cancel()
+		for deadline := time.Now().Add(30 * time.Second); len(svc.sem) == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 	}()
 	if _, err := http.DefaultClient.Do(req); err == nil {
 		t.Fatal("cancelled request unexpectedly succeeded")

@@ -430,3 +430,40 @@ func BenchmarkHotloopStepDense(b *testing.B) {
 		})
 	}
 }
+
+// TestModelSteadyStateIntoMatchesExtendedSolve: Model.SteadyStateInto,
+// which solves the sparse backend in place, equals bit for bit the solve on
+// a separately extended power vector plus the ambient offset, on both
+// backends, and allocates nothing.
+func TestModelSteadyStateIntoMatchesExtendedSolve(t *testing.T) {
+	fp, err := floorplan.New(8, 8, 0.0009)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []string{SolverDense, SolverSparse} {
+		cfg := DefaultConfig()
+		cfg.Solver = solver
+		m, err := New(fp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, m.NumNodes())
+		scratch := make([]float64, m.NumNodes()-1)
+		r := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 10; trial++ {
+			p := randPower(r, m.NumCores())
+			want := m.solveB(m.ExtendPower(p))
+			matrix.VecAddTo(want, m.steadyAmbient)
+			m.SteadyStateInto(dst, p, scratch)
+			for i := range dst {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s trial %d node %d: SteadyStateInto %v, extended solve %v", solver, trial, i, dst[i], want[i])
+				}
+			}
+		}
+		p := randPower(r, m.NumCores())
+		if a := testing.AllocsPerRun(20, func() { m.SteadyStateInto(dst, p, scratch) }); a != 0 {
+			t.Errorf("%s: SteadyStateInto allocates %v per call, want 0", solver, a)
+		}
+	}
+}

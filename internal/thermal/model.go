@@ -184,7 +184,7 @@ func (m *Model) finish(builder *matrix.SparseBuilder) error {
 
 // solveB solves B·x = p, allocating the result — the mode-agnostic solve
 // both backends provide (dense: precomputed inverse; sparse: banded
-// arrowhead Cholesky). Hot paths use Stepper.SteadyStateInto instead.
+// arrowhead Cholesky). Hot paths use SteadyStateInto instead.
 func (m *Model) solveB(p []float64) []float64 {
 	out := make([]float64, m.N)
 	if m.sp != nil {
@@ -422,17 +422,31 @@ func (m *Model) ExtendPowerInto(dst, coreWatts []float64) {
 
 // SteadyState solves Eq. 3: T_steady = B⁻¹P + B⁻¹·T_amb·G for a per-core
 // power vector, returning the temperature of all N nodes in °C. Works in
-// both solver modes; the zero-allocation twin is Stepper.SteadyStateInto.
+// both solver modes; the zero-allocation twin is SteadyStateInto.
 func (m *Model) SteadyState(coreWatts []float64) []float64 {
-	var t []float64
+	t := make([]float64, m.N)
+	var scratch []float64
 	if m.sp != nil {
-		t = m.solveB(m.ExtendPower(coreWatts))
-	} else {
-		t = make([]float64, m.N)
-		m.coreColumnsSolve(t, coreWatts)
+		scratch = make([]float64, m.N-1)
 	}
-	matrix.VecAddTo(t, m.steadyAmbient)
+	m.SteadyStateInto(t, coreWatts, scratch)
 	return t
+}
+
+// SteadyStateInto is SteadyState into dst (length N) with no allocation.
+// Dense mode multiplies only B⁻¹'s core columns (the rest of the extended
+// power is zero) and ignores scratch; sparse mode extends the power into
+// dst and solves in place, with scratch (length N−1) for the banded solve.
+// dst must alias neither coreWatts nor scratch. Safe for concurrent callers
+// with distinct buffers.
+func (m *Model) SteadyStateInto(dst, coreWatts, scratch []float64) {
+	if m.sp != nil {
+		m.ExtendPowerInto(dst, coreWatts)
+		m.sp.solveInto(dst, dst, scratch)
+	} else {
+		m.coreColumnsSolve(dst, coreWatts)
+	}
+	matrix.VecAddTo(dst, m.steadyAmbient)
 }
 
 // coreColumnsSolve sets dst (length N) = B⁻¹·P for per-core power coreWatts

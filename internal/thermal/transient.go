@@ -49,7 +49,6 @@ type Stepper struct {
 	solveScratch []float64 // banded-solve scratch, length N−1
 
 	// Scratch reused by the methods (never escapes a call).
-	p     []float64 // extended power vector (sparse mode), length N
 	tss   []float64 // steady state for tssWatts, length N
 	diff  []float64 // T − T_steady, length N
 	white []float64 // whitened propagator input (sparse mode), length N
@@ -83,7 +82,6 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 		// cost of about one extra Lanczos dimension per step.
 		s.kry = matrix.NewKrylovExpm(newWhitenedOp(m.sp), 0, stepKrylovTol)
 		s.solveScratch = make([]float64, m.N-1)
-		s.p = make([]float64, m.N)
 		s.white = make([]float64, m.N)
 		return s, nil
 	}
@@ -237,19 +235,11 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// SteadyStateInto solves Eq. 3 into dst (length N); the zero-allocation twin
-// of Model.SteadyState, in either solver mode. Dense mode multiplies only
-// B⁻¹'s core columns (the rest of the extended power is zero); sparse mode
-// solves on the extended power in the stepper's scratch. dst must not alias
-// the stepper's scratch. Not goroutine-safe (see the Stepper doc).
+// SteadyStateInto is Model.SteadyStateInto on the stepper's banded-solve
+// scratch. dst must not alias coreWatts or the stepper's scratch. Not
+// goroutine-safe (see the Stepper doc).
 func (s *Stepper) SteadyStateInto(dst, coreWatts []float64) {
-	if s.m.sp != nil {
-		s.m.ExtendPowerInto(s.p, coreWatts)
-		s.SolveBInto(dst, s.p)
-	} else {
-		s.m.coreColumnsSolve(dst, coreWatts)
-	}
-	matrix.VecAddTo(dst, s.m.steadyAmbient)
+	s.m.SteadyStateInto(dst, coreWatts, s.solveScratch)
 }
 
 // SolveBInto solves B·x = p for a node-space vector p (length N) into dst

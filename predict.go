@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/rotation"
@@ -630,27 +629,22 @@ func twinDesignRing(rng *rand.Rand, plat *Platform, steadyPeak twin.SteadyPeakFu
 // entirely on one side of the threshold — "above" when even the optimistic
 // end exceeds it, "below" when even the pessimistic end stays under it.
 // Out-of-domain cells, uncalibrated grid sizes, and inconclusive predictions
-// all return ok=false, so those cells simulate as usual. The returned func
-// is safe for concurrent calls (predictions are serialized internally; each
-// costs microseconds against the cells' full simulations).
-func NewTwinSweepPruner(model *TwinModel, threshold float64) func(ctx context.Context, cell SweepCell) (PruneDecision, bool) {
-	var mu sync.Mutex
-	plats := make(map[[2]int]*Platform)
+// all return ok=false, so those cells simulate as usual.
+//
+// The twin predicts on the Table I chip of the cell's grid size,
+// DefaultPlatformConfig(w, h), whatever substrate or solver the cell
+// declares; that platform comes from plats, so a pruner sharing a server's
+// cache builds nothing the server already holds. The returned func is safe
+// for concurrent calls: TwinPredict only reads the shared platform.
+func NewTwinSweepPruner(model *TwinModel, plats *PlatformCache, threshold float64) func(ctx context.Context, cell SweepCell) (PruneDecision, bool) {
 	return func(ctx context.Context, cell SweepCell) (PruneDecision, bool) {
 		w, h := cell.Spec.Platform.Width, cell.Spec.Platform.Height
 		if _, ok := model.Buckets[twin.BucketKey(w, h)]; !ok {
 			return PruneDecision{}, false
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		plat, ok := plats[[2]int{w, h}]
-		if !ok {
-			var err error
-			plat, err = NewPlatform(w, h)
-			if err != nil {
-				return PruneDecision{}, false
-			}
-			plats[[2]int{w, h}] = plat
+		plat, err := plats.Get(DefaultPlatformConfig(w, h))
+		if err != nil {
+			return PruneDecision{}, false
 		}
 		pred, err := TwinPredict(model, plat, cell.Spec)
 		if err != nil || !pred.TransientPeakC.Conclusive {

@@ -276,10 +276,13 @@ type SweepOptions struct {
 	// Workers bounds how many cells run concurrently; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Run executes one cell; nil means ExecuteSpec on the cell's canonical
-	// spec. The serving layer substitutes a runner that consults its result
-	// cache and worker semaphore; the returned bool reports a cache hit.
-	// Run must be safe for concurrent calls.
+	// Run executes one cell's canonical spec; the returned bool reports a
+	// cache hit. Nil means ExecuteSpecOnPlatform on a platform from a
+	// PlatformCache that lives for the call: each distinct PlatformConfig
+	// is built once, on first use, and its cells share it until the call
+	// returns. The serving layer substitutes a runner that consults its
+	// result cache, worker semaphore and long-lived platform cache. Run must
+	// be safe for concurrent calls.
 	Run func(ctx context.Context, cell SweepCell) (*Result, bool, error)
 	// Prune, when non-nil, is consulted per cell after canonicalization and
 	// before Run: returning ok=true skips the simulation and emits the cell
@@ -324,8 +327,13 @@ func ExecuteSweepCells(ctx context.Context, cells []SweepCell, opts SweepOptions
 	}
 	run := opts.Run
 	if run == nil {
+		plats := NewPlatformCache()
 		run = func(ctx context.Context, cell SweepCell) (*Result, bool, error) {
-			res, err := ExecuteSpec(ctx, cell.Spec)
+			plat, err := plats.Get(cell.Spec.Platform)
+			if err != nil {
+				return nil, false, err
+			}
+			res, err := ExecuteSpecOnPlatform(ctx, plat, cell.Spec)
 			return res, false, err
 		}
 	}
