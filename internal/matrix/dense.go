@@ -8,8 +8,9 @@
 // Matrices are small and dense (an N-node thermal network has N on the order
 // of a few hundred), so the package favours clarity and numerical robustness
 // over blocked performance tricks. The one exception is the row kernel behind
-// MulVecTo, which keeps four rows' sums in flight at once without changing
-// the order of any sum.
+// MulVecTo, which keeps several rows' sums in flight at once (eight YMM lanes
+// on amd64 with AVX, four Go accumulators elsewhere) without changing the
+// order of any sum.
 package matrix
 
 import (
@@ -252,14 +253,18 @@ func (m *Dense) MulVecPrefixTo(dst, x []float64) {
 	mulRowsTo(dst, m.data, m.cols, x)
 }
 
-// mulRowsTo sets dst[i] = Σⱼ data[i·stride+j]·x[j] for every i < len(dst),
+// mulRowsGo sets dst[i] = Σⱼ data[i·stride+j]·x[j] for every i < len(dst),
 // each sum starting at +0 and adding its terms for j = 0, 1, … in order. It
 // runs four rows per pass with one accumulator each, so four independent
 // chains of adds are in flight instead of one, while every row sees the same
 // roundings in the same order as the one-row loop: the result is bit-identical
-// to it. Wider passes measured slower. Each row is resliced to len(x), which
-// lets the compiler drop the bounds checks in the inner loops.
-func mulRowsTo(dst, data []float64, stride int, x []float64) {
+// to it. A pure-Go eight-row pass measured slower. Each row is resliced to
+// len(x), which lets the compiler drop the bounds checks in the inner loops.
+//
+// mulRowsTo (dense_amd64.go, dense_other.go) dispatches here; it is the
+// kernel on every path without AVX and the oracle the tests compare the
+// assembly body with.
+func mulRowsGo(dst, data []float64, stride int, x []float64) {
 	n := len(x)
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {

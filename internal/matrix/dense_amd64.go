@@ -1,0 +1,26 @@
+package matrix
+
+// useAVX is set once at init: the CPU has AVX (CPUID.1:ECX bit 28) and the
+// OS saves the YMM registers (OSXSAVE, bit 27, and XCR0 bits 1 and 2).
+var useAVX = cpuid1ECX()&(1<<27|1<<28) == 1<<27|1<<28 && xgetbv0()&6 == 6
+
+// mulRowsTo is mulRowsGo with the rows in whole groups of eight taken by the
+// AVX body (dense_amd64.s), bit for bit the same sums.
+func mulRowsTo(dst, data []float64, stride int, x []float64) {
+	if k := len(dst) &^ 7; useAVX && k > 0 {
+		_ = data[:(k-1)*stride+len(x)] // the assembly reads rows 0..k-1
+		mulRows8AVX(dst[:k], data, stride, x)
+		if k < len(dst) {
+			mulRowsGo(dst[k:], data[k*stride:], stride, x)
+		}
+		return
+	}
+	mulRowsGo(dst, data, stride, x)
+}
+
+//go:noescape
+func mulRows8AVX(dst, data []float64, stride int, x []float64)
+
+func cpuid1ECX() uint32
+
+func xgetbv0() uint32

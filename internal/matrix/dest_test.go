@@ -214,9 +214,9 @@ func TestMulVecPrefixToMatchesZeroPadded(t *testing.T) {
 	New(3, 4).MulVecPrefixTo(make([]float64, 3), make([]float64, 5))
 }
 
-// TestMulVecRowsMatchOneRowLoop pins the four-row kernel behind MulVecTo and
+// TestMulVecRowsMatchOneRowLoop pins the row kernel behind MulVecTo and
 // MulVecPrefixTo to the one-row loop, bit for bit: each row is its own sum
-// from +0 over j in order, whatever the row count mod 4, the prefix length,
+// from +0 over j in order, whatever the row count mod 8, the prefix length,
 // and the signs, zeros, infinities and NaNs in the data. Only NaN payloads
 // are exempt: which of two NaNs an add returns depends on the operand order
 // the compiler picks, which Go leaves open.
@@ -275,6 +275,69 @@ func TestMulVecRowsMatchOneRowLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMulRowsMatchesGoLoop pins mulRowsTo, the dispatching kernel (the AVX
+// body on amd64 hosts that have AVX), to the Go loop mulRowsGo bit for bit:
+// 0–33 and 129 rows (every remainder mod 8), strides longer than the row,
+// prefix lengths 0–3, an odd one and the whole row, over ±0, subnormals,
+// ±Inf, NaN and magnitudes whose products overflow or underflow. A NaN must
+// meet a NaN, every other output its exact bits. A body that fuses the
+// multiply into the add (VFMADD231PD) fails it.
+func TestMulRowsMatchesGoLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -2.5e-310, 1e-300, -3e-160, 1e300, -2e200, math.MaxFloat64,
+	}
+	// draw returns a signed normal value, or with probability rate one of
+	// the specials.
+	draw := func(rate float64) float64 {
+		if r.Float64() < rate {
+			return specials[r.Intn(len(specials))]
+		}
+		return r.NormFloat64()
+	}
+	var rowCounts []int
+	for rows := 0; rows <= 33; rows++ {
+		rowCounts = append(rowCounts, rows)
+	}
+	rowCounts = append(rowCounts, 129)
+	for _, cols := range []int{1, 2, 3, 8, 64, 129} {
+		for _, stride := range []int{cols, cols + 3} {
+			for _, rows := range rowCounts {
+				for _, rate := range []float64{0, 0.05, 0.5} {
+					data := make([]float64, rows*stride)
+					for i := range data {
+						data[i] = draw(rate)
+					}
+					x := make([]float64, cols)
+					for i := range x {
+						x[i] = draw(rate)
+					}
+					for _, k := range []int{0, 1, 2, 3, cols/2 | 1, cols} {
+						if k > cols {
+							continue
+						}
+						got, want := randomVec(r, rows), randomVec(r, rows)
+						mulRowsTo(got, data, stride, x[:k])
+						mulRowsGo(want, data, stride, x[:k])
+						for i := range want {
+							g, w := got[i], want[i]
+							if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+								t.Fatalf("%d rows, stride %d, len(x)=%d, rate %v: row %d = %v (%#x), Go loop %v (%#x)",
+									rows, stride, k, rate, i, g, math.Float64bits(g), w, math.Float64bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	m, x, dst := randomDense(r, 129, 129), randomVec(r, 129), make([]float64, 129)
+	if allocs := testing.AllocsPerRun(10, func() { mulRowsTo(dst, m.data, m.cols, x) }); allocs != 0 {
+		t.Errorf("mulRowsTo: %v allocs per call, want 0", allocs)
 	}
 }
 

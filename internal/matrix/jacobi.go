@@ -31,13 +31,15 @@ func SymEigen(a *Dense) (*Eigen, error) {
 	}
 	n := a.rows
 	w := a.Clone()
-	v := Identity(n)
+	// vt accumulates Vᵀ: rotating its rows p and q walks contiguous memory
+	// where rotating V's columns would stride by n, with the same arithmetic.
+	vt := Identity(n)
 
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := offDiagNorm(w)
 		if off <= 1e-14*(1+w.MaxAbs()) {
-			return sortedEigen(w, v), nil
+			return sortedEigen(w, vt), nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -59,13 +61,13 @@ func SymEigen(a *Dense) (*Eigen, error) {
 				s := t * c
 
 				applyJacobiRotation(w, p, q, c, s)
-				rotateColumns(v, p, q, c, s)
+				rotateRows(vt, p, q, c, s)
 			}
 		}
 	}
 	if offDiagNorm(w) <= 1e-10*(1+w.MaxAbs()) {
 		// Converged to a slightly looser tolerance; accept.
-		return sortedEigen(w, v), nil
+		return sortedEigen(w, vt), nil
 	}
 	return nil, ErrNoConvergence
 }
@@ -93,15 +95,16 @@ func applyJacobiRotation(w *Dense, p, q int, c, s float64) {
 	w.data[q*n+p] = 0
 }
 
-// rotateColumns applies the rotation to columns p and q of v (accumulating
-// eigenvectors).
-func rotateColumns(v *Dense, p, q int, c, s float64) {
-	n := v.rows
-	for i := 0; i < n; i++ {
-		vip := v.data[i*n+p]
-		viq := v.data[i*n+q]
-		v.data[i*n+p] = c*vip - s*viq
-		v.data[i*n+q] = s*vip + c*viq
+// rotateRows applies the rotation to rows p and q of vt, the transposed
+// eigenvector accumulator.
+func rotateRows(vt *Dense, p, q int, c, s float64) {
+	n := vt.cols
+	rp := vt.data[p*n:][:n]
+	rq := vt.data[q*n:][:n]
+	for i, vip := range rp {
+		viq := rq[i]
+		rp[i] = c*vip - s*viq
+		rq[i] = s*vip + c*viq
 	}
 }
 
@@ -116,7 +119,9 @@ func offDiagNorm(w *Dense) float64 {
 	return math.Sqrt(s)
 }
 
-func sortedEigen(w, v *Dense) *Eigen {
+// sortedEigen returns the eigenpairs of the diagonalized w in ascending
+// order, reading eigenvector k from row k of the accumulator vt.
+func sortedEigen(w, vt *Dense) *Eigen {
 	n := w.rows
 	idx := make([]int, n)
 	for i := range idx {
@@ -128,8 +133,8 @@ func sortedEigen(w, v *Dense) *Eigen {
 	e := &Eigen{Values: make([]float64, n), Vectors: New(n, n)}
 	for k, src := range idx {
 		e.Values[k] = vals[src]
-		for i := 0; i < n; i++ {
-			e.Vectors.data[i*n+k] = v.data[i*n+src]
+		for i, x := range vt.data[src*n : (src+1)*n] {
+			e.Vectors.data[i*n+k] = x
 		}
 	}
 	return e

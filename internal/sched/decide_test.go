@@ -77,25 +77,28 @@ func TestMaxFreqWithinBudgetMatchesOracle(t *testing.T) {
 	}
 }
 
-// budgetAuditor runs PCMig and checks after every decision that the cached
-// TSP budget is the one TSPBudget computes for the current active set.
+// budgetAuditor runs a scheduler that keeps a tspCache (PCMig or
+// TSPGovernor) and checks after every decision that the cached TSP budget is
+// the one TSPBudget computes for the current active set.
 type budgetAuditor struct {
 	t              *testing.T
-	p              *PCMig
+	sch            sim.Scheduler
+	tsp            *tspCache
+	tdtm           float64
 	epochs, misses int
 	prev           float64
 }
 
-func (a *budgetAuditor) Name() string { return a.p.Name() }
+func (a *budgetAuditor) Name() string { return a.sch.Name() }
 
 func (a *budgetAuditor) Decide(st *sim.State) sim.Decision {
-	dec := a.p.Decide(st)
+	dec := a.sch.Decide(st)
 	var active []int
 	for _, core := range dec.Assignment {
 		active = append(active, core)
 	}
-	want := TSPBudget(st.Platform, active, a.p.tdtm)
-	if got := a.p.tsp.value; math.Float64bits(got) != math.Float64bits(want) {
+	want := TSPBudget(st.Platform, active, a.tdtm)
+	if got := a.tsp.value; math.Float64bits(got) != math.Float64bits(want) {
 		a.t.Fatalf("t=%v: cached budget %v, TSPBudget of %v = %v", st.Time, got, active, want)
 	}
 	if a.epochs == 0 || math.Float64bits(want) != math.Float64bits(a.prev) {
@@ -115,7 +118,8 @@ func TestPCMigCachedBudgetIsFresh(t *testing.T) {
 		mustTask(t, 3, "bodytrack", 8, 6e-3, 0.3),
 		mustTask(t, 4, "streamcluster", 4, 15e-3, 0.3),
 	}
-	a := &budgetAuditor{t: t, p: NewPCMig(70)}
+	p := NewPCMig(70)
+	a := &budgetAuditor{t: t, sch: p, tsp: &p.tsp, tdtm: p.tdtm}
 	res := runSim(t, plat, sim.DefaultConfig(), a, tasks)
 	if res.Migrations == 0 {
 		t.Error("run made no migrations")
@@ -175,6 +179,48 @@ func TestPCMigDecideDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("PCMig.Decide: %v allocs per steady-state epoch, want 0", allocs)
+	}
+}
+
+// TestTSPGovernorDecideDoesNotAllocate pins the governor's steady-state
+// decision to PCMig's rule: it refills the buffers it returned before.
+func TestTSPGovernorDecideDoesNotAllocate(t *testing.T) {
+	pins := map[sim.ThreadID]int{}
+	for i := range 48 {
+		pins[sim.ThreadID{Task: i / 4, Thread: i % 4}] = i
+	}
+	g := NewTSPGovernor(pins, 70)
+	st := steadyDecideState(t, testPlatform(t, 8, 8), g)
+	g.Decide(st)
+	allocs := testing.AllocsPerRun(100, func() {
+		st.Time += 1e-3
+		g.Decide(st)
+	})
+	if allocs != 0 {
+		t.Errorf("TSPGovernor.Decide: %v allocs per steady-state decision, want 0", allocs)
+	}
+}
+
+// TestTSPGovernorCachedBudgetIsFresh: the governor's cached budget follows
+// its active set as pinned tasks arrive and depart.
+func TestTSPGovernorCachedBudgetIsFresh(t *testing.T) {
+	pins := map[sim.ThreadID]int{}
+	for task, cores := range [][]int{{5, 6}, {9, 10, 1}, {0, 15}} {
+		for i, core := range cores {
+			pins[sim.ThreadID{Task: task, Thread: i}] = core
+		}
+	}
+	g := NewTSPGovernor(pins, 70)
+	a := &budgetAuditor{t: t, sch: g, tsp: &g.tsp, tdtm: g.tdtm}
+	cfg := sim.DefaultConfig()
+	cfg.DTMEnabled = false
+	runSim(t, testPlatform(t, 4, 4), cfg, a, []*workload.Task{
+		mustTask(t, 0, "blackscholes", 2, 0, 0.3),
+		mustTask(t, 1, "swaptions", 3, 2e-3, 0.2),
+		mustTask(t, 2, "canneal", 2, 4e-3, 0.3),
+	})
+	if a.misses < 3 {
+		t.Errorf("active set changed on %d of %d decisions: the run does not exercise the cache", a.misses, a.epochs)
 	}
 }
 

@@ -133,6 +133,11 @@ type TSPGovernor struct {
 	pins   map[sim.ThreadID]int
 	tdtm   float64
 	ladder ladder
+	tsp    tspCache
+	// out and freqs are the Assignment and Freq of every Decision returned,
+	// refilled each Decide (borrowed until the next, see sim.Decision).
+	out   map[sim.ThreadID]int
+	freqs []float64
 }
 
 // NewTSPGovernor builds the governor for a pinned mapping.
@@ -141,32 +146,29 @@ func NewTSPGovernor(pins map[sim.ThreadID]int, tdtm float64) *TSPGovernor {
 	for k, v := range pins {
 		copied[k] = v
 	}
-	return &TSPGovernor{pins: copied, tdtm: tdtm}
+	return &TSPGovernor{pins: copied, tdtm: tdtm, out: map[sim.ThreadID]int{}}
 }
 
 // Name implements sim.Scheduler.
 func (g *TSPGovernor) Name() string { return "tsp-dvfs" }
 
-// Decide implements sim.Scheduler.
+// Decide implements sim.Scheduler. Threads pinned to one core share it; the
+// core's level follows the last of them in st.Threads.
 func (g *TSPGovernor) Decide(st *sim.State) sim.Decision {
-	assignment := make(map[sim.ThreadID]int)
-	var active []int
-	nominal := map[int]float64{}
+	clear(g.out)
 	for _, th := range st.Threads {
-		core, ok := g.pins[th.ID]
-		if !ok {
-			continue
+		if core, ok := g.pins[th.ID]; ok {
+			g.out[th.ID] = core
 		}
-		assignment[th.ID] = core
-		active = append(active, core)
-		nominal[core] = th.NominalWatts
 	}
-	budget := TSPBudget(st.Platform, active, g.tdtm)
+	budget := g.tsp.budget(st.Platform, g.out, g.tdtm)
 	pw := &st.Platform.Power
 	levels := g.ladder.of(*pw)
-	freqs := fillFreq(nil, st.Platform.NumCores(), pw.DVFS().FMax)
-	for core, nom := range nominal {
-		freqs[core] = maxFreqWithinBudget(pw, levels, nom, budget)
+	g.freqs = fillFreq(g.freqs, st.Platform.NumCores(), pw.DVFS().FMax)
+	for _, th := range st.Threads {
+		if core, ok := g.pins[th.ID]; ok {
+			g.freqs[core] = maxFreqWithinBudget(pw, levels, th.NominalWatts, budget)
+		}
 	}
-	return sim.Decision{Assignment: assignment, Freq: freqs}
+	return sim.Decision{Assignment: g.out, Freq: g.freqs}
 }
