@@ -260,6 +260,8 @@ func (m *Dense) MulVecPrefixTo(dst, x []float64) {
 // roundings in the same order as the one-row loop: the result is bit-identical
 // to it. A pure-Go eight-row pass measured slower. Each row is resliced to
 // len(x), which lets the compiler drop the bounds checks in the inner loops.
+// Each product is converted explicitly, which keeps the compiler from fusing
+// it into the add: arm64 would otherwise emit FMADDD and round once.
 //
 // mulRowsTo (dense_amd64.go, dense_other.go) dispatches here; it is the
 // kernel on every path without AVX and the oracle the tests compare the
@@ -274,10 +276,10 @@ func mulRowsGo(dst, data []float64, stride int, x []float64) {
 		r3 := data[(i+3)*stride:][:n]
 		var s0, s1, s2, s3 float64
 		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
@@ -285,7 +287,7 @@ func mulRowsGo(dst, data []float64, stride int, x []float64) {
 		row := data[i*stride:][:n]
 		var s float64
 		for j, xj := range x {
-			s += row[j] * xj
+			s += float64(row[j] * xj)
 		}
 		dst[i] = s
 	}

@@ -18,8 +18,24 @@ func mulRowsTo(dst, data []float64, stride int, x []float64) {
 	mulRowsGo(dst, data, stride, x)
 }
 
+// rotatedSumMax is rotatedSumMaxGo with the values in groups of sixteen
+// taken by the AVX body (dense_amd64.s), bit for bit the same sums and the
+// same maximum, except that a zero maximum, whose sign VecMax takes from the
+// first zero it meets, comes from the Go loop.
+func rotatedSumMax(t, bg, h, w []float64, first int) float64 {
+	if useAVX && len(bg)&15 == 0 {
+		if m := rotatedSumMax16AVX(bg, h, w, first); m != 0 {
+			return m
+		}
+	}
+	return rotatedSumMaxGo(t, bg, h, w, first)
+}
+
 //go:noescape
 func mulRows8AVX(dst, data []float64, stride int, x []float64)
+
+//go:noescape
+func rotatedSumMax16AVX(bg, h, w []float64, first int) float64
 
 func cpuid1ECX() uint32
 

@@ -97,6 +97,102 @@ done:
 	VZEROUPPER
 	RET
 
+// func rotatedSumMax16AVX(bg, h, w []float64, first int) float64
+//
+// With n = len(bg), a multiple of 16, and δ = len(w), it forms
+// t[k] = bg[k] + Σᵢ w[i]·h[((first+i) mod δ)·n + k] one YMM lane per value,
+// sixteen values per group in Y0–Y3: each lane adds the product for
+// i = 0, 1, … in order with a separate VMULPD and VADDPD, and slots whose
+// w[i] is ±0 are skipped, exactly as rotatedSumMaxGo. t is never stored.
+// Y13 keeps the lane maxima, from −Inf, with VMAXPD taking the new value
+// only when it is greater, so no NaN gets in. The groups run from the last
+// down to the first, so Y0 ends holding t[0..3]. The result is t[0] when
+// that is NaN (VecMax starts from it and no value is greater) and the
+// largest t[k] otherwise: VecMax(t) bit for bit, except that a zero may
+// carry the sign of another zero than the first. R14, R15 and Y15 are left
+// alone.
+//
+// Registers: SI &bg and R8 &h at the group, CX groups left, DX row stride
+// in bytes, R11 the first row's offset, R12 δ rows' bytes, AX the current
+// row's offset, R9 &w, R10 δ, BX &w[i], DI slots left, R13 scratch.
+TEXT ·rotatedSumMax16AVX(SB), NOSPLIT, $0-88
+	MOVQ  bg_base+0(FP), SI
+	MOVQ  bg_len+8(FP), CX
+	MOVQ  h_base+24(FP), R8
+	MOVQ  w_base+48(FP), R9
+	MOVQ  w_len+56(FP), R10
+	MOVQ  first+72(FP), R11
+	MOVQ  CX, DX
+	SHLQ  $3, DX
+	IMULQ DX, R11
+	MOVQ  R10, R12
+	IMULQ DX, R12
+	LEAQ  -128(SI)(DX*1), SI
+	LEAQ  -128(R8)(DX*1), R8
+	SHRQ  $4, CX
+
+	MOVQ        $0xfff0000000000000, R13
+	MOVQ        R13, X13
+	VMOVDDUP    X13, X13
+	VINSERTF128 $1, X13, Y13, Y13
+
+group:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	MOVQ    R9, BX
+	MOVQ    R10, DI
+	MOVQ    R11, AX
+	PCALIGN $32
+
+slot:
+	MOVQ         (BX), R13
+	SHLQ         $1, R13
+	JZ           next
+	VBROADCASTSD (BX), Y12
+	VMULPD       (R8)(AX*1), Y12, Y8
+	VMULPD       32(R8)(AX*1), Y12, Y9
+	VMULPD       64(R8)(AX*1), Y12, Y10
+	VMULPD       96(R8)(AX*1), Y12, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y1, Y1
+	VADDPD       Y10, Y2, Y2
+	VADDPD       Y11, Y3, Y3
+
+next:
+	ADDQ DX, AX
+	CMPQ AX, R12
+	JNE  same
+	XORQ AX, AX
+
+same:
+	ADDQ $8, BX
+	DECQ DI
+	JNZ  slot
+
+	VMAXPD Y13, Y0, Y13
+	VMAXPD Y13, Y1, Y13
+	VMAXPD Y13, Y2, Y13
+	VMAXPD Y13, Y3, Y13
+	SUBQ   $128, SI
+	SUBQ   $128, R8
+	DECQ   CX
+	JNZ    group
+
+	VEXTRACTF128 $1, Y13, X12
+	VMAXPD       X13, X12, X13
+	VUNPCKHPD    X13, X13, X12
+	VMAXSD       X13, X12, X13
+	VUCOMISD     X0, X0
+	JPC          done
+	VMOVAPD      X0, X13
+
+done:
+	VMOVSD X13, ret+80(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX

@@ -341,6 +341,94 @@ func TestMulRowsMatchesGoLoop(t *testing.T) {
 	}
 }
 
+// TestRotatedSumMaxMatchesGoLoop pins rotatedSumMax, the dispatching ring
+// walk (the AVX body on amd64 hosts that have AVX, for 16 and 64 values), to
+// its Go loop rotatedSumMaxGo, and that to one pass per slot followed by
+// VecMax: δ of 1–28 from every first slot, idle (±0) slots, and ±0,
+// subnormals, ±Inf and NaN among the background, the table and the slot
+// powers. A NaN must meet a NaN, every other result its exact bits. A body
+// that fuses the multiply into the add (VFMADD231PD) fails it.
+func TestRotatedSumMaxMatchesGoLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -2.5e-310, 1e-300, -3e-160, 1e300, -2e200, math.MaxFloat64,
+	}
+	draw := func(rate float64) float64 {
+		if r.Float64() < rate {
+			return specials[r.Intn(len(specials))]
+		}
+		return r.NormFloat64()
+	}
+	onePass := func(bg, h, w []float64, first int) float64 {
+		n, d := len(bg), len(w)
+		t := append([]float64(nil), bg...)
+		for i, wi := range w {
+			if wi == 0 {
+				continue
+			}
+			row := h[(first+i)%d*n:][:n]
+			for k := range t {
+				t[k] += float64(wi * row[k])
+			}
+		}
+		return VecMax(t)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, n := range []int{1, 5, 16, 17, 64} {
+		for d := 1; d <= 28; d++ {
+			for _, rate := range []float64{0, 0.02, 0.3} {
+				bg, h, w := make([]float64, n), make([]float64, d*n), make([]float64, d)
+				for i := range bg {
+					bg[i] = draw(rate)
+				}
+				for i := range h {
+					h[i] = draw(rate)
+				}
+				for i := range w {
+					switch x := r.Float64(); {
+					case x < 0.2:
+						w[i] = 0
+					case x < 0.3:
+						w[i] = math.Copysign(0, -1)
+					default:
+						w[i] = draw(rate)
+					}
+				}
+				if rate == 0.3 && d%3 == 0 {
+					// Every value at or below zero, with zeros of both signs
+					// among them: the largest is a zero.
+					for i := range bg {
+						bg[i] = -math.Abs(draw(0))
+						if r.Intn(3) == 0 {
+							bg[i] = specials[r.Intn(2)]
+						}
+					}
+					clear(w)
+				}
+				scratch := make([]float64, n)
+				for first := 0; first < d; first++ {
+					got := rotatedSumMax(scratch, bg, h, w, first)
+					want := rotatedSumMaxGo(make([]float64, n), bg, h, w, first)
+					if !same(got, want) {
+						t.Fatalf("n %d, δ %d, first %d, rate %v: %v (%#x), Go loop %v (%#x)",
+							n, d, first, rate, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					if one := onePass(bg, h, w, first); !same(want, one) {
+						t.Fatalf("n %d, δ %d, first %d, rate %v: Go loop %v, one pass per slot %v", n, d, first, rate, want, one)
+					}
+				}
+			}
+		}
+	}
+	bg, h, w, scratch := randomVec(r, 64), randomVec(r, 6*64), randomVec(r, 6), make([]float64, 64)
+	if allocs := testing.AllocsPerRun(10, func() { RotatedSumMax(scratch, bg, h, w, 5) }); allocs != 0 {
+		t.Errorf("RotatedSumMax: %v allocs per call, want 0", allocs)
+	}
+}
+
 // --- hot-loop kernel baseline (make bench → BENCH_hotloop.json) -------------
 
 func benchKernelSetup(b *testing.B) (*Dense, []float64, []float64) {

@@ -79,6 +79,64 @@ func VecMax(a []float64) float64 {
 	return max
 }
 
+// RotatedSumMax returns VecMax(t) for the n = len(bg) values
+//
+//	t[k] = bg[k] + Σᵢ w[i]·h[((first+i) mod δ)·n + k],  δ = len(w),
+//
+// the terms added for i = 0, 1, … in order with each product rounded on its
+// own, and slots whose w[i] is ±0 skipped (so an infinite table entry under
+// an idle slot adds nothing). h holds δ rows of n; t is scratch of length
+// n that only the portable path writes. It is one epoch of a ring rotation
+// (rotation.RingEvaluator): bg the background rise, w the slot powers, h the
+// ring's one-watt responses by epoch.
+func RotatedSumMax(t, bg, h, w []float64, first int) float64 {
+	n, d := len(bg), len(w)
+	if n == 0 || uint(first) >= uint(d) {
+		panic("matrix: RotatedSumMax needs values and a first slot in range")
+	}
+	return rotatedSumMax(t[:n], bg, h[:d*n], w, first)
+}
+
+// rotatedSumMaxGo is RotatedSumMax's loop. The non-zero slots are added two
+// per pass over t: t[k] + a + b evaluates left to right, so each value sees
+// the same roundings as one pass per slot, at half the loads and stores of
+// t. Each product is converted explicitly, which keeps the compiler from
+// fusing it into the add (arm64 would otherwise emit FMADDD and round once).
+//
+// rotatedSumMax (dense_amd64.go, dense_other.go) dispatches here; it is the
+// kernel on every path without AVX and the tests' oracle for the assembly.
+func rotatedSumMaxGo(t, bg, h, w []float64, first int) float64 {
+	n, d := len(t), len(w)
+	copy(t, bg)
+	var w0 float64
+	var r0 []float64
+	pending := false
+	row := first
+	for _, wi := range w {
+		r := h[row*n:][:n]
+		if row++; row == d {
+			row = 0
+		}
+		if wi == 0 {
+			continue
+		}
+		if !pending {
+			w0, r0, pending = wi, r, true
+			continue
+		}
+		for k := range t {
+			t[k] = t[k] + float64(w0*r0[k]) + float64(wi*r[k])
+		}
+		pending = false
+	}
+	if pending {
+		for k := range t {
+			t[k] += float64(w0 * r0[k])
+		}
+	}
+	return VecMax(t)
+}
+
 // VecMaxIndex returns the index of the largest element of a.
 func VecMaxIndex(a []float64) int {
 	if len(a) == 0 {

@@ -87,6 +87,29 @@ func BenchmarkHotloopRingScan(b *testing.B) {
 	}
 }
 
+// BenchmarkHotloopRingScanUnsafe is BenchmarkHotloopRingScan asked, as
+// HotPotato asks, only whether the ring stays under a limit — here one
+// halfway between ambient and its peak, so the walk stops early.
+func BenchmarkHotloopRingScanUnsafe(b *testing.B) {
+	c := newCalc(b, 8, 8, thermal.DefaultConfig())
+	ev := c.NewRingEvaluator()
+	base := matrix.Constant(64, 0.5)
+	ring := []int{27, 28, 36, 35, 34, 26}
+	slotWatts := []float64{9, 0.3, 7, 0.3, 6, 0.3}
+	peak, err := ev.PeakRingRotation(0.5e-3, base, ring, slotWatts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	limit := (peak + c.m.Ambient()) / 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t, err := ev.PeakRingRotationUntil(0.5e-3, base, ring, slotWatts, limit); err != nil || t < limit {
+			b.Fatal(t, err)
+		}
+	}
+}
+
 // BenchmarkHotloopRingScanSparse is the same six-core ring scan on a 16×16
 // chip, where auto solver selection goes sparse. The table's one certified
 // periodic solve (ringtable.go) runs before the timer starts; a warm

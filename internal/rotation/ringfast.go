@@ -37,7 +37,7 @@ type RingEvaluator struct {
 	base  []float64 // the background of the last call (zero at first)
 	sBase []float64 // S·base for it
 	bg    []float64 // the background minus the ring cores' share
-	coreT []float64 // core temperatures at one epoch boundary
+	coreT []float64 // scratch of the portable epoch walk (matrix.RotatedSumMax)
 }
 
 // NewRingEvaluator returns an evaluator over the calculator's shared
@@ -65,6 +65,16 @@ func (c *Calculator) NewRingEvaluator() *RingEvaluator {
 // of the exact periodic steady state; a call whose slot powers would push
 // that bound past IterTol is refused with an error.
 func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores []int, slotWatts []float64) (float64, error) {
+	return e.PeakRingRotationUntil(tau, base, ringCores, slotWatts, math.Inf(1))
+}
+
+// PeakRingRotationUntil is PeakRingRotation for a caller that only asks
+// whether the peak stays under limit: the walk stops at the first epoch
+// whose running peak reaches it and returns that partial peak, which is
+// then ≥ limit as the full one is (rounding is monotone, docs/THEORY.md
+// §4). A peak under limit comes back bit for bit as PeakRingRotation
+// returns it.
+func (e *RingEvaluator) PeakRingRotationUntil(tau float64, base []float64, ringCores []int, slotWatts []float64, limit float64) (float64, error) {
 	c := e.c
 	n := c.n
 	size := len(ringCores)
@@ -119,43 +129,19 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 	}
 
 	// Walk one period of the table; track the hottest core at epoch
-	// boundaries (Eq. 11). Slot i's response is slot 0's shifted by i epochs.
-	// The non-zero slots are added two per pass over t: Go evaluates
-	// t[k] + a + b left to right, so each core sees the same roundings as
-	// one pass per slot, at half the loads and stores of t.
+	// boundaries (Eq. 11). Slot i's response is slot 0's shifted by i
+	// epochs, so epoch ep adds row (ep+i) mod δ for slot i.
 	peak := math.Inf(-1)
-	t := e.coreT
+	ambient := c.m.Ambient()
 	for ep := 0; ep < size; ep++ {
-		copy(t, bg)
-		var w0 float64
-		var r0 []float64
-		pending := false
-		for i, w := range slotWatts {
-			if w == 0 {
-				continue
-			}
-			row := tab.row((ep + i) % size)
-			if !pending {
-				w0, r0, pending = w, row, true
-				continue
-			}
-			r0, row = r0[:len(t)], row[:len(t)]
-			for k := range t {
-				t[k] = t[k] + w0*r0[k] + w*row[k]
-			}
-			pending = false
-		}
-		if pending {
-			r0 = r0[:len(t)]
-			for k := range t {
-				t[k] += w0 * r0[k]
-			}
-		}
-		if m := matrix.VecMax(t); m > peak {
+		if m := matrix.RotatedSumMax(e.coreT, bg, tab.h, slotWatts, ep); m > peak {
 			peak = m
+			if peak+ambient >= limit {
+				break
+			}
 		}
 	}
-	return peak + c.m.Ambient(), nil
+	return peak + ambient, nil
 }
 
 // table returns the response table of (τ, ring), from the evaluator's memo

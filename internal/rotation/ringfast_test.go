@@ -128,11 +128,12 @@ func TestRingFastUniformBackgroundIsSteadyState(t *testing.T) {
 	}
 }
 
-// TestPeakRingRotationPairedWalkBitIdentical pins the epoch walk, which adds
-// the non-zero slots two per pass over the core temperatures, to the walk
-// with one pass per slot over the same table and background: the peak and
-// the last epoch's temperatures must match bit for bit for rings of 1–8
-// slots under every zero/non-zero slot pattern, on both backends.
+// TestPeakRingRotationPairedWalkBitIdentical pins the epoch walk
+// (matrix.RotatedSumMax: two non-zero slots per pass in Go, one lane per
+// core in AVX) to the walk with one pass per slot over the same table and
+// background: the peak and every epoch's hottest core must match bit for
+// bit for rings of 1–8 slots under every zero/non-zero slot pattern, on both
+// backends.
 func TestPeakRingRotationPairedWalkBitIdentical(t *testing.T) {
 	const tau = 0.5e-3
 	for _, tc := range []struct {
@@ -186,10 +187,14 @@ func TestPeakRingRotationPairedWalkBitIdentical(t *testing.T) {
 						}
 						row := tab.row((ep + i) % size)
 						for k := range temp {
-							temp[k] += w * row[k]
+							temp[k] += float64(w * row[k])
 						}
 					}
-					if m := matrix.VecMax(temp); m > want {
+					m := matrix.VecMax(temp)
+					if got := matrix.RotatedSumMax(ev.coreT, bg, tab.h, slotWatts, ep); math.Float64bits(got) != math.Float64bits(m) {
+						t.Fatalf("%s, ring of %d, slots %v: epoch %d peaks at %v, unpaired walk %v", c.m.Solver(), size, slotWatts, ep, got, m)
+					}
+					if m > want {
 						want = m
 					}
 				}
@@ -197,11 +202,64 @@ func TestPeakRingRotationPairedWalkBitIdentical(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s, ring of %d, slots %v: peak %v, unpaired walk %v", c.m.Solver(), size, slotWatts, got, want)
 				}
-				for k := range temp {
-					if math.Float64bits(ev.coreT[k]) != math.Float64bits(temp[k]) {
-						t.Fatalf("%s, ring of %d, slots %v: core %d ends the period at %v, unpaired walk %v",
-							c.m.Solver(), size, slotWatts, k, ev.coreT[k], temp[k])
-					}
+			}
+		}
+	}
+}
+
+// TestPeakRingRotationUntilSameSide holds the threshold walk to the full
+// one on a dense 8×8 and a sparse 4×4 calculator: over random backgrounds,
+// rings and slot powers (idle slots among them), and limits drawn around the
+// peak, at it, one ulp either side of it, and at every epoch's running peak
+// (where the walk stops exactly on a reachable value), PeakRingRotationUntil
+// must land on the same side of the limit as PeakRingRotation, and return
+// its exact bits whenever that is under the limit.
+func TestPeakRingRotationUntilSameSide(t *testing.T) {
+	const tau = 0.5e-3
+	_, sparse := iterPair(t, 4, 4, thermal.DefaultConfig())
+	for _, c := range []*Calculator{newCalc(t, 8, 8, thermal.DefaultConfig()), sparse} {
+		ev, full := c.NewRingEvaluator(), c.NewRingEvaluator()
+		r := rand.New(rand.NewSource(int64(c.n) + 25))
+		amb := c.m.Ambient()
+		for trial := 0; trial < 60; trial++ {
+			base := make([]float64, c.n)
+			for i := range base {
+				base[i] = 0.3 + 2*r.Float64()
+			}
+			ring := r.Perm(c.n)[:1+r.Intn(8)]
+			slotWatts := make([]float64, len(ring))
+			for i := range slotWatts {
+				if r.Intn(4) > 0 {
+					slotWatts[i] = 0.3 + 9*r.Float64()
+				}
+			}
+			peak, err := full.PeakRingRotation(tau, base, ring, slotWatts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limits := []float64{peak, math.Nextafter(peak, math.Inf(1)), math.Nextafter(peak, math.Inf(-1)),
+				amb, math.Inf(1), math.Inf(-1), amb + (peak-amb)*r.Float64(), peak + r.Float64()}
+			tab, err := full.table(tau, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			running := math.Inf(-1)
+			for ep := range ring {
+				if m := matrix.RotatedSumMax(full.coreT, full.bg, tab.h, slotWatts, ep); m > running {
+					running = m
+				}
+				limits = append(limits, running+amb)
+			}
+			for _, limit := range limits {
+				got, err := ev.PeakRingRotationUntil(tau, base, ring, slotWatts, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (got >= limit) != (peak >= limit) {
+					t.Fatalf("%s, ring %v, slots %v, limit %v: until %v, full peak %v — different sides", c.m.Solver(), ring, slotWatts, limit, got, peak)
+				}
+				if peak < limit && math.Float64bits(got) != math.Float64bits(peak) {
+					t.Fatalf("%s, ring %v, slots %v, limit %v: until %v, full peak %v", c.m.Solver(), ring, slotWatts, limit, got, peak)
 				}
 			}
 		}

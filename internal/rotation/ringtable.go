@@ -40,8 +40,6 @@ type ringTable struct {
 	h     []float64 // δ×n, row e = core rises at the end of epoch e
 }
 
-func (t *ringTable) row(e int) []float64 { return t.h[e*t.n : (e+1)*t.n] }
-
 // tableCache holds a Calculator's shared response tables. Each key is built
 // once: the first caller builds it, concurrent callers of the same key wait
 // on its sync.Once, callers of other keys proceed.

@@ -10,6 +10,9 @@ import (
 	"repro/internal/thermal"
 )
 
+// row is the table's epoch e: the core rises at the end of epoch e.
+func (t *ringTable) row(e int) []float64 { return t.h[e*t.n : (e+1)*t.n] }
+
 // tauLevels is HotPotato's τ ladder: τ_min … τ_max by doubling.
 var tauLevels = []float64{0.125e-3, 0.25e-3, 0.5e-3, 1e-3, 2e-3, 4e-3}
 

@@ -21,7 +21,10 @@ type AsyncMigrate struct {
 	epoch   float64
 
 	assignment map[sim.ThreadID]int
-	scr        scratch
+	// out is the Assignment of every Decision returned, refilled each
+	// Decide (borrowed until the next, see sim.Decision).
+	out map[sim.ThreadID]int
+	scr scratch
 }
 
 // NewAsyncMigrate builds the migration-only policy.
@@ -32,6 +35,7 @@ func NewAsyncMigrate(tdtm float64) *AsyncMigrate {
 		minGain:    2,
 		epoch:      1e-3,
 		assignment: map[sim.ThreadID]int{},
+		out:        map[sim.ThreadID]int{},
 	}
 }
 
@@ -46,5 +50,7 @@ func (a *AsyncMigrate) Decide(st *sim.State) sim.Decision {
 	a.scr.admitByAMD(st, a.assignment, a.scr.queuedTasks(st))
 	a.scr.migrateHot(st, a.assignment, a.tdtm-a.margin, a.minGain)
 	// No DVFS: peak frequency everywhere (nil Freq).
-	return sim.Decision{Assignment: maps.Clone(a.assignment), NextInvoke: a.epoch}
+	clear(a.out)
+	maps.Copy(a.out, a.assignment)
+	return sim.Decision{Assignment: a.out, NextInvoke: a.epoch}
 }

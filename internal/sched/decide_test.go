@@ -201,6 +201,26 @@ func TestTSPGovernorDecideDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestReactiveAndAsyncMigrateDecideDoNotAllocate holds the two baselines to
+// PCMig's rule: a steady-state decision refills the buffers it returned
+// before.
+func TestReactiveAndAsyncMigrateDecideDoNotAllocate(t *testing.T) {
+	for _, sch := range []sim.Scheduler{NewReactive(70), NewAsyncMigrate(70)} {
+		st := steadyDecideState(t, testPlatform(t, 8, 8), sch)
+		for range 3 {
+			st.Time += 1e-3
+			sch.Decide(st)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			st.Time += 1e-3
+			sch.Decide(st)
+		})
+		if allocs != 0 {
+			t.Errorf("%s Decide: %v allocs per steady-state decision, want 0", sch.Name(), allocs)
+		}
+	}
+}
+
 // TestTSPGovernorCachedBudgetIsFresh: the governor's cached budget follows
 // its active set as pinned tasks arrive and depart.
 func TestTSPGovernorCachedBudgetIsFresh(t *testing.T) {

@@ -511,6 +511,11 @@ func (h *HotPotato) rebalance(st *sim.State) {
 // Every ring is scored against the same background, so the evaluator's
 // S·base image is computed once per call and each ring costs a response
 // table lookup. Allocation-free once the tables are memoized.
+//
+// Every caller compares the result only against T_DTM − Δ, so the rotating
+// estimate stops at the first ring, and within it at the first epoch, that
+// reaches that limit: it then returns a value ≥ the limit, and below the
+// limit it returns the full peak bit for bit (docs/THEORY.md §4).
 func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	if !h.rotate {
 		return h.evalStaticPeak(st)
@@ -545,6 +550,7 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	}
 
 	peak := h.calc.Model().Ambient()
+	limit := h.tdtm - h.delta
 	slotWatts := h.slotWatts
 	for r, ring := range h.rings {
 		if !ringOccupied[r] {
@@ -565,18 +571,20 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 		// without changing any decision. Inconclusive or straddling answers
 		// fall back to Algorithm 1 — the default, and the bit-identical path.
 		if h.estimator != nil {
-			limit := h.tdtm - h.delta
 			est, bound, ok := h.estimator.EstimateRingPeak(h.tau, base, ring.Cores, slotWatts)
 			if ok && (est+bound < limit || est-bound >= limit) {
 				h.estimatorHits++
 				if est > peak {
 					peak = est
 				}
+				if peak >= limit {
+					break
+				}
 				continue
 			}
 			h.estimatorFallbacks++
 		}
-		t, err := h.ringEval.PeakRingRotation(h.tau, base, ring.Cores, slotWatts)
+		t, err := h.ringEval.PeakRingRotationUntil(h.tau, base, ring.Cores, slotWatts, limit)
 		if err != nil {
 			// An invalid plan here is a programming error; fail safe by
 			// reporting an unsafe temperature.
@@ -584,6 +592,9 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 		}
 		if t > peak {
 			peak = t
+		}
+		if peak >= limit {
+			break
 		}
 	}
 	return peak

@@ -368,6 +368,35 @@ func TestHotPotatoEvalPeakZeroAllocs(t *testing.T) {
 	}
 }
 
+// The warm limit path: with T_DTM − Δ under the rotation's peak, evalPeak
+// stops at the first ring and epoch that reach it. It allocates nothing
+// either, and it lands on the same side of the limit as the full walk.
+func TestHotPotatoEvalPeakUnsafeZeroAllocs(t *testing.T) {
+	plat := testPlatform(t, 8, 8)
+	hp := NewHotPotato(plat, 70)
+	st := &sim.State{Platform: plat, CoreTemps: make([]float64, 64)}
+	for i := range st.CoreTemps {
+		st.CoreTemps[i] = 50
+	}
+	for i := 0; i < 6; i++ {
+		st.Threads = append(st.Threads, sim.ThreadInfo{ID: sim.ThreadID{Task: 0, Thread: i}, Core: -1, CPI: 1, AvgPower: 4 + float64(i)})
+	}
+	hp.Decide(st)
+	hp.rotate = true
+	hp.tdtm = math.Inf(1)
+	full := hp.evalPeak(st)
+	amb := hp.calc.Model().Ambient()
+	hp.tdtm = hp.delta + amb + (full-amb)/2
+	limit := hp.tdtm - hp.delta
+	var got float64
+	if a := testing.AllocsPerRun(50, func() { got = hp.evalPeak(st) }); a != 0 {
+		t.Errorf("warm evalPeak over the limit allocates %v per run, want 0", a)
+	}
+	if !(full >= limit && got >= limit) {
+		t.Errorf("evalPeak %v under limit %v, full peak %v", got, limit, full)
+	}
+}
+
 // lightHotPotatoState is a chip whose 12 placed threads draw little enough
 // power that a rebalance relaxes τ through evalStaticPeak.
 func lightHotPotatoState(t *testing.T, plat *sim.Platform, hp *HotPotato) *sim.State {

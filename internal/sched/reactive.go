@@ -22,7 +22,11 @@ type Reactive struct {
 
 	assignment map[sim.ThreadID]int
 	coreFreq   map[int]float64
-	scr        scratch
+	// out and freqs are the Assignment and Freq of every Decision returned,
+	// refilled each Decide (borrowed until the next, see sim.Decision).
+	out   map[sim.ThreadID]int
+	freqs []float64
+	scr   scratch
 }
 
 // NewReactive builds the governor for a DTM threshold.
@@ -34,6 +38,7 @@ func NewReactive(tdtm float64) *Reactive {
 		epoch:      1e-3,
 		assignment: map[sim.ThreadID]int{},
 		coreFreq:   map[int]float64{},
+		out:        map[sim.ThreadID]int{},
 	}
 }
 
@@ -50,7 +55,7 @@ func (r *Reactive) Decide(st *sim.State) sim.Decision {
 
 	// Step-wise per-core DVFS feedback.
 	d := st.Platform.Power.DVFS()
-	freqs := fillFreq(nil, st.Platform.NumCores(), d.FMax)
+	r.freqs = fillFreq(r.freqs, st.Platform.NumCores(), d.FMax)
 	for _, core := range r.assignment {
 		f, ok := r.coreFreq[core]
 		if !ok {
@@ -63,8 +68,10 @@ func (r *Reactive) Decide(st *sim.State) sim.Decision {
 			f = d.StepUp(f)
 		}
 		r.coreFreq[core] = f
-		freqs[core] = f
+		r.freqs[core] = f
 	}
 
-	return sim.Decision{Assignment: maps.Clone(r.assignment), Freq: freqs, NextInvoke: r.epoch}
+	clear(r.out)
+	maps.Copy(r.out, r.assignment)
+	return sim.Decision{Assignment: r.out, Freq: r.freqs, NextInvoke: r.epoch}
 }

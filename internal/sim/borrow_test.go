@@ -82,11 +82,13 @@ func TestBorrowedDecisionsSurviveScribbling(t *testing.T) {
 		{"pcmig", func() sim.Scheduler { return sched.NewPCMig(70) }},
 		{"hotpotato", func() sim.Scheduler { return sched.NewHotPotato(plat, 70) }},
 		{"hotpotato-dvfs", func() sim.Scheduler { return sched.NewHotPotatoDVFS(plat, 70) }},
+		{"async-migration", func() sim.Scheduler { return sched.NewAsyncMigrate(70) }},
+		{"reactive", func() sim.Scheduler { return sched.NewReactive(70) }}, // steps frequencies, never migrates
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := run(c.new())
 			got := run(&scribbler{inner: c.new()})
-			if want.Migrations == 0 {
+			if want.Migrations == 0 && c.name != "reactive" {
 				t.Error("run made no migrations")
 			}
 			if !reflect.DeepEqual(got, want) {
