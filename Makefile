@@ -68,12 +68,24 @@ bench-all:
 # (perfbench/run.sh) and fail unless main.(*refKernel).timeUS starts on a
 # 64-byte boundary. A 32-byte shift makes the probe ~25 % faster and every
 # normalized metric read that much worse (docs/PERFORMANCE.md, "Probe
-# alignment"). The layout depends on the Go release, so this is a check to
-# run before taking paired measurements, not a CI gate.
+# alignment"). It prints one "offset mod 64  symbol" line for the probe and
+# for each hot kernel below; the lines hold no absolute address, so the
+# output of two checkouts diffs empty unless one side moved a kernel. The
+# layout depends on the Go release, so this is a check to run before taking
+# paired measurements, not a CI gate.
+PROBE_ALIGN_SYMS = 'main.(*refKernel).timeUS' \
+	'repro/internal/matrix.mulRows8AVX.abi0' \
+	'repro/internal/matrix.rotatedSumMax16AVX.abi0' \
+	'repro/internal/matrix.(*KrylovExpm).ExpmVTo' \
+	'repro/internal/thermal.(*Stepper).StepTo'
+
 probe-align:
 	@bash perfbench/run.sh -h >/dev/null 2>&1 || { echo "perfbench build failed; run: bash perfbench/run.sh -h"; exit 1; }
-	@addr=$$($(GO) tool nm .bench_build/perfbench | awk '$$3 == "main.(*refKernel).timeUS" {print $$1}'); \
-		test -n "$$addr" || { echo "main.(*refKernel).timeUS not found in .bench_build/perfbench"; exit 1; }; \
-		off=$$(( 0x$$addr % 64 )); \
-		echo "main.(*refKernel).timeUS at 0x$$addr, $$off mod 64"; \
-		test $$off -eq 0
+	@table=$$($(GO) tool nm .bench_build/perfbench); probe=; \
+		for s in $(PROBE_ALIGN_SYMS); do \
+			addr=$$(printf '%s\n' "$$table" | awk -v s="$$s" '$$3 == s {print $$1}'); \
+			test -n "$$addr" || { echo "$$s not found in .bench_build/perfbench"; exit 1; }; \
+			off=$$(( 0x$$addr % 64 )); probe=$${probe:-$$off}; \
+			echo "$$off mod 64  $$s"; \
+		done; \
+		test "$$probe" -eq 0 || { echo "the probe is $$probe bytes off a 64-byte line"; exit 1; }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"maps"
-
 	"repro/internal/sim"
 )
 
@@ -20,7 +18,7 @@ type AsyncMigrate struct {
 	minGain float64
 	epoch   float64
 
-	assignment map[sim.ThreadID]int
+	pinning pinning
 	// out is the Assignment of every Decision returned, refilled each
 	// Decide (borrowed until the next, see sim.Decision).
 	out map[sim.ThreadID]int
@@ -30,12 +28,12 @@ type AsyncMigrate struct {
 // NewAsyncMigrate builds the migration-only policy.
 func NewAsyncMigrate(tdtm float64) *AsyncMigrate {
 	return &AsyncMigrate{
-		tdtm:       tdtm,
-		margin:     2,
-		minGain:    2,
-		epoch:      1e-3,
-		assignment: map[sim.ThreadID]int{},
-		out:        map[sim.ThreadID]int{},
+		tdtm:    tdtm,
+		margin:  2,
+		minGain: 2,
+		epoch:   1e-3,
+		pinning: newPinning(),
+		out:     map[sim.ThreadID]int{},
 	}
 }
 
@@ -46,11 +44,10 @@ func (a *AsyncMigrate) Name() string { return "async-migration" }
 func (a *AsyncMigrate) Decide(st *sim.State) sim.Decision {
 	// Shared gang-FIFO admission with cache-aware ordering, then on-demand
 	// migration away from hot cores.
-	dropDeparted(st, a.assignment)
-	a.scr.admitByAMD(st, a.assignment, a.scr.queuedTasks(st))
-	a.scr.migrateHot(st, a.assignment, a.tdtm-a.margin, a.minGain)
+	a.pinning.sync(st)
+	a.scr.admitByAMD(st, &a.pinning, a.scr.queuedTasks(st))
+	a.scr.migrateHot(st, &a.pinning, a.tdtm-a.margin, a.minGain)
 	// No DVFS: peak frequency everywhere (nil Freq).
-	clear(a.out)
-	maps.Copy(a.out, a.assignment)
+	a.pinning.fill(a.out)
 	return sim.Decision{Assignment: a.out, NextInvoke: a.epoch}
 }

@@ -50,8 +50,11 @@ type HotPotato struct {
 	rotate bool
 
 	// slots[r][i] holds the thread occupying slot i of ring r (or empty).
-	slots [][]slotEntry
-	place map[sim.ThreadID]slotRef
+	// place is the one ID-keyed index into it: Decide looks each live thread
+	// up once, and everything after that reads the slots.
+	slots   [][]slotEntry
+	place   map[sim.ThreadID]slotRef
+	decides int // Decide calls so far; stamps the slots refreshed by the current one
 
 	rotSteps    int
 	lastRotTime float64
@@ -96,16 +99,17 @@ type HotPotato struct {
 	assignment map[sim.ThreadID]int
 }
 
-// cand is a placed thread that may migrate, with its CPI.
+// cand is a placed thread that may migrate, with its slot and CPI.
 type cand struct {
 	id  sim.ThreadID
+	ref slotRef
 	cpi float64
 }
 
 // byCPI orders candidates by CPI, lowest first, then by thread ID. Thread
 // IDs are unique and CPIs finite, so this is a total order: the unstable
-// sort puts the candidates, which come from iterating a map, in one order
-// every run.
+// sort puts the candidates in one order whatever order they were gathered
+// in.
 func byCPI(a, b cand) int {
 	if c := cmp.Compare(a.cpi, b.cpi); c != 0 {
 		return c
@@ -122,9 +126,14 @@ func byCPIDesc(a, b cand) int {
 	return cmpID(a.id, b.id)
 }
 
+// slotEntry is one ring slot. A used slot carries its thread's AvgPower and
+// CPI from the State of the Decide that stamped it seen, so Algorithm 1 and
+// the migration scans read them without looking the thread up.
 type slotEntry struct {
-	id   sim.ThreadID
-	used bool
+	id            sim.ThreadID
+	used          bool
+	seen          int
+	avgPower, cpi float64
 }
 
 type slotRef struct{ ring, slot int }
@@ -228,13 +237,34 @@ func (h *HotPotato) Rotating() bool { return h.rotate }
 func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	h.advanceRotation(st.Time)
 
-	// Departures free slots and create headroom (Algorithm 2 line 15).
-	departed := false
-	for id, ref := range h.place {
-		if _, ok := st.Thread(id); !ok {
-			h.slots[ref.ring][ref.slot] = slotEntry{}
-			delete(h.place, id)
-			departed = true
+	// One lookup per live thread refreshes its slot from this epoch's State.
+	// A slot left unrefreshed belongs to a thread that departed: departures
+	// free slots and create headroom (Algorithm 2 line 15).
+	h.decides++
+	refreshed := 0
+	for i := range st.Threads {
+		th := &st.Threads[i]
+		ref, ok := h.place[th.ID]
+		if !ok {
+			continue
+		}
+		e := &h.slots[ref.ring][ref.slot]
+		if e.seen != h.decides {
+			refreshed++
+		}
+		e.seen, e.avgPower, e.cpi = h.decides, th.AvgPower, th.CPI
+	}
+	departed := refreshed < len(h.place)
+	if departed {
+		for r := range h.slots {
+			for i, e := range h.slots[r] {
+				if e.used && e.seen != h.decides {
+					if h.place[e.id] == (slotRef{r, i}) {
+						delete(h.place, e.id)
+					}
+					h.slots[r][i] = slotEntry{}
+				}
+			}
 		}
 	}
 
@@ -265,13 +295,12 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	// Materialise the assignment with the current rotation offset.
 	assignment := h.assignment
 	clear(assignment)
-	for id, ref := range h.place {
-		cores := h.rings[ref.ring].Cores
-		idx := ref.slot
-		if h.rotate {
-			idx = (ref.slot + h.rotSteps) % len(cores)
+	for r := range h.slots {
+		for i, e := range h.slots[r] {
+			if e.used {
+				assignment[e.id] = h.coreOf(r, i)
+			}
 		}
-		assignment[id] = cores[idx]
 	}
 
 	if h.rotate {
@@ -284,6 +313,44 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 		next = 2e-3
 	}
 	return sim.Decision{Assignment: assignment, NextInvoke: next}
+}
+
+// coreOf is the core slot i of ring r sits on at the current rotation offset.
+func (h *HotPotato) coreOf(r, i int) int {
+	cores := h.rings[r].Cores
+	if h.rotate {
+		i = (i + h.rotSteps) % len(cores)
+	}
+	return cores[i]
+}
+
+// occupy puts thread th, as this Decide's State shows it, into slot ref.
+func (h *HotPotato) occupy(ref slotRef, th *sim.ThreadInfo) {
+	h.slots[ref.ring][ref.slot] = slotEntry{id: th.ID, used: true, seen: h.decides, avgPower: th.AvgPower, cpi: th.CPI}
+	h.place[th.ID] = ref
+}
+
+// move takes the thread in slot from to the free slot to.
+func (h *HotPotato) move(from, to slotRef) {
+	e := h.slots[from.ring][from.slot]
+	h.slots[from.ring][from.slot] = slotEntry{}
+	h.slots[to.ring][to.slot] = e
+	h.place[e.id] = to
+}
+
+// candidates gathers the threads placed in rings [lo, hi) with their CPIs
+// into the reused candidate list.
+func (h *HotPotato) candidates(lo, hi int) []cand {
+	cands := h.cands[:0]
+	for r := lo; r < hi; r++ {
+		for i, e := range h.slots[r] {
+			if e.used {
+				cands = append(cands, cand{e.id, slotRef{r, i}, e.cpi})
+			}
+		}
+	}
+	h.cands = cands
+	return cands
 }
 
 // advanceRotation moves the synchronous rotation forward with wall time.
@@ -340,15 +407,14 @@ func (h *HotPotato) bestFreeSlot(r int) int {
 }
 
 // placeThread implements Algorithm 2 lines 1–14 for one new thread.
-func (h *HotPotato) placeThread(st *sim.State, th sim.ThreadInfo) {
+func (h *HotPotato) placeThread(st *sim.State, th *sim.ThreadInfo) {
 	// Lines 2–6: inside-out ring scan; accept the first thermally safe ring.
 	for r := range h.rings {
 		slot := h.bestFreeSlot(r)
 		if slot < 0 {
 			continue
 		}
-		h.slots[r][slot] = slotEntry{id: th.ID, used: true}
-		h.place[th.ID] = slotRef{r, slot}
+		h.occupy(slotRef{r, slot}, th)
 		if h.evalPeak(st) < h.tdtm-h.delta {
 			return
 		}
@@ -364,8 +430,7 @@ func (h *HotPotato) placeThread(st *sim.State, th sim.ThreadInfo) {
 		if slot < 0 {
 			continue
 		}
-		h.slots[r][slot] = slotEntry{id: th.ID, used: true}
-		h.place[th.ID] = slotRef{r, slot}
+		h.occupy(slotRef{r, slot}, th)
 		break
 	}
 	if !h.rotate {
@@ -384,29 +449,19 @@ func (h *HotPotato) pushOutward(st *sim.State) {
 		if h.evalPeak(st) < h.tdtm-h.delta {
 			return
 		}
-		cands := h.cands[:0]
-		for id, ref := range h.place {
-			if ref.ring < len(h.rings)-1 {
-				th, _ := st.Thread(id)
-				cands = append(cands, cand{id, th.CPI})
-			}
-		}
-		h.cands = cands
+		cands := h.candidates(0, len(h.rings)-1)
 		if len(cands) == 0 {
 			return
 		}
 		slices.SortFunc(cands, byCPI)
 		moved := false
 		for _, c := range cands {
-			ref := h.place[c.id]
-			for r := ref.ring + 1; r < len(h.rings); r++ {
+			for r := c.ref.ring + 1; r < len(h.rings); r++ {
 				slot := h.bestFreeSlot(r)
 				if slot < 0 {
 					continue
 				}
-				h.slots[ref.ring][ref.slot] = slotEntry{}
-				h.slots[r][slot] = slotEntry{id: c.id, used: true}
-				h.place[c.id] = slotRef{r, slot}
+				h.move(c.ref, slotRef{r, slot})
 				moved = true
 				break
 			}
@@ -443,34 +498,23 @@ func (h *HotPotato) rebalance(st *sim.State) {
 		if h.evalPeak(st) >= h.tdtm-h.delta {
 			break
 		}
-		cands := h.cands[:0]
-		for id, ref := range h.place {
-			if ref.ring > 0 {
-				th, _ := st.Thread(id)
-				cands = append(cands, cand{id, th.CPI})
-			}
-		}
-		h.cands = cands
+		cands := h.candidates(1, len(h.rings))
 		slices.SortFunc(cands, byCPIDesc)
 		promoted := false
 		for _, c := range cands {
-			ref := h.place[c.id]
-			for r := 0; r < ref.ring; r++ {
+			for r := 0; r < c.ref.ring; r++ {
 				slot := h.bestFreeSlot(r)
 				if slot < 0 {
 					continue
 				}
-				h.slots[ref.ring][ref.slot] = slotEntry{}
-				h.slots[r][slot] = slotEntry{id: c.id, used: true}
-				h.place[c.id] = slotRef{r, slot}
+				to := slotRef{r, slot}
+				h.move(c.ref, to)
 				if h.evalPeak(st) < h.tdtm-h.delta {
 					promoted = true
 					break
 				}
 				// Revert: promotion would burn the headroom.
-				h.slots[r][slot] = slotEntry{}
-				h.slots[ref.ring][ref.slot] = slotEntry{id: c.id, used: true}
-				h.place[c.id] = ref
+				h.move(to, c.ref)
 			}
 			if promoted {
 				break
@@ -527,9 +571,9 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	for r, ring := range h.rings {
 		ringOccupied[r] = false
 		total := 0.0
-		for i := range h.slots[r] {
-			if h.slots[r][i].used {
-				total += h.threadPower(st, h.slots[r][i].id)
+		for _, e := range h.slots[r] {
+			if e.used {
+				total += h.threadPower(e.avgPower)
 				ringOccupied[r] = true
 			} else {
 				total += idle
@@ -560,7 +604,7 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 		for _, entry := range h.slots[r] {
 			w := idle
 			if entry.used {
-				w = h.threadPower(st, entry.id)
+				w = h.threadPower(entry.avgPower)
 			}
 			slotWatts = append(slotWatts, w)
 		}
@@ -615,35 +659,27 @@ func (h *HotPotato) evalStaticPeak(st *sim.State) float64 {
 	for i := range p {
 		p[i] = idle
 	}
-	for id, ref := range h.place {
-		cores := h.rings[ref.ring].Cores
-		idx := ref.slot
-		if h.rotate {
-			idx = (ref.slot + h.rotSteps) % len(cores)
+	for r := range h.slots {
+		for i, e := range h.slots[r] {
+			if e.used {
+				p[h.coreOf(r, i)] = h.threadPower(e.avgPower)
+			}
 		}
-		p[cores[idx]] = h.threadPower(st, id)
 	}
 	m := h.calc.Model()
 	m.SteadyStateInto(h.staticTemps, p, h.staticScratch)
 	return m.MaxCoreTemp(h.staticTemps)
 }
 
-// threadPower is the Algorithm 1 power estimate for a thread: its 10 ms
-// history average (the simulator substitutes the conservative nominal power
-// until a history exists), with the above-idle component rescaled by
+// threadPower is the Algorithm 1 power estimate for a thread whose 10 ms
+// history average is avg (the simulator substitutes the conservative nominal
+// power until a history exists), with the above-idle component rescaled by
 // powerScale for frequency projection.
-func (h *HotPotato) threadPower(st *sim.State, id sim.ThreadID) float64 {
-	th, ok := st.Thread(id)
-	if !ok {
-		return 0
+func (h *HotPotato) threadPower(avg float64) float64 {
+	if h.powerScale == 1 || avg <= h.idleWatts {
+		return avg
 	}
-	if h.powerScale == 1 {
-		return th.AvgPower
-	}
-	if th.AvgPower <= h.idleWatts {
-		return th.AvgPower
-	}
-	return h.idleWatts + (th.AvgPower-h.idleWatts)*h.powerScale
+	return h.idleWatts + (avg-h.idleWatts)*h.powerScale
 }
 
 // cmpID orders thread IDs by task, then by thread within the task.

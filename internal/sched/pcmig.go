@@ -2,7 +2,6 @@ package sched
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 
 	"repro/internal/perf"
@@ -33,17 +32,18 @@ type PCMig struct {
 	minGain float64
 	epoch   float64
 
-	assignment map[sim.ThreadID]int
+	// pinning is the mapping; each pin also carries its thread's DVFS level
+	// of the previous epoch.
+	pinning pinning
 	// out and freqs are the Assignment and Freq of every Decision returned,
 	// refilled each Decide (borrowed until the next, see sim.Decision): a
 	// caller that writes to them cannot reach the mapping above.
 	out   map[sim.ThreadID]int
 	freqs []float64
-	// lastLevel is each thread's DVFS level of the previous epoch.
-	lastLevel map[sim.ThreadID]power.Level
 
 	ladder ladder
 	tsp    tspCache
+	active []bool // the pinned cores, the TSP budget's active set
 	scr    scratch
 	// powers is performanceMigration's steady-state power field.
 	powers []float64
@@ -65,13 +65,12 @@ func WithPCMigMargin(margin float64) PCMigOption {
 // NewPCMig builds the baseline for the given DTM threshold.
 func NewPCMig(tdtm float64, opts ...PCMigOption) *PCMig {
 	p := &PCMig{
-		tdtm:       tdtm,
-		margin:     2,
-		minGain:    2,
-		epoch:      1e-3,
-		assignment: map[sim.ThreadID]int{},
-		out:        map[sim.ThreadID]int{},
-		lastLevel:  map[sim.ThreadID]power.Level{},
+		tdtm:    tdtm,
+		margin:  2,
+		minGain: 2,
+		epoch:   1e-3,
+		pinning: newPinning(),
+		out:     map[sim.ThreadID]int{},
 	}
 	for _, o := range opts {
 		o(p)
@@ -84,17 +83,16 @@ func (p *PCMig) Name() string { return "pcmig" }
 
 // Decide implements sim.Scheduler.
 func (p *PCMig) Decide(st *sim.State) sim.Decision {
-	dropDeparted(st, p.assignment)
-	dropDeparted(st, p.lastLevel)
+	p.pinning.sync(st)
 
 	// Gang admission, FIFO: map each queued task's threads onto free cores,
 	// memory-bound threads to low-AMD cores first (PCGov's cache-aware rule;
 	// the stable sort keeps queuedTasks' order among equal CPIs).
 	groups := p.scr.queuedTasks(st)
 	for _, g := range groups {
-		slices.SortStableFunc(g.threads, func(a, b sim.ThreadInfo) int { return cmp.Compare(b.CPI, a.CPI) })
+		slices.SortStableFunc(g.threads, func(a, b *sim.ThreadInfo) int { return cmp.Compare(b.CPI, a.CPI) })
 	}
-	p.scr.admitByAMD(st, p.assignment, groups)
+	p.scr.admitByAMD(st, &p.pinning, groups)
 
 	// Performance-driven migration (the prediction-based migrations of
 	// [10], [21]): when cores free up, the thread with the highest effective
@@ -105,7 +103,7 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 
 	// Asynchronous on-demand migration: threads on cores within margin of
 	// TDTM move to the coolest free core if it is clearly cooler.
-	p.scr.migrateHot(st, p.assignment, p.tdtm-p.margin, p.minGain)
+	p.scr.migrateHot(st, &p.pinning, p.tdtm-p.margin, p.minGain)
 
 	// TSP-based DVFS on the active cores. The budget is enforced against
 	// each thread's predicted power (PCMig's predictor works from observed
@@ -116,21 +114,26 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 	// is tried: the projected power need not rise with f, since above the
 	// frequency where ActivePower passes StallWatts, a faster clock moves
 	// time from the stalled state into the cheaper busy one.
-	budget := p.tsp.budget(st.Platform, p.assignment, p.tdtm)
+	p.active = p.pinning.active(p.active)
+	budget := p.tsp.budget(st.Platform, p.active, p.tdtm)
 	pw := &st.Platform.Power
 	d := pw.DVFS()
 	idle := pw.IdleWatts
 	levels := p.ladder.of(*pw)
 	p.freqs = fillFreq(p.freqs, st.Platform.NumCores(), d.FMax)
-	for id, core := range p.assignment {
-		th, _ := st.Thread(id)
+	for core := range p.pinning.pins {
+		pn := &p.pinning.pins[core]
+		if !pn.used {
+			continue
+		}
+		th := pn.th
 		mem := st.Platform.Perf.MemTimePerInstr(th.Perf, core)
-		prev, ok := p.lastLevel[id]
-		if !ok {
+		prev := pn.level
+		if !pn.leveled {
 			prev = d.LevelOf(d.FMax)
 		}
 		duty := 1.0
-		if execPrev := execWatts(pw, &th, mem, prev); execPrev > idle {
+		if execPrev := execWatts(pw, th, mem, prev); execPrev > idle {
 			duty = (th.AvgPower - idle) / (execPrev - idle)
 			if duty < 0 {
 				duty = 0
@@ -140,16 +143,15 @@ func (p *PCMig) Decide(st *sim.State) sim.Decision {
 		}
 		best := levels[0] // FMin
 		for _, l := range levels {
-			if duty*execWatts(pw, &th, mem, l)+(1-duty)*idle <= budget {
+			if duty*execWatts(pw, th, mem, l)+(1-duty)*idle <= budget {
 				best = l
 			}
 		}
 		p.freqs[core] = best.F
-		p.lastLevel[id] = best
+		pn.level, pn.leveled = best, true
 	}
 
-	clear(p.out)
-	maps.Copy(p.out, p.assignment)
+	p.pinning.fill(p.out)
 	return sim.Decision{Assignment: p.out, Freq: p.freqs, NextInvoke: p.epoch}
 }
 
@@ -167,7 +169,7 @@ func execWatts(pw *power.Model, th *sim.ThreadInfo, mem float64, l power.Level) 
 func (p *PCMig) performanceMigration(st *sim.State) {
 	n := st.Platform.NumCores()
 	fp := st.Platform.FP
-	free := p.scr.freeCores(n, p.assignment)
+	free := p.scr.freeCores(&p.pinning)
 	if len(free) == 0 {
 		return
 	}
@@ -180,31 +182,26 @@ func (p *PCMig) performanceMigration(st *sim.State) {
 	}
 	// Only a thread on a core of higher AMD than dst can gain: when the
 	// free cores are the outer ones (the common epoch), skip the scan.
-	if !anyCore(p.assignment, func(core int) bool { return fp.AMD(dst) < fp.AMD(core) }) {
+	if !p.pinning.anyCore(func(core int) bool { return fp.AMD(dst) < fp.AMD(core) }) {
 		return
 	}
 	fmax := st.Platform.Power.DVFS().FMax
 
 	type cand struct {
-		id    sim.ThreadID
+		core  int
 		gain  float64
-		dst   int
 		found bool
 	}
 	best := cand{gain: 1.02} // require > 2% predicted speedup
-	for _, id := range p.scr.sortedIDs(p.assignment) {
-		core := p.assignment[id]
-		th, ok := st.Thread(id)
-		if !ok {
-			continue
-		}
+	for _, core := range p.scr.coresByID(&p.pinning) {
 		if fp.AMD(dst) >= fp.AMD(core) {
 			continue
 		}
+		th := p.pinning.pins[core].th
 		cur := st.Platform.Perf.TimePerInstr(th.Perf, core, fmax)
 		better := st.Platform.Perf.TimePerInstr(th.Perf, dst, fmax)
 		if g := cur / better; g > best.gain {
-			best = cand{id: id, gain: g, dst: dst, found: true}
+			best = cand{core: core, gain: g, found: true}
 		}
 	}
 	if !best.found {
@@ -217,15 +214,15 @@ func (p *PCMig) performanceMigration(st *sim.State) {
 	for i := range powers {
 		powers[i] = idle
 	}
-	for id, core := range p.assignment {
-		if th, ok := st.Thread(id); ok {
-			powers[core] = th.AvgPower
+	for core, pn := range p.pinning.pins {
+		if pn.used {
+			powers[core] = pn.th.AvgPower
 		}
 	}
-	powers[best.dst] = powers[p.assignment[best.id]]
-	powers[p.assignment[best.id]] = idle
+	powers[dst] = powers[best.core]
+	powers[best.core] = idle
 	ss := st.Platform.Thermal.SteadyState(powers)
 	if st.Platform.Thermal.MaxCoreTemp(ss) < p.tdtm-p.margin {
-		p.assignment[best.id] = best.dst
+		p.pinning.move(best.core, dst)
 	}
 }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"maps"
-
 	"repro/internal/sim"
 )
 
@@ -20,8 +18,8 @@ type Reactive struct {
 	upMargin float64
 	epoch    float64
 
-	assignment map[sim.ThreadID]int
-	coreFreq   map[int]float64
+	pinning  pinning
+	coreFreq map[int]float64
 	// out and freqs are the Assignment and Freq of every Decision returned,
 	// refilled each Decide (borrowed until the next, see sim.Decision).
 	out   map[sim.ThreadID]int
@@ -36,7 +34,7 @@ func NewReactive(tdtm float64) *Reactive {
 		downMargin: 2,
 		upMargin:   6,
 		epoch:      1e-3,
-		assignment: map[sim.ThreadID]int{},
+		pinning:    newPinning(),
 		coreFreq:   map[int]float64{},
 		out:        map[sim.ThreadID]int{},
 	}
@@ -47,16 +45,19 @@ func (r *Reactive) Name() string { return "reactive" }
 
 // Decide implements sim.Scheduler.
 func (r *Reactive) Decide(st *sim.State) sim.Decision {
-	dropDeparted(st, r.assignment)
+	r.pinning.sync(st)
 
 	// Same gang-FIFO admission as every other scheduler; cache-aware
 	// ordering like PCMig.
-	r.scr.admitByAMD(st, r.assignment, r.scr.queuedTasks(st))
+	r.scr.admitByAMD(st, &r.pinning, r.scr.queuedTasks(st))
 
 	// Step-wise per-core DVFS feedback.
 	d := st.Platform.Power.DVFS()
 	r.freqs = fillFreq(r.freqs, st.Platform.NumCores(), d.FMax)
-	for _, core := range r.assignment {
+	for core, pn := range r.pinning.pins {
+		if !pn.used {
+			continue
+		}
 		f, ok := r.coreFreq[core]
 		if !ok {
 			f = d.FMax
@@ -71,7 +72,6 @@ func (r *Reactive) Decide(st *sim.State) sim.Decision {
 		r.freqs[core] = f
 	}
 
-	clear(r.out)
-	maps.Copy(r.out, r.assignment)
+	r.pinning.fill(r.out)
 	return sim.Decision{Assignment: r.out, Freq: r.freqs, NextInvoke: r.epoch}
 }

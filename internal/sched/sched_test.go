@@ -44,7 +44,11 @@ func runSim(t testing.TB, plat *sim.Platform, cfg sim.Config, sch sim.Scheduler,
 }
 
 func TestHelperFreeCores(t *testing.T) {
-	free := new(scratch).freeCores(4, map[sim.ThreadID]int{{Task: 0, Thread: 0}: 1, {Task: 0, Thread: 1}: 3})
+	p := newPinning()
+	p.pins = make([]pin, 4)
+	p.place(1, &sim.ThreadInfo{ID: sim.ThreadID{Task: 0, Thread: 0}})
+	p.place(3, &sim.ThreadInfo{ID: sim.ThreadID{Task: 0, Thread: 1}})
+	free := new(scratch).freeCores(&p)
 	if len(free) != 2 || free[0] != 0 || free[1] != 2 {
 		t.Fatalf("freeCores = %v", free)
 	}
@@ -466,5 +470,44 @@ func TestSynchronousBeatsAsynchronous(t *testing.T) {
 	if async.DTMTime <= syncR.DTMTime {
 		t.Errorf("async DTM time %.1f ms not above synchronous %.1f ms",
 			async.DTMTime*1e3, syncR.DTMTime*1e3)
+	}
+}
+
+// TestPinningSyncDropsDepartedAndKeepsPins: sync finds each live thread's pin
+// through the one ID lookup, unpins the threads that left, and keeps the pins
+// (and PCMig's levels on them) of the threads that stayed, even when the
+// State lists them in another order.
+func TestPinningSyncDropsDepartedAndKeepsPins(t *testing.T) {
+	plat := testPlatform(t, 2, 2)
+	ids := []sim.ThreadID{{Task: 0, Thread: 0}, {Task: 0, Thread: 1}, {Task: 1, Thread: 0}}
+	st := &sim.State{Platform: plat}
+	for _, id := range ids {
+		st.Threads = append(st.Threads, sim.ThreadInfo{ID: id, Core: -1})
+	}
+	p := newPinning()
+	p.sync(st)
+	for i := range st.Threads {
+		p.place(i, &st.Threads[i])
+	}
+	p.pins[1].level, p.pins[1].leveled = plat.Power.DVFS().Ladder()[0], true
+
+	// Thread 0:0 leaves; the other two swap places in Threads.
+	st.Threads = []sim.ThreadInfo{{ID: ids[2], Core: 2, AvgPower: 3}, {ID: ids[1], Core: 1, AvgPower: 5}}
+	p.sync(st)
+	if p.pins[0].used || len(p.core) != 2 {
+		t.Fatalf("departed thread still pinned: pins %+v, index %v", p.pins, p.core)
+	}
+	for c, want := range map[int]float64{1: 5, 2: 3} {
+		if pn := p.pins[c]; !pn.used || pn.th == nil || pn.th.AvgPower != want {
+			t.Errorf("core %d: pin %+v, want the thread with AvgPower %v", c, pn, want)
+		}
+	}
+	if !p.pins[1].leveled {
+		t.Error("a staying thread lost its DVFS level")
+	}
+	out := map[sim.ThreadID]int{{Task: 9, Thread: 9}: 3}
+	p.fill(out)
+	if len(out) != 2 || out[ids[1]] != 1 || out[ids[2]] != 2 {
+		t.Errorf("fill = %v", out)
 	}
 }

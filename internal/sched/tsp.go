@@ -68,32 +68,25 @@ type tspCache struct {
 	set   []bool // per core: active in the set value belongs to
 	value float64
 
-	cur   []bool // scratch: the set asked for
-	cores []int  // scratch: cur as ascending core IDs
+	cores []int // scratch: the set asked for as ascending core IDs
 }
 
-// budget returns TSPBudget(plat, cores of assignment, tdtm), computing it
-// only when the set of assigned cores differs from the previous call's.
-func (c *tspCache) budget(plat *sim.Platform, assignment map[sim.ThreadID]int, tdtm float64) float64 {
-	n := plat.NumCores()
-	cur := slices.Grow(c.cur[:0], n)[:n]
-	clear(cur)
-	for _, core := range assignment {
-		cur[core] = true
-	}
-	if plat == c.plat && tdtm == c.tdtm && slices.Equal(cur, c.set) {
-		c.cur = cur
+// budget returns TSPBudget(plat, the cores active flags, tdtm), computing it
+// only when that set differs from the previous call's. active has one flag
+// per core.
+func (c *tspCache) budget(plat *sim.Platform, active []bool, tdtm float64) float64 {
+	if plat == c.plat && tdtm == c.tdtm && slices.Equal(active, c.set) {
 		return c.value
 	}
 	cores := c.cores[:0]
-	for core, on := range cur {
+	for core, on := range active {
 		if on {
 			cores = append(cores, core)
 		}
 	}
 	c.cores = cores
 	c.plat, c.tdtm, c.value = plat, tdtm, TSPBudget(plat, cores, tdtm)
-	c.set, c.cur = cur, c.set
+	c.set = append(c.set[:0], active...)
 	return c.value
 }
 
@@ -134,6 +127,7 @@ type TSPGovernor struct {
 	tdtm   float64
 	ladder ladder
 	tsp    tspCache
+	active []bool // the cores of out, the TSP budget's active set
 	// out and freqs are the Assignment and Freq of every Decision returned,
 	// refilled each Decide (borrowed until the next, see sim.Decision).
 	out   map[sim.ThreadID]int
@@ -161,7 +155,13 @@ func (g *TSPGovernor) Decide(st *sim.State) sim.Decision {
 			g.out[th.ID] = core
 		}
 	}
-	budget := g.tsp.budget(st.Platform, g.out, g.tdtm)
+	n := st.Platform.NumCores()
+	g.active = slices.Grow(g.active[:0], n)[:n]
+	clear(g.active)
+	for _, core := range g.out {
+		g.active[core] = true
+	}
+	budget := g.tsp.budget(st.Platform, g.active, g.tdtm)
 	pw := &st.Platform.Power
 	levels := g.ladder.of(*pw)
 	g.freqs = fillFreq(g.freqs, st.Platform.NumCores(), pw.DVFS().FMax)

@@ -302,9 +302,20 @@ type threadRt struct {
 	idx     int
 	id      ThreadID
 	core    int // -1 while queued
+	decided int // apply's scratch: the core the decision maps the thread to, or -1
 	penalty float64
 	history *power.History
 	key     string // id.String(), the event's Mapping key; set if the run has sinks
+
+	// The slice constants of executeSlice: the interval model's seconds per
+	// instruction and executing power on sliceCore at sliceF under
+	// sliceContention. They are recomputed only when that key changes, at a
+	// decision, a DTM edge or a contention update.
+	sliceCore               int
+	sliceF, sliceContention float64
+	tpi, execWatts          float64
+	cpiCore                 int     // the core cpi was computed for
+	cpi                     float64 // fillState's EffectiveCPI at peak frequency on cpiCore
 }
 
 // Run executes the simulation to completion (all tasks done) and returns the
@@ -360,6 +371,10 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	// Decide. Its CoreTemps is the sensor-view buffer itself.
 	st := &State{CoreTemps: coreTemps, Platform: s.plat, TDTM: s.cfg.TDTM}
 	owner := make([]int, n) // apply's per-core scratch
+	// maxT is the hottest core of temps. Only the thermal step writes temps,
+	// so one reduction per slice, right after it, serves the next slice's
+	// DTM check, the decision's epoch event and the run's PeakTemp.
+	maxT := s.plat.Thermal.MaxCoreTemp(temps)
 
 	for {
 		// Admit arrivals whose time has come.
@@ -373,9 +388,11 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 				}
 				th := &threadRt{
 					task: task, idx: ti,
-					id:      ThreadID{Task: task.ID, Thread: ti},
-					core:    -1,
-					history: h,
+					id:        ThreadID{Task: task.ID, Thread: ti},
+					core:      -1,
+					history:   h,
+					sliceCore: -1,
+					cpiCore:   -1,
 				}
 				if len(ep.sinks) > 0 {
 					th.key = th.id.String()
@@ -424,7 +441,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 			ep.ev.ApplyNS = ep.lap()
 			ep.ev.Epoch, ep.ev.Time = res.SchedulerInvocations-1, now
 			ep.ev.Migrations = res.Migrations - migBefore
-			ep.begin(s.plat, live, temps[:n], freqs, corePower)
+			ep.begin(s.plat, live, temps[:n], maxT, freqs, corePower)
 			interval := dec.NextInvoke
 			if interval <= 0 {
 				interval = s.cfg.SchedulerEpoch
@@ -437,7 +454,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		}
 
 		// Hardware DTM: chip-wide (paper) or per-core.
-		maxT := s.plat.Thermal.MaxCoreTemp(temps)
 		if s.cfg.DTMEnabled {
 			if s.cfg.DTMPerCore {
 				anyActive := false
@@ -489,8 +505,8 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		now += dt
 		metricSlices.Inc()
 
-		if mc := s.plat.Thermal.MaxCoreTemp(temps); mc > res.PeakTemp {
-			res.PeakTemp = mc
+		if maxT = s.plat.Thermal.MaxCoreTemp(temps); maxT > res.PeakTemp {
+			res.PeakTemp = maxT
 		}
 		if dtmActive {
 			res.DTMTime += dt
@@ -552,10 +568,15 @@ func (s *Simulator) effectiveFreq(freqs []float64, c int, dtmActive bool, dtmCor
 // and returns the core's average power over the slice along with the
 // instructions retired.
 func (s *Simulator) executeSlice(th *threadRt, f, dt, now, contention float64) (watts, instructions float64) {
-	pm := s.plat.Power
-	params := th.task.Bench.Perf()
-	tpi := s.plat.Perf.TimePerInstrContended(params, th.core, f, contention)
-	busyF, stallF := s.plat.Perf.FractionsContended(params, th.core, f, contention)
+	pm := &s.plat.Power
+	if th.core != th.sliceCore || f != th.sliceF || contention != th.sliceContention {
+		params := th.task.Bench.Perf()
+		busyF, stallF := s.plat.Perf.FractionsContended(params, th.core, f, contention)
+		th.tpi = s.plat.Perf.TimePerInstrContended(params, th.core, f, contention)
+		th.execWatts = pm.IntervalPower(th.task.Bench.NominalWatts, f, busyF, stallF)
+		th.sliceCore, th.sliceF, th.sliceContention = th.core, f, contention
+	}
+	tpi, execWatts := th.tpi, th.execWatts
 
 	left := dt
 	var energy float64 // watt-seconds over the slice
@@ -568,7 +589,6 @@ func (s *Simulator) executeSlice(th *threadRt, f, dt, now, contention float64) (
 		energy += p * pm.StallWatts
 	}
 
-	execWatts := pm.IntervalPower(th.task.Bench.NominalWatts, f, busyF, stallF)
 	for guard := 0; left > 1e-12 && th.task.State(th.idx) == workload.ThreadRunning; guard++ {
 		if guard > 64 {
 			panic("sim: thread made no progress in a slice")
@@ -613,8 +633,9 @@ func (e *epochStream) lap() int64 {
 
 // begin starts the decided epoch's slice batch. With sinks it first refills
 // the event's map and slices: the mapping and frequencies just installed, and
-// the temperatures and per-core power at the decision instant.
-func (e *epochStream) begin(plat *Platform, live []*threadRt, temps, freqs, corePower []float64) {
+// the temperatures, their hottest core maxT and the per-core power at the
+// decision instant.
+func (e *epochStream) begin(plat *Platform, live []*threadRt, temps []float64, maxT float64, freqs, corePower []float64) {
 	e.pending = true
 	if len(e.sinks) == 0 {
 		return
@@ -632,7 +653,7 @@ func (e *epochStream) begin(plat *Platform, live []*threadRt, temps, freqs, core
 	ev.Freqs = append(ev.Freqs[:0], freqs...)
 	ev.CoreTemps = append(ev.CoreTemps[:0], temps...)
 	ev.CorePower = append(ev.CorePower[:0], corePower...)
-	ev.PeakTemp = plat.Thermal.MaxCoreTemp(temps)
+	ev.PeakTemp = maxT
 	ev.AmbientDelta = ev.PeakTemp - plat.Thermal.Ambient()
 	e.mark = time.Now()
 }
@@ -652,15 +673,26 @@ func (e *epochStream) end() {
 
 // fillState refills the engine-owned scheduler view in place: the epoch's
 // time and DTM flag, and one ThreadInfo per live thread in live's order.
-// After the first epochs have grown Threads it allocates nothing.
+// A thread's CPI is recomputed only when its core changed, and a task's
+// remaining work once per run of its adjacent threads. After the first
+// epochs have grown Threads it allocates nothing.
 func (s *Simulator) fillState(st *State, now float64, live []*threadRt, dtm bool, medianCore int) {
 	fmax := s.plat.Power.DVFS().FMax
 	st.Time, st.DTMActive = now, dtm
 	st.Threads = st.Threads[:0]
+	var task *workload.Task
+	var remaining float64
 	for _, th := range live {
 		cpiCore := th.core
 		if cpiCore < 0 {
 			cpiCore = medianCore
+		}
+		if cpiCore != th.cpiCore {
+			th.cpi = s.plat.Perf.EffectiveCPI(th.task.Bench.Perf(), cpiCore, fmax)
+			th.cpiCore = cpiCore
+		}
+		if th.task != task {
+			task, remaining = th.task, th.task.TotalRemaining()
 		}
 		st.Threads = append(st.Threads, ThreadInfo{
 			ID:             th.id,
@@ -670,24 +702,26 @@ func (s *Simulator) fillState(st *State, now float64, live []*threadRt, dtm bool
 			State:          th.task.State(th.idx),
 			Core:           th.core,
 			AvgPower:       th.history.Average(th.task.Bench.NominalWatts),
-			CPI:            s.plat.Perf.EffectiveCPI(th.task.Bench.Perf(), cpiCore, fmax),
-			RemainingInstr: th.task.TotalRemaining(),
+			CPI:            th.cpi,
+			RemainingInstr: remaining,
 			Arrival:        th.task.Arrival,
 		})
 	}
 }
 
 // apply validates and installs a scheduler decision. Validation walks live
-// and looks each thread up in the assignment: owner (one entry per core,
-// zeroed on return) records which live thread claimed a core, and a mapped
-// count short of len(dec.Assignment) means the decision names a thread that
-// is not live. Nothing is moved until the whole decision has passed.
+// and looks each thread up in the assignment, once: owner (one entry per
+// core, zeroed on return) records which live thread claimed a core, and a
+// mapped count short of len(dec.Assignment) means the decision names a
+// thread that is not live. Nothing is moved until the whole decision has
+// passed.
 func (s *Simulator) apply(dec Decision, live []*threadRt, owner []int, freqs []float64, res *Result) error {
 	n := s.plat.NumCores()
 	defer clear(owner)
 	mapped := 0
 	for i, th := range live {
 		core, ok := dec.Assignment[th.id]
+		th.decided = -1
 		if !ok {
 			continue
 		}
@@ -699,6 +733,7 @@ func (s *Simulator) apply(dec Decision, live []*threadRt, owner []int, freqs []f
 			return fmt.Errorf("sim: scheduler %s assigned threads %v and %v to core %d", s.sched.Name(), live[prev-1].id, th.id, core)
 		}
 		owner[core] = i + 1
+		th.decided = core
 	}
 	if unknown := len(dec.Assignment) - mapped; unknown > 0 {
 		return fmt.Errorf("sim: scheduler %s assigned %d thread(s) that are not live", s.sched.Name(), unknown)
@@ -707,9 +742,8 @@ func (s *Simulator) apply(dec Decision, live []*threadRt, owner []int, freqs []f
 		return fmt.Errorf("sim: scheduler %s returned %d frequencies for %d cores", s.sched.Name(), len(dec.Freq), n)
 	}
 	for _, th := range live {
-		core, mapped := dec.Assignment[th.id]
-		switch {
-		case !mapped:
+		switch core := th.decided; {
+		case core < 0:
 			th.core = -1
 		case th.core >= 0 && th.core != core:
 			th.penalty += s.plat.Caches.MigrationPenalty(th.core, core)
