@@ -74,7 +74,7 @@ bench-all:
 # layout depends on the Go release, so this is a check to run before taking
 # paired measurements, not a CI gate.
 PROBE_ALIGN_SYMS = 'main.(*refKernel).timeUS' \
-	'repro/internal/matrix.mulRows8AVX.abi0' \
+	'repro/internal/matrix.mulPanels16AVX.abi0' \
 	'repro/internal/matrix.rotatedSumMax16AVX.abi0' \
 	'repro/internal/matrix.(*KrylovExpm).ExpmVTo' \
 	'repro/internal/thermal.(*Stepper).StepTo'

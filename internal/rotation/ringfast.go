@@ -111,12 +111,13 @@ func (e *RingEvaluator) PeakRingRotationUntil(tau float64, base []float64, ringC
 	}
 
 	// Background: S·base, reused while base repeats, minus the ring cores'
-	// share, which the rotating slots replace. S is symmetric (B is), so
-	// its row c serves as column c.
+	// share, which the rotating slots replace. The product runs on S's
+	// panels, bit for bit S.MulVecTo. S is symmetric (B is), so its row c
+	// serves as column c.
 	s := c.m.CoreInfluence()
 	if !slices.Equal(e.base, base) {
 		copy(e.base, base)
-		s.MulVecTo(e.sBase, base)
+		c.influencePanels().MulVecTo(e.sBase, base)
 	}
 	bg := e.bg
 	copy(bg, e.sBase)

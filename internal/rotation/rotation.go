@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/thermal"
@@ -124,6 +125,11 @@ type Calculator struct {
 	// tables holds the ring evaluator's response tables (ringtable.go),
 	// built lazily and shared by every RingEvaluator of the Calculator.
 	tables tableCache
+
+	// sPanels is the model's CoreInfluence packed for the ring evaluators'
+	// S·base, built on the first evaluation (influencePanels).
+	sOnce   sync.Once
+	sPanels *matrix.Panels
 }
 
 // DefaultIterTol is the default convergence tolerance (kelvin) of the
@@ -158,6 +164,13 @@ func NewCalculator(m *thermal.Model) *Calculator {
 	}
 	c.sqrtMinA = math.Sqrt(minA)
 	return c
+}
+
+// influencePanels returns the core block of B⁻¹ packed into panels,
+// building it on first use; every RingEvaluator of the Calculator shares it.
+func (c *Calculator) influencePanels() *matrix.Panels {
+	c.sOnce.Do(func() { c.sPanels = c.m.CoreInfluence().Panels(c.n) })
+	return c.sPanels
 }
 
 // Model returns the thermal model the calculator was built for.

@@ -390,12 +390,13 @@ func BenchmarkHotloopStepSparse(b *testing.B) {
 // step. At 16×16 the real dense model is built and stepped. At 32×32 and
 // 64×64 the dense setup is not feasible inside a benchmark run (O(N³)
 // eigendecomposition; the N×N propagator alone is ≈0.5 GB at 64×64), so the
-// per-step cost is measured on a synthetic N×N matrix driving exactly the
-// work a dense StepTo performs on new power: one N×n product with B⁻¹'s core
+// per-step cost is measured on synthetic panels driving exactly the work a
+// dense StepTo performs on new power: one N×n product with B⁻¹'s core
 // columns (the steady-state solve) plus one N×N propagator product, with the
-// O(N) vector ops in between. That is the floor of what the dense path would
-// cost per step if one could afford to build it, so the reported speedup is
-// an underestimate.
+// O(N) vector ops in between. The panels are filled directly, so no
+// row-major copy of either matrix is ever held. That is the floor of what
+// the dense path would cost per step if one could afford to build it, so
+// the reported speedup is an underestimate.
 func BenchmarkHotloopStepDense(b *testing.B) {
 	b.Run("16x16", func(b *testing.B) {
 		s, temps, p := benchSolverStepper(b, 16, SolverDense)
@@ -406,12 +407,9 @@ func BenchmarkHotloopStepDense(b *testing.B) {
 			n := edge * edge
 			N := 2*n + 1
 			rng := rand.New(rand.NewSource(7))
-			kernel := matrix.New(N, N) // stands in for both B⁻¹ and e^{C·dt}
-			for i := 0; i < N; i++ {
-				for j := 0; j < N; j++ {
-					kernel.Set(i, j, rng.Float64()*1e-3)
-				}
-			}
+			at := func(int, int) float64 { return rng.Float64() * 1e-3 }
+			cores := matrix.NewPanels(N, n, at) // stands in for B⁻¹[:, :n]
+			exp := matrix.NewPanels(N, N, at)   // and for e^{C·dt}
 			temps := make([]float64, N)
 			tss := make([]float64, N)
 			diff := make([]float64, N)
@@ -422,9 +420,9 @@ func BenchmarkHotloopStepDense(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel.MulVecPrefixTo(tss, p)
+				cores.MulVecTo(tss, p)
 				matrix.VecSubTo(diff, temps, tss)
-				kernel.MulVecTo(temps, diff)
+				exp.MulVecTo(temps, diff)
 				matrix.VecAddTo(temps, tss)
 			}
 		})

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -48,7 +49,7 @@ func TestStepperSharesPropagator(t *testing.T) {
 func TestStepperPropagatorConcurrentFirstTouch(t *testing.T) {
 	m := testModel(t, 4, 4)
 	const workers = 8
-	got := make([]*matrix.Dense, workers)
+	got := make([]*matrix.Panels, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -102,7 +103,7 @@ func TestSharedPropagatorBitEqualFresh(t *testing.T) {
 	mustStepper(t, m, dt) // builds the shared matrix
 	shared := mustStepper(t, m, dt)
 	fresh := mustStepper(t, m, dt)
-	fresh.exp = freshPropagator(m, dt)
+	fresh.exp = freshPropagator(m, dt).Panels(m.N)
 	if fresh.exp == shared.exp {
 		t.Fatal("fresh propagator is the shared one")
 	}
@@ -128,7 +129,7 @@ func TestPropagatorCacheBound(t *testing.T) {
 			t.Errorf("dt %g past the bound: propagator retained", dt)
 		}
 		fresh := mustStepper(t, m, dt)
-		fresh.exp = freshPropagator(m, dt)
+		fresh.exp = freshPropagator(m, dt).Panels(m.N)
 		requireBitEqual(t, "past the bound", stepBits(a, m), stepBits(fresh, m))
 	}
 	if len(m.props.entries) != 2 || m.props.doubles != 2*size {
@@ -137,5 +138,38 @@ func TestPropagatorCacheBound(t *testing.T) {
 	// The retained step sizes are still shared.
 	if a, b := mustStepper(t, m, dts[0]), mustStepper(t, m, dts[0]); a.exp != b.exp {
 		t.Error("a retained propagator is no longer shared")
+	}
+}
+
+// TestStepToMatchesDenseReferenceStep holds the dense StepTo, which runs
+// both of its products on panels, to a reference step that multiplies the
+// row-major matrices with Dense.MulVecTo: the steady state as B⁻¹ times the
+// extended power plus the ambient field, then e^{C·dt} times the deviation.
+// Random powers, with some steps repeating the previous one, must give the
+// same bits at every step on the 4×4 and 8×8 chips.
+func TestStepToMatchesDenseReferenceStep(t *testing.T) {
+	for _, edge := range []int{4, 8} {
+		m := testModel(t, edge, edge)
+		const dt = 0.1e-3
+		s := mustStepper(t, m, dt)
+		exp := freshPropagator(m, dt)
+		r := rand.New(rand.NewSource(int64(edge)))
+		got, want := m.InitialTemps(), m.InitialTemps()
+		tss, diff := make([]float64, m.N), make([]float64, m.N)
+		p := make([]float64, m.NumCores())
+		for step := range 200 {
+			if step%3 != 2 {
+				for i := range p {
+					p[i] = 0.3 + 8*r.Float64()
+				}
+			}
+			s.StepTo(got, got, p)
+			m.binv.MulVecTo(tss, m.ExtendPower(p))
+			matrix.VecAddTo(tss, m.steadyAmbient)
+			matrix.VecSubTo(diff, want, tss)
+			exp.MulVecTo(want, diff)
+			matrix.VecAddTo(want, tss)
+			requireBitEqual(t, fmt.Sprintf("%dx%d step %d", edge, edge, step), got, want)
+		}
 	}
 }

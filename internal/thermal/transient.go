@@ -19,11 +19,13 @@ const stepKrylovTol = 1e-14
 //	T(t+dt) = T_steady(P) + e^{C·dt} (T(t) − T_steady(P))
 //
 // In dense mode e^{C·dt} is computed once per step size from the model's
-// eigendecomposition and shared by every Stepper of that dt, so each step
-// costs one N×N propagator product, plus
-// an N×n steady-state product (B⁻¹'s core columns) only when the core power
-// differs from the previous step's: leakage does not depend on temperature,
-// so equal power means an equal steady state, and StepTo reuses it.
+// eigendecomposition, packed into matrix.Panels (the only form kept) and
+// shared by every Stepper of that dt, so each step costs one N×N
+// propagator product, plus an N×n steady-state product (B⁻¹'s core
+// columns, packed the same way) only when the core power differs from the
+// previous step's: leakage does not depend on temperature, so equal power
+// means an equal steady state, and StepTo reuses it. Both products sum
+// exactly as Dense.MulVecTo does on the unpacked matrices.
 // In sparse mode the propagator is never materialized: the difference term
 // is whitened to v̂ = A^{1/2}(T − T_steady), e^{Ĉ·dt}·v̂ is evaluated by the
 // matrix-free Krylov kernel (matrix.KrylovExpm over Â = −A^{−1/2}BA^{−1/2},
@@ -42,7 +44,7 @@ const stepKrylovTol = 1e-14
 type Stepper struct {
 	m   *Model
 	dt  float64
-	exp *matrix.Dense // e^{C·dt}, shared with every Stepper of dt; nil in sparse mode
+	exp *matrix.Panels // e^{C·dt}, shared with every Stepper of dt; nil in sparse mode
 
 	// Sparse-mode kernel (nil in dense mode).
 	kry          *matrix.KrylovExpm
@@ -96,10 +98,12 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 // built for the stepper that asked and dropped with it.
 const maxPropagatorDoubles = 4 << 20
 
-// propagatorCache holds a dense Model's e^{C·dt} per step size. Each is
-// built once: the first caller builds it, concurrent callers of the same dt
-// wait on its sync.Once, callers of other step sizes proceed. A built
-// propagator is immutable and shared read-only by every Stepper of its dt.
+// propagatorCache holds a dense Model's e^{C·dt} per step size, packed into
+// panels; the row-major matrix it is computed as is dropped once packed, so
+// each entry counts N² doubles against the bound. Each is built once: the
+// first caller builds it, concurrent callers of the same dt wait on its
+// sync.Once, callers of other step sizes proceed. A built propagator is
+// immutable and shared read-only by every Stepper of its dt.
 type propagatorCache struct {
 	mu      sync.Mutex
 	entries map[uint64]*propagatorEntry // by math.Float64bits(dt)
@@ -109,11 +113,11 @@ type propagatorCache struct {
 
 type propagatorEntry struct {
 	once sync.Once
-	exp  *matrix.Dense
+	exp  *matrix.Panels
 }
 
 // propagator returns the dense-mode e^{C·dt}, computing it on first use.
-func (m *Model) propagator(dt float64) *matrix.Dense {
+func (m *Model) propagator(dt float64) *matrix.Panels {
 	pc := &m.props
 	key := math.Float64bits(dt)
 	pc.mu.Lock()
@@ -131,7 +135,7 @@ func (m *Model) propagator(dt float64) *matrix.Dense {
 	pc.mu.Unlock()
 	ent.once.Do(func() {
 		negLambda := matrix.VecScale(-1, m.eig.Lambda) // eigenvalues of C
-		ent.exp = matrix.ExpmEigen(m.eig.V, negLambda, m.eig.VInv, dt)
+		ent.exp = matrix.ExpmEigen(m.eig.V, negLambda, m.eig.VInv, dt).Panels(m.N)
 	})
 	return ent.exp
 }
