@@ -317,6 +317,26 @@ func ExecuteSweep(ctx context.Context, spec SweepSpec, opts SweepOptions, emit f
 	return ExecuteSweepCells(ctx, cells, opts, emit)
 }
 
+// platformRunner is ExecuteSweepCells' default runner: it builds each
+// distinct PlatformConfig once, in one PlatformCache shared by its cells, and
+// runs every cell on its platform. tracer, when not nil, gives each cell an
+// EpochTracer of its own, by the cell's Index.
+func platformRunner(tracer func(cell int) EpochTracer) func(context.Context, SweepCell) (*Result, bool, error) {
+	plats := NewPlatformCache()
+	return func(ctx context.Context, cell SweepCell) (*Result, bool, error) {
+		plat, err := plats.Get(cell.Spec.Platform)
+		if err != nil {
+			return nil, false, err
+		}
+		var tracers []EpochTracer
+		if tracer != nil {
+			tracers = []EpochTracer{tracer(cell.Index)}
+		}
+		res, err := ExecuteSpecOnPlatform(ctx, plat, cell.Spec, tracers...)
+		return res, false, err
+	}
+}
+
 // ExecuteSweepCells is ExecuteSweep on pre-expanded cells — the serving
 // path, where the handler has already expanded (and admission-checked) the
 // sweep before streaming begins. See ExecuteSweep for the contract.
@@ -325,17 +345,8 @@ func ExecuteSweepCells(ctx context.Context, cells []SweepCell, opts SweepOptions
 	if n == 0 {
 		return nil
 	}
-	run := opts.Run
-	if run == nil {
-		plats := NewPlatformCache()
-		run = func(ctx context.Context, cell SweepCell) (*Result, bool, error) {
-			plat, err := plats.Get(cell.Spec.Platform)
-			if err != nil {
-				return nil, false, err
-			}
-			res, err := ExecuteSpecOnPlatform(ctx, plat, cell.Spec)
-			return res, false, err
-		}
+	if opts.Run == nil {
+		opts.Run = platformRunner(nil)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -386,7 +397,7 @@ func ExecuteSweepCells(ctx context.Context, cells []SweepCell, opts SweepOptions
 						continue
 					}
 				}
-				out.Result, out.Cached, out.Err = run(ctx, SweepCell{Index: cell.Index, Spec: canon})
+				out.Result, out.Cached, out.Err = opts.Run(ctx, SweepCell{Index: cell.Index, Spec: canon})
 				emitOne(out)
 			}
 		}()
