@@ -76,6 +76,7 @@ bench-all:
 PROBE_ALIGN_SYMS = 'main.(*refKernel).timeUS' \
 	'repro/internal/matrix.mulPanels16AVX.abi0' \
 	'repro/internal/matrix.rotatedSumMax16AVX.abi0' \
+	'repro/internal/matrix.rotatePair4AVX.abi0' \
 	'repro/internal/matrix.(*KrylovExpm).ExpmVTo' \
 	'repro/internal/thermal.(*Stepper).StepTo'
 

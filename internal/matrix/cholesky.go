@@ -30,7 +30,7 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 		var sum float64
 		for k := 0; k < j; k++ {
 			v := l.data[j*n+k]
-			sum += v * v
+			sum += float64(v * v)
 		}
 		d := a.data[j*n+j] - sum
 		if d <= 0 {
@@ -41,7 +41,7 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 		for i := j + 1; i < n; i++ {
 			var s float64
 			for k := 0; k < j; k++ {
-				s += l.data[i*n+k] * l.data[j*n+k]
+				s += float64(l.data[i*n+k] * l.data[j*n+k])
 			}
 			l.data[i*n+j] = (a.data[i*n+j] - s) / ljj
 		}
@@ -64,7 +64,7 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * y[k]
+			s -= float64(l[i*n+k] * y[k])
 		}
 		y[i] = s / l[i*n+i]
 	}
@@ -73,7 +73,7 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * x[k]
+			s -= float64(l[k*n+i] * x[k])
 		}
 		x[i] = s / l[i*n+i]
 	}

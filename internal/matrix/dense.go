@@ -7,12 +7,14 @@
 //
 // Matrices are small and dense (an N-node thermal network has N on the order
 // of a few hundred), so the package favours clarity and numerical robustness
-// over blocked performance tricks. The one exception is Panels, the packed
+// over blocked performance tricks. One exception is Panels, the packed
 // product-only form of the matrices a simulation multiplies at every step:
 // on amd64 with AVX its kernel keeps 16 rows' sums in flight in four YMM
 // registers without changing the order of any sum, so it computes what
 // Dense.MulVecTo computes, bit for bit. Elsewhere it stays row-major and runs
-// Dense.MulVecTo's Go loop.
+// Dense.MulVecTo's Go loop. The other is SymEigen, which rotates contiguous
+// rows instead of strided columns, four elements per YMM register on amd64
+// with AVX, with the same bits as the column-wise Jacobi rotation.
 package matrix
 
 import (

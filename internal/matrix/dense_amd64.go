@@ -25,11 +25,25 @@ func rotatedSumMax(t, bg, h, w []float64, first int) float64 {
 	return rotatedSumMaxGo(t, bg, h, w, first)
 }
 
+// rotatePair is rotatePairGo with the elements in groups of four taken by
+// the AVX body (dense_amd64.s), bit for bit the same products and sums.
+func rotatePair(x, y []float64, c, s float64) {
+	k := 0
+	if useAVX {
+		k = len(x) &^ 3
+		rotatePair4AVX(x[:k], y[:k], c, s)
+	}
+	rotatePairGo(x[k:], y[k:], c, s)
+}
+
 //go:noescape
 func mulPanels16AVX(dst, panels, x []float64)
 
 //go:noescape
 func rotatedSumMax16AVX(bg, h, w []float64, first int) float64
+
+//go:noescape
+func rotatePair4AVX(x, y []float64, c, s float64)
 
 func cpuid1ECX() uint32
 

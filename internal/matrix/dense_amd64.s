@@ -155,6 +155,44 @@ done:
 	VZEROUPPER
 	RET
 
+// func rotatePair4AVX(x, y []float64, c, s float64)
+//
+// With n = len(x), a multiple of 4, and len(y) ≥ n, it sets
+// x[i], y[i] = c·x[i] − s·y[i], s·x[i] + c·y[i], four elements per YMM:
+// each product is a separate VMULPD and each sum or difference a VSUBPD or
+// VADDPD, so it rounds exactly like rotatePairGo.
+//
+// Registers: SI &x[i], DI &y[i], CX groups of four left, Y0 c, Y1 s.
+TEXT ·rotatePair4AVX(SB), NOSPLIT, $0-64
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         y_base+24(FP), DI
+	VBROADCASTSD c+48(FP), Y0
+	VBROADCASTSD s+56(FP), Y1
+	SHRQ         $2, CX
+	JZ           done
+	PCALIGN      $32
+
+pair:
+	VMOVUPD (SI), Y2
+	VMOVUPD (DI), Y3
+	VMULPD  Y2, Y0, Y4
+	VMULPD  Y3, Y1, Y5
+	VMULPD  Y2, Y1, Y6
+	VMULPD  Y3, Y0, Y7
+	VSUBPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VMOVUPD Y4, (SI)
+	VMOVUPD Y6, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     pair
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX

@@ -15,3 +15,8 @@ func mulPanelsTo(dst, panels, x []float64) {
 func rotatedSumMax(t, bg, h, w []float64, first int) float64 {
 	return rotatedSumMaxGo(t, bg, h, w, first)
 }
+
+// rotatePair is rotatePairGo: the assembly body exists for amd64 only.
+func rotatePair(x, y []float64, c, s float64) {
+	rotatePairGo(x, y, c, s)
+}

@@ -21,6 +21,24 @@ type Eigen struct {
 // SymEigen computes the eigendecomposition of the symmetric matrix a with the
 // cyclic Jacobi method. The input must be symmetric; asymmetry beyond 1e-9
 // relative to the largest entry is rejected.
+//
+// Each rotation (p, q) works on rows p and q of W, which are contiguous,
+// where the two-sided update J(p,q,θ)ᵀ·W·J(p,q,θ) would read columns p and
+// q with a stride of n. The results are bit for bit those of the column
+// update, which reads W[i][p] and W[i][q] on whichever side of the
+// diagonal i lies and W[p][q] from the upper triangle (docs/PERFORMANCE.md,
+// "Row-major Jacobi"):
+//   - a rotation writes each entry of rows and columns p and q to both
+//     triangles, so every pair with an index some rotation has involved is
+//     symmetric. A pair of two uninvolved indices keeps both of its input
+//     entries, and before an index's first rotation its row takes its
+//     column's entries there (adoptColumn), as the column update reads them.
+//   - a rotation reads only rows p and q, so the new values go to columns
+//     p and q only in the rows below p, which the sweep reads again: column
+//     q's after each rotation, column p's once after the last q of row p.
+//     The one stale entry a rotation meets, row q's at index p, is one the
+//     2×2 update overwrites. Each sweep ends by mirroring the lower triangle
+//     into the upper one (mirrorLower).
 func SymEigen(a *Dense) (*Eigen, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: SymEigen of non-square %dx%d matrix", a.rows, a.cols)
@@ -31,9 +49,9 @@ func SymEigen(a *Dense) (*Eigen, error) {
 	}
 	n := a.rows
 	w := a.Clone()
-	// vt accumulates Vᵀ: rotating its rows p and q walks contiguous memory
-	// where rotating V's columns would stride by n, with the same arithmetic.
+	// vt accumulates Vᵀ: its rows p and q take the same rotation as W's.
 	vt := Identity(n)
+	touched := make([]bool, n)
 
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -42,28 +60,47 @@ func SymEigen(a *Dense) (*Eigen, error) {
 			return sortedEigen(w, vt), nil
 		}
 		for p := 0; p < n-1; p++ {
+			rp := w.data[p*n:][:n]
+			rotated := false
 			for q := p + 1; q < n; q++ {
-				apq := w.data[p*n+q]
+				apq := rp[q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app := w.data[p*n+p]
-				aqq := w.data[q*n+q]
+				rq := w.data[q*n:][:n]
+				app := rp[p]
+				aqq := rq[q]
 				// Classic Jacobi rotation parameters.
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
+				c := 1 / math.Sqrt(1+float64(t*t))
+				s := float64(t * c)
 
-				applyJacobiRotation(w, p, q, c, s)
-				rotateRows(vt, p, q, c, s)
+				adoptColumn(w, p, touched)
+				adoptColumn(w, q, touched)
+				rotatePair(rp, rq, c, s)
+				rp[p] = float64(c*c*app) - float64(2*s*c*apq) + float64(s*s*aqq)
+				rq[q] = float64(s*s*app) + float64(2*s*c*apq) + float64(c*c*aqq)
+				rp[q] = 0
+				rq[p] = 0
+				for i := p + 1; i < n; i++ {
+					w.data[i*n+q] = rq[i]
+				}
+				rotatePair(vt.data[p*n:(p+1)*n], vt.data[q*n:(q+1)*n], c, s)
+				rotated = true
+			}
+			if rotated {
+				for i := p + 1; i < n; i++ {
+					w.data[i*n+p] = rp[i]
+				}
 			}
 		}
+		mirrorLower(w, touched)
 	}
 	if offDiagNorm(w) <= 1e-10*(1+w.MaxAbs()) {
 		// Converged to a slightly looser tolerance; accept.
@@ -72,39 +109,44 @@ func SymEigen(a *Dense) (*Eigen, error) {
 	return nil, ErrNoConvergence
 }
 
-// applyJacobiRotation applies the two-sided rotation J(p,q,θ)ᵀ W J(p,q,θ).
-func applyJacobiRotation(w *Dense, p, q int, c, s float64) {
-	n := w.rows
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
-			continue
-		}
-		wip := w.data[i*n+p]
-		wiq := w.data[i*n+q]
-		w.data[i*n+p] = c*wip - s*wiq
-		w.data[p*n+i] = w.data[i*n+p]
-		w.data[i*n+q] = s*wip + c*wiq
-		w.data[q*n+i] = w.data[i*n+q]
+// adoptColumn readies row k of w for its first rotation: at every index i
+// that no rotation has involved, row k takes w[i][k], the entry the column
+// update reads. Entries at involved indices are already symmetric.
+func adoptColumn(w *Dense, k int, touched []bool) {
+	if touched[k] {
+		return
 	}
-	wpp := w.data[p*n+p]
-	wqq := w.data[q*n+q]
-	wpq := w.data[p*n+q]
-	w.data[p*n+p] = c*c*wpp - 2*s*c*wpq + s*s*wqq
-	w.data[q*n+q] = s*s*wpp + 2*s*c*wpq + c*c*wqq
-	w.data[p*n+q] = 0
-	w.data[q*n+p] = 0
+	n := w.cols
+	for i, done := range touched {
+		if !done {
+			w.data[k*n+i] = w.data[i*n+k]
+		}
+	}
+	touched[k] = true
 }
 
-// rotateRows applies the rotation to rows p and q of vt, the transposed
-// eigenvector accumulator.
-func rotateRows(vt *Dense, p, q int, c, s float64) {
-	n := vt.cols
-	rp := vt.data[p*n:][:n]
-	rq := vt.data[q*n:][:n]
-	for i, vip := range rp {
-		viq := rq[i]
-		rp[i] = c*vip - s*viq
-		rq[i] = s*vip + c*viq
+// mirrorLower copies the lower triangle of w into the upper one at every
+// pair with an index some rotation has involved.
+func mirrorLower(w *Dense, touched []bool) {
+	n := w.cols
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if touched[i] || touched[j] {
+				w.data[i*n+j] = w.data[j*n+i]
+			}
+		}
+	}
+}
+
+// rotatePairGo sets x[i], y[i] = c·x[i] − s·y[i], s·x[i] + c·y[i], every
+// product rounded on its own. It is rotatePair's tail and non-AVX body, and
+// the AVX body's oracle.
+func rotatePairGo(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = float64(c*xi) - float64(s*yi)
+		y[i] = float64(s*xi) + float64(c*yi)
 	}
 }
 
@@ -113,7 +155,7 @@ func offDiagNorm(w *Dense) float64 {
 	var s float64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			s += 2 * w.data[i*n+j] * w.data[i*n+j]
+			s += float64(2 * w.data[i*n+j] * w.data[i*n+j])
 		}
 	}
 	return math.Sqrt(s)

@@ -41,6 +41,123 @@ func TestSymEigenRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// SymEigenColumnOracle is SymEigen as it was before rotations moved onto
+// rows: each rotation reads and writes columns p and q of W with a stride
+// of n, reading W[i][p] and W[i][q] on both sides of the diagonal and
+// W[p][q] from the upper triangle. SymEigen must match it bit for bit
+// (TestSymEigenMatchesColumnOracle, an external test of this directory).
+func SymEigenColumnOracle(a *Dense) (*Eigen, error) {
+	n := a.rows
+	w := a.Clone()
+	vt := Identity(n)
+	for sweep := 0; sweep < 100; sweep++ {
+		if offDiagNorm(w) <= 1e-14*(1+w.MaxAbs()) {
+			return sortedEigen(w, vt), nil
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := w.data[p*n+q]
+				if math.Abs(apq) <= 1e-300 {
+					continue
+				}
+				app := w.data[p*n+p]
+				aqq := w.data[q*n+q]
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
+				}
+				c := 1 / math.Sqrt(1+float64(t*t))
+				s := float64(t * c)
+				for i := 0; i < n; i++ {
+					if i == p || i == q {
+						continue
+					}
+					wip := w.data[i*n+p]
+					wiq := w.data[i*n+q]
+					w.data[i*n+p] = float64(c*wip) - float64(s*wiq)
+					w.data[p*n+i] = w.data[i*n+p]
+					w.data[i*n+q] = float64(s*wip) + float64(c*wiq)
+					w.data[q*n+i] = w.data[i*n+q]
+				}
+				wpp := w.data[p*n+p]
+				wqq := w.data[q*n+q]
+				wpq := w.data[p*n+q]
+				w.data[p*n+p] = float64(c*c*wpp) - float64(2*s*c*wpq) + float64(s*s*wqq)
+				w.data[q*n+q] = float64(s*s*wpp) + float64(2*s*c*wpq) + float64(c*c*wqq)
+				w.data[p*n+q] = 0
+				w.data[q*n+p] = 0
+				rp := vt.data[p*n:][:n]
+				rq := vt.data[q*n:][:n]
+				for i, vip := range rp {
+					viq := rq[i]
+					rp[i] = float64(c*vip) - float64(s*viq)
+					rq[i] = float64(s*vip) + float64(c*viq)
+				}
+			}
+		}
+	}
+	if offDiagNorm(w) <= 1e-10*(1+w.MaxAbs()) {
+		return sortedEigen(w, vt), nil
+	}
+	return nil, ErrNoConvergence
+}
+
+// TestRotatePairMatchesGoLoop pins rotatePair, the dispatching row-pair
+// rotation (the AVX body on amd64 hosts that have AVX for whole groups of
+// four), to its Go loop rotatePairGo: lengths 1–40 and 129, ±0,
+// subnormals, ±Inf and NaN among the rows and the rotation. A NaN must meet
+// a NaN, every other element its exact bits. A body that fuses a multiply
+// into the add or subtract (VFMADD231PD) fails it, and the rotation must
+// not allocate.
+func TestRotatePairMatchesGoLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -2.5e-310, 1e-300, -3e-160, 1e300, -2e200, math.MaxFloat64,
+	}
+	draw := func(rate float64) float64 {
+		if r.Float64() < rate {
+			return specials[r.Intn(len(specials))]
+		}
+		return r.NormFloat64()
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	lengths := []int{129}
+	for n := 1; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, rate := range []float64{0, 0.05, 0.5} {
+			for trial := 0; trial < 4; trial++ {
+				x, y := make([]float64, n), make([]float64, n)
+				for i := range x {
+					x[i], y[i] = draw(rate), draw(rate)
+				}
+				c, s := draw(rate/4), draw(rate/4)
+				gx, gy := append([]float64(nil), x...), append([]float64(nil), y...)
+				wx, wy := append([]float64(nil), x...), append([]float64(nil), y...)
+				rotatePair(gx, gy, c, s)
+				rotatePairGo(wx, wy, c, s)
+				for i := range x {
+					if !same(gx[i], wx[i]) || !same(gy[i], wy[i]) {
+						t.Fatalf("n %d, rate %v, c %v, s %v, x %v, y %v: element %d = (%v, %v), Go loop (%v, %v)",
+							n, rate, c, s, x[i], y[i], i, gx[i], gy[i], wx[i], wy[i])
+					}
+				}
+			}
+		}
+	}
+	x, y := randomVec(r, 129), randomVec(r, 129)
+	if allocs := testing.AllocsPerRun(10, func() { rotatePair(x, y, 0.8, 0.6) }); allocs != 0 {
+		t.Errorf("rotatePair: %v allocs per call, want 0", allocs)
+	}
+}
+
 func randomSymmetric(r *rand.Rand, n int) *Dense {
 	a := New(n, n)
 	for i := 0; i < n; i++ {

@@ -280,7 +280,7 @@ func (m *Model) build() *matrix.SparseBuilder {
 		// sink through the spreader area extending beyond the die.
 		addCoupling(i, n+i, m.cfg.GVertical)
 		exposed := 4 - len(m.fp.Neighbors(i))
-		gSink := m.cfg.GSpreaderSink * (1 + m.cfg.GSpreaderEdgeBonus*float64(exposed))
+		gSink := m.cfg.GSpreaderSink * (1 + float64(m.cfg.GSpreaderEdgeBonus*float64(exposed)))
 		addCoupling(n+i, sink, gSink)
 	}
 
