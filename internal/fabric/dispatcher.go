@@ -530,26 +530,18 @@ func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 	}
 	if sw.spans != nil {
 		for _, cs := range req.Spans {
-			if !acceptedIdx[cs.Index] || len(cs.Spans) == 0 {
+			if !acceptedIdx[cs.Index] || len(cs.Spans)+len(cs.Epochs) == 0 {
 				continue
 			}
 			// Stamp authoritative worker attribution on the batch roots (the
 			// lease, not the request body, says who executed the cell).
-			inBatch := map[obs.SpanID]bool{}
-			for _, r := range cs.Spans {
-				inBatch[r.ID] = true
-			}
-			for i, r := range cs.Spans {
-				if r.Parent != 0 && inBatch[r.Parent] {
-					continue
-				}
-				if cs.Spans[i].Attrs == nil {
-					cs.Spans[i].Attrs = map[string]any{}
-				}
-				cs.Spans[i].Attrs["worker"] = l.workerID
-			}
-			grafted := sw.spans.Graft(l.span.ID(), cs.Spans)
+			grafted, rejected := sw.spans.Graft(l.span.ID(),
+				map[string]any{"worker": l.workerID}, cs.Spans, cs.Epochs)
 			metricSpansGrafted.Add(int64(grafted))
+			if rejected > 0 {
+				d.logger.Warn("fabric dropped malformed epoch runs", "worker", l.workerID,
+					"cell", cs.Index, "runs", rejected)
+			}
 			sw.spanExportDropped += cs.Dropped
 		}
 	}

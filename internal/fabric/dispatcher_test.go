@@ -28,7 +28,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // testCells builds n valid quick cells (distinct seeds so hashes differ).
-func testCells(t *testing.T, n int) []hotpotato.SweepCell {
+func testCells(t testing.TB, n int) []hotpotato.SweepCell {
 	t.Helper()
 	var spec hotpotato.RunSpec
 	if err := json.Unmarshal([]byte(`{

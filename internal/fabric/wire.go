@@ -125,9 +125,13 @@ type ResultsRequest struct {
 	Drift []DriftReport `json:"drift,omitempty"`
 }
 
-// CellSpans is the exported span subtree of one finished cell. Span IDs are
-// local to the worker's per-cell recorder; the dispatcher re-numbers them on
-// merge (obs.SpanRecorder.Graft), so only intra-batch parent links matter.
+// CellSpans is the exported span subtree of one finished cell, in the
+// recorder's export form (obs.SpanRecorder.Export): the epoch spans travel by
+// column in Epochs, every other span as a record in Spans. Span IDs are local
+// to the worker's per-cell recorder; the dispatcher re-numbers them on merge
+// (obs.SpanRecorder.Graft), so only intra-batch parent links matter.
+// A post from an older worker carries its epoch spans as records in Spans,
+// and they graft as records.
 type CellSpans struct {
 	// Index is the cell's index in the sweep's expansion order.
 	Index int `json:"index"`
@@ -137,6 +141,9 @@ type CellSpans struct {
 	// Spans are the cell's span records, roots first (the worker's "cell"
 	// root span carries the trace_id / worker attribution attrs).
 	Spans []obs.SpanRecord `json:"spans,omitempty"`
+	// Epochs are the cell's epoch spans, one obs.EpochRun per run of
+	// consecutive epochs under one parent, each placed before Spans[At].
+	Epochs []obs.EpochRun `json:"epochs,omitempty"`
 	// Dropped is how many spans the worker's per-cell recorder dropped beyond
 	// its capacity (long simulations emit one span per scheduler epoch).
 	Dropped int64 `json:"dropped,omitempty"`

@@ -219,8 +219,9 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, heartbeatE
 			Records: []hotpotato.SweepResultRecord{rec}}
 		if sr := recorders[cr.Index]; sr != nil {
 			delete(recorders, cr.Index)
+			recs, runs := sr.Export()
 			req.Spans = []CellSpans{{
-				Index: cr.Index, Worker: w.ID, Spans: sr.Records(), Dropped: sr.Dropped(),
+				Index: cr.Index, Worker: w.ID, Spans: recs, Epochs: runs, Dropped: sr.Dropped(),
 			}}
 		}
 		if w.Drift != nil && rec.Hash != "" {

@@ -214,7 +214,7 @@ func (m *Dense) MulTo(dst, b *Dense) {
 			}
 			bk := b.data[k*b.cols : (k+1)*b.cols]
 			for j := range ci {
-				ci[j] += aik * bk[j]
+				ci[j] += float64(aik * bk[j]) // rounded product: no fused multiply-add on arm64
 			}
 		}
 	}

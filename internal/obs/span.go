@@ -105,22 +105,15 @@ func (s *Span) End() {
 }
 
 // RecordEpoch implements Tracer: it records one finished "epoch" child of s
-// whose duration is the sum of the event's phases, ending now. Nil-safe.
+// whose duration is the sum of the event's phases, ending now. The span is
+// kept by column in the recorder's open EpochRun (no Span, no attribute
+// map); Records expands it back into an ordinary record. Nil-safe.
 func (s *Span) RecordEpoch(ev EpochEvent) {
 	if s == nil {
 		return
 	}
-	dur := time.Duration(ev.StateNS + ev.WallNS + ev.ApplyNS + ev.StepNS)
-	s.rec.add(&Span{
-		rec: s.rec, parent: s.id, name: "epoch", start: time.Now().Add(-dur),
-		dur: dur, ended: true,
-		attrs: map[string]any{
-			"epoch":      ev.Epoch,
-			"sim_time_s": ev.Time,
-			"decide_ns":  ev.WallNS,
-			"migrations": ev.Migrations,
-		},
-	})
+	dur := ev.StateNS + ev.WallNS + ev.ApplyNS + ev.StepNS
+	s.rec.addEpoch(s.id, time.Now().UnixNano()-dur, dur, ev)
 }
 
 // record snapshots the span. An un-ended span reports its running duration
@@ -176,13 +169,18 @@ type SpanNode struct {
 // Recording is cheap (one mutex-guarded append per span, at most one span
 // per scheduler epoch) and never blocks on readers; once the capacity is
 // reached further spans are counted as dropped but still function as live
-// Spans — their timings simply are not retained. Safe for concurrent use.
+// Spans — their timings simply are not retained. Epoch spans are kept by
+// column in EpochRuns, every other span as a *Span. Safe for concurrent use.
 type SpanRecorder struct {
-	mu      sync.Mutex
-	spans   []*Span
-	grafted []SpanRecord // completed records imported from other processes
-	nextID  SpanID
-	dropped int64
+	mu       sync.Mutex
+	spans    []*Span
+	runs     []EpochRun // local epoch spans; At indexes spans
+	grafted  []SpanRecord
+	gruns    []EpochRun // grafted epoch spans; At indexes grafted
+	capacity int
+	kept     int
+	nextID   SpanID
+	dropped  int64
 }
 
 // NewSpanRecorder returns a recorder retaining up to `capacity` spans
@@ -191,7 +189,7 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanDepth
 	}
-	return &SpanRecorder{spans: make([]*Span, 0, capacity)}
+	return &SpanRecorder{capacity: capacity}
 }
 
 // Start begins a new root span. Nil-safe: a nil recorder returns a nil span,
@@ -208,59 +206,141 @@ func (r *SpanRecorder) add(s *Span) *Span {
 	r.mu.Lock()
 	r.nextID++
 	s.id = r.nextID
-	if len(r.spans)+len(r.grafted) < cap(r.spans) {
+	if r.keep() {
 		r.spans = append(r.spans, s)
-	} else {
-		r.dropped++
-		metricSpansDropped.Inc()
 	}
 	r.mu.Unlock()
 	return s
 }
 
-// Graft imports completed span records exported by another process's
-// recorder — the dispatcher-side merge of a worker's per-cell spans. Every
-// record is re-numbered into r's own ID space (remote recorders all count
-// from 1, so raw IDs would collide); parent links within the batch are
-// preserved, and records whose parent is not in the batch become children of
-// `parent` (0 grafts them as additional roots). Grafted records count
-// against the recorder's capacity and the overflow against Dropped. Returns
-// how many records were retained.
-func (r *SpanRecorder) Graft(parent SpanID, records []SpanRecord) int {
-	if r == nil || len(records) == 0 {
-		return 0
+// addEpoch numbers one finished epoch span under parent and, if the
+// capacity allows, appends it to the open run: the last run, when it has the
+// same parent and ends at the previous ID (every span takes an ID, so no
+// other span came between). Otherwise it opens a new run.
+func (r *SpanRecorder) addEpoch(parent SpanID, start, dur int64, ev EpochEvent) {
+	r.mu.Lock()
+	r.nextID++
+	if r.keep() {
+		n := len(r.runs)
+		if n == 0 || r.runs[n-1].Parent != parent || r.runs[n-1].First+SpanID(r.runs[n-1].Len()) != r.nextID {
+			r.runs = append(r.runs, EpochRun{At: len(r.spans), Parent: parent, First: r.nextID})
+			n++
+		}
+		r.runs[n-1].append(start, dur, ev.Epoch, ev.Time, ev.WallNS, ev.Migrations)
 	}
+	r.mu.Unlock()
+}
+
+// keep claims one slot of the capacity, or counts a drop when none is left.
+// Callers hold r.mu.
+func (r *SpanRecorder) keep() bool {
+	if r.kept < r.capacity {
+		r.kept++
+		return true
+	}
+	r.dropped++
+	metricSpansDropped.Inc()
+	return false
+}
+
+// Graft imports a span batch exported by another process's recorder in
+// export form (Export: records plus epoch runs, each run placed before
+// records[At]) — the dispatcher-side merge of a worker's per-cell spans; a
+// batch from an older worker carries its epoch spans as records and no
+// runs. Every span is re-numbered into r's own ID space in batch order
+// (remote recorders all count from 1, so raw IDs would collide), and runs
+// stay by column. Parent links within the batch are preserved; batch roots,
+// the spans whose parent is not in the batch, become children of `parent`
+// (0 grafts them as additional roots) and also get the rootAttrs. A run
+// whose parent is not in the batch is grafted as records, so that its spans
+// can carry them. A malformed run (see EpochRun) is not grafted: its spans
+// count as dropped, without IDs. Grafted spans count against the recorder's
+// capacity and the overflow against Dropped. Returns how many spans were
+// retained and how many runs were rejected.
+func (r *SpanRecorder) Graft(parent SpanID, rootAttrs map[string]any, records []SpanRecord, runs []EpochRun) (kept, rejected int) {
+	if r == nil || len(records)+len(runs) == 0 {
+		return 0, 0
+	}
+	runs, bad := validRuns(records, runs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	remap := make(map[SpanID]SpanID, len(records))
-	for _, rec := range records {
-		r.nextID++
-		remap[rec.ID] = r.nextID
+	for _, run := range bad {
+		n := int64(run.maxLen())
+		r.dropped += n
+		metricSpansDropped.Add(n)
 	}
-	kept := 0
-	for _, rec := range records {
-		if len(r.spans)+len(r.grafted) >= cap(r.spans) {
-			r.dropped++
-			metricSpansDropped.Inc()
-			continue
+
+	// Number the batch in order: records one by one, each run as a block.
+	remap := make(map[SpanID]SpanID, len(records))
+	first := make([]SpanID, len(runs))
+	eachInOrder(len(records), runs, func(i int) {
+		r.nextID++
+		remap[records[i].ID] = r.nextID
+	}, func(j int) {
+		first[j] = r.nextID + 1
+		r.nextID += SpanID(runs[j].Len())
+	})
+	lookup := func(id SpanID) (SpanID, bool) {
+		if id == 0 {
+			return 0, false
 		}
-		rec.ID = remap[rec.ID]
-		if mapped, ok := remap[rec.Parent]; ok && rec.Parent != 0 {
+		if mapped, ok := remap[id]; ok {
+			return mapped, true
+		}
+		if j := findRun(runs, id); j >= 0 {
+			return first[j] + id - runs[j].First, true
+		}
+		return 0, false
+	}
+	graftRecord := func(rec SpanRecord, id SpanID) {
+		if !r.keep() {
+			return
+		}
+		rec.ID = id
+		mapped, inBatch := lookup(rec.Parent)
+		if inBatch {
 			rec.Parent = mapped
 		} else {
 			rec.Parent = parent
 		}
-		if rec.Attrs != nil { // records share the caller's maps; copy before keeping
-			attrs := make(map[string]any, len(rec.Attrs))
+		if rec.Attrs != nil || (!inBatch && len(rootAttrs) > 0) { // records share the caller's maps; copy before keeping
+			attrs := make(map[string]any, len(rec.Attrs)+len(rootAttrs))
 			for k, v := range rec.Attrs {
 				attrs[k] = v
+			}
+			if !inBatch {
+				for k, v := range rootAttrs {
+					attrs[k] = v
+				}
 			}
 			rec.Attrs = attrs
 		}
 		r.grafted = append(r.grafted, rec)
 		kept++
 	}
-	return kept
+	eachInOrder(len(records), runs, func(i int) {
+		graftRecord(records[i], remap[records[i].ID])
+	}, func(j int) {
+		run := &runs[j]
+		mapped, inBatch := lookup(run.Parent)
+		if !inBatch { // batch roots: grafted as records, with the rootAttrs
+			for k := range run.Len() {
+				graftRecord(run.record(k), first[j]+SpanID(k))
+			}
+			return
+		}
+		n := min(run.Len(), r.capacity-r.kept)
+		r.kept += n
+		kept += n
+		if drop := int64(run.Len() - n); drop > 0 {
+			r.dropped += drop
+			metricSpansDropped.Add(drop)
+		}
+		if n > 0 {
+			r.gruns = append(r.gruns, run.clone(len(r.grafted), mapped, first[j], n))
+		}
+	})
+	return kept, len(bad)
 }
 
 // Len returns how many spans are retained.
@@ -270,7 +350,7 @@ func (r *SpanRecorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.spans) + len(r.grafted)
+	return r.kept
 }
 
 // Total returns how many spans were ever started.
@@ -293,6 +373,32 @@ func (r *SpanRecorder) Dropped() int64 {
 	return r.dropped
 }
 
+// Export snapshots every retained span in export form: the records of all
+// spans but the epoch spans, and the epoch spans as runs by column, each
+// placed before records[At]. Expanding the runs in place gives Records.
+// The runs share their columns with the recorder; callers must not modify
+// them.
+func (r *SpanRecorder) Export() ([]SpanRecord, []EpochRun) {
+	if r == nil {
+		return nil, nil
+	}
+	r.mu.Lock()
+	spans := append([]*Span(nil), r.spans...)
+	grafted := append([]SpanRecord(nil), r.grafted...)
+	runs := make([]EpochRun, 0, len(r.runs)+len(r.gruns))
+	runs = append(runs, r.runs...)
+	for _, run := range r.gruns {
+		run.At += len(spans)
+		runs = append(runs, run)
+	}
+	r.mu.Unlock()
+	records := make([]SpanRecord, len(spans), len(spans)+len(grafted))
+	for i, s := range spans {
+		records[i] = s.record()
+	}
+	return append(records, grafted...), runs
+}
+
 // Records snapshots every retained span in start order (grafted remote
 // records follow the local spans, in graft order). Un-ended spans report
 // their running duration with Done=false.
@@ -300,15 +406,16 @@ func (r *SpanRecorder) Records() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	spans := append([]*Span(nil), r.spans...)
-	grafted := append([]SpanRecord(nil), r.grafted...)
-	r.mu.Unlock()
-	out := make([]SpanRecord, len(spans), len(spans)+len(grafted))
-	for i, s := range spans {
-		out[i] = s.record()
-	}
-	return append(out, grafted...)
+	records, runs := r.Export()
+	out := make([]SpanRecord, 0, len(records)+totalLen(runs))
+	eachInOrder(len(records), runs, func(i int) {
+		out = append(out, records[i])
+	}, func(j int) {
+		for k := range runs[j].Len() {
+			out = append(out, runs[j].record(k))
+		}
+	})
+	return out
 }
 
 // Tree assembles the retained spans into their hierarchy, children in start

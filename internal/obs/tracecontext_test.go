@@ -105,7 +105,7 @@ func TestGraftRenumbersAndReparents(t *testing.T) {
 	exec.End()
 	cell.End()
 
-	kept := local.Graft(lease.ID(), remote.Records())
+	kept, _ := local.Graft(lease.ID(), nil, remote.Records(), nil)
 	if kept != 2 {
 		t.Fatalf("kept %d, want 2", kept)
 	}
@@ -133,7 +133,7 @@ func TestGraftCopiesAttrMaps(t *testing.T) {
 	local := NewSpanRecorder(8)
 	parent := local.Start("root")
 	recs := []SpanRecord{{ID: 1, Name: "cell", Attrs: map[string]any{"k": "v"}}}
-	local.Graft(parent.ID(), recs)
+	local.Graft(parent.ID(), nil, recs, nil)
 	recs[0].Attrs["k"] = "mutated"
 	got := local.Records()
 	if got[1].Attrs["k"] != "v" {
@@ -147,7 +147,7 @@ func TestGraftRespectsCapacity(t *testing.T) {
 	recs := []SpanRecord{
 		{ID: 1, Name: "a"}, {ID: 2, Name: "b"}, {ID: 3, Name: "c"},
 	}
-	kept := local.Graft(parent.ID(), recs)
+	kept, _ := local.Graft(parent.ID(), nil, recs, nil)
 	if kept != 2 {
 		t.Fatalf("kept %d, want 2 (capacity 3, one local span)", kept)
 	}
@@ -161,15 +161,15 @@ func TestGraftRespectsCapacity(t *testing.T) {
 
 func TestGraftOntoNilAndEmpty(t *testing.T) {
 	var nilRec *SpanRecorder
-	if kept := nilRec.Graft(0, []SpanRecord{{ID: 1}}); kept != 0 {
+	if kept, _ := nilRec.Graft(0, nil, []SpanRecord{{ID: 1}}, nil); kept != 0 {
 		t.Errorf("nil recorder kept %d", kept)
 	}
 	local := NewSpanRecorder(4)
-	if kept := local.Graft(0, nil); kept != 0 {
+	if kept, _ := local.Graft(0, nil, nil, nil); kept != 0 {
 		t.Errorf("empty batch kept %d", kept)
 	}
 	// parent 0 grafts batch roots as additional recorder roots.
-	local.Graft(0, []SpanRecord{{ID: 1, Name: "orphan"}})
+	local.Graft(0, nil, []SpanRecord{{ID: 1, Name: "orphan"}}, nil)
 	tree := local.Tree()
 	if len(tree) != 1 || tree[0].Name != "orphan" {
 		t.Fatalf("parent-0 graft: got %d roots", len(tree))

@@ -125,7 +125,7 @@ func (e *RingEvaluator) PeakRingRotationUntil(tau float64, base []float64, ringC
 		w := base[cr]
 		col := s.RowView(cr)[:len(bg)]
 		for i := range bg {
-			bg[i] -= w * col[i]
+			bg[i] -= float64(w * col[i]) // rounded product: no fused multiply-subtract on arm64
 		}
 	}
 

@@ -119,12 +119,14 @@ func (c *Calculator) denseTable(tau float64, cores []int) ([]float64, error) {
 	for k, l := range c.lambda {
 		decay[k] = math.Exp(-l * tau)
 	}
-	// Horner accumulation of the periodic forcing, then the fixed point.
+	// Horner accumulation of the periodic forcing, then the fixed point. The
+	// products are rounded (float64(·)) so that arm64 does not fuse them
+	// into multiply-adds and the tables match amd64 bit for bit.
 	u := make([]float64, N)
 	for _, cr := range cores {
 		y := tc.wT.RowView(cr)
 		for k := range u {
-			u[k] = decay[k]*u[k] + (1-decay[k])*y[k]
+			u[k] = float64(decay[k]*u[k]) + float64((1-decay[k])*y[k])
 		}
 	}
 	for k, l := range c.lambda {
@@ -138,7 +140,7 @@ func (c *Calculator) denseTable(tau float64, cores []int) ([]float64, error) {
 	for ep, cr := range cores {
 		y := tc.wT.RowView(cr)
 		for k := range u {
-			u[k] = decay[k]*u[k] + (1-decay[k])*y[k]
+			u[k] = float64(decay[k]*u[k]) + float64((1-decay[k])*y[k])
 		}
 		tc.vCore.MulVecTo(h[ep*n:(ep+1)*n], u)
 	}

@@ -117,6 +117,49 @@ func TestEngineEpochDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A span in the run's context records one "epoch" span per epoch, kept by
+// column in its recorder's open run: amortized, well under one allocation
+// per epoch (a Span plus an attribute map cost ~4.5). Two runs over the same
+// 500 slices, with 100 and 500 epochs, differ only by the columns' growth.
+func TestSpanTracerAmortizesEpochAllocations(t *testing.T) {
+	plat := testPlatform(t, 4, 4)
+	sched := &fixedDecision{Decision{Assignment: map[ThreadID]int{}}}
+	for i := 0; i < 4; i++ {
+		sched.dec.Assignment[ThreadID{Task: 0, Thread: i}] = i
+	}
+	run := func(epoch float64) {
+		cfg := DefaultConfig()
+		cfg.SchedulerEpoch = epoch
+		cfg.MaxTime = 0.05
+		task := smallTask(t, "blackscholes", 4, 0, 1000) // cannot finish in MaxTime
+		s, err := New(plat, cfg, sched, []*workload.Task{task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewSpanRecorder(1 << 10)
+		root := rec.Start("run")
+		if _, err := s.RunContext(obs.ContextWithSpan(context.Background(), root)); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("run with epoch %g: want ErrTimeout, got %v", epoch, err)
+		}
+		root.End()
+		if want := int(cfg.MaxTime/epoch+0.5) + 1; rec.Len() != want {
+			t.Fatalf("run with epoch %g: %d spans, want %d", epoch, rec.Len(), want)
+		}
+	}
+	least := func(epoch float64) float64 { // see TestEngineEpochDoesNotAllocate
+		n := math.Inf(1)
+		for range 5 {
+			n = min(n, testing.AllocsPerRun(1, func() { run(epoch) }))
+		}
+		return n
+	}
+	coarse, fine := least(0.5e-3), least(0.1e-3)
+	if perEpoch := (fine - coarse) / 400; perEpoch >= 1 {
+		t.Errorf("span tracer allocates %.2f per extra epoch (100-epoch run %v, 500-epoch run %v)",
+			perEpoch, coarse, fine)
+	}
+}
+
 // --- hot-loop epoch baseline (make bench → BENCH_hotloop.json) --------------
 
 // BenchmarkHotloopEpoch measures the engine's epoch loop end to end: one op
