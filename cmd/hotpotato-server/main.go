@@ -43,7 +43,7 @@ func main() {
 	traceDepth := flag.Int("trace-depth", 0, "scheduler epochs retained per async job for /v1/jobs/{id}/trace (0 = 4096, negative = disable)")
 	spanDepth := flag.Int("span-depth", 0, "spans retained per async job for /v1/jobs/{id}/spans (0 = 8192, negative = disable)")
 	solver := flag.String("solver", "", "default thermal solver for specs that leave platform.thermal.solver empty: auto|dense|sparse")
-	twinModel := flag.String("twin-model", "", "analytical-twin calibration artifact (TWIN_model.json) backing POST /v1/predict and sweep pruning; empty disables both")
+	twinModel := flag.String("twin-model", "", "analytical-twin calibration artifact (TWIN_model.json) backing POST /v1/predict; empty disables it")
 	resultCache := flag.Int("result-cache-entries", 0, "content-addressed result cache capacity in entries (0 = 256, negative = disable)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = 1024)")
 	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s, negative = disable)")
@@ -125,11 +125,7 @@ func main() {
 			ID:         *workerID,
 			LeaseCells: *leaseCells,
 			Exec:       svc.ExecuteCell,
-			// Leased cells that close a /v1/predict drift check report the
-			// residual back so the dispatcher's per-sweep status carries a
-			// fleet-wide twin-drift tally.
-			Drift:  svc.TakeDriftReport,
-			Logger: logger,
+			Logger:     logger,
 		}
 		workerDone = make(chan struct{})
 		go func() {

@@ -59,7 +59,6 @@ func main() {
 	spansOut := flag.String("spans", "", "write the run's span tree as JSON lines to this file")
 	sweepFile := flag.String("sweep", "", "run a SweepSpec JSON file (\"-\" = stdin) and stream NDJSON results to stdout; ignores the single-run flags")
 	sweepWorkers := flag.Int("sweep-workers", 0, "concurrent cells for -sweep (0 = GOMAXPROCS)")
-	twinModel := flag.String("twin-model", "", "analytical-twin artifact (TWIN_model.json) enabling prune_above_temp cell pruning for -sweep")
 	calibrate := flag.String("calibrate", "", "calibrate the analytical twin against the simulator and write the artifact to this path; ignores the other flags")
 	calSeed := flag.Int64("calibrate-seed", 0, "calibration design-grid seed (0 = the committed artifact's recipe)")
 	calSamples := flag.Int("calibrate-samples", 0, "full-simulation oracle samples per bucket (0 = default recipe)")
@@ -80,7 +79,7 @@ func main() {
 		return
 	}
 	if *sweepFile != "" {
-		runSweep(*sweepFile, *sweepWorkers, *twinModel)
+		runSweep(*sweepFile, *sweepWorkers)
 		return
 	}
 
@@ -256,7 +255,7 @@ func main() {
 // same tooling consumes both. Ctrl-C cancels: in-flight cells stop at their
 // next scheduler epoch and the remainder is reported "canceled", but the
 // stream still ends with its summary.
-func runSweep(path string, workers int, twinPath string) {
+func runSweep(path string, workers int) {
 	in := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -273,16 +272,6 @@ func runSweep(path string, workers int, twinPath string) {
 	if err := sweep.Validate(); err != nil {
 		fatal(err)
 	}
-	// Pruning needs both halves: a sweep that opts in and a loaded model.
-	var prune func(context.Context, hotpotato.SweepCell) (hotpotato.PruneDecision, bool)
-	if twinPath != "" && sweep.PruneAboveTemp != nil {
-		twin, err := hotpotato.LoadTwinModelFile(twinPath)
-		if err != nil {
-			fatal(err)
-		}
-		prune = hotpotato.NewTwinSweepPruner(twin, hotpotato.NewPlatformCache(), *sweep.PruneAboveTemp)
-	}
-
 	ctx, stop := signal.NotifyContext(
 		hotpotato.ContextWithLogger(context.Background(), logger),
 		os.Interrupt, syscall.SIGTERM)
@@ -296,7 +285,7 @@ func runSweep(path string, workers int, twinPath string) {
 
 	began := time.Now()
 	summary := hotpotato.SweepSummary{Type: "summary", Total: total}
-	err := hotpotato.ExecuteSweep(ctx, sweep, hotpotato.SweepOptions{Workers: workers, Prune: prune},
+	err := hotpotato.ExecuteSweep(ctx, sweep, hotpotato.SweepOptions{Workers: workers},
 		func(r hotpotato.SweepCellResult) {
 			rec := hotpotato.NewSweepResultRecord(r)
 			summary.Observe(rec)

@@ -38,7 +38,6 @@ type Manifest struct {
 	Completed int     `json:"completed"`
 	Failed    int     `json:"failed"`
 	Canceled  int     `json:"canceled"`
-	Pruned    int     `json:"pruned"`
 	CacheHits int     `json:"cache_hits"`
 	Requeues  int     `json:"requeues,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`

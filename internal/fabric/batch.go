@@ -24,30 +24,30 @@ func WantsSSE(r *http.Request) bool {
 }
 
 // AdmitSweep decodes and admits a POST /v1/batch body: the document must
-// decode and Validate, and its cross-product must not exceed maxCells. The
-// admitted sweep comes back with its expanded cells, each with the door's
+// decode and Validate, and its cross-product must not exceed maxCells. An
+// admitted sweep comes back as its expanded cells, each with the door's
 // solver default applied. A rejected sweep comes back as the HTTP status and
 // error to answer with (400 or 413); no cell has been expanded for it.
-func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) (hotpotato.SweepSpec, []hotpotato.SweepCell, int, error) {
+func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) ([]hotpotato.SweepCell, int, error) {
 	var sweep hotpotato.SweepSpec
 	if err := json.NewDecoder(body).Decode(&sweep); err != nil {
-		return sweep, nil, http.StatusBadRequest, fmt.Errorf("decoding SweepSpec: %w", err)
+		return nil, http.StatusBadRequest, fmt.Errorf("decoding SweepSpec: %w", err)
 	}
 	if err := sweep.Validate(); err != nil {
-		return sweep, nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, err
 	}
 	if n := sweep.CellCount(); n > maxCells {
 		count := fmt.Sprint(n)
 		if n > hotpotato.MaxSweepCells { // CellCount saturated: n is a floor
 			count = fmt.Sprintf("more than %d", hotpotato.MaxSweepCells)
 		}
-		return sweep, nil, http.StatusRequestEntityTooLarge,
+		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("sweep expands to %s cells, admission limit is %d", count, maxCells)
 	}
 	cells, err := sweep.Expand()
 	if err != nil {
 		// Unreachable after the admission check, but fail closed.
-		return sweep, nil, http.StatusRequestEntityTooLarge, err
+		return nil, http.StatusRequestEntityTooLarge, err
 	}
 	// Expand has already applied WithDefaults per cell (which never fills the
 	// solver), so ApplyDefaultSolver sees exactly the cells whose clients
@@ -56,7 +56,7 @@ func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) (hotpotato.S
 	for i := range cells {
 		ApplyDefaultSolver(&cells[i].Spec, defaultSolver)
 	}
-	return sweep, cells, 0, nil
+	return cells, 0, nil
 }
 
 // StreamSweep writes one /v1/batch response from the calling goroutine: the

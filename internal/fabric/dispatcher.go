@@ -137,10 +137,6 @@ type sweepState struct {
 
 	// perWorker attributes completed cells to the workers that posted them.
 	perWorker map[string]*sweepWorkerStats
-
-	// drift tallies the twin-drift observations workers reported for this
-	// sweep's cells.
-	drift driftTally
 }
 
 // sweepWorkerStats is one worker's contribution to one sweep.
@@ -148,14 +144,6 @@ type sweepWorkerStats struct {
 	done  int
 	first time.Time // first result post, for the cells/s denominator
 	last  time.Time
-}
-
-// driftTally accumulates twin-drift reports (see DriftReport).
-type driftTally struct {
-	checks      int
-	violations  int
-	sumResidual float64
-	maxAbs      float64
 }
 
 // lease is one booked batch of cells (all from one sweep).
@@ -289,12 +277,12 @@ type Sweep struct {
 func (s *Sweep) Records() <-chan hotpotato.SweepResultRecord { return s.st.records }
 
 // Counts returns the sweep's tallies so far (completed, failed, canceled,
-// pruned, cache hits — archive hits and worker-cache hits both count).
-func (s *Sweep) Counts() (completed, failed, canceled, pruned, cacheHits int) {
+// cache hits — archive hits and worker-cache hits both count).
+func (s *Sweep) Counts() (completed, failed, canceled, cacheHits int) {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
 	sum := s.st.summary
-	return sum.Completed, sum.Failed, sum.Canceled, sum.Pruned, sum.CacheHits
+	return sum.Completed, sum.Failed, sum.Canceled, sum.CacheHits
 }
 
 // Cancel aborts the sweep: pending cells are dropped, leased cells' late
@@ -487,10 +475,11 @@ func (d *Dispatcher) Results(leaseID string, recs []hotpotato.SweepResultRecord)
 	return d.PostResults(ResultsRequest{LeaseID: leaseID, Records: recs})
 }
 
-// PostResults is Results plus the observability sidecars of the wire form:
-// worker span subtrees are grafted into the sweep's merged trace (only for
-// cells whose record was accepted — a duplicate result must not duplicate
-// its subtree) and twin-drift reports are tallied into the sweep status.
+// PostResults is Results plus the span sidecar of the wire form: worker span
+// subtrees are grafted into the sweep's merged trace (only for cells whose
+// record was accepted — a duplicate result must not duplicate its subtree).
+// A negative Dropped count is ignored, so a post cannot lower the sweep's
+// reported drops.
 func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -542,21 +531,7 @@ func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 				d.logger.Warn("fabric dropped malformed epoch runs", "worker", l.workerID,
 					"cell", cs.Index, "runs", rejected)
 			}
-			sw.spanExportDropped += cs.Dropped
-		}
-	}
-	for _, dr := range req.Drift {
-		sw.drift.checks++
-		sw.drift.sumResidual += dr.ResidualC
-		if abs := dr.ResidualC; abs < 0 {
-			if -abs > sw.drift.maxAbs {
-				sw.drift.maxAbs = -abs
-			}
-		} else if abs > sw.drift.maxAbs {
-			sw.drift.maxAbs = abs
-		}
-		if dr.Violated {
-			sw.drift.violations++
+			sw.spanExportDropped += max(cs.Dropped, 0)
 		}
 	}
 	if len(l.cells) == 0 {
@@ -712,7 +687,6 @@ func (d *Dispatcher) closeSweepLocked(sw *sweepState) {
 			SweepID: sw.id, RequestID: sw.requestID, TraceID: sw.traceID,
 			Total: sw.total, Completed: sum.Completed, Failed: sum.Failed,
 			Canceled:  sum.Canceled,
-			Pruned:    sum.Pruned,
 			CacheHits: sum.CacheHits,
 			Requeues:  sw.requeues,
 			ElapsedMS: float64(sw.finished.Sub(sw.began).Nanoseconds()) / 1e6,

@@ -128,7 +128,7 @@ func TestLeaseExpiryRequeuesAtFront(t *testing.T) {
 	if len(indices) != 4 {
 		t.Fatalf("stream carried %d records, want 4: %v", len(indices), indices)
 	}
-	completed, failed, canceled, _, _ := sweep.Counts()
+	completed, failed, canceled, _ := sweep.Counts()
 	if completed != 4 || failed != 0 || canceled != 0 {
 		t.Fatalf("counts completed=%d failed=%d canceled=%d", completed, failed, canceled)
 	}
@@ -181,7 +181,7 @@ func TestLeaseRetryExhaustion(t *testing.T) {
 	if len(recs) != 1 || recs[0].Status != "failed" {
 		t.Fatalf("records %+v, want one failed", recs)
 	}
-	_, failed, _, _, _ := sweep.Counts()
+	_, failed, _, _ := sweep.Counts()
 	if failed != 1 {
 		t.Fatalf("failed = %d, want 1", failed)
 	}
@@ -256,7 +256,7 @@ func TestSubmitArchiveHit(t *testing.T) {
 	if byIndex[0].Index != 0 {
 		t.Error("archive replay did not re-stamp the cell index")
 	}
-	_, _, _, _, cacheHits := sweep.Counts()
+	_, _, _, cacheHits := sweep.Counts()
 	if cacheHits != 1 {
 		t.Errorf("cacheHits = %d, want 1", cacheHits)
 	}
@@ -291,7 +291,7 @@ drained:
 	if count != 0 {
 		t.Fatalf("canceled sweep emitted %d records", count)
 	}
-	_, _, canceled, _, _ := sweep.Counts()
+	_, _, canceled, _ := sweep.Counts()
 	if canceled != 3 {
 		t.Fatalf("canceled = %d, want 3", canceled)
 	}

@@ -1,0 +1,67 @@
+package fabric
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+)
+
+// FuzzHeartbeat posts arbitrary JSON bodies to POST /fabric/v1/heartbeat
+// while one lease is live: the dispatcher must never panic, must answer
+// ok:false for any lease it does not know (and ok:true for the live one),
+// and no federated fleet counter may ever go down, whatever the deltas say.
+func FuzzHeartbeat(f *testing.F) {
+	for _, req := range []HeartbeatRequest{
+		{WorkerID: "w1", LeaseID: "LIVE", Done: 1, Counters: map[string]int64{"hb_fuzz_cells_total": 3}},
+		{WorkerID: "w1", LeaseID: "lease-999", Counters: map[string]int64{"hb_fuzz_cells_total": -3}},
+		{WorkerID: "w2", LeaseID: "LIVE", Counters: map[string]int64{"hb_fuzz_cells_total": math.MaxInt64}},
+		{WorkerID: "w2", Gauges: map[string]float64{"hb_fuzz_queue_depth": 2.5}},
+		{WorkerID: "w3", Counters: map[string]int64{"9bad name": 1, "": 4}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"lease_id":"LIVE","counters":{"hb_fuzz_cells_total":9223372036854775807}}`))
+	f.Add([]byte(`{"worker_id":"w1","gauges":{"hb_fuzz_queue_depth":1e308}}`))
+	f.Add([]byte(`not json`))
+
+	cells := testCells(f, 2)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d := NewDispatcher(Config{LeaseTTL: time.Minute, LeaseCells: 2,
+			Clock: &fakeClock{now: time.Unix(1000, 0)}})
+		d.Submit(cells, "", "")
+		grant := d.Lease("w1", 2)
+		// The seeds name the live lease "LIVE"; the dispatcher's ID replaces it.
+		body = bytes.ReplaceAll(body, []byte(`"LIVE"`), []byte(`"`+grant.ID+`"`))
+
+		before := FleetCounters()
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/fabric/v1/heartbeat", bytes.NewReader(body)))
+		for name, v := range FleetCounters() {
+			if v < before[name] {
+				t.Fatalf("fleet counter %q went down: %d → %d", name, before[name], v)
+			}
+		}
+		var req HeartbeatRequest
+		if json.Unmarshal(body, &req) != nil {
+			return // a body the handler cannot decode answers 400
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d for a decodable body: %s", w.Code, w.Body)
+		}
+		var resp HeartbeatResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("undecodable response %q: %v", w.Body, err)
+		}
+		if want := req.LeaseID == grant.ID; resp.OK != want {
+			t.Fatalf("lease %q answered ok:%v, want %v (live lease %q)", req.LeaseID, resp.OK, want, grant.ID)
+		}
+	})
+}

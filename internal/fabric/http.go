@@ -53,7 +53,7 @@ func (d *Dispatcher) Handler() http.Handler {
 // never re-default, so the hash the dispatcher archives under is the hash
 // the worker caches under.
 func (d *Dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
-	_, cells, status, err := AdmitSweep(r.Body, d.cfg.MaxSweepCells, d.cfg.DefaultSolver)
+	cells, status, err := AdmitSweep(r.Body, d.cfg.MaxSweepCells, d.cfg.DefaultSolver)
 	if err != nil {
 		WriteError(w, status, err)
 		return
@@ -76,7 +76,7 @@ func (d *Dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}, sweep.Records(), d.cfg.Heartbeat)
 	d.logger.Info("fabric batch finished",
 		"sweep", sweep.ID, "completed", summary.Completed, "failed", summary.Failed,
-		"canceled", summary.Canceled, "pruned", summary.Pruned, "cache_hits", summary.CacheHits,
+		"canceled", summary.Canceled, "cache_hits", summary.CacheHits,
 		"dropped", stream.Dropped())
 }
 

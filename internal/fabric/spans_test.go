@@ -155,9 +155,20 @@ func TestPostResultsOrphanRunGraftsAsRoots(t *testing.T) {
 	}
 }
 
+// TestPostResultsIgnoresNegativeDropped: a results post claiming a negative
+// export drop count cannot lower the sweep's reported drops.
+func TestPostResultsIgnoresNegativeDropped(t *testing.T) {
+	cells := testCells(t, 1)
+	tree, _ := mergedSpans(t, cells, 0, CellSpans{Index: 0, Worker: "w1",
+		Spans: []obs.SpanRecord{{ID: 1, Name: "cell", Done: true}}, Dropped: -5})
+	if tree.Total != 3 || tree.Dropped != 0 {
+		t.Errorf("Total %d, Dropped %d; want 3 and 0", tree.Total, tree.Dropped)
+	}
+}
+
 // FuzzPostResults posts arbitrary JSON bodies for a leased cell: the
-// dispatcher must never panic, never keep more than its span capacity, and
-// serve what it kept.
+// dispatcher must never panic, never keep more than its span capacity or
+// report a negative drop count, and serve what it kept.
 func FuzzPostResults(f *testing.F) {
 	rec := obs.NewSpanRecorder(64)
 	root := rec.Start("cell")
@@ -183,6 +194,7 @@ func FuzzPostResults(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"spans":[{"index":0,"epochs":[{"at":0,"first":-1,"start_unix_ns":[1,2],"duration_ns":[1]}]}]}`))
+	f.Add([]byte(`{"spans":[{"index":0,"spans":[{"id":1,"name":"cell"}],"dropped":-5}]}`))
 
 	cells := testCells(f, 2)
 	const depth = 16
@@ -205,8 +217,12 @@ func FuzzPostResults(f *testing.F) {
 		if n := len(spans.Records()); n != spans.Len() {
 			t.Fatalf("Records holds %d spans, Len %d", n, spans.Len())
 		}
-		if _, ok := d.SweepSpans(sweep.ID); !ok {
+		tree, ok := d.SweepSpans(sweep.ID)
+		if !ok {
 			t.Fatal("sweep spans unavailable")
+		}
+		if tree.Dropped < 0 {
+			t.Fatalf("sweep reports %d dropped spans", tree.Dropped)
 		}
 		if err := spans.WriteJSONL(&bytes.Buffer{}); err != nil {
 			t.Fatal(err)

@@ -40,12 +40,11 @@ type SweepStatus struct {
 	// zero once the sweep closes.
 	Pending int `json:"pending"`
 	Leased  int `json:"leased"`
-	// Completed/Failed/Canceled/Pruned are finished-cell tallies; CacheHits
+	// Completed/Failed/Canceled are finished-cell tallies; CacheHits
 	// counts archive and worker-cache replays among them.
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	Canceled  int `json:"canceled"`
-	Pruned    int `json:"pruned"`
 	CacheHits int `json:"cache_hits"`
 	// Requeues counts cells re-queued by lease expiries (worker deaths).
 	Requeues int `json:"requeues"`
@@ -56,9 +55,6 @@ type SweepStatus struct {
 	ETAMS float64 `json:"eta_ms,omitempty"`
 	// Workers is the per-worker throughput attribution, by cells posted.
 	Workers []SweepWorkerStatus `json:"workers,omitempty"`
-	// Drift summarizes the twin-drift observations workers reported for this
-	// sweep (nil when none closed).
-	Drift *DriftStatus `json:"drift,omitempty"`
 }
 
 // SweepWorkerStatus is one worker's contribution to one sweep.
@@ -70,19 +66,6 @@ type SweepWorkerStatus struct {
 	// CellsPerSec is Done over the worker's first→last post interval (0 when
 	// everything landed in one post — no interval to rate over).
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
-}
-
-// DriftStatus summarizes a sweep's twin-drift observations.
-type DriftStatus struct {
-	// Checks is how many predict-then-simulate pairs closed.
-	Checks int `json:"checks"`
-	// Violations counts |residual| > bound among conclusive predictions.
-	Violations int `json:"violations"`
-	// MeanResidualC / MaxAbsResidualC characterize the signed residual
-	// distribution (°C); the full histogram lives in the workers' (and
-	// federated fleet_*) twin_residual metric.
-	MeanResidualC   float64 `json:"mean_residual_c"`
-	MaxAbsResidualC float64 `json:"max_abs_residual_c"`
 }
 
 // SweepList is the GET /v1/sweeps body.
@@ -159,7 +142,6 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		Completed: sw.summary.Completed,
 		Failed:    sw.summary.Failed,
 		Canceled:  sw.summary.Canceled,
-		Pruned:    sw.summary.Pruned,
 		CacheHits: sw.summary.CacheHits,
 		Requeues:  sw.requeues,
 	}
@@ -196,14 +178,6 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		st.Workers = append(st.Workers, row)
 	}
 	sortSweepWorkers(st.Workers)
-	if sw.drift.checks > 0 {
-		st.Drift = &DriftStatus{
-			Checks:          sw.drift.checks,
-			Violations:      sw.drift.violations,
-			MeanResidualC:   sw.drift.sumResidual / float64(sw.drift.checks),
-			MaxAbsResidualC: sw.drift.maxAbs,
-		}
-	}
 	return st
 }
 

@@ -49,10 +49,6 @@ func TestSweepStatusLifecycle(t *testing.T) {
 	n, ok := d.PostResults(ResultsRequest{
 		WorkerID: "w1", LeaseID: grant.ID,
 		Records: []hotpotato.SweepResultRecord{okRecord(grant.Cells[0].Index), okRecord(grant.Cells[1].Index)},
-		Drift: []DriftReport{
-			{Index: grant.Cells[0].Index, Hash: "sha256:x", ResidualC: 0.5, BoundC: 2},
-			{Index: grant.Cells[1].Index, Hash: "sha256:y", ResidualC: -1.5, BoundC: 1, Violated: true},
-		},
 	})
 	if !ok || n != 2 {
 		t.Fatalf("results accepted=%d ok=%v", n, ok)
@@ -67,12 +63,6 @@ func TestSweepStatusLifecycle(t *testing.T) {
 	}
 	if st.ETAMS <= 0 {
 		t.Errorf("ETA %v, want > 0 with 2/4 done", st.ETAMS)
-	}
-	if st.Drift == nil || st.Drift.Checks != 2 || st.Drift.Violations != 1 {
-		t.Fatalf("drift tally %+v", st.Drift)
-	}
-	if st.Drift.MaxAbsResidualC != 1.5 || st.Drift.MeanResidualC != -0.5 {
-		t.Errorf("drift stats %+v, want max 1.5 mean -0.5", st.Drift)
 	}
 
 	// Finish the sweep; it must stay queryable from the recent ring.

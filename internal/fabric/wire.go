@@ -119,10 +119,6 @@ type ResultsRequest struct {
 	// Spans exports each finished cell's worker-side span records so the
 	// dispatcher can graft them into the sweep's merged trace tree.
 	Spans []CellSpans `json:"spans,omitempty"`
-	// Drift reports twin-drift observations that closed on this worker: cells
-	// whose SpecHash had a pending /v1/predict answer when the full simulation
-	// completed. The dispatcher tallies them into the sweep's status.
-	Drift []DriftReport `json:"drift,omitempty"`
 }
 
 // CellSpans is the exported span subtree of one finished cell, in the
@@ -147,25 +143,6 @@ type CellSpans struct {
 	// Dropped is how many spans the worker's per-cell recorder dropped beyond
 	// its capacity (long simulations emit one span per scheduler epoch).
 	Dropped int64 `json:"dropped,omitempty"`
-}
-
-// DriftReport is one closed twin-drift observation: the signed gap between
-// the analytical twin's transient-peak prediction for a SpecHash and the
-// full simulation's answer for the same hash.
-type DriftReport struct {
-	// Index is the cell's index in the sweep (stamped by the worker; -1 for
-	// observations closed outside a sweep).
-	Index int `json:"index"`
-	// Hash is the SpecHash both answers share.
-	Hash string `json:"hash"`
-	// ResidualC is simulated peak minus predicted peak, °C (signed: positive
-	// means the twin under-predicted).
-	ResidualC float64 `json:"residual_c"`
-	// BoundC is the prediction's error bound, °C.
-	BoundC float64 `json:"bound_c"`
-	// Violated reports |ResidualC| > BoundC for a conclusive prediction —
-	// the live counterpart of twin_diff_test's offline guarantee failing.
-	Violated bool `json:"violated"`
 }
 
 // ResultsResponse acknowledges a results post.

@@ -19,12 +19,6 @@ import (
 // ResultCache as the worker's own /v1/run traffic.
 type RunCell func(ctx context.Context, cell hotpotato.SweepCell) (*hotpotato.Result, bool, error)
 
-// DriftQuery asks the worker's serving stack whether finishing a cell with
-// this SpecHash closed a twin-drift observation (a pending /v1/predict
-// answer for the same hash). hotpotato-server plugs its drift tracker in
-// here; the report rides the results post to the dispatcher's sweep status.
-type DriftQuery func(hash string) (DriftReport, bool)
-
 // DefaultCellSpanDepth caps the spans exported per cell. A cell's subtree is
 // its root plus the service phases plus one span per scheduler epoch, so the
 // cap keeps long simulations from shipping megabytes of epoch spans on every
@@ -57,9 +51,6 @@ type Worker struct {
 	// SpanDepth caps the span records captured (and exported) per cell: 0
 	// means DefaultCellSpanDepth, negative disables span capture entirely.
 	SpanDepth int
-	// Drift, when set, is consulted after every finished cell; closed
-	// twin-drift observations are reported with the cell's result.
-	Drift DriftQuery
 
 	// lastCounters is the previous heartbeat's counter snapshot — the
 	// baseline the federation deltas are computed against. Only the (one at
@@ -223,13 +214,6 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, heartbeatE
 			req.Spans = []CellSpans{{
 				Index: cr.Index, Worker: w.ID, Spans: recs, Epochs: runs, Dropped: sr.Dropped(),
 			}}
-		}
-		if w.Drift != nil && rec.Hash != "" {
-			if dr, closed := w.Drift(rec.Hash); closed {
-				dr.Index = cr.Index
-				dr.Hash = rec.Hash
-				req.Drift = []DriftReport{dr}
-			}
 		}
 		// Post with ctx, not leaseCtx: a result finished microseconds before
 		// the lease was canceled is still worth delivering.

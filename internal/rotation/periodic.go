@@ -120,7 +120,7 @@ func (c *Calculator) solvePeriodic(g, x0, offset []float64, stepper *thermal.Ste
 	dotA := func(u, v []float64) float64 {
 		var s float64
 		for i, a := range c.a {
-			s += a * u[i] * v[i]
+			s += float64(a * u[i] * v[i])
 		}
 		return s
 	}
@@ -207,14 +207,14 @@ func (c *Calculator) solvePeriodic(g, x0, offset []float64, stepper *thermal.Ste
 		}
 		alpha := rz / pq
 		for i := range d {
-			d[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
+			d[i] += float64(alpha * p[i])
+			r[i] -= float64(alpha * q[i])
 		}
 		precondition(z, r)
 		rzNew := dotA(r, z)
 		beta := rzNew / rz
 		for i := range p {
-			p[i] = z[i] + beta*p[i]
+			p[i] = z[i] + float64(beta*p[i])
 		}
 		rz = rzNew
 		fresh = false

@@ -237,7 +237,7 @@ func (c *Calculator) Evaluate(plan Plan) (*Result, error) {
 	z := make([]float64, N)
 	for e := 0; e < delta; e++ {
 		for k := 0; k < N; k++ {
-			z[k] = decay[k]*z[k] + (1-decay[k])*y[e][k]
+			z[k] = float64(decay[k]*z[k]) + float64((1-decay[k])*y[e][k])
 		}
 	}
 
@@ -266,7 +266,7 @@ func (c *Calculator) Evaluate(plan Plan) (*Result, error) {
 	te := make([]float64, N)
 	for e := 0; e < delta; e++ {
 		for k := 0; k < N; k++ {
-			u[k] = decay[k]*u[k] + (1-decay[k])*y[e][k]
+			u[k] = float64(decay[k]*u[k]) + float64((1-decay[k])*y[e][k])
 		}
 		c.v.MulVecTo(te, u)
 		abs := matrix.VecAdd(te, ambient)

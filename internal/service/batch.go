@@ -25,7 +25,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
-	sweep, cells, status, err := fabric.AdmitSweep(r.Body, s.cfg.MaxSweepCells, s.cfg.DefaultSolver)
+	cells, status, err := fabric.AdmitSweep(r.Body, s.cfg.MaxSweepCells, s.cfg.DefaultSolver)
 	if err != nil {
 		if status == http.StatusRequestEntityTooLarge {
 			metricBatchRejected.Inc()
@@ -49,14 +49,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	logger := obs.LoggerFrom(r.Context())
 	logger.Info("batch started", "cells", len(cells), "sse", fabric.WantsSSE(r))
 
-	// A sweep that asks for pruning gets it only when the server holds a twin
-	// model; without one every cell simulates (the stream stays well-formed,
-	// just without "pruned" records).
-	var prune func(context.Context, hotpotato.SweepCell) (hotpotato.PruneDecision, bool)
-	if sweep.PruneAboveTemp != nil && s.twin != nil {
-		prune = hotpotato.NewTwinSweepPruner(s.twin, s.cache, *sweep.PruneAboveTemp)
-	}
-
 	// Buffered to one slot per cell, so the pool never blocks on the stream;
 	// closing it after ExecuteSweepCells returns ends the stream loop.
 	records := make(chan hotpotato.SweepResultRecord, len(cells))
@@ -66,13 +58,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sweepErr = hotpotato.ExecuteSweepCells(ctx, cells, hotpotato.SweepOptions{
 			Workers: s.cfg.Workers,
 			Run:     s.ExecuteCell,
-			Prune:   prune,
 		}, func(cellRes hotpotato.SweepCellResult) {
-			rec := hotpotato.NewSweepResultRecord(cellRes)
-			if rec.Status == "pruned" {
-				metricBatchPruned.Inc()
-			}
-			records <- rec
+			records <- hotpotato.NewSweepResultRecord(cellRes)
 		})
 	}()
 
@@ -86,7 +73,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	logger.Info("batch finished",
 		"cells", summary.Total, "completed", summary.Completed,
 		"failed", summary.Failed, "canceled", summary.Canceled,
-		"pruned", summary.Pruned, "cache_hits", summary.CacheHits,
+		"cache_hits", summary.CacheHits,
 		"dropped_records", stream.Dropped(),
 		"duration_ms", summary.ElapsedMS,
 		"error", errString(sweepErr),

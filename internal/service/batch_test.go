@@ -44,10 +44,6 @@ type batchRecord struct {
 	Canceled  int               `json:"canceled"`
 	CacheHits int               `json:"cache_hits"`
 	RequestID string            `json:"request_id"`
-	// Pruned stays raw because the wire key is a bool on result records
-	// ("pruned": true) and a counter on the summary ("pruned": 2).
-	Pruned json.RawMessage          `json:"pruned"`
-	Prune  *hotpotato.PruneDecision `json:"prune"`
 }
 
 // postBatch streams a sweep and decodes every NDJSON record.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	hotpotato "repro"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -32,9 +31,9 @@ var (
 		[]float64{-5, -2, -1, -0.5, -0.2, -0.05, 0.05, 0.2, 0.5, 1, 2, 5})
 )
 
-// driftTrackerEntries bounds both tracker maps. Predictions beyond the cap
-// evict the oldest pending entry (FIFO) — a server that predicts thousands
-// of specs without running them should not grow without bound.
+// driftTrackerEntries bounds the pending predictions. Predictions beyond
+// the cap evict the oldest pending entry (FIFO) — a server that predicts
+// thousands of specs without running them should not grow without bound.
 const driftTrackerEntries = 1024
 
 // pendingPrediction is what a drift check needs from a /v1/predict answer.
@@ -52,16 +51,10 @@ type driftTracker struct {
 	// the FIFO eviction queue.
 	pending map[string]pendingPrediction
 	order   []string
-	// closed holds observations awaiting pickup by TakeDriftReport (the
-	// fabric worker attaches them to results posts), keyed by SpecHash.
-	closed map[string]fabric.DriftReport
 }
 
 func newDriftTracker() *driftTracker {
-	return &driftTracker{
-		pending: map[string]pendingPrediction{},
-		closed:  map[string]fabric.DriftReport{},
-	}
+	return &driftTracker{pending: map[string]pendingPrediction{}}
 }
 
 // Predict arms the tracker: the next full run of hash closes an observation.
@@ -95,57 +88,24 @@ func (t *driftTracker) Predict(hash string, field hotpotato.TwinField) {
 }
 
 // Observe closes the loop for a finished full simulation: if hash has a
-// pending prediction, the residual is recorded into the twin drift metrics
-// and stored for TakeDriftReport. Each prediction closes at most once — a
-// cache hit replaying the same result must not double count.
+// pending prediction, the residual is recorded into the twin drift metrics.
+// Each prediction closes at most once — a cache hit replaying the same result
+// must not double count.
 func (t *driftTracker) Observe(hash string, res *hotpotato.Result) {
 	if t == nil || hash == "" || res == nil || math.IsNaN(res.PeakTemp) {
 		return
 	}
 	t.mu.Lock()
 	pred, ok := t.pending[hash]
-	if ok {
-		delete(t.pending, hash)
-	}
+	delete(t.pending, hash)
 	t.mu.Unlock()
 	if !ok {
 		return
 	}
 	residual := res.PeakTemp - pred.estimateC
-	violated := pred.conclusive && math.Abs(residual) > pred.boundC
 	metricTwinDriftChecks.Inc()
 	metricTwinResidual.Observe(residual)
-	if violated {
+	if pred.conclusive && math.Abs(residual) > pred.boundC {
 		metricTwinBoundViolations.Inc()
 	}
-	t.mu.Lock()
-	if len(t.closed) < driftTrackerEntries {
-		t.closed[hash] = fabric.DriftReport{
-			Index: -1, Hash: hash,
-			ResidualC: residual, BoundC: pred.boundC, Violated: violated,
-		}
-	}
-	t.mu.Unlock()
-}
-
-// Take pops the closed observation for hash, if any.
-func (t *driftTracker) Take(hash string) (fabric.DriftReport, bool) {
-	if t == nil {
-		return fabric.DriftReport{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	dr, ok := t.closed[hash]
-	if ok {
-		delete(t.closed, hash)
-	}
-	return dr, ok
-}
-
-// TakeDriftReport pops the twin-drift observation recorded when a full run
-// closed a pending /v1/predict answer for hash. The fabric worker wires this
-// as its DriftQuery so per-sweep drift tallies reach the dispatcher's status
-// surface.
-func (s *Server) TakeDriftReport(hash string) (fabric.DriftReport, bool) {
-	return s.drift.Take(hash)
 }

@@ -46,6 +46,4 @@ var (
 		"POST /v1/predict requests answered by the analytical twin.")
 	metricPredictDomainRejected = obs.NewCounter("service_predict_domain_rejected_total",
 		"Predict requests answered 422 because the spec lies outside the twin's calibrated domain.")
-	metricBatchPruned = obs.NewCounter("service_batch_pruned_total",
-		"Sweep cells skipped by the twin pruner across all batches.")
 )

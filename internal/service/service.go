@@ -74,9 +74,8 @@ type Config struct {
 	// that do not care stay quiet.
 	Logger *slog.Logger
 	// TwinModel is the loaded analytical-twin calibration artifact backing
-	// POST /v1/predict and sweep pruning (the -twin-model flag loads it via
-	// hotpotato.LoadTwinModelFile). nil disables both: /v1/predict answers
-	// 503 and sweeps with prune_above_temp run unpruned.
+	// POST /v1/predict (the -twin-model flag loads it via
+	// hotpotato.LoadTwinModelFile). nil makes /v1/predict answer 503.
 	TwinModel *hotpotato.TwinModel
 }
 
@@ -106,8 +105,8 @@ const DefaultBatchHeartbeat = 10 * time.Second
 // All executions go through one semaphore of Config.Workers slots, so the
 // server never runs more simulations than the host has been budgeted for,
 // no matter how requests arrive: an admitted job is one goroutine waiting
-// for a slot exactly like a /v1/run request. Runs, predictions and the
-// /v1/batch twin pruner share Platforms through one hotpotato.PlatformCache.
+// for a slot exactly like a /v1/run request. Runs and predictions share
+// Platforms through one hotpotato.PlatformCache.
 // Shutdown stops intake, drains, then force-cancels stragglers through their
 // run contexts.
 type Server struct {

@@ -22,8 +22,8 @@ var (
 // Platform eigendecomposes its RC thermal model — the design-time half of
 // Algorithm 1 and by far the most expensive part of a run on a small chip —
 // so every run on the same chip should share one model instead of
-// re-factorizing. It is the only place a sweep cell, a served run, a
-// prediction or the twin pruner gets its platform from.
+// re-factorizing. It is the only place a sweep cell, a served run or a
+// prediction gets its platform from.
 //
 // The cache is keyed by the canonicalized PlatformConfig (a comparable plain
 // value; RunSpec.WithDefaults is the canonical form) and leans on the

@@ -3,8 +3,8 @@ package hotpotato
 // predict.go is the analytical-twin fast path over the RunSpec surface: it
 // reduces an in-domain spec to the numeric case internal/twin predicts on,
 // runs the simulator-as-oracle calibration that fits the twin, and exposes
-// the glue the serving tier (POST /v1/predict), the sweep pruner, and the
-// HotPotato pre-filter build on. The model is documented in
+// the glue the serving tier (POST /v1/predict) and the HotPotato
+// pre-filter build on. The model is documented in
 // docs/THEORY.md §"Surrogate model and error bounds"; docs/API.md
 // documents the endpoint.
 
@@ -620,45 +620,6 @@ func twinDesignRing(rng *rand.Rand, plat *Platform, steadyPeak twin.SteadyPeakFu
 		SlotWatts:         slots,
 		SteadyFieldDeltaC: steadyPeak(field),
 		SteadyMaxDeltaC:   sfdMax,
-	}
-}
-
-// NewTwinSweepPruner builds the sweep-cell pruner behind a sweep's
-// prune_above_temp threshold (see SweepOptions.Prune): a cell is pruned only
-// when the twin's transient-peak interval [est−bound, est+bound] lies
-// entirely on one side of the threshold — "above" when even the optimistic
-// end exceeds it, "below" when even the pessimistic end stays under it.
-// Out-of-domain cells, uncalibrated grid sizes, and inconclusive predictions
-// all return ok=false, so those cells simulate as usual.
-//
-// The twin predicts on the Table I chip of the cell's grid size,
-// DefaultPlatformConfig(w, h), whatever substrate or solver the cell
-// declares; that platform comes from plats, so a pruner sharing a server's
-// cache builds nothing the server already holds. The returned func is safe
-// for concurrent calls: TwinPredict only reads the shared platform.
-func NewTwinSweepPruner(model *TwinModel, plats *PlatformCache, threshold float64) func(ctx context.Context, cell SweepCell) (PruneDecision, bool) {
-	return func(ctx context.Context, cell SweepCell) (PruneDecision, bool) {
-		w, h := cell.Spec.Platform.Width, cell.Spec.Platform.Height
-		if _, ok := model.Buckets[twin.BucketKey(w, h)]; !ok {
-			return PruneDecision{}, false
-		}
-		plat, err := plats.Get(DefaultPlatformConfig(w, h))
-		if err != nil {
-			return PruneDecision{}, false
-		}
-		pred, err := TwinPredict(model, plat, cell.Spec)
-		if err != nil || !pred.TransientPeakC.Conclusive {
-			return PruneDecision{}, false
-		}
-		est, bound := pred.TransientPeakC.Estimate, pred.TransientPeakC.Bound
-		switch {
-		case est-bound >= threshold:
-			return PruneDecision{Verdict: "above", PeakC: est, BoundC: bound}, true
-		case est+bound < threshold:
-			return PruneDecision{Verdict: "below", PeakC: est, BoundC: bound}, true
-		default:
-			return PruneDecision{}, false
-		}
 	}
 }
 

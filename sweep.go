@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,16 +63,6 @@ type SweepSpec struct {
 	Base RunSpec `json:"base"`
 	// Axes are the cross-product dimensions applied over Base.
 	Axes SweepAxes `json:"axes"`
-	// PruneAboveTemp opts the sweep into twin-backed cell pruning against a
-	// peak-temperature threshold (°C): cells whose transient peak the
-	// analytical twin bounds conclusively on either side of the threshold
-	// skip simulation and stream as status "pruned" with the twin's verdict
-	// ("above" or "below"), estimate, and bound. Cells the twin cannot
-	// bound conclusively — or cannot predict at all (out-of-domain spec) —
-	// simulate as usual. Requires a runner with a loaded twin model
-	// (server -twin-model / sim -twin-model); without one the sweep runs
-	// unpruned. Nil disables pruning.
-	PruneAboveTemp *float64 `json:"prune_above_temp,omitempty"`
 }
 
 // UnmarshalJSON decodes the document with the RunSpec overlay rules: the
@@ -90,7 +79,6 @@ func (s *SweepSpec) UnmarshalJSON(b []byte) error {
 			Solvers    []string          `json:"solvers"`
 			Seeds      []int64           `json:"seeds"`
 		} `json:"axes"`
-		PruneAboveTemp *float64 `json:"prune_above_temp"`
 	}
 	if err := json.Unmarshal(b, &shadow); err != nil {
 		return err
@@ -119,7 +107,6 @@ func (s *SweepSpec) UnmarshalJSON(b []byte) error {
 			Solvers:    shadow.Axes.Solvers,
 			Seeds:      shadow.Axes.Seeds,
 		},
-		PruneAboveTemp: shadow.PruneAboveTemp,
 	}
 	return nil
 }
@@ -157,11 +144,6 @@ func (s SweepSpec) Validate() error {
 	for i, solver := range s.Axes.Solvers {
 		if err := ValidateSolver(solver); err != nil {
 			return fmt.Errorf("hotpotato: solvers axis entry %d: %w", i, err)
-		}
-	}
-	if s.PruneAboveTemp != nil {
-		if t := *s.PruneAboveTemp; math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("hotpotato: prune_above_temp must be finite, got %v", t)
 		}
 	}
 	return nil
@@ -230,23 +212,8 @@ func (s SweepSpec) Expand() ([]SweepCell, error) {
 	return cells, nil
 }
 
-// PruneDecision is the analytical twin's conclusive verdict on one sweep
-// cell against the sweep's prune_above_temp threshold: the twin's peak
-// transient estimate, its conservative error bound, and which side of the
-// threshold the whole interval [PeakC−BoundC, PeakC+BoundC] falls on.
-type PruneDecision struct {
-	// Verdict is "above" (est−bound ≥ threshold: the cell certainly
-	// exceeds) or "below" (est+bound < threshold: it certainly does not).
-	Verdict string `json:"verdict"`
-	// PeakC is the twin's transient-peak point estimate (°C).
-	PeakC float64 `json:"peak_c"`
-	// BoundC is the twin's conservative error bound on PeakC (°C).
-	BoundC float64 `json:"bound_c"`
-}
-
 // SweepCellResult is the outcome of one sweep cell, as handed to
 // ExecuteSweep's emit callback. Exactly one of the terminal modes applies:
-// Pruned non-nil is a cell skipped by the twin pruner (no Result, no Err);
 // Err nil with a Result is a completed run; Err wrapping ErrTimeout still
 // carries the partial Result; any other Err (ErrCanceled, validation,
 // construction) is a failed cell.
@@ -258,15 +225,11 @@ type SweepCellResult struct {
 	Spec RunSpec
 	// Hash is the cell's SpecHash, empty when the cell's spec is invalid.
 	Hash string
-	// Result is the run's outcome; nil when the cell failed before running
-	// or was pruned.
+	// Result is the run's outcome; nil when the cell failed before running.
 	Result *Result
 	// Cached reports that Result came from a cache instead of a fresh run
 	// (only runners that consult a cache, like the serving layer's, set it).
 	Cached bool
-	// Pruned, when non-nil, records that the twin pruner skipped this
-	// cell's simulation and carries its verdict.
-	Pruned *PruneDecision
 	// Err is the cell's failure, nil on success.
 	Err error
 }
@@ -284,13 +247,6 @@ type SweepOptions struct {
 	// result cache, worker semaphore and long-lived platform cache. Run must
 	// be safe for concurrent calls.
 	Run func(ctx context.Context, cell SweepCell) (*Result, bool, error)
-	// Prune, when non-nil, is consulted per cell after canonicalization and
-	// before Run: returning ok=true skips the simulation and emits the cell
-	// as pruned with the decision attached. Inconclusive cells (ok=false)
-	// run as usual. Shells install a twin-backed pruner here when the sweep
-	// sets prune_above_temp and a twin model is loaded (see
-	// NewTwinSweepPruner). Prune must be safe for concurrent calls.
-	Prune func(ctx context.Context, cell SweepCell) (PruneDecision, bool)
 }
 
 // ExecuteSweep expands a sweep and executes every cell over a bounded worker
@@ -390,13 +346,6 @@ func ExecuteSweepCells(ctx context.Context, cells []SweepCell, opts SweepOptions
 					emitOne(out)
 					continue
 				}
-				if opts.Prune != nil {
-					if dec, ok := opts.Prune(ctx, SweepCell{Index: cell.Index, Spec: canon}); ok {
-						out.Pruned = &dec
-						emitOne(out)
-						continue
-					}
-				}
 				out.Result, out.Cached, out.Err = opts.Run(ctx, SweepCell{Index: cell.Index, Spec: canon})
 				emitOne(out)
 			}
@@ -423,19 +372,16 @@ type (
 		SweepID string `json:"sweep_id,omitempty"`
 	}
 	// SweepResultRecord is one finished cell. Status is "ok" (Result
-	// present; Error names a MaxTime stop when set), "pruned" (twin verdict
-	// in Prune, Pruned true, no Result), "failed", or "canceled". Cached
-	// marks results served from the result cache.
+	// present; Error names a MaxTime stop when set), "failed", or
+	// "canceled". Cached marks results served from the result cache.
 	SweepResultRecord struct {
-		Type   string         `json:"type"`
-		Index  int            `json:"index"`
-		Hash   string         `json:"hash,omitempty"`
-		Status string         `json:"status"`
-		Cached bool           `json:"cached,omitempty"`
-		Pruned bool           `json:"pruned,omitempty"`
-		Prune  *PruneDecision `json:"prune,omitempty"`
-		Error  string         `json:"error,omitempty"`
-		Result *Result        `json:"result,omitempty"`
+		Type   string  `json:"type"`
+		Index  int     `json:"index"`
+		Hash   string  `json:"hash,omitempty"`
+		Status string  `json:"status"`
+		Cached bool    `json:"cached,omitempty"`
+		Error  string  `json:"error,omitempty"`
+		Result *Result `json:"result,omitempty"`
 	}
 	// SweepProgress is the heartbeat record: how many cells have finished
 	// so far. It keeps idle connections alive through proxies during long
@@ -448,7 +394,7 @@ type (
 	}
 	// SweepSummary is the terminal record of a stream; its presence tells a
 	// client the sweep ended rather than the connection dying mid-flight.
-	// Completed+Failed+Canceled+Pruned always equals the number of observed
+	// Completed+Failed+Canceled always equals the number of observed
 	// result records (Total when the stream ran to completion).
 	SweepSummary struct {
 		Type      string  `json:"type"`
@@ -456,14 +402,13 @@ type (
 		Completed int     `json:"completed"`
 		Failed    int     `json:"failed"`
 		Canceled  int     `json:"canceled"`
-		Pruned    int     `json:"pruned"`
 		CacheHits int     `json:"cache_hits"`
 		ElapsedMS float64 `json:"elapsed_ms"`
 	}
 )
 
 // Observe counts one result record into the summary. Every record lands in
-// exactly one of Completed/Failed/Canceled/Pruned (keyed on Status, with
+// exactly one of Completed/Failed/Canceled (keyed on Status, with
 // unknown statuses counted as failed so totals still partition), plus
 // CacheHits when Cached. It is the only status classifier: the shared
 // /v1/batch stream loop (fabric.StreamSweep, behind both hotpotato-server and
@@ -476,8 +421,6 @@ func (s *SweepSummary) Observe(rec SweepResultRecord) {
 		s.Completed++
 	case "canceled":
 		s.Canceled++
-	case "pruned":
-		s.Pruned++
 	default:
 		s.Failed++
 	}
@@ -487,22 +430,17 @@ func (s *SweepSummary) Observe(rec SweepResultRecord) {
 }
 
 // NewSweepResultRecord classifies one cell outcome into its wire record:
-// Status "pruned" for cells the twin pruner skipped, "ok" for completed
-// runs (including MaxTime stops, whose partial Result travels with the
-// timeout text in Error), "canceled" for runs ended by context cancellation
-// or deadline expiry — whether the runner wrapped ErrCanceled or returned
-// the raw context error — and "failed" for everything else.
+// Status "ok" for completed runs (including MaxTime stops, whose partial
+// Result travels with the timeout text in Error), "canceled" for runs ended
+// by context cancellation or deadline expiry — whether the runner wrapped
+// ErrCanceled or returned the raw context error — and "failed" for
+// everything else.
 func NewSweepResultRecord(r SweepCellResult) SweepResultRecord {
 	rec := SweepResultRecord{
 		Type: "result", Index: r.Index, Hash: r.Hash,
 		Cached: r.Cached, Result: r.Result,
 	}
 	switch {
-	case r.Pruned != nil:
-		rec.Status = "pruned"
-		rec.Pruned = true
-		rec.Prune = r.Pruned
-		rec.Result = nil
 	case r.Err == nil:
 		rec.Status = "ok"
 	case errors.Is(r.Err, ErrTimeout):

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -321,7 +320,6 @@ func TestExecuteSweepCancellation(t *testing.T) {
 
 func TestNewSweepResultRecord(t *testing.T) {
 	res := &hotpotato.Result{Scheduler: "hotpotato"}
-	prune := &hotpotato.PruneDecision{Verdict: "below", PeakC: 60, BoundC: 2}
 	cases := []struct {
 		name       string
 		in         hotpotato.SweepCellResult
@@ -340,7 +338,6 @@ func TestNewSweepResultRecord(t *testing.T) {
 		{"raw context.Canceled", hotpotato.SweepCellResult{Err: context.Canceled}, "canceled", false, true},
 		{"raw deadline exceeded", hotpotato.SweepCellResult{Err: fmt.Errorf("run: %w", context.DeadlineExceeded)}, "canceled", false, true},
 		{"failed", hotpotato.SweepCellResult{Err: errors.New("bad spec")}, "failed", false, true},
-		{"pruned", hotpotato.SweepCellResult{Index: 5, Hash: "sha256:bb", Result: res, Pruned: prune}, "pruned", false, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -360,44 +357,37 @@ func TestNewSweepResultRecord(t *testing.T) {
 			if rec.Index != c.in.Index || rec.Hash != c.in.Hash || rec.Cached != c.in.Cached {
 				t.Errorf("record did not carry index/hash/cached through: %+v", rec)
 			}
-			if (rec.Status == "pruned") != rec.Pruned {
-				t.Errorf("Pruned flag %v inconsistent with status %q", rec.Pruned, rec.Status)
-			}
-			if c.in.Pruned != nil && (rec.Prune == nil || *rec.Prune != *c.in.Pruned) {
-				t.Errorf("prune decision not carried through: %+v", rec.Prune)
-			}
 		})
 	}
 }
 
 // TestSweepSummaryObserve pins the counter classification every summary
-// producer (service stream, fabric dispatcher, CLI) shares: the five terminal
-// states partition into the four counters, cache hits tally orthogonally, and
+// producer (service stream, fabric dispatcher, CLI) shares: the four terminal
+// states partition into the three counters, cache hits tally orthogonally, and
 // the counters sum back to the cell count.
 func TestSweepSummaryObserve(t *testing.T) {
 	res := &hotpotato.Result{Scheduler: "hotpotato"}
 	cells := []hotpotato.SweepCellResult{
-		{Index: 0, Result: res},                                                              // ok
-		{Index: 1, Result: res, Cached: true},                                                // ok + cache hit
-		{Index: 2, Result: res, Err: fmt.Errorf("w: %w", hotpotato.ErrTimeout)},              // ok (partial)
-		{Index: 3, Err: fmt.Errorf("w: %w", hotpotato.ErrCanceled)},                          // canceled
-		{Index: 4, Err: context.Canceled},                                                    // canceled (raw)
-		{Index: 5, Err: context.DeadlineExceeded},                                            // canceled (raw)
-		{Index: 6, Err: errors.New("boom")},                                                  // failed
-		{Index: 7, Pruned: &hotpotato.PruneDecision{Verdict: "above", PeakC: 90, BoundC: 1}}, // pruned
+		{Index: 0, Result: res},                                                 // ok
+		{Index: 1, Result: res, Cached: true},                                   // ok + cache hit
+		{Index: 2, Result: res, Err: fmt.Errorf("w: %w", hotpotato.ErrTimeout)}, // ok (partial)
+		{Index: 3, Err: fmt.Errorf("w: %w", hotpotato.ErrCanceled)},             // canceled
+		{Index: 4, Err: context.Canceled},                                       // canceled (raw)
+		{Index: 5, Err: context.DeadlineExceeded},                               // canceled (raw)
+		{Index: 6, Err: errors.New("boom")},                                     // failed
 	}
 	summary := hotpotato.SweepSummary{Type: "summary", Total: len(cells)}
 	for _, c := range cells {
 		summary.Observe(hotpotato.NewSweepResultRecord(c))
 	}
-	if summary.Completed != 3 || summary.Canceled != 3 || summary.Failed != 1 || summary.Pruned != 1 {
-		t.Errorf("counters completed=%d canceled=%d failed=%d pruned=%d, want 3/3/1/1",
-			summary.Completed, summary.Canceled, summary.Failed, summary.Pruned)
+	if summary.Completed != 3 || summary.Canceled != 3 || summary.Failed != 1 {
+		t.Errorf("counters completed=%d canceled=%d failed=%d, want 3/3/1",
+			summary.Completed, summary.Canceled, summary.Failed)
 	}
 	if summary.CacheHits != 1 {
 		t.Errorf("CacheHits = %d, want 1", summary.CacheHits)
 	}
-	if sum := summary.Completed + summary.Canceled + summary.Failed + summary.Pruned; sum != summary.Total {
+	if sum := summary.Completed + summary.Canceled + summary.Failed; sum != summary.Total {
 		t.Errorf("counters sum to %d, want Total %d — terminal states must partition", sum, summary.Total)
 	}
 	// Unknown statuses (a future record type from a newer worker) count as
@@ -406,106 +396,6 @@ func TestSweepSummaryObserve(t *testing.T) {
 	skew.Observe(hotpotato.SweepResultRecord{Status: "mystery"})
 	if skew.Failed != 1 {
 		t.Errorf("unknown status counted as %+v, want Failed=1", skew)
-	}
-}
-
-// TestSweepPruneThresholdDecodeAndValidate: prune_above_temp survives the
-// custom SweepSpec decoder and Validate rejects non-finite thresholds.
-func TestSweepPruneThresholdDecodeAndValidate(t *testing.T) {
-	s := decodeSweep(t, `{"base":{"platform":{"width":4,"height":4}},"prune_above_temp":80.5,"axes":{"seeds":[1,2]}}`)
-	if s.PruneAboveTemp == nil || *s.PruneAboveTemp != 80.5 {
-		t.Fatalf("prune_above_temp lost in decode: %+v", s.PruneAboveTemp)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid threshold rejected: %v", err)
-	}
-	b, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"prune_above_temp":80.5`) {
-		t.Errorf("threshold lost in re-encode: %s", b)
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		s := decodeSweep(t, `{"base":{"platform":{"width":4,"height":4}}}`)
-		s.PruneAboveTemp = &bad
-		if err := s.Validate(); err == nil {
-			t.Errorf("Validate accepted prune_above_temp = %v", bad)
-		}
-	}
-	// Absent in the document ⇒ absent in the spec (pruning stays off).
-	if s := decodeSweep(t, quickSweepDoc); s.PruneAboveTemp != nil {
-		t.Errorf("prune_above_temp defaulted on: %v", *s.PruneAboveTemp)
-	}
-}
-
-// TestExecuteSweepPrunePartition runs the quick 2×2 sweep twice — once plain,
-// once with a prune hook skipping half the cells — and checks the pruned
-// stream is consistent with the unpruned partition: pruned cells emit their
-// decision and no result, surviving cells are bit-identical to the reference,
-// and the summary counters still partition the cell count.
-func TestExecuteSweepPrunePartition(t *testing.T) {
-	s := decodeSweep(t, quickSweepDoc)
-
-	reference := map[int]string{}
-	err := hotpotato.ExecuteSweep(context.Background(), s, hotpotato.SweepOptions{Workers: 2}, func(r hotpotato.SweepCellResult) {
-		if r.Err != nil {
-			t.Fatalf("reference cell %d: %v", r.Index, r.Err)
-		}
-		r.Result.SchedulerHostTime = 0
-		b, _ := json.Marshal(r.Result)
-		reference[r.Index] = r.Hash + "|" + string(b)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prune := func(ctx context.Context, cell hotpotato.SweepCell) (hotpotato.PruneDecision, bool) {
-		if cell.Index%2 == 0 {
-			return hotpotato.PruneDecision{Verdict: "below", PeakC: 50, BoundC: 1}, true
-		}
-		return hotpotato.PruneDecision{}, false
-	}
-	var summary hotpotato.SweepSummary
-	got := map[int]string{}
-	err = hotpotato.ExecuteSweep(context.Background(), s, hotpotato.SweepOptions{Workers: 2, Prune: prune}, func(r hotpotato.SweepCellResult) {
-		rec := hotpotato.NewSweepResultRecord(r)
-		summary.Observe(rec)
-		switch {
-		case r.Pruned != nil:
-			if r.Result != nil || r.Err != nil {
-				t.Errorf("pruned cell %d still simulated (result=%v err=%v)", r.Index, r.Result != nil, r.Err)
-			}
-			if r.Hash == "" {
-				t.Errorf("pruned cell %d lost its spec hash", r.Index)
-			}
-			if rec.Status != "pruned" || !rec.Pruned || rec.Prune == nil {
-				t.Errorf("pruned cell %d record: %+v", r.Index, rec)
-			}
-		case r.Err != nil:
-			t.Errorf("cell %d: %v", r.Index, r.Err)
-		default:
-			r.Result.SchedulerHostTime = 0
-			b, _ := json.Marshal(r.Result)
-			got[r.Index] = r.Hash + "|" + string(b)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if summary.Pruned != 2 || summary.Completed != 2 {
-		t.Errorf("summary pruned=%d completed=%d, want 2 and 2", summary.Pruned, summary.Completed)
-	}
-	if sum := summary.Completed + summary.Canceled + summary.Failed + summary.Pruned; sum != s.CellCount() {
-		t.Errorf("counters sum to %d, want CellCount %d", sum, s.CellCount())
-	}
-	for idx, want := range reference {
-		if idx%2 == 0 {
-			continue // pruned in the second run
-		}
-		if got[idx] != want {
-			t.Errorf("surviving cell %d diverges from the unpruned reference", idx)
-		}
 	}
 }
 
