@@ -1,6 +1,6 @@
 // Command hotpotato-dispatch is the sweep-fabric dispatcher: an HTTP daemon
 // that accepts SweepSpec documents on the same POST /v1/batch wire contract
-// as hotpotato-server, expands them, and shards the cells across registered
+// as hotpotato-server, expands them, and shards the cells across pull-loop
 // worker daemons (hotpotato-server instances started with -dispatcher).
 //
 //	hotpotato-dispatch -addr :9090 -archive /var/lib/hotpotato/archive
@@ -8,9 +8,9 @@
 //	hotpotato-server   -addr :8082 -dispatcher http://localhost:9090
 //	curl -X POST localhost:9090/v1/batch -d '{"base": {...}, "axes": {...}}'
 //
-// Workers pull: register → lease a batch of cells → stream results back →
-// heartbeat. A worker that dies mid-lease costs one lease TTL, after which
-// its booked cells are re-queued (bounded retries, then "failed"). Completed
+// Workers pull: lease a batch of cells → stream results back → heartbeat.
+// A worker that dies mid-lease costs one lease TTL, after which its booked
+// cells are re-queued (bounded retries, then "failed"). Completed
 // results are archived by SpecHash, so a re-posted sweep replays without
 // touching a worker. See docs/SERVICE.md §"The sweep fabric" for operations,
 // docs/API.md §"The sweep fabric" for the worker wire protocol.

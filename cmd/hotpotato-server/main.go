@@ -48,7 +48,7 @@ func main() {
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = 1024)")
 	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s, negative = disable)")
 	dispatcher := flag.String("dispatcher", "", "fabric dispatcher base URL; when set the server also runs a sweep-fabric worker pull loop against it")
-	workerID := flag.String("worker-id", "", "fabric worker identity offered at registration (empty = dispatcher-assigned)")
+	workerID := flag.String("worker-id", "", "fabric worker identity on the dispatcher's roster (empty = hostname plus a random suffix)")
 	leaseCells := flag.Int("lease-cells", 0, "sweep cells requested per fabric lease (0 = dispatcher default)")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "json", "log format: json|text")

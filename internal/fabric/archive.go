@@ -126,8 +126,8 @@ func (a *Archive) WriteManifest(sweepID string, m Manifest) error {
 
 // RecentManifests returns up to limit sweep manifests, newest first (date
 // directories descending, then file names descending within a day — sweep
-// IDs are sequence-numbered, so the lexicographic order is close enough to
-// chronological for a status listing). Unreadable entries are skipped: the
+// IDs carry the dispatcher's start time and a zero-padded sequence, so
+// their lexicographic order is their creation order). Unreadable entries are skipped: the
 // listing is an observability surface, not an integrity check.
 func (a *Archive) RecentManifests(limit int) []Manifest {
 	if a == nil || limit <= 0 {

@@ -160,13 +160,13 @@ type lease struct {
 }
 
 // workerState is everything the dispatcher knows about one worker — the
-// GET /fabric/v1/workers row.
+// GET /fabric/v1/workers row. Leasing puts a worker on the roster; the
+// reaper takes it off once it holds no lease and has been silent for a
+// lease TTL.
 type workerState struct {
-	id         string
-	capacity   int
-	registered time.Time
-	// lastSeen is the last register/lease/heartbeat/results call — the
-	// liveness signal the health state derives from.
+	id     string
+	joined time.Time
+	// lastSeen is the last lease, heartbeat or results call.
 	lastSeen time.Time
 	// cellsDone counts results this worker posted (accepted records).
 	cellsDone int64
@@ -193,7 +193,9 @@ type Dispatcher struct {
 	queue   []*cellTask // FIFO; expiry re-queues at the front
 	leases  map[string]*lease
 	workers map[string]*workerState
-	seq     int64
+	// idPrefix and seq mint sweep and lease IDs (nextIDLocked).
+	idPrefix string
+	seq      int64
 }
 
 // NewDispatcher builds a dispatcher. Call Run to start the lease reaper (or
@@ -230,13 +232,24 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		cfg.Logger = obs.NopLogger()
 	}
 	return &Dispatcher{
-		cfg:     cfg,
-		clock:   cfg.Clock,
-		logger:  cfg.Logger,
-		sweeps:  map[string]*sweepState{},
-		leases:  map[string]*lease{},
-		workers: map[string]*workerState{},
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		logger:   cfg.Logger,
+		sweeps:   map[string]*sweepState{},
+		leases:   map[string]*lease{},
+		workers:  map[string]*workerState{},
+		idPrefix: cfg.Clock.Now().UTC().Format("20060102T150405.000000000Z"),
 	}
+}
+
+// nextIDLocked mints a sweep or lease ID. The dispatcher's start time makes
+// IDs unique across restarts, so a stale worker's lease ID never names a
+// lease of the restarted dispatcher; the fixed widths make the IDs'
+// lexicographic order (the archive's manifest listing) their creation
+// order. Callers hold d.mu.
+func (d *Dispatcher) nextIDLocked(kind string) string {
+	d.seq++
+	return fmt.Sprintf("%s-%s-%010d", kind, d.idPrefix, d.seq)
 }
 
 // Run drives the lease reaper until ctx is done: every quarter TTL it
@@ -299,9 +312,8 @@ func (s *Sweep) Cancel() { s.d.cancelSweep(s.st) }
 func (d *Dispatcher) Submit(cells []hotpotato.SweepCell, requestID, traceParent string) *Sweep {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.seq++
 	sw := &sweepState{
-		id:          fmt.Sprintf("sweep-%d", d.seq),
+		id:          d.nextIDLocked("sweep"),
 		requestID:   requestID,
 		total:       len(cells),
 		outstanding: len(cells),
@@ -359,48 +371,31 @@ func (d *Dispatcher) Submit(cells []hotpotato.SweepCell, requestID, traceParent 
 	return &Sweep{ID: sw.id, Total: len(cells), d: d, st: sw}
 }
 
-// Register admits a worker (or refreshes a known one) and returns its
-// identity plus the cadence contract.
-func (d *Dispatcher) Register(req RegisterRequest) RegisterResponse {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id := req.ID
-	if id == "" {
-		d.seq++
-		id = fmt.Sprintf("worker-%d", d.seq)
+// seeWorkerLocked records that a listed worker called at now and returns
+// it; nil means workerID is not on the roster, which only Lease adds to.
+// Every call that extends a lease's deadline to now+TTL passes the same now
+// here, so the reaper pass that expires a dead worker's lease also drops
+// the worker. Callers hold d.mu.
+func (d *Dispatcher) seeWorkerLocked(workerID string, now time.Time) *workerState {
+	w := d.workers[workerID]
+	if w != nil {
+		w.lastSeen = now
 	}
-	w := d.touchWorkerLocked(id)
-	w.capacity = req.Capacity
-	d.logger.Info("fabric worker registered", "worker", id, "capacity", req.Capacity)
-	return RegisterResponse{
-		ID:         id,
-		LeaseTTLMS: d.cfg.LeaseTTL.Milliseconds(),
-		// A third of the TTL tolerates two consecutive lost heartbeats.
-		HeartbeatMS: (d.cfg.LeaseTTL / 3).Milliseconds(),
-	}
-}
-
-// touchWorkerLocked records liveness for workerID, creating the state on
-// first sight (unknown workers are admitted implicitly so a dispatcher
-// restart does not strand running workers). Callers hold d.mu.
-func (d *Dispatcher) touchWorkerLocked(workerID string) *workerState {
-	w, known := d.workers[workerID]
-	if !known {
-		w = &workerState{id: workerID, registered: d.clock.Now()}
-		d.workers[workerID] = w
-		metricWorkers.Add(1)
-	}
-	w.lastSeen = d.clock.Now()
 	return w
 }
 
 // Lease books up to maxCells pending cells (all from one sweep) to workerID.
-// nil means no work is pending. Unknown workers are registered implicitly so
-// a dispatcher restart does not strand running workers.
+// nil means no work is pending. Leasing is how a worker joins the roster,
+// also after a dispatcher restart: an unknown worker is listed here, idle
+// or not.
 func (d *Dispatcher) Lease(workerID string, maxCells int) *LeaseGrant {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.touchWorkerLocked(workerID)
+	now := d.clock.Now()
+	if d.seeWorkerLocked(workerID, now) == nil {
+		d.workers[workerID] = &workerState{id: workerID, joined: now, lastSeen: now}
+		metricWorkers.Add(1)
+	}
 	if maxCells <= 0 || maxCells > d.cfg.LeaseCells {
 		maxCells = d.cfg.LeaseCells
 	}
@@ -430,11 +425,10 @@ func (d *Dispatcher) Lease(workerID string, maxCells int) *LeaseGrant {
 	d.queue = kept
 	metricQueueDepth.Set(float64(len(d.queue)))
 
-	d.seq++
-	grant.ID = fmt.Sprintf("lease-%d", d.seq)
+	grant.ID = d.nextIDLocked("lease")
 	l := &lease{
 		id: grant.ID, workerID: workerID, sweep: sw,
-		cells: tasks, deadline: d.clock.Now().Add(d.cfg.LeaseTTL),
+		cells: tasks, deadline: now.Add(d.cfg.LeaseTTL),
 	}
 	if sw.spans != nil {
 		l.span = sw.root.StartChild("lease")
@@ -462,14 +456,17 @@ func (d *Dispatcher) Heartbeat(leaseID string) (ok, canceled bool) {
 	if !found {
 		return false, false
 	}
-	l.deadline = d.clock.Now().Add(d.cfg.LeaseTTL)
-	d.touchWorkerLocked(l.workerID)
+	now := d.clock.Now()
+	l.deadline = now.Add(d.cfg.LeaseTTL)
+	d.seeWorkerLocked(l.workerID, now)
 	return true, l.sweep.canceled
 }
 
 // Results consumes finished-cell records for leaseID. First result wins: a
 // record for an already-finished cell (a re-leased cell completing twice) is
-// dropped. accepted counts consumed records; ok=false means the lease is
+// dropped, and so is a record whose hash is not the booked cell's (a stale
+// worker's result must never be archived under another spec's hash).
+// accepted counts consumed records; ok=false means the lease is
 // unknown and the worker should abandon the rest.
 func (d *Dispatcher) Results(leaseID string, recs []hotpotato.SweepResultRecord) (accepted int, ok bool) {
 	return d.PostResults(ResultsRequest{LeaseID: leaseID, Records: recs})
@@ -490,25 +487,25 @@ func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 	now := d.clock.Now()
 	l.deadline = now.Add(d.cfg.LeaseTTL) // results are heartbeats too
 	sw := l.sweep
-	d.touchWorkerLocked(l.workerID)
+	w := d.seeWorkerLocked(l.workerID, now) // a lease holder stays listed
 	acceptedIdx := map[int]bool{}
 	for _, rec := range req.Records {
 		t, mine := l.cells[rec.Index]
-		if !mine || t.state != cellLeased {
+		if !mine || t.state != cellLeased || rec.Hash != t.hash {
 			continue
 		}
 		accepted++
 		acceptedIdx[rec.Index] = true
 		delete(l.cells, rec.Index)
 		d.finishCellLocked(t, rec)
-		if d.cfg.Archive != nil && rec.Status == "ok" && !rec.Cached && t.hash != "" {
+		if d.cfg.Archive != nil && rec.Status == "ok" && !rec.Cached {
 			if err := d.cfg.Archive.Put(t.hash, rec); err != nil {
 				d.logger.Warn("fabric archive write failed", "hash", t.hash, "error", err.Error())
 			}
 		}
 	}
 	if accepted > 0 {
-		d.workers[l.workerID].cellsDone += int64(accepted)
+		w.cellsDone += int64(accepted)
 		ws := sw.perWorker[l.workerID]
 		if ws == nil {
 			ws = &sweepWorkerStats{first: now}
@@ -543,8 +540,10 @@ func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 
 // ExpireLeases re-queues the unfinished cells of every lease whose deadline
 // is before now, and returns how many leases expired. Cells past their retry
-// budget are failed instead of re-queued. The reaper calls this on a timer;
-// unit tests call it directly with a fake clock.
+// budget are failed instead of re-queued. In the same pass it drops every
+// worker that holds no lease and has not called within the lease TTL, with
+// its gauges, from the roster. The reaper calls this on a timer; unit tests
+// call it directly with a fake clock.
 func (d *Dispatcher) ExpireLeases(now time.Time) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -591,6 +590,18 @@ func (d *Dispatcher) ExpireLeases(now time.Time) int {
 			"lease", id, "worker", l.workerID, "requeued", requeued, "failed", failed)
 	}
 	metricQueueDepth.Set(float64(len(d.queue)))
+	// A lease's deadline is its holder's lastSeen plus the TTL at most, so a
+	// worker silent for a TTL holds no lease once the loop above has run.
+	for id, w := range d.workers {
+		if !w.lastSeen.Add(d.cfg.LeaseTTL).Before(now) {
+			continue
+		}
+		delete(d.workers, id)
+		metricWorkers.Add(-1)
+		d.sumFleetGaugesLocked(w.gauges)
+		d.logger.Warn("fabric worker dropped",
+			"worker", id, "silent_ms", now.Sub(w.lastSeen).Milliseconds(), "cells_done", w.cellsDone)
+	}
 	return expired
 }
 
@@ -702,7 +713,7 @@ func (d *Dispatcher) closeSweepLocked(sw *sweepState) {
 
 // Stats is the dispatcher's health snapshot.
 type Stats struct {
-	// Workers is how many distinct workers have registered.
+	// Workers is how many workers are on the roster (GET /fabric/v1/workers).
 	Workers int `json:"workers"`
 	// QueuedCells is the pending-cell queue depth.
 	QueuedCells int `json:"queued_cells"`

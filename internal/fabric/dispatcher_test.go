@@ -27,35 +27,41 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// testCells builds n valid quick cells (distinct seeds so hashes differ).
+// testCells builds n valid quick cells (distinct work scales so hashes
+// differ).
 func testCells(t testing.TB, n int) []hotpotato.SweepCell {
 	t.Helper()
-	var spec hotpotato.RunSpec
-	if err := json.Unmarshal([]byte(`{
-		"platform":  {"width": 4, "height": 4},
-		"scheduler": {"name": "hotpotato"},
-		"workload":  {"kind": "explicit", "tasks": [{"bench": "blackscholes", "threads": 2, "work_scale": 0.2}]}
-	}`), &spec); err != nil {
-		t.Fatal(err)
-	}
 	cells := make([]hotpotato.SweepCell, n)
 	for i := range cells {
-		var s hotpotato.RunSpec
-		data, _ := json.Marshal(spec)
-		if err := json.Unmarshal(data, &s); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct work scales keep every cell's SpecHash distinct (a seed
-		// would not: canonicalization drops it for explicit workloads).
-		s.Workload.Tasks[0].WorkScale = 0.2 + 0.01*float64(i)
-		cells[i] = hotpotato.SweepCell{Index: i, Spec: s.WithDefaults()}
+		cells[i] = testCell(i)
 	}
 	return cells
 }
 
-// okRecord fabricates a worker result for a cell.
+// testCell is testCells' cell i.
+func testCell(i int) hotpotato.SweepCell {
+	var s hotpotato.RunSpec
+	if err := json.Unmarshal([]byte(`{
+		"platform":  {"width": 4, "height": 4},
+		"scheduler": {"name": "hotpotato"},
+		"workload":  {"kind": "explicit", "tasks": [{"bench": "blackscholes", "threads": 2, "work_scale": 0.2}]}
+	}`), &s); err != nil {
+		panic(err)
+	}
+	// Distinct work scales keep every cell's SpecHash distinct (a seed would
+	// not: canonicalization drops it for explicit workloads).
+	s.Workload.Tasks[0].WorkScale = 0.2 + 0.01*float64(i)
+	return hotpotato.SweepCell{Index: i, Spec: s.WithDefaults()}
+}
+
+// okRecord fabricates a worker result for testCells' cell index, carrying
+// the cell's hash as a worker's record does.
 func okRecord(index int) hotpotato.SweepResultRecord {
-	return hotpotato.SweepResultRecord{Type: "result", Index: index, Status: "ok",
+	hash, err := hotpotato.SpecHash(testCell(index).Spec)
+	if err != nil {
+		panic(err)
+	}
+	return hotpotato.SweepResultRecord{Type: "result", Index: index, Hash: hash, Status: "ok",
 		Result: &hotpotato.Result{}}
 }
 
@@ -300,5 +306,88 @@ drained:
 	}
 	if st := d.Snapshot(); st.ActiveSweeps != 0 || st.QueuedCells != 0 {
 		t.Fatalf("snapshot after cancel: %+v", st)
+	}
+}
+
+// TestRestartedDispatcherRejectsStaleResults: two dispatchers on one archive
+// stand for one dispatcher before and after a restart. A worker still
+// holding a lease of the first must not land its result in the second: the
+// lease ID names no lease there, and a record posted on the second's own
+// lease is refused unless it carries that lease's cell hash. Otherwise the
+// second would archive another spec's result under its cell's hash, and
+// every later sweep containing that spec would replay it.
+func TestRestartedDispatcherRejectsStaleResults(t *testing.T) {
+	dir := t.TempDir()
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	archive, err := NewArchive(dir, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{LeaseTTL: 10 * time.Second, LeaseCells: 1, Clock: clock, Archive: archive}
+	before := NewDispatcher(cfg)
+	drainSweep(before.Submit(testCells(t, 1), "", "")) // sweep X: cell 0
+	stale := before.Lease("w", 1)
+
+	clock.Advance(time.Minute)
+	after := NewDispatcher(cfg)
+	cellY := testCell(7)
+	cellY.Index = 0
+	drainSweep(after.Submit([]hotpotato.SweepCell{cellY}, "", "")) // sweep Y: another spec at index 0
+	fresh := after.Lease("w", 1)
+	if stale.ID == fresh.ID {
+		t.Fatalf("lease ID %s repeats across the restart", fresh.ID)
+	}
+
+	staleRec := okRecord(0) // X's cell 0, hash and all
+	if n, ok := after.Results(stale.ID, []hotpotato.SweepResultRecord{staleRec}); ok || n != 0 {
+		t.Errorf("stale lease accepted=%d ok=%v, want rejected", n, ok)
+	}
+	if n, ok := after.Results(fresh.ID, []hotpotato.SweepResultRecord{staleRec}); !ok || n != 0 {
+		t.Errorf("foreign-hash record accepted=%d ok=%v, want 0 accepted on a live lease", n, ok)
+	}
+	hashY, err := hotpotato.SpecHash(cellY.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := archive.Get(hashY); ok {
+		t.Fatalf("archive holds %+v under Y's hash", rec)
+	}
+	good := staleRec
+	good.Hash = hashY
+	if n, ok := after.Results(fresh.ID, []hotpotato.SweepResultRecord{good}); !ok || n != 1 {
+		t.Fatalf("matching record accepted=%d ok=%v", n, ok)
+	}
+	if _, ok := archive.Get(hashY); !ok {
+		t.Error("matching record not archived")
+	}
+}
+
+// TestSubmitIDsListNewestFirst: more than ten sweeps minted by Submit, some
+// before a restart and some after, list newest first in the archive.
+func TestSubmitIDsListNewestFirst(t *testing.T) {
+	clock := &fakeClock{now: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
+	archive, err := NewArchive(t.TempDir(), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, n := range []int{11, 3} { // a restart between the two batches
+		d := NewDispatcher(Config{LeaseTTL: 10 * time.Second, Clock: clock, Archive: archive})
+		for range n {
+			sw := d.Submit(nil, "", "") // no cells: the sweep closes at once
+			ids = append(ids, sw.ID)
+			clock.Advance(time.Millisecond)
+		}
+	}
+	got := archive.RecentManifests(3)
+	want := []string{ids[13], ids[12], ids[11]}
+	if len(got) != 3 || got[0].SweepID != want[0] || got[1].SweepID != want[1] || got[2].SweepID != want[2] {
+		t.Fatalf("RecentManifests(3) = %v, want %v", got, want)
+	}
+	all := archive.RecentManifests(len(ids))
+	for i, m := range all {
+		if m.SweepID != ids[len(ids)-1-i] {
+			t.Fatalf("manifest %d is %s, want %s", i, m.SweepID, ids[len(ids)-1-i])
+		}
 	}
 }

@@ -9,9 +9,11 @@
 //
 //	pending → leased → done | failed
 //
-// Workers register, then loop: lease a small batch of cells, execute each
-// through their own serving stack (result cache included), stream
-// SweepResultRecords back as cells finish, and heartbeat while they work.
+// Workers loop: lease a small batch of cells, execute each through their
+// own serving stack (result cache included), stream SweepResultRecords back
+// as cells finish, and heartbeat while they work. Leasing is how a worker
+// joins the dispatcher's roster; the lease reaper drops a worker that holds
+// no lease and has been silent for a lease TTL.
 // Leases carry deadlines — a worker that dies or stops heartbeating has its
 // booked cells re-queued at the front of the queue (bounded retries, then the
 // cell is reported "failed"), so a kill -9 mid-sweep costs one lease TTL, not

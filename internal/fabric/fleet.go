@@ -103,43 +103,47 @@ func fleetGauge(name string) *obs.Gauge {
 }
 
 // FoldTelemetry folds one worker's heartbeat telemetry into the fleet
-// aggregates: counter deltas add to fleet counters; gauge values replace the
-// worker's previous contribution and the fleet gauge becomes the sum across
-// this dispatcher's workers. Negative counter deltas are dropped (a counter
+// aggregates and refreshes the worker's liveness. Counter deltas add to
+// fleet counters from any worker, listed or not: they keep no per-worker
+// state, so the fold is restart-safe and a worker's final flush after its
+// lease ended still counts. Negative counter deltas are dropped (a counter
 // that went backwards is a worker bug, not a fleet signal), and a counter
-// saturates at math.MaxInt64 instead of wrapping negative.
+// saturates at math.MaxInt64 instead of wrapping negative. Gauge values fold
+// only for a worker on the roster: they replace its previous contribution,
+// and each fleet gauge becomes the sum across this dispatcher's workers.
 func (d *Dispatcher) FoldTelemetry(workerID string, counters map[string]int64, gauges map[string]float64) {
-	if workerID == "" || (len(counters) == 0 && len(gauges) == 0) {
-		return
-	}
 	for name, delta := range counters {
 		if delta > 0 {
 			addFleetCounter(name, delta)
 		}
 	}
-	if len(gauges) == 0 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	w := d.seeWorkerLocked(workerID, d.clock.Now())
+	if w == nil || len(gauges) == 0 {
 		return
 	}
-	d.mu.Lock()
-	w := d.touchWorkerLocked(workerID)
 	if w.gauges == nil {
 		w.gauges = make(map[string]float64, len(gauges))
 	}
-	sums := make(map[string]float64, len(gauges))
 	for name, v := range gauges {
-		w.gauges[name] = v
-		sums[name] = 0
-	}
-	for _, ws := range d.workers {
-		for name := range sums {
-			sums[name] += ws.gauges[name]
+		// An invalid name or a spent series budget drops the value.
+		if fleetGauge(name) != nil {
+			w.gauges[name] = v
 		}
 	}
-	d.mu.Unlock()
-	for name, sum := range sums {
-		if g := fleetGauge(name); g != nil {
-			g.Set(sum)
+	d.sumFleetGaugesLocked(w.gauges)
+}
+
+// sumFleetGaugesLocked sets the fleet gauge of every name in names to the
+// sum of the listed workers' latest values. Callers hold d.mu.
+func (d *Dispatcher) sumFleetGaugesLocked(names map[string]float64) {
+	for name := range names {
+		sum := 0.0
+		for _, w := range d.workers {
+			sum += w.gauges[name]
 		}
+		fleetGauge(name).Set(sum)
 	}
 }
 

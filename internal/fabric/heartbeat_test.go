@@ -13,7 +13,8 @@ import (
 // FuzzHeartbeat posts arbitrary JSON bodies to POST /fabric/v1/heartbeat
 // while one lease is live: the dispatcher must never panic, must answer
 // ok:false for any lease it does not know (and ok:true for the live one),
-// and no federated fleet counter may ever go down, whatever the deltas say.
+// no federated fleet counter may ever go down, whatever the deltas say, and
+// no heartbeat may add a worker to the roster.
 func FuzzHeartbeat(f *testing.F) {
 	for _, req := range []HeartbeatRequest{
 		{WorkerID: "w1", LeaseID: "LIVE", Done: 1, Counters: map[string]int64{"hb_fuzz_cells_total": 3}},
@@ -48,6 +49,9 @@ func FuzzHeartbeat(f *testing.F) {
 			if v < before[name] {
 				t.Fatalf("fleet counter %q went down: %d → %d", name, before[name], v)
 			}
+		}
+		if roster := d.WorkerStatuses().Workers; len(roster) != 1 {
+			t.Fatalf("heartbeat grew the roster to %+v", roster)
 		}
 		var req HeartbeatRequest
 		if json.Unmarshal(body, &req) != nil {

@@ -21,11 +21,10 @@ import (
 //
 // Worker-facing (the wire.go types):
 //
-//	POST /fabric/v1/register
 //	POST /fabric/v1/lease
 //	POST /fabric/v1/heartbeat
 //	POST /fabric/v1/results
-//	GET  /fabric/v1/workers     registered workers with liveness and health
+//	GET  /fabric/v1/workers     the worker roster: lease holders and recent callers
 //
 // Errors use the v1 envelope (WriteError) shared with the single-node
 // server, so one client error path covers both.
@@ -37,7 +36,6 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/spans", d.handleSweepSpans)
 	mux.HandleFunc("GET /healthz", d.handleHealth)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
-	mux.HandleFunc("POST /fabric/v1/register", d.handleRegister)
 	mux.HandleFunc("POST /fabric/v1/lease", d.handleLease)
 	mux.HandleFunc("POST /fabric/v1/heartbeat", d.handleHeartbeat)
 	mux.HandleFunc("POST /fabric/v1/results", d.handleResults)
@@ -135,15 +133,6 @@ func (d *Dispatcher) handleWorkers(w http.ResponseWriter, r *http.Request) {
 func (d *Dispatcher) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	obs.Default().WritePrometheus(w)
-}
-
-func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, d.Register(req))
 }
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {

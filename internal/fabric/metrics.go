@@ -23,7 +23,7 @@ var (
 	metricArchiveHits = obs.NewCounter("fabric_archive_hits_total",
 		"Cells answered from the result archive without leasing.")
 	metricWorkers = obs.NewGauge("fabric_workers",
-		"Distinct workers that have registered.")
+		"Workers on the roster: holding a lease or heard from within the lease TTL.")
 	metricQueueDepth = obs.NewGauge("fabric_queue_depth",
 		"Pending cells awaiting a lease.")
 	metricDroppedRecords = obs.NewCounter("fabric_dropped_records_total",

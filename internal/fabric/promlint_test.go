@@ -99,8 +99,10 @@ func famName(fams []promFamily, i int) string {
 
 func TestPrometheusExpositionLint(t *testing.T) {
 	// Materialize at least one federated counter and gauge so the lint covers
-	// the lazily created fleet_* series too.
+	// the lazily created fleet_* series too. Gauges fold only for a worker on
+	// the roster, which leasing joins.
 	d := fabric.NewDispatcher(fabric.Config{LeaseTTL: time.Second})
+	d.Lease("lint-worker", 1)
 	d.FoldTelemetry("lint-worker",
 		map[string]int64{"promlint_probe_total": 3},
 		map[string]float64{"promlint_probe_depth": 2})

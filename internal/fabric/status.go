@@ -8,20 +8,10 @@ import (
 
 // status.go is the dispatcher's read-only observability surface: sweep
 // progress (GET /v1/sweeps, /v1/sweeps/{id}), the merged fleet span tree
-// (/v1/sweeps/{id}/spans), and worker liveness (/fabric/v1/workers). All of
+// (/v1/sweeps/{id}/spans), and the worker roster (/fabric/v1/workers). All of
 // it is computed on demand under the dispatcher mutex from state the control
 // plane already maintains — the endpoints add no bookkeeping to the lease
 // hot path beyond integer tallies.
-
-// Worker health states, derived from the reaper's deadlines: a worker whose
-// last call is within one lease TTL is ok (nothing it holds can expire
-// before it is expected back); within three TTLs it is late (its leases have
-// been reaped but it may still return); beyond that it is lost.
-const (
-	WorkerHealthOK   = "ok"
-	WorkerHealthLate = "late"
-	WorkerHealthLost = "lost"
-)
 
 // SweepStatus is one sweep's progress row.
 type SweepStatus struct {
@@ -93,23 +83,19 @@ type SweepSpans struct {
 	Spans []*obs.SpanNode `json:"spans"`
 }
 
-// WorkerStatus is one row of GET /fabric/v1/workers.
+// WorkerStatus is one row of GET /fabric/v1/workers. A worker is listed
+// while it holds a lease or has called within the lease TTL.
 type WorkerStatus struct {
 	// ID is the worker identity.
 	ID string `json:"id"`
-	// Capacity is the per-lease cell count the worker asked for at
-	// registration (0 = dispatcher default).
-	Capacity int `json:"capacity,omitempty"`
 	// ActiveLeases is how many leases the worker currently holds.
 	ActiveLeases int `json:"active_leases"`
 	// CellsDone counts results the worker posted over its lifetime.
 	CellsDone int64 `json:"cells_done"`
-	// CellsPerSec is CellsDone over the worker's registered lifetime.
+	// CellsPerSec is CellsDone over the time since the worker joined.
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
 	// LastSeenAgeMS is how long ago the worker last called in.
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
-	// Health is ok/late/lost — see the WorkerHealth constants.
-	Health string `json:"health"`
 }
 
 // WorkerList is the GET /fabric/v1/workers body.
@@ -257,7 +243,7 @@ func (d *Dispatcher) SweepSpans(id string) (SweepSpans, bool) {
 	}, true
 }
 
-// WorkerStatuses returns every known worker's liveness row, sorted by ID.
+// WorkerStatuses returns the roster's rows, sorted by ID.
 func (d *Dispatcher) WorkerStatuses() WorkerList {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -268,23 +254,13 @@ func (d *Dispatcher) WorkerStatuses() WorkerList {
 		leases[l.workerID]++
 	}
 	for _, w := range d.workers {
-		age := now.Sub(w.lastSeen)
-		health := WorkerHealthOK
-		switch {
-		case age > 3*d.cfg.LeaseTTL:
-			health = WorkerHealthLost
-		case age > d.cfg.LeaseTTL:
-			health = WorkerHealthLate
-		}
 		row := WorkerStatus{
 			ID:            w.id,
-			Capacity:      w.capacity,
 			ActiveLeases:  leases[w.id],
 			CellsDone:     w.cellsDone,
-			LastSeenAgeMS: age.Milliseconds(),
-			Health:        health,
+			LastSeenAgeMS: now.Sub(w.lastSeen).Milliseconds(),
 		}
-		if lifetime := now.Sub(w.registered); lifetime > 0 && w.cellsDone > 0 {
+		if lifetime := now.Sub(w.joined); lifetime > 0 && w.cellsDone > 0 {
 			row.CellsPerSec = float64(w.cellsDone) / lifetime.Seconds()
 		}
 		list.Workers = append(list.Workers, row)

@@ -1,7 +1,12 @@
 package fabric
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,46 +211,86 @@ func TestSweepSpansDisabled(t *testing.T) {
 	}
 }
 
-func TestWorkerStatusesHealth(t *testing.T) {
+// TestWorkerRosterJoinAndDrop: leasing is the only way onto the roster and
+// the reaper the only way off it. A worker that keeps polling or holds a
+// heartbeated lease stays listed; a silent worker without a lease is gone
+// after the next ExpireLeases, its gauges out of the fleet sums; heartbeats
+// for unknown leases never add a worker.
+func TestWorkerRosterJoinAndDrop(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	d := newTestDispatcher(clock, 3) // TTL 10s
-	d.Register(RegisterRequest{ID: "fresh", Capacity: 2})
-	d.Register(RegisterRequest{ID: "lagging"})
-	d.Register(RegisterRequest{ID: "gone"})
-
-	// Age the workers differentially by touching them at different times.
-	clock.Advance(31 * time.Second) // > 3×TTL for "gone" and "lagging"
-	d.Lease("fresh", 1)             // refreshes lastSeen even with no work
-
-	list := d.WorkerStatuses()
-	if len(list.Workers) != 3 {
-		t.Fatalf("%d workers, want 3", len(list.Workers))
+	const gauge = "roster_test_queue_depth"
+	fleetSum := func() float64 {
+		fleetMu.Lock()
+		defer fleetMu.Unlock()
+		return fleetGauges[gauge].Value()
 	}
-	byID := map[string]WorkerStatus{}
-	for _, w := range list.Workers {
-		byID[w.ID] = w
-	}
-	if byID["fresh"].Health != WorkerHealthOK {
-		t.Errorf("fresh health %s", byID["fresh"].Health)
-	}
-	if byID["gone"].Health != WorkerHealthLost {
-		t.Errorf("gone health %s", byID["gone"].Health)
-	}
-	if byID["fresh"].Capacity != 2 {
-		t.Errorf("fresh capacity %d", byID["fresh"].Capacity)
-	}
-	// Sorted by ID for stable output.
-	if list.Workers[0].ID != "fresh" || list.Workers[2].ID != "lagging" {
-		t.Errorf("order %v", []string{list.Workers[0].ID, list.Workers[1].ID, list.Workers[2].ID})
+	roster := func() []string {
+		var ids []string
+		for _, w := range d.WorkerStatuses().Workers {
+			ids = append(ids, w.ID)
+		}
+		return ids
 	}
 
-	// The late band: between one and three TTLs.
-	clock2 := &fakeClock{now: time.Unix(2000, 0)}
-	d2 := newTestDispatcher(clock2, 3)
-	d2.Register(RegisterRequest{ID: "w"})
-	clock2.Advance(15 * time.Second)
-	if got := d2.WorkerStatuses().Workers[0].Health; got != WorkerHealthLate {
-		t.Errorf("health %s, want late at 1.5×TTL", got)
+	for _, id := range []string{"silent", "idle"} {
+		if g := d.Lease(id, 1); g != nil {
+			t.Fatalf("%s leased %+v from an empty queue", id, g)
+		}
+	}
+	d.FoldTelemetry("silent", nil, map[string]float64{gauge: 3})
+	d.FoldTelemetry("idle", nil, map[string]float64{gauge: 4})
+	drainSweep(d.Submit(testCells(t, 1), "", ""))
+	grant := d.Lease("busy", 1)
+	if grant == nil {
+		t.Fatal("no lease for the pending cell")
+	}
+	if got := fleetSum(); got != 7 {
+		t.Fatalf("fleet gauge %g, want 7 (3+4)", got)
+	}
+
+	workers := metricWorkers.Value()
+	for round := 0; round < 3; round++ {
+		clock.Advance(8 * time.Second) // inside the TTL each time
+		d.Lease("idle", 1)
+		if ok, _ := d.Heartbeat(grant.ID); !ok {
+			t.Fatalf("round %d: live lease rejected its heartbeat", round)
+		}
+		d.ExpireLeases(clock.Now())
+		want := "[busy idle]"
+		if round == 0 {
+			want = "[busy idle silent]" // 8s of silence is inside the TTL
+		}
+		if got := fmt.Sprint(roster()); got != want {
+			t.Fatalf("round %d: roster %s, want %s", round, got, want)
+		}
+	}
+	if got := fleetSum(); got != 4 {
+		t.Errorf("fleet gauge %g after the drop, want 4 (idle's only)", got)
+	}
+	if got := metricWorkers.Value() - workers; got != -1 {
+		t.Errorf("fabric_workers moved by %g, want -1", got)
+	}
+
+	workers = metricWorkers.Value()
+	h := d.Handler()
+	for i := range 1000 {
+		body := fmt.Sprintf(`{"worker_id":"stranger-%d","lease_id":"none","gauges":{%q:1}}`, i, gauge)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/fabric/v1/heartbeat", strings.NewReader(body)))
+		var resp HeartbeatResponse
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil || resp.OK {
+			t.Fatalf("unknown-lease heartbeat answered %d %s", w.Code, w.Body)
+		}
+	}
+	if got := fmt.Sprint(roster()); got != "[busy idle]" {
+		t.Errorf("roster %s after unknown-lease heartbeats, want [busy idle]", got)
+	}
+	if got := metricWorkers.Value(); got != workers {
+		t.Errorf("fabric_workers %g after unknown-lease heartbeats, want %g", got, workers)
+	}
+	if got := fleetSum(); got != 4 {
+		t.Errorf("fleet gauge %g after unknown-lease heartbeats, want 4", got)
 	}
 }
 
@@ -262,7 +307,9 @@ func TestFoldTelemetry(t *testing.T) {
 		t.Errorf("federated counter delta %d, want 12", got)
 	}
 
-	// Gauges: sum of each worker's latest value.
+	// Gauges: sum of each listed worker's latest value.
+	d.Lease("w1", 1)
+	d.Lease("w2", 1)
 	d.FoldTelemetry("w1", nil, map[string]float64{"status_test_queue_depth": 3})
 	d.FoldTelemetry("w2", nil, map[string]float64{"status_test_queue_depth": 4})
 	d.FoldTelemetry("w1", nil, map[string]float64{"status_test_queue_depth": 1}) // replaces w1's 3

@@ -10,36 +10,10 @@ import (
 // client-facing POST /v1/batch speaks the hotpotato.Sweep* record types
 // unchanged — these types exist only between dispatcher and workers.
 
-// RegisterRequest announces a worker to the dispatcher. ID may be empty, in
-// which case the dispatcher assigns one.
-type RegisterRequest struct {
-	// ID is the worker's self-chosen identity (e.g. host:port); empty asks
-	// the dispatcher to generate one.
-	ID string `json:"id,omitempty"`
-	// Capacity is how many cells the worker wants per lease; 0 lets the
-	// dispatcher choose. The dispatcher may grant fewer, never more than its
-	// own per-lease cap.
-	Capacity int `json:"capacity,omitempty"`
-}
-
-// RegisterResponse tells the worker its identity and the cadence contract:
-// heartbeat at least every HeartbeatMS or the lease expires LeaseTTLMS after
-// its last extension.
-type RegisterResponse struct {
-	// ID is the worker identity to present on every later call.
-	ID string `json:"id"`
-	// LeaseTTLMS is the lease deadline extension granted by each heartbeat
-	// (and the initial deadline of a fresh lease), in milliseconds.
-	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// HeartbeatMS is the cadence the dispatcher expects heartbeats at —
-	// comfortably inside the TTL so one dropped packet does not expire a
-	// healthy worker's lease.
-	HeartbeatMS int64 `json:"heartbeat_ms"`
-}
-
 // LeaseRequest asks for a batch of cells to execute.
 type LeaseRequest struct {
-	// WorkerID is the identity from RegisterResponse.
+	// WorkerID is the worker's self-chosen identity; leasing puts it on the
+	// dispatcher's roster.
 	WorkerID string `json:"worker_id"`
 	// MaxCells bounds the grant; 0 means the dispatcher's per-lease default.
 	MaxCells int `json:"max_cells,omitempty"`
@@ -62,8 +36,7 @@ type LeaseGrant struct {
 	// Cells are the booked cells, each a complete RunSpec plus its index in
 	// the sweep's expansion order.
 	Cells []hotpotato.SweepCell `json:"cells"`
-	// TTLMS echoes the lease TTL so a worker needs no registration state to
-	// compute a safe heartbeat cadence.
+	// TTLMS is the lease TTL; the worker heartbeats at a third of it.
 	TTLMS int64 `json:"ttl_ms"`
 	// TraceParent is the sweep's trace context in W3C traceparent form
 	// (obs.ParseTraceParent): the trace ID every span of the sweep shares,
@@ -147,9 +120,10 @@ type CellSpans struct {
 
 // ResultsResponse acknowledges a results post.
 type ResultsResponse struct {
-	// Accepted is how many records the dispatcher consumed. Records for
-	// already-finished cells (a re-leased cell completing twice) are counted
-	// here too — first result wins, duplicates are dropped silently.
+	// Accepted is how many records the dispatcher consumed: only records
+	// for cells the lease still holds, each carrying its booked cell's hash.
+	// Records for already-finished cells (a re-leased cell completing twice)
+	// are not counted — first result wins, duplicates are dropped silently.
 	Accepted int `json:"accepted"`
 	// OK mirrors HeartbeatResponse.OK: false means the lease is unknown and
 	// the worker should abandon its remaining cells.

@@ -3,10 +3,13 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"os"
 	"time"
 
 	hotpotato "repro"
@@ -26,15 +29,16 @@ type RunCell func(ctx context.Context, cell hotpotato.SweepCell) (*hotpotato.Res
 const DefaultCellSpanDepth = 128
 
 // Worker is the pull loop a hotpotato-server runs when given a dispatcher:
-// register, then lease → execute → post results → heartbeat, forever. It
-// never applies local policy (like the worker's own -solver default) to
-// fabric cells — the dispatcher already finalized every spec, and a worker
-// that rewrote them would break the fleet-wide hash agreement.
+// lease → execute → post results → heartbeat, forever. Its first lease puts
+// it on the dispatcher's roster. It never applies local policy (like the
+// worker's own -solver default) to fabric cells — the dispatcher already
+// finalized every spec, and a worker that rewrote them would break the
+// fleet-wide hash agreement.
 type Worker struct {
 	// Dispatcher is the dispatcher's base URL (e.g. http://host:8080).
 	Dispatcher string
-	// ID is the worker identity offered at registration; empty lets the
-	// dispatcher assign one.
+	// ID is the worker's identity on the dispatcher's roster; empty means
+	// the hostname plus a random suffix.
 	ID string
 	// LeaseCells is the per-lease cell ask; 0 accepts the dispatcher default.
 	LeaseCells int
@@ -58,8 +62,8 @@ type Worker struct {
 	lastCounters map[string]int64
 }
 
-// Run registers and pulls work until ctx is done. Transient dispatcher
-// errors back off and retry: a worker outlives dispatcher restarts.
+// Run pulls work until ctx is done. Transient dispatcher errors back off and
+// retry: a worker outlives dispatcher restarts.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Exec == nil {
 		return fmt.Errorf("fabric: Worker.Exec is required")
@@ -77,25 +81,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	// workers (tests) must not re-report the process counters per worker.
 	w.lastCounters, _ = obs.Default().Values()
 
-	var reg RegisterResponse
-	for {
-		var err error
-		reg, err = w.register(ctx)
-		if err == nil {
-			break
-		}
-		w.Logger.Warn("fabric register failed, retrying", "error", err.Error())
-		if !sleepCtx(ctx, w.IdlePoll) {
-			return ctx.Err()
-		}
+	if w.ID == "" {
+		w.ID = mintWorkerID()
 	}
-	w.ID = reg.ID
-	heartbeatEvery := time.Duration(reg.HeartbeatMS) * time.Millisecond
-	if heartbeatEvery <= 0 {
-		heartbeatEvery = 5 * time.Second
-	}
-	w.Logger.Info("fabric worker running",
-		"worker", w.ID, "dispatcher", w.Dispatcher, "heartbeat", heartbeatEvery.String())
+	w.Logger.Info("fabric worker running", "worker", w.ID, "dispatcher", w.Dispatcher)
 
 	for ctx.Err() == nil {
 		grant, err := w.lease(ctx)
@@ -108,9 +97,33 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleepCtx(ctx, w.IdlePoll)
 			continue
 		}
-		w.executeLease(ctx, grant, heartbeatEvery)
+		w.executeLease(ctx, grant)
 	}
 	return ctx.Err()
+}
+
+// mintWorkerID names a worker that was given no ID: the hostname plus a
+// random suffix, so two such workers on one host stay distinct.
+func mintWorkerID() string {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "worker"
+	}
+	var suffix [4]byte
+	// rand.Read fails only when the OS entropy source does; the zero suffix
+	// then still names the host.
+	_, _ = rand.Read(suffix[:])
+	return fmt.Sprintf("%s-%x", host, suffix)
+}
+
+// heartbeatEvery is the heartbeat cadence for a lease of ttlMS: a third of
+// the TTL tolerates two consecutive lost heartbeats. A grant without a
+// usable TTL gets a third of DefaultLeaseTTL.
+func heartbeatEvery(ttlMS int64) time.Duration {
+	if ttlMS <= 0 || ttlMS > int64(math.MaxInt64/time.Millisecond) {
+		return DefaultLeaseTTL / 3
+	}
+	return time.Duration(ttlMS) * time.Millisecond / 3
 }
 
 // executeLease runs one granted lease: cells sequentially (the worker's own
@@ -118,7 +131,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // parallelism comes from many workers, not many goroutines per lease), each
 // result posted as it finishes, with a heartbeat goroutine keeping the lease
 // alive. A heartbeat or results response with OK=false abandons the rest.
-func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, heartbeatEvery time.Duration) {
+func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant) {
 	w.Logger.Info("fabric lease accepted",
 		"lease", grant.ID, "sweep", grant.SweepID, "cells", len(grant.Cells))
 
@@ -132,7 +145,7 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, heartbeatE
 	hbStopped := make(chan struct{})
 	go func() {
 		defer close(hbStopped)
-		tick := time.NewTicker(heartbeatEvery)
+		tick := time.NewTicker(heartbeatEvery(grant.TTLMS))
 		defer tick.Stop()
 		for {
 			select {
@@ -251,12 +264,6 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, heartbeatE
 	}
 }
 
-func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
-	var resp RegisterResponse
-	err := w.post(ctx, "/fabric/v1/register", RegisterRequest{ID: w.ID, Capacity: w.LeaseCells}, &resp)
-	return resp, err
-}
-
 func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
 	var resp LeaseResponse
 	err := w.post(ctx, "/fabric/v1/lease", LeaseRequest{WorkerID: w.ID, MaxCells: w.LeaseCells}, &resp)
@@ -326,14 +333,12 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// sleepCtx sleeps d or until ctx is done; it reports whether ctx survived.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// sleepCtx sleeps d or until ctx is done.
+func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		return false
 	case <-t.C:
-		return true
 	}
 }
