@@ -6,7 +6,7 @@ GO ?= go
 # smoke run, a committed baseline should use the default statistical run.
 BENCHTIME ?= 1s
 
-.PHONY: all build test test-short race bench bench-compare bench-all experiments vet fmt cover serve probe-align
+.PHONY: all build test test-short race bench bench-all experiments vet fmt cover serve probe-align
 
 all: build test
 
@@ -48,17 +48,6 @@ bench:
 	$(GO) test -p 1 -run '^$$' -bench '^BenchmarkHotloop' -benchmem -benchtime $(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotloop.json
 	@echo "wrote BENCH_hotloop.json"
-
-# Re-run the hot-loop suite and diff it against the committed baseline;
-# fails when any shared benchmark's ns/op regressed more than 10%
-# (benchjson -compare). The fresh run is left in /tmp, the committed
-# BENCH_hotloop.json is untouched. Run with the default statistical
-# BENCHTIME on the same class of machine as the baseline: a BENCHTIME=1x
-# smoke run is warm-up-dominated and will report phantom regressions.
-bench-compare:
-	$(GO) test -p 1 -run '^$$' -bench '^BenchmarkHotloop' -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./cmd/benchjson -out /tmp/bench_hotloop_new.json
-	$(GO) run ./cmd/benchjson -compare BENCH_hotloop.json /tmp/bench_hotloop_new.json
 
 # One testing.B benchmark per paper table/figure.
 bench-all:

@@ -8,14 +8,6 @@
 // extras). Context lines (goos/goarch/cpu/pkg) annotate the records that
 // follow them. The raw input is echoed to stderr so the conversion does not
 // swallow the benchmark log.
-//
-// With -compare it instead diffs two previously converted files:
-//
-//	benchjson -compare BENCH_hotloop.json new.json
-//
-// printing a benchstat-style delta table of ns/op and allocs/op per shared
-// benchmark, and exiting non-zero when any benchmark's ns/op regressed by
-// more than 10% — the CI tripwire for accidental hot-loop slowdowns.
 package main
 
 import (
@@ -23,11 +15,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -50,25 +40,7 @@ type File struct {
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "compare two benchjson files: benchjson -compare old.json new.json")
-	threshold := flag.Float64("threshold", 10, "with -compare: fail when ns/op regresses by more than this percentage")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two file arguments: old.json new.json")
-			os.Exit(2)
-		}
-		regressed, err := compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed {
-			os.Exit(1)
-		}
-		return
-	}
 
 	doc, err := parse(bufio.NewScanner(os.Stdin), os.Stderr)
 	if err != nil {
@@ -173,105 +145,4 @@ func parseBenchLine(line string) (Benchmark, bool) {
 		return Benchmark{}, false
 	}
 	return b, true
-}
-
-// benchKey identifies a benchmark across files: two records compare only when
-// package, name and GOMAXPROCS tag all match.
-func benchKey(b Benchmark) string {
-	return fmt.Sprintf("%s.%s-%d", b.Package, b.Name, b.Procs)
-}
-
-func loadFile(path string) (*File, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	doc := &File{}
-	if err := json.Unmarshal(raw, doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(doc.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
-	}
-	return doc, nil
-}
-
-// delta formats a percentage change, using benchstat's "~" for a 0→0 pair
-// (no change computable, none happened) and "+inf" for 0→x.
-func delta(old, new float64) string {
-	if old == 0 {
-		if new == 0 {
-			return "~"
-		}
-		return "+inf"
-	}
-	return fmt.Sprintf("%+.2f%%", (new-old)/old*100)
-}
-
-// compareFiles prints a per-benchmark delta table of ns/op and allocs/op for
-// the benchmarks present in both files and reports whether any ns/op
-// regression exceeded threshold percent. Benchmarks present in only one file
-// are listed but never counted as regressions — a renamed benchmark should
-// not fail CI, a slower one should.
-func compareFiles(w io.Writer, oldPath, newPath string, threshold float64) (regressed bool, err error) {
-	oldDoc, err := loadFile(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newDoc, err := loadFile(newPath)
-	if err != nil {
-		return false, err
-	}
-
-	oldBy := make(map[string]Benchmark, len(oldDoc.Benchmarks))
-	for _, b := range oldDoc.Benchmarks {
-		oldBy[benchKey(b)] = b
-	}
-
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs/op\tnew allocs/op\tdelta\t\n")
-	matched := 0
-	var worst struct {
-		key string
-		pct float64
-		ok  bool
-	}
-	for _, nb := range newDoc.Benchmarks {
-		key := benchKey(nb)
-		ob, ok := oldBy[key]
-		if !ok {
-			fmt.Fprintf(tw, "%s\t-\t%.1f\tnew\t-\t%.0f\tnew\t\n",
-				nb.Name, nb.Metrics["ns/op"], nb.Metrics["allocs/op"])
-			continue
-		}
-		delete(oldBy, key)
-		matched++
-		oldNs, newNs := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%s\t%.0f\t%.0f\t%s\t\n",
-			nb.Name, oldNs, newNs, delta(oldNs, newNs),
-			ob.Metrics["allocs/op"], nb.Metrics["allocs/op"],
-			delta(ob.Metrics["allocs/op"], nb.Metrics["allocs/op"]))
-		if oldNs > 0 {
-			pct := (newNs - oldNs) / oldNs * 100
-			if !worst.ok || pct > worst.pct {
-				worst.key, worst.pct, worst.ok = nb.Name, pct, true
-			}
-		}
-	}
-	for _, ob := range oldBy {
-		fmt.Fprintf(tw, "%s\t%.1f\t-\tgone\t%.0f\t-\tgone\t\n",
-			ob.Name, ob.Metrics["ns/op"], ob.Metrics["allocs/op"])
-	}
-	if err := tw.Flush(); err != nil {
-		return false, err
-	}
-	if matched == 0 {
-		return false, fmt.Errorf("no benchmarks in common between %s and %s", oldPath, newPath)
-	}
-	if worst.ok && worst.pct > threshold {
-		fmt.Fprintf(w, "\nFAIL: %s ns/op regressed %.2f%% (threshold %.0f%%)\n", worst.key, worst.pct, threshold)
-		return true, nil
-	}
-	fmt.Fprintf(w, "\nok: %d benchmarks compared, worst ns/op delta %+.2f%% (threshold %.0f%%)\n", matched, worst.pct, threshold)
-	return false, nil
 }

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -187,112 +185,4 @@ func parseFixture(t *testing.T, path string) *File {
 		t.Fatal(err)
 	}
 	return doc
-}
-
-// writeBenchFile marshals a File into a temp file and returns its path.
-func writeBenchFile(t *testing.T, doc File) string {
-	t.Helper()
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func benchDoc(metrics ...Benchmark) File {
-	return File{GOOS: "linux", GOARCH: "amd64", Benchmarks: metrics}
-}
-
-func TestCompareFiles(t *testing.T) {
-	oldDoc := benchDoc(
-		Benchmark{Package: "repro/internal/thermal", Name: "HotloopStepTo", Procs: 8,
-			Iterations: 1000, Metrics: map[string]float64{"ns/op": 50000, "allocs/op": 0}},
-		Benchmark{Package: "repro/internal/sim", Name: "HotloopEpoch", Procs: 8,
-			Iterations: 1000, Metrics: map[string]float64{"ns/op": 100000, "allocs/op": 2}},
-		Benchmark{Package: "repro", Name: "Removed", Procs: 8,
-			Iterations: 10, Metrics: map[string]float64{"ns/op": 7, "allocs/op": 1}},
-	)
-
-	t.Run("within_threshold", func(t *testing.T) {
-		newDoc := benchDoc(
-			Benchmark{Package: "repro/internal/thermal", Name: "HotloopStepTo", Procs: 8,
-				Iterations: 1000, Metrics: map[string]float64{"ns/op": 52000, "allocs/op": 0}},
-			Benchmark{Package: "repro/internal/sim", Name: "HotloopEpoch", Procs: 8,
-				Iterations: 1000, Metrics: map[string]float64{"ns/op": 95000, "allocs/op": 2}},
-			Benchmark{Package: "repro", Name: "Added", Procs: 8,
-				Iterations: 10, Metrics: map[string]float64{"ns/op": 9, "allocs/op": 0}},
-		)
-		var buf strings.Builder
-		regressed, err := compareFiles(&buf, writeBenchFile(t, oldDoc), writeBenchFile(t, newDoc), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if regressed {
-			t.Errorf("+4%% flagged as regression:\n%s", buf.String())
-		}
-		out := buf.String()
-		for _, want := range []string{"HotloopStepTo", "+4.00%", "HotloopEpoch", "-5.00%", "new", "gone", "ok: 2 benchmarks compared"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
-	})
-
-	t.Run("regression_fails", func(t *testing.T) {
-		newDoc := benchDoc(
-			Benchmark{Package: "repro/internal/thermal", Name: "HotloopStepTo", Procs: 8,
-				Iterations: 1000, Metrics: map[string]float64{"ns/op": 60000, "allocs/op": 3}},
-		)
-		var buf strings.Builder
-		regressed, err := compareFiles(&buf, writeBenchFile(t, oldDoc), writeBenchFile(t, newDoc), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !regressed {
-			t.Errorf("+20%% not flagged as regression:\n%s", buf.String())
-		}
-		if !strings.Contains(buf.String(), "FAIL: HotloopStepTo ns/op regressed 20.00%") {
-			t.Errorf("missing FAIL line:\n%s", buf.String())
-		}
-	})
-
-	t.Run("no_overlap_is_error", func(t *testing.T) {
-		newDoc := benchDoc(
-			Benchmark{Package: "other", Name: "Unrelated", Procs: 8,
-				Iterations: 1, Metrics: map[string]float64{"ns/op": 1}},
-		)
-		var buf strings.Builder
-		if _, err := compareFiles(&buf, writeBenchFile(t, oldDoc), writeBenchFile(t, newDoc), 10); err == nil {
-			t.Error("disjoint benchmark sets should be an error, got nil")
-		}
-	})
-
-	t.Run("missing_file_is_error", func(t *testing.T) {
-		var buf strings.Builder
-		if _, err := compareFiles(&buf, "/nonexistent.json", writeBenchFile(t, oldDoc), 10); err == nil {
-			t.Error("missing old file should be an error, got nil")
-		}
-	})
-}
-
-func TestDelta(t *testing.T) {
-	cases := []struct {
-		old, new float64
-		want     string
-	}{
-		{0, 0, "~"},
-		{0, 5, "+inf"},
-		{100, 110, "+10.00%"},
-		{100, 90, "-10.00%"},
-		{100, 100, "+0.00%"},
-	}
-	for _, tc := range cases {
-		if got := delta(tc.old, tc.new); got != tc.want {
-			t.Errorf("delta(%v, %v) = %q, want %q", tc.old, tc.new, got, tc.want)
-		}
-	}
 }

@@ -39,16 +39,23 @@ func main() {
 	maxRetries := flag.Int("max-retries", 0, "re-leases per cell after lease expiries before it is reported failed (0 = 3, negative = none)")
 	leaseCells := flag.Int("lease-cells", 0, "max sweep cells booked per lease (0 = 4)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = library max 65536)")
-	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s, negative = disable)")
+	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s)")
 	solver := flag.String("solver", "", "default thermal solver for cells that leave platform.thermal.solver empty: auto|dense|sparse")
 	archiveDir := flag.String("archive", "", "directory for the SpecHash-keyed result archive and per-sweep manifests (empty = archiving disabled)")
-	sweepSpanDepth := flag.Int("sweep-span-depth", 0, "spans retained per sweep for /v1/sweeps/{id}/spans, worker-exported spans included (0 = 8192, negative = disable)")
+	sweepSpanDepth := flag.Int("sweep-span-depth", 0, "spans retained per sweep for /v1/sweeps/{id}/spans, worker-exported spans included (0 = 8192)")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "json", "log format: json|text")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	readHeader := flag.Duration("read-header-timeout", 5*time.Second, "limit on reading request headers (slowloris guard)")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
 	flag.Parse()
+	// Both are bounds whose 0 selects the default. A negative value is
+	// rejected, not read as "off": progress records and the sweep span tree
+	// are always on.
+	if *batchHeartbeat < 0 || *sweepSpanDepth < 0 {
+		fmt.Fprintln(os.Stderr, "-batch-heartbeat and -sweep-span-depth must not be negative (0 selects the default)")
+		os.Exit(2)
+	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {

@@ -39,14 +39,14 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "async job queue depth (0 = 64)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before in-flight runs are cancelled")
-	retention := flag.Duration("job-retention", 0, "how long finished async jobs stay queryable (0 = 10m, negative = keep forever)")
-	traceDepth := flag.Int("trace-depth", 0, "scheduler epochs retained per async job for /v1/jobs/{id}/trace (0 = 4096, negative = disable)")
-	spanDepth := flag.Int("span-depth", 0, "spans retained per async job for /v1/jobs/{id}/spans (0 = 8192, negative = disable)")
+	retention := flag.Duration("job-retention", 0, "how long finished async jobs stay queryable (0 = 10m)")
+	traceDepth := flag.Int("trace-depth", 0, "scheduler epochs retained per async job for /v1/jobs/{id}/trace (0 = 4096)")
+	spanDepth := flag.Int("span-depth", 0, "spans retained per async job for /v1/jobs/{id}/spans (0 = 8192)")
 	solver := flag.String("solver", "", "default thermal solver for specs that leave platform.thermal.solver empty: auto|dense|sparse")
 	twinModel := flag.String("twin-model", "", "analytical-twin calibration artifact (TWIN_model.json) backing POST /v1/predict; empty disables it")
-	resultCache := flag.Int("result-cache-entries", 0, "content-addressed result cache capacity in entries (0 = 256, negative = disable)")
+	resultCache := flag.Int("result-cache-entries", 0, "content-addressed result cache capacity in entries (0 = 256)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = 1024)")
-	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s, negative = disable)")
+	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s)")
 	dispatcher := flag.String("dispatcher", "", "fabric dispatcher base URL; when set the server also runs a sweep-fabric worker pull loop against it")
 	workerID := flag.String("worker-id", "", "fabric worker identity on the dispatcher's roster (empty = hostname plus a random suffix)")
 	leaseCells := flag.Int("lease-cells", 0, "sweep cells requested per fabric lease (0 = dispatcher default)")
@@ -57,6 +57,24 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "limit on reading a full request including the body")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection limit")
 	flag.Parse()
+	// Each sizing flag is a bound whose 0 selects the default. A negative
+	// value is rejected, not read as "off": every bounded store and
+	// telemetry stream is always on.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"job-retention", int64(*retention)},
+		{"trace-depth", int64(*traceDepth)},
+		{"span-depth", int64(*spanDepth)},
+		{"result-cache-entries", int64(*resultCache)},
+		{"batch-heartbeat", int64(*batchHeartbeat)},
+	} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "-%s must not be negative (0 selects the default)\n", f.name)
+			os.Exit(2)
+		}
+	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {

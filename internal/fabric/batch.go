@@ -61,8 +61,9 @@ func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) ([]hotpotato
 
 // StreamSweep writes one /v1/batch response from the calling goroutine: the
 // header, then every record from records as it arrives, with a "progress"
-// record every heartbeat (≤0 disables them), then — once records closes —
-// the terminal summary, counted with SweepSummary.Observe and returned.
+// record every heartbeat (positive: both servers' configs default it), then
+// — once records closes — the terminal summary, counted with
+// SweepSummary.Observe and returned.
 // Being the only sender is what makes "the summary is the last record" hold
 // by construction; RecordStream's terminal seal is the second line of
 // defense. The producer must close records once every cell is accounted
@@ -72,12 +73,8 @@ func StreamSweep(stream *RecordStream, header hotpotato.SweepStarted, records <-
 	elapsedMS := func() float64 { return float64(time.Since(began).Nanoseconds()) / 1e6 }
 	stream.Send("sweep", header)
 
-	var tick <-chan time.Time
-	if heartbeat > 0 {
-		ticker := time.NewTicker(heartbeat)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	tick := time.NewTicker(heartbeat)
+	defer tick.Stop()
 	summary := hotpotato.SweepSummary{Type: "summary", Total: header.Total}
 	done := 0
 	for {
@@ -91,7 +88,7 @@ func StreamSweep(stream *RecordStream, header hotpotato.SweepStarted, records <-
 			summary.Observe(rec)
 			done++
 			stream.Send("result", rec)
-		case <-tick:
+		case <-tick.C:
 			stream.Send("progress", hotpotato.SweepProgress{
 				Type: "progress", Done: done, Total: header.Total, ElapsedMS: elapsedMS(),
 			})

@@ -56,8 +56,8 @@ type Config struct {
 	// MaxSweepCells is the POST /v1/batch admission limit (0 = the
 	// structural hotpotato.MaxSweepCells; servers typically set much less).
 	MaxSweepCells int
-	// Heartbeat is the client-stream progress cadence (0 = 10s, negative
-	// disables) — the same knob as the single-node server's -batch-heartbeat.
+	// Heartbeat is the client-stream progress cadence (≤ 0 = 10s) — the same
+	// knob as the single-node server's -batch-heartbeat.
 	Heartbeat time.Duration
 	// DefaultSolver fills platform.thermal.solver on cells that leave it
 	// empty, exactly like hotpotato-server's -solver: the dispatcher must
@@ -69,8 +69,7 @@ type Config struct {
 	Archive *Archive
 	// SweepSpanDepth caps the merged span tree retained per sweep — the
 	// dispatcher's own sweep/lease spans plus every worker-exported cell
-	// subtree (0 = obs.DefaultSpanDepth, negative disables span tracking and
-	// the TraceParent on lease grants).
+	// subtree (≤ 0 = obs.DefaultSpanDepth).
 	SweepSpanDepth int
 	// RecentSweeps caps how many finished sweeps stay queryable on the status
 	// surface (0 = DefaultRecentSweeps).
@@ -127,7 +126,7 @@ type sweepState struct {
 
 	// traceID / spans / root are the sweep's merged fleet trace: the
 	// dispatcher's own sweep and lease spans plus every worker-exported cell
-	// subtree, grafted under root. spans is nil when tracking is disabled.
+	// subtree, grafted under root.
 	traceID string
 	spans   *obs.SpanRecorder
 	root    *obs.Span
@@ -154,8 +153,8 @@ type lease struct {
 	// cells indexes the lease's tasks by their sweep cell index.
 	cells    map[int]*cellTask
 	deadline time.Time
-	// span times the lease in the sweep's merged trace (nil when tracking is
-	// disabled); worker-exported cell subtrees graft under it.
+	// span times the lease in the sweep's merged trace; worker-exported cell
+	// subtrees graft under it.
 	span *obs.Span
 }
 
@@ -193,9 +192,8 @@ type Dispatcher struct {
 	queue   []*cellTask // FIFO; expiry re-queues at the front
 	leases  map[string]*lease
 	workers map[string]*workerState
-	// idPrefix and seq mint sweep and lease IDs (nextIDLocked).
-	idPrefix string
-	seq      int64
+	// ids mints sweep and lease IDs.
+	ids IDs
 }
 
 // NewDispatcher builds a dispatcher. Call Run to start the lease reaper (or
@@ -216,11 +214,8 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	if cfg.MaxSweepCells <= 0 || cfg.MaxSweepCells > hotpotato.MaxSweepCells {
 		cfg.MaxSweepCells = hotpotato.MaxSweepCells
 	}
-	if cfg.Heartbeat == 0 {
+	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 10 * time.Second
-	}
-	if cfg.SweepSpanDepth == 0 {
-		cfg.SweepSpanDepth = obs.DefaultSpanDepth
 	}
 	if cfg.RecentSweeps <= 0 {
 		cfg.RecentSweeps = DefaultRecentSweeps
@@ -232,24 +227,38 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		cfg.Logger = obs.NopLogger()
 	}
 	return &Dispatcher{
-		cfg:      cfg,
-		clock:    cfg.Clock,
-		logger:   cfg.Logger,
-		sweeps:   map[string]*sweepState{},
-		leases:   map[string]*lease{},
-		workers:  map[string]*workerState{},
-		idPrefix: cfg.Clock.Now().UTC().Format("20060102T150405.000000000Z"),
+		cfg:     cfg,
+		clock:   cfg.Clock,
+		logger:  cfg.Logger,
+		sweeps:  map[string]*sweepState{},
+		leases:  map[string]*lease{},
+		workers: map[string]*workerState{},
+		ids:     NewIDs(cfg.Clock.Now()),
 	}
 }
 
-// nextIDLocked mints a sweep or lease ID. The dispatcher's start time makes
-// IDs unique across restarts, so a stale worker's lease ID never names a
-// lease of the restarted dispatcher; the fixed widths make the IDs'
-// lexicographic order (the archive's manifest listing) their creation
-// order. Callers hold d.mu.
-func (d *Dispatcher) nextIDLocked(kind string) string {
-	d.seq++
-	return fmt.Sprintf("%s-%s-%010d", kind, d.idPrefix, d.seq)
+// IDs mints the serving stack's record IDs: sweep and lease IDs here, job
+// IDs in hotpotato-server, all <kind>-<start time, UTC,
+// 20060102T150405.000000000Z>-<10-digit sequence>. The process's start time
+// makes IDs unique across restarts, so a stale client's ID never names a
+// record of the restarted process; the fixed widths make the IDs'
+// lexicographic order (the archive's manifest listing, GET /v1/jobs) their
+// creation order. An IDs is not safe for concurrent use: callers hold their
+// own lock.
+type IDs struct {
+	prefix string
+	seq    int64
+}
+
+// NewIDs starts an ID sequence stamped with the process start time.
+func NewIDs(start time.Time) IDs {
+	return IDs{prefix: start.UTC().Format("20060102T150405.000000000Z")}
+}
+
+// Next mints the next ID of kind ("sweep", "lease", "job").
+func (g *IDs) Next(kind string) string {
+	g.seq++
+	return fmt.Sprintf("%s-%s-%010d", kind, g.prefix, g.seq)
 }
 
 // Run drives the lease reaper until ctx is done: every quarter TTL it
@@ -313,7 +322,7 @@ func (d *Dispatcher) Submit(cells []hotpotato.SweepCell, requestID, traceParent 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sw := &sweepState{
-		id:          d.nextIDLocked("sweep"),
+		id:          d.ids.Next("sweep"),
 		requestID:   requestID,
 		total:       len(cells),
 		outstanding: len(cells),
@@ -321,23 +330,21 @@ func (d *Dispatcher) Submit(cells []hotpotato.SweepCell, requestID, traceParent 
 		began:       d.clock.Now(),
 		perWorker:   map[string]*sweepWorkerStats{},
 	}
-	if d.cfg.SweepSpanDepth > 0 {
-		tc, ok := obs.ParseTraceParent(traceParent)
-		if !ok {
-			tc = obs.NewTraceContext()
-		}
-		sw.traceID = tc.TraceID
-		sw.spans = obs.NewSpanRecorder(d.cfg.SweepSpanDepth)
-		sw.root = sw.spans.Start("sweep")
-		sw.root.SetAttr("sweep_id", sw.id)
-		sw.root.SetAttr("trace_id", sw.traceID)
-		sw.root.SetAttr("cells", len(cells))
-		if ok {
-			sw.root.SetAttr("parent_span_id", tc.SpanID)
-		}
-		if requestID != "" {
-			sw.root.SetAttr("request_id", requestID)
-		}
+	tc, ok := obs.ParseTraceParent(traceParent)
+	if !ok {
+		tc = obs.NewTraceContext()
+	}
+	sw.traceID = tc.TraceID
+	sw.spans = obs.NewSpanRecorder(d.cfg.SweepSpanDepth)
+	sw.root = sw.spans.Start("sweep")
+	sw.root.SetAttr("sweep_id", sw.id)
+	sw.root.SetAttr("trace_id", sw.traceID)
+	sw.root.SetAttr("cells", len(cells))
+	if ok {
+		sw.root.SetAttr("parent_span_id", tc.SpanID)
+	}
+	if requestID != "" {
+		sw.root.SetAttr("request_id", requestID)
 	}
 	d.sweeps[sw.id] = sw
 	metricSweeps.Inc()
@@ -425,20 +432,18 @@ func (d *Dispatcher) Lease(workerID string, maxCells int) *LeaseGrant {
 	d.queue = kept
 	metricQueueDepth.Set(float64(len(d.queue)))
 
-	grant.ID = d.nextIDLocked("lease")
+	grant.ID = d.ids.Next("lease")
 	l := &lease{
 		id: grant.ID, workerID: workerID, sweep: sw,
 		cells: tasks, deadline: now.Add(d.cfg.LeaseTTL),
 	}
-	if sw.spans != nil {
-		l.span = sw.root.StartChild("lease")
-		l.span.SetAttr("lease", grant.ID)
-		l.span.SetAttr("worker", workerID)
-		l.span.SetAttr("cells", len(grant.Cells))
-		// Workers parent their per-cell spans under this lease span: same
-		// trace, lease span as parent.
-		grant.TraceParent = obs.TraceContext{TraceID: sw.traceID}.Child(l.span.ID()).Header()
-	}
+	l.span = sw.root.StartChild("lease")
+	l.span.SetAttr("lease", grant.ID)
+	l.span.SetAttr("worker", workerID)
+	l.span.SetAttr("cells", len(grant.Cells))
+	// Workers parent their per-cell spans under this lease span: same trace,
+	// lease span as parent.
+	grant.TraceParent = obs.TraceContext{TraceID: sw.traceID}.Child(l.span.ID()).Header()
 	d.leases[grant.ID] = l
 	metricLeases.Inc()
 	d.logger.Info("fabric lease granted",
@@ -514,22 +519,20 @@ func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 		ws.done += accepted
 		ws.last = now
 	}
-	if sw.spans != nil {
-		for _, cs := range req.Spans {
-			if !acceptedIdx[cs.Index] || len(cs.Spans)+len(cs.Epochs) == 0 {
-				continue
-			}
-			// Stamp authoritative worker attribution on the batch roots (the
-			// lease, not the request body, says who executed the cell).
-			grafted, rejected := sw.spans.Graft(l.span.ID(),
-				map[string]any{"worker": l.workerID}, cs.Spans, cs.Epochs)
-			metricSpansGrafted.Add(int64(grafted))
-			if rejected > 0 {
-				d.logger.Warn("fabric dropped malformed epoch runs", "worker", l.workerID,
-					"cell", cs.Index, "runs", rejected)
-			}
-			sw.spanExportDropped += max(cs.Dropped, 0)
+	for _, cs := range req.Spans {
+		if !acceptedIdx[cs.Index] || len(cs.Spans)+len(cs.Epochs) == 0 {
+			continue
 		}
+		// Stamp authoritative worker attribution on the batch roots (the
+		// lease, not the request body, says who executed the cell).
+		grafted, rejected := sw.spans.Graft(l.span.ID(),
+			map[string]any{"worker": l.workerID}, cs.Spans, cs.Epochs)
+		metricSpansGrafted.Add(int64(grafted))
+		if rejected > 0 {
+			d.logger.Warn("fabric dropped malformed epoch runs", "worker", l.workerID,
+				"cell", cs.Index, "runs", rejected)
+		}
+		sw.spanExportDropped += max(cs.Dropped, 0)
 	}
 	if len(l.cells) == 0 {
 		l.span.End()
@@ -580,11 +583,9 @@ func (d *Dispatcher) ExpireLeases(now time.Time) int {
 			// path, so they go out on the next lease.
 			d.queue = append([]*cellTask{t}, d.queue...)
 		}
-		if l.span != nil {
-			l.span.SetError(fmt.Errorf("lease expired (worker %s stopped heartbeating); %d cells requeued, %d failed",
-				l.workerID, requeued, failed))
-			l.span.End()
-		}
+		l.span.SetError(fmt.Errorf("lease expired (worker %s stopped heartbeating); %d cells requeued, %d failed",
+			l.workerID, requeued, failed))
+		l.span.End()
 		delete(d.leases, id)
 		d.logger.Warn("fabric lease expired",
 			"lease", id, "worker", l.workerID, "requeued", requeued, "failed", failed)

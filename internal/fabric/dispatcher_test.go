@@ -2,11 +2,13 @@ package fabric
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	hotpotato "repro"
+	"repro/internal/obs"
 )
 
 // fakeClock is a settable Clock for lease-expiry tests.
@@ -388,6 +390,47 @@ func TestSubmitIDsListNewestFirst(t *testing.T) {
 	for i, m := range all {
 		if m.SweepID != ids[len(ids)-1-i] {
 			t.Fatalf("manifest %d is %s, want %s", i, m.SweepID, ids[len(ids)-1-i])
+		}
+	}
+}
+
+// TestNewDispatcherBoundsDefaultWhenNotPositive: 0 and -1 both select the
+// positive default of the client stream's progress cadence and of the sweep
+// span tree's depth. A sweep's lease grant carries a traceparent, and its
+// recorder, filled one past the default depth, keeps exactly the default.
+func TestNewDispatcherBoundsDefaultWhenNotPositive(t *testing.T) {
+	for _, tc := range []struct {
+		knob  string
+		cfg   func(n int) Config
+		bound func(t *testing.T, d *Dispatcher) int64
+		want  int64
+	}{
+		{"Heartbeat", func(n int) Config { return Config{Heartbeat: time.Duration(n)} },
+			func(_ *testing.T, d *Dispatcher) int64 { return int64(d.cfg.Heartbeat) },
+			int64(10 * time.Second)},
+		{"SweepSpanDepth", func(n int) Config { return Config{SweepSpanDepth: n} },
+			func(t *testing.T, d *Dispatcher) int64 {
+				sweep := d.Submit(testCells(t, 1), "", "")
+				if g := d.Lease("w", 1); g.TraceParent == "" {
+					t.Error("lease grant carries no traceparent")
+				}
+				spans := sweep.st.spans
+				if spans == nil {
+					t.Fatal("sweep has no span recorder")
+				}
+				for range obs.DefaultSpanDepth - 1 { // the sweep and lease spans hold two slots
+					spans.Start("fill").End()
+				}
+				return int64(spans.Len())
+			},
+			obs.DefaultSpanDepth},
+	} {
+		for _, n := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s=%d", tc.knob, n), func(t *testing.T) {
+				if got := tc.bound(t, NewDispatcher(tc.cfg(n))); got != tc.want {
+					t.Errorf("%s %d: bound %d, want %d", tc.knob, n, got, tc.want)
+				}
+			})
 		}
 	}
 }

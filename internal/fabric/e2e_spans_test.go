@@ -53,7 +53,7 @@ func TestFabricEndToEndSpanMergeAndStatus(t *testing.T) {
 	d := fabric.NewDispatcher(fabric.Config{
 		LeaseTTL:   time.Second,
 		LeaseCells: 1,
-		Heartbeat:  -1,
+		Heartbeat:  time.Hour, // longer than the test: no progress records
 	})
 	reaperCtx, stopReaper := context.WithCancel(context.Background())
 	defer stopReaper()

@@ -39,8 +39,8 @@ const e2eSweepJSON = `{
 func TestFabricEndToEndWorkerDeathParity(t *testing.T) {
 	d := fabric.NewDispatcher(fabric.Config{
 		LeaseTTL:   time.Second,
-		LeaseCells: 1, // one cell per lease spreads the sweep across workers
-		Heartbeat:  -1,
+		LeaseCells: 1,         // one cell per lease spreads the sweep across workers
+		Heartbeat:  time.Hour, // longer than the test: no progress records
 	})
 	reaperCtx, stopReaper := context.WithCancel(context.Background())
 	defer stopReaper()

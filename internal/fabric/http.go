@@ -106,20 +106,16 @@ func (d *Dispatcher) handleSweepSpans(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d.mu.Lock()
 	sw := d.findSweepLocked(id)
-	var spans *obs.SpanRecorder
-	if sw != nil {
-		spans = sw.spans
-	}
 	d.mu.Unlock()
-	if sw == nil || spans == nil {
-		WriteError(w, http.StatusNotFound,
-			fmt.Errorf("no span tree for sweep %q (unknown sweep, or span tracking disabled)", id))
+	if sw == nil {
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no span tree for unknown sweep %q", id))
 		return
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
-		// Flat records, one per line — the CI artifact format.
+		// Flat records, one per line — the CI artifact format. The recorder
+		// is set once at Submit and has its own lock.
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		spans.WriteJSONL(w)
+		sw.spans.WriteJSONL(w)
 		return
 	}
 	tree, _ := d.SweepSpans(id)

@@ -222,11 +222,11 @@ func (d *Dispatcher) SweepStatus(id string) (SweepStatus, bool) {
 }
 
 // SweepSpans returns one sweep's merged fleet span tree; ok is false when
-// the sweep is unknown or span tracking is disabled.
+// the sweep is unknown.
 func (d *Dispatcher) SweepSpans(id string) (SweepSpans, bool) {
 	d.mu.Lock()
 	sw := d.findSweepLocked(id)
-	if sw == nil || sw.spans == nil {
+	if sw == nil {
 		d.mu.Unlock()
 		return SweepSpans{}, false
 	}

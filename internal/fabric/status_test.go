@@ -195,22 +195,6 @@ func TestSweepSpansMergeWorkerExports(t *testing.T) {
 	}
 }
 
-func TestSweepSpansDisabled(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	d := NewDispatcher(Config{LeaseTTL: 10 * time.Second, Clock: clock, SweepSpanDepth: -1})
-	sweep := d.Submit(testCells(t, 1), "", "")
-	drainSweep(sweep)
-	if g := d.Lease("w", 1); g.TraceParent != "" {
-		t.Errorf("span-disabled dispatcher leaked traceparent %q", g.TraceParent)
-	}
-	if _, ok := d.SweepSpans(sweep.ID); ok {
-		t.Error("span-disabled dispatcher served sweep spans")
-	}
-	if st, ok := d.SweepStatus(sweep.ID); !ok || st.TraceID != "" {
-		t.Errorf("span-disabled status ok=%v trace=%q", ok, st.TraceID)
-	}
-}
-
 // TestWorkerRosterJoinAndDrop: leasing is the only way onto the roster and
 // the reaper the only way off it. A worker that keeps polling or holds a
 // heartbeated lease stays listed; a silent worker without a lease is gone

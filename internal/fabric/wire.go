@@ -40,9 +40,9 @@ type LeaseGrant struct {
 	TTLMS int64 `json:"ttl_ms"`
 	// TraceParent is the sweep's trace context in W3C traceparent form
 	// (obs.ParseTraceParent): the trace ID every span of the sweep shares,
-	// with the dispatcher's sweep span as the parent. Workers stamp it on
+	// with the dispatcher's lease span as the parent. Workers stamp it on
 	// their per-cell span roots so the exported records merge into one
-	// fleet-wide tree. Empty when the dispatcher has span tracking disabled.
+	// fleet-wide tree; a worker runs a grant without a valid one untraced.
 	TraceParent string `json:"traceparent,omitempty"`
 }
 

@@ -52,8 +52,8 @@ type Worker struct {
 	// IdlePoll is the lease-poll interval while the queue is empty; 0 means
 	// one second.
 	IdlePoll time.Duration
-	// SpanDepth caps the span records captured (and exported) per cell: 0
-	// means DefaultCellSpanDepth, negative disables span capture entirely.
+	// SpanDepth caps the span records captured (and exported) per cell; ≤ 0
+	// means DefaultCellSpanDepth.
 	SpanDepth int
 
 	// lastCounters is the previous heartbeat's counter snapshot — the
@@ -76,6 +76,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	if w.IdlePoll <= 0 {
 		w.IdlePoll = time.Second
+	}
+	if w.SpanDepth <= 0 {
+		w.SpanDepth = DefaultCellSpanDepth
 	}
 	// Federation deltas start from here, not zero: a process hosting several
 	// workers (tests) must not re-report the process counters per worker.
@@ -178,13 +181,9 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant) {
 	exec := w.Exec
 	recorders := map[int]*obs.SpanRecorder{}
 	tc, traced := obs.ParseTraceParent(grant.TraceParent)
-	if traced && w.SpanDepth >= 0 {
-		depth := w.SpanDepth
-		if depth == 0 {
-			depth = DefaultCellSpanDepth
-		}
+	if traced {
 		exec = func(ctx context.Context, cell hotpotato.SweepCell) (*hotpotato.Result, bool, error) {
-			rec := obs.NewSpanRecorder(depth)
+			rec := obs.NewSpanRecorder(w.SpanDepth)
 			recorders[cell.Index] = rec
 			root := rec.Start("cell")
 			root.SetAttr("index", cell.Index)

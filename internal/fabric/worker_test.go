@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -114,4 +115,60 @@ func (s serveInProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 	w := httptest.NewRecorder()
 	s.h.ServeHTTP(w, r)
 	return w.Result(), nil
+}
+
+// TestWorkerRunSpanDepthDefaultWhenNotPositive: 0 and -1 both cap a traced
+// cell's exported spans at DefaultCellSpanDepth. The cell starts one child
+// span more than its root leaves room for; the results post must carry
+// exactly the default and count the overflow as dropped.
+func TestWorkerRunSpanDepthDefaultWhenNotPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		t.Run(fmt.Sprintf("SpanDepth=%d", n), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var posted []CellSpans
+			leased := false
+			stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/fabric/v1/lease":
+					var resp LeaseResponse
+					if !leased {
+						leased = true
+						resp.Lease = &LeaseGrant{ID: "lease-1", Cells: testCells(t, 1), TTLMS: 15000,
+							TraceParent: obs.NewTraceContext().Header()}
+					}
+					WriteJSON(w, http.StatusOK, resp)
+				case "/fabric/v1/results":
+					var req ResultsRequest
+					if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+						t.Errorf("undecodable results post: %v", err)
+					}
+					posted = append(posted, req.Spans...)
+					cancel()
+					WriteJSON(w, http.StatusOK, ResultsResponse{Accepted: len(req.Records), OK: true})
+				default:
+					WriteJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
+				}
+			})
+			w := &Worker{
+				Dispatcher: "http://dispatcher.test",
+				Client:     &http.Client{Transport: serveInProcess{stub}},
+				SpanDepth:  n,
+				Exec: func(ctx context.Context, _ hotpotato.SweepCell) (*hotpotato.Result, bool, error) {
+					root := obs.SpanFromContext(ctx)
+					for range DefaultCellSpanDepth {
+						root.StartChild("fill").End()
+					}
+					return &hotpotato.Result{}, false, nil
+				},
+			}
+			w.Run(ctx)
+			if len(posted) != 1 {
+				t.Fatalf("results posts carried %d cell span batches, want 1", len(posted))
+			}
+			if got := len(posted[0].Spans); got != DefaultCellSpanDepth || posted[0].Dropped != 1 {
+				t.Errorf("exported %d spans, %d dropped; want %d and 1", got, posted[0].Dropped, DefaultCellSpanDepth)
+			}
+		})
+	}
 }

@@ -425,8 +425,7 @@ func TestBatchHeartbeat(t *testing.T) {
 }
 
 // TestJobsListing: GET /v1/jobs lists jobs in submission order with the
-// status filter, and an empty store lists as []. Twelve jobs carry the IDs
-// past job-9, where string order and submission order part.
+// status filter, and an empty store lists as [].
 func TestJobsListing(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16})
 
@@ -439,11 +438,17 @@ func TestJobsListing(t *testing.T) {
 	}
 
 	const jobs = 12
+	var submitted []string
 	for i := 0; i < jobs; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, body)
 		}
+		var job Job
+		if err := json.Unmarshal(body, &job); err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, job.ID)
 	}
 	// Wait for all to finish.
 	deadline := time.Now().Add(30 * time.Second)
@@ -465,8 +470,8 @@ func TestJobsListing(t *testing.T) {
 		if job.Status != JobDone {
 			t.Errorf("filtered listing contains status %q", job.Status)
 		}
-		if i > 0 && jobNumber(t, listing.Jobs[i-1].ID) >= jobNumber(t, job.ID) {
-			t.Errorf("listing out of submission order: %q then %q", listing.Jobs[i-1].ID, job.ID)
+		if job.ID != submitted[i] {
+			t.Errorf("listing[%d] = %q, want the %d-th submission %q", i, job.ID, i+1, submitted[i])
 		}
 	}
 
@@ -482,16 +487,6 @@ func TestJobsListing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("empty filter result: status %d: %s", resp.StatusCode, body)
 	}
-}
-
-// jobNumber is the submission counter in a "job-N" ID.
-func jobNumber(t *testing.T, id string) int {
-	t.Helper()
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
-	if err != nil {
-		t.Fatalf("job ID %q is not job-N", id)
-	}
-	return n
 }
 
 // TestBatchSummaryAlwaysLast: regression for the heartbeat-after-summary

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	hotpotato "repro"
+	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -48,17 +48,13 @@ type jobState struct {
 	mu   sync.Mutex
 	job  Job
 	spec hotpotato.RunSpec
-	// seq is the store's submission counter at creation; GET /v1/jobs sorts
-	// on it so listings are stable submission order, not map order.
-	seq int
 	// tracer collects one obs.EpochEvent per scheduler epoch of the run for
-	// GET /v1/jobs/{id}/trace; nil when the server disables tracing. It is
-	// internally synchronized — the trace endpoint reads it mid-run.
+	// GET /v1/jobs/{id}/trace. It is internally synchronized — the trace
+	// endpoint reads it mid-run.
 	tracer *obs.RingTracer
-	// spans records the job's phase timings for GET /v1/jobs/{id}/spans;
-	// nil when the server disables span tracing. rootSpan is the "run" span
-	// opened at submission and closed at the terminal transition; it is
-	// nil-safe.
+	// spans records the job's phase timings for GET /v1/jobs/{id}/spans.
+	// rootSpan is the "run" span opened at submission and closed at the
+	// terminal transition.
 	spans    *obs.SpanRecorder
 	rootSpan *obs.Span
 	// submittedAt anchors the job's RunProfile total and queue durations.
@@ -85,13 +81,15 @@ func (j *jobState) terminalSince() (time.Time, bool) {
 // jobStore tracks every submission by ID. It admits a job only while fewer
 // than capacity jobs are unfinished, and it evicts jobs that have been
 // terminal for longer than retention inside its own create, get and list
-// calls (negative retention keeps them forever).
+// calls.
 type jobStore struct {
 	capacity  int
 	retention time.Duration
 
-	mu   sync.Mutex
-	seq  int
+	mu sync.Mutex
+	// ids mints job IDs unique across server restarts, sorted in
+	// submission order.
+	ids  fabric.IDs
 	jobs map[string]*jobState
 	// queued counts the jobs waiting for a worker slot; unfinished counts
 	// those plus the running ones.
@@ -101,7 +99,8 @@ type jobStore struct {
 }
 
 func newJobStore(capacity int, retention time.Duration) *jobStore {
-	return &jobStore{capacity: capacity, retention: retention, jobs: make(map[string]*jobState)}
+	return &jobStore{capacity: capacity, retention: retention,
+		ids: fabric.NewIDs(time.Now()), jobs: make(map[string]*jobState)}
 }
 
 // create admits a queued job, or returns nil when capacity jobs are already
@@ -113,11 +112,9 @@ func (s *jobStore) create(spec hotpotato.RunSpec, requestID string) *jobState {
 	if s.unfinished >= s.capacity {
 		return nil
 	}
-	s.seq++
 	j := &jobState{
-		job:         Job{ID: fmt.Sprintf("job-%d", s.seq), Status: JobQueued, RequestID: requestID},
+		job:         Job{ID: s.ids.Next("job"), Status: JobQueued, RequestID: requestID},
 		spec:        spec,
-		seq:         s.seq,
 		submittedAt: time.Now(),
 	}
 	s.jobs[j.job.ID] = j
@@ -180,10 +177,10 @@ func (s *jobStore) get(id string) (*jobState, bool) {
 	return j, ok
 }
 
-// list returns snapshots of every stored job in submission order, keeping
-// only those whose status equals filter ("" keeps all). Evicted jobs are
-// simply absent — the store is a live view bounded by the retention, not an
-// archive.
+// list returns snapshots of every stored job in submission order (the order
+// of their IDs), keeping only those whose status equals filter ("" keeps
+// all). Evicted jobs are simply absent — the store is a live view bounded by
+// the retention, not an archive.
 func (s *jobStore) list(filter JobStatus) []Job {
 	s.mu.Lock()
 	s.expire()
@@ -192,7 +189,6 @@ func (s *jobStore) list(filter JobStatus) []Job {
 		states = append(states, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(states, func(i, k int) bool { return states[i].seq < states[k].seq })
 	jobs := make([]Job, 0, len(states))
 	for _, j := range states {
 		snap := j.snapshot()
@@ -201,6 +197,7 @@ func (s *jobStore) list(filter JobStatus) []Job {
 		}
 		jobs = append(jobs, snap)
 	}
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 	return jobs
 }
 
@@ -209,9 +206,6 @@ func (s *jobStore) list(filter JobStatus) []Job {
 // not rescan every job on every call, and a job outlives its retention by at
 // most a quarter. s.mu must be held.
 func (s *jobStore) expire() {
-	if s.retention < 0 {
-		return
-	}
 	now := time.Now()
 	if now.Sub(s.swept) < s.retention/4 {
 		return

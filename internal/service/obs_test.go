@@ -159,23 +159,6 @@ func TestJobTraceReturnsOneEventPerEpoch(t *testing.T) {
 	}
 }
 
-func TestTraceDisabledAnswers404(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, TraceDepth: -1})
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var job Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	waitForJob(t, ts.URL, job.ID)
-	resp, _ = getJSON(t, ts.URL+"/v1/jobs/"+job.ID+"/trace")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("disabled tracing: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestJobTraceReadableMidRun exercises the concurrent read path: the trace
 // endpoint must answer while the job is still running (the -race build is the
 // real assertion here).

@@ -270,34 +270,6 @@ func TestIfNoneMatchParsing(t *testing.T) {
 	}
 }
 
-// TestResultCacheDisabled: negative ResultCacheEntries turns caching off;
-// repeat runs simulate again, but ETag/304 still works (the hash is computed
-// per request, not read from the cache).
-func TestResultCacheDisabled(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, ResultCacheEntries: -1})
-	if svc.Results() != nil {
-		t.Fatal("negative ResultCacheEntries did not disable the cache")
-	}
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/run", quickSpecJSON)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		var env struct {
-			Cached bool `json:"cached"`
-		}
-		if err := json.Unmarshal(body, &env); err != nil {
-			t.Fatal(err)
-		}
-		if env.Cached {
-			t.Errorf("run %d claims cached with caching disabled", i)
-		}
-		if resp.Header.Get("ETag") == "" {
-			t.Errorf("run %d: ETag missing with caching disabled", i)
-		}
-	}
-}
-
 // TestResultCacheAbandonedFallbackAccounting: a follower whose leader
 // abandons the slot re-runs uncached; before the abandoned counter existed
 // that run was neither hit nor miss, silently inflating the hit ratio. The

@@ -36,17 +36,14 @@ type Config struct {
 	// JobRetention is how long finished jobs (done, failed, canceled) stay
 	// queryable via GET /v1/jobs/{id} before the job store evicts them —
 	// without eviction a long-running server grows its job store without
-	// bound. 0 means 10 minutes; negative disables eviction (jobs are kept
-	// forever, the pre-retention behaviour).
+	// bound. ≤ 0 means DefaultJobRetention.
 	JobRetention time.Duration
 	// TraceDepth is how many scheduler epochs each async job's ring tracer
-	// retains for GET /v1/jobs/{id}/trace. 0 means obs.DefaultTraceDepth;
-	// negative disables per-job tracing (the endpoint answers 404).
+	// retains for GET /v1/jobs/{id}/trace. ≤ 0 means obs.DefaultTraceDepth.
 	TraceDepth int
 	// SpanDepth is how many spans each async job's recorder retains for
 	// GET /v1/jobs/{id}/spans (one span per service phase plus one per
-	// scheduler epoch). 0 means obs.DefaultSpanDepth; negative disables
-	// per-job span tracing (the endpoint answers 404).
+	// scheduler epoch). ≤ 0 means obs.DefaultSpanDepth.
 	SpanDepth int
 	// DefaultSolver is applied to specs whose platform.thermal.solver is
 	// empty: "auto", "dense" or "sparse" (thermal.Solver* constants). ""
@@ -55,10 +52,8 @@ type Config struct {
 	// solver get distinct platforms.
 	DefaultSolver string
 	// ResultCacheEntries bounds the content-addressed result cache (LRU over
-	// SpecHash keys) shared by POST /v1/run and /v1/batch cells. 0 means
-	// DefaultResultCacheEntries; negative disables result caching (every
-	// request simulates, ETag/304 still works because the hash is computed
-	// per request).
+	// SpecHash keys) shared by POST /v1/run and /v1/batch cells. ≤ 0 means
+	// DefaultResultCacheEntries.
 	ResultCacheEntries int
 	// MaxSweepCells is the admission limit of POST /v1/batch: sweeps whose
 	// cross-product exceeds it are answered 413 before any cell runs. 0
@@ -66,8 +61,8 @@ type Config struct {
 	// clamped to it.
 	MaxSweepCells int
 	// BatchHeartbeat is how often an idle /v1/batch stream emits a progress
-	// record so proxies keep the connection alive during long cells. 0 means
-	// DefaultBatchHeartbeat; negative disables heartbeats.
+	// record so proxies keep the connection alive during long cells. ≤ 0
+	// means DefaultBatchHeartbeat.
 	BatchHeartbeat time.Duration
 	// Logger receives the server's structured log stream (access lines, job
 	// lifecycle, shutdown). nil means a no-op logger — tests and embedders
@@ -80,7 +75,7 @@ type Config struct {
 }
 
 // DefaultJobRetention is how long terminal jobs stay queryable when
-// Config.JobRetention is zero.
+// Config.JobRetention is not positive.
 const DefaultJobRetention = 10 * time.Minute
 
 // DefaultMaxSweepCells is the /v1/batch admission limit when
@@ -90,7 +85,7 @@ const DefaultJobRetention = 10 * time.Minute
 const DefaultMaxSweepCells = 1024
 
 // DefaultBatchHeartbeat is the idle-stream progress cadence when
-// Config.BatchHeartbeat is zero.
+// Config.BatchHeartbeat is not positive.
 const DefaultBatchHeartbeat = 10 * time.Second
 
 // Server executes RunSpec documents over HTTP:
@@ -116,8 +111,7 @@ type Server struct {
 	// twin is the analytical-twin model (Config.TwinModel); nil when the
 	// server runs without one.
 	twin *hotpotato.TwinModel
-	// results caches finished runs by SpecHash; nil when
-	// Config.ResultCacheEntries is negative.
+	// results caches finished runs by SpecHash.
 	results *ResultCache
 	// drift pairs /v1/predict answers with later full runs of the same
 	// SpecHash to track the twin's online residual (see drift.go).
@@ -143,7 +137,7 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.JobRetention == 0 {
+	if cfg.JobRetention <= 0 {
 		cfg.JobRetention = DefaultJobRetention
 	}
 	if cfg.Logger == nil {
@@ -155,12 +149,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxSweepCells > hotpotato.MaxSweepCells {
 		cfg.MaxSweepCells = hotpotato.MaxSweepCells
 	}
-	if cfg.BatchHeartbeat == 0 {
+	if cfg.BatchHeartbeat <= 0 {
 		cfg.BatchHeartbeat = DefaultBatchHeartbeat
-	}
-	var results *ResultCache
-	if cfg.ResultCacheEntries >= 0 {
-		results = NewResultCache(cfg.ResultCacheEntries)
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -168,7 +158,7 @@ func New(cfg Config) *Server {
 		logger:     cfg.Logger,
 		cache:      hotpotato.NewPlatformCache(),
 		twin:       cfg.TwinModel,
-		results:    results,
+		results:    NewResultCache(cfg.ResultCacheEntries),
 		drift:      newDriftTracker(),
 		jobs:       newJobStore(cfg.Workers+cfg.QueueDepth, cfg.JobRetention),
 		sem:        make(chan struct{}, cfg.Workers),
@@ -181,8 +171,7 @@ func New(cfg Config) *Server {
 // Cache exposes the platform cache (introspection and tests).
 func (s *Server) Cache() *hotpotato.PlatformCache { return s.cache }
 
-// Results exposes the result cache (introspection and tests); nil when
-// result caching is disabled.
+// Results exposes the result cache (introspection and tests).
 func (s *Server) Results() *ResultCache { return s.results }
 
 // Handler returns the HTTP routes, wrapped in the observability middleware
@@ -208,16 +197,10 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) runJob(j *jobState) {
 	defer s.runs.Done()
 	logger := s.logger.With("job_id", j.job.ID, "request_id", j.job.RequestID)
-	// A typed-nil *RingTracer must become a nil interface, or the simulator
-	// would see a non-nil tracer and call through the nil pointer.
-	var tracer hotpotato.EpochTracer
-	if j.tracer != nil {
-		tracer = j.tracer
-	}
 	ctx := obs.ContextWithSpan(s.baseCtx, j.rootSpan)
 	ctx = obs.ContextWithLogger(ctx, logger)
 	began := time.Now()
-	res, prof, err := s.execute(ctx, j.spec, tracer, func() error {
+	res, prof, err := s.execute(ctx, j.spec, j.tracer, func() error {
 		if s.closed.Load() {
 			return fmt.Errorf("%w before starting: server shutting down", hotpotato.ErrCanceled)
 		}
@@ -355,8 +338,7 @@ type runResponse struct {
 // simulates under the usual concurrency bound. Only clean completions and
 // MaxTime stops are cached; a leader whose run fails any other way abandons
 // the slot and followers fall back to simulating themselves, so one
-// disconnected client never poisons a hash for everyone behind it. A nil
-// result cache (caching disabled) or empty hash degrades to a plain execute.
+// disconnected client never poisons a hash for everyone behind it.
 //
 // Every clean completion — fresh or replayed — is also offered to the twin
 // drift tracker: if /v1/predict answered for this hash earlier, the residual
@@ -368,10 +350,6 @@ func (s *Server) cachedExecute(ctx context.Context, spec hotpotato.RunSpec, hash
 			s.drift.Observe(hash, res)
 		}
 	}()
-	if s.results == nil || hash == "" {
-		res, prof, err := s.execute(ctx, spec, nil, nil)
-		return res, prof, false, err
-	}
 	entry, leader := s.results.Lookup(hash)
 	if leader {
 		res, prof, err := s.execute(ctx, spec, nil, nil)
@@ -492,21 +470,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job queue full (%d pending)", s.jobs.capacity))
 		return
 	}
-	if s.cfg.TraceDepth >= 0 {
-		j.tracer = obs.NewRingTracer(s.cfg.TraceDepth)
-	}
-	if s.cfg.SpanDepth >= 0 {
-		j.spans = obs.NewSpanRecorder(s.cfg.SpanDepth)
-		j.rootSpan = j.spans.Start("run")
-		j.rootSpan.SetAttr("job_id", j.job.ID)
-		j.rootSpan.SetAttr("request_id", j.job.RequestID)
-		// The middleware's trace context links this job's local span tree to
-		// the distributed trace of whoever submitted it (a traceparent-bearing
-		// client, or the fabric dispatcher's sweep span).
-		if tc := obs.TraceContextFrom(r.Context()); tc.Valid() {
-			j.rootSpan.SetAttr("trace_id", tc.TraceID)
-			j.rootSpan.SetAttr("parent_span_id", tc.SpanID)
-		}
+	j.tracer = obs.NewRingTracer(s.cfg.TraceDepth)
+	j.spans = obs.NewSpanRecorder(s.cfg.SpanDepth)
+	j.rootSpan = j.spans.Start("run")
+	j.rootSpan.SetAttr("job_id", j.job.ID)
+	j.rootSpan.SetAttr("request_id", j.job.RequestID)
+	// The middleware's trace context links this job's local span tree to the
+	// distributed trace of whoever submitted it (a traceparent-bearing
+	// client, or the fabric dispatcher's sweep span).
+	if tc := obs.TraceContextFrom(r.Context()); tc.Valid() {
+		j.rootSpan.SetAttr("trace_id", tc.TraceID)
+		j.rootSpan.SetAttr("parent_span_id", tc.SpanID)
 	}
 	metricJobsSubmitted.Inc()
 	obs.LoggerFrom(r.Context()).Info("job queued",
@@ -535,11 +509,6 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		fabric.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	if j.tracer == nil {
-		fabric.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("job %q has no trace (server runs with tracing disabled)", r.PathValue("id")))
-		return
-	}
 	snap := j.snapshot()
 	fabric.WriteJSON(w, http.StatusOK, jobTrace{
 		ID:      snap.ID,
@@ -565,11 +534,6 @@ func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		fabric.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	if j.spans == nil {
-		fabric.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("job %q has no spans (server runs with span tracing disabled)", r.PathValue("id")))
 		return
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
@@ -629,23 +593,20 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	hits, misses := s.cache.Stats()
-	body := map[string]any{
-		"status":          "ok",
-		"queued":          s.jobs.queuedJobs(),
-		"workers":         s.cfg.Workers,
-		"platform_hits":   hits,
-		"platform_misses": misses,
-	}
-	if s.results != nil {
-		rHits, rMisses, rEvictions := s.results.Stats()
-		body["result_cache_entries"] = s.results.Len()
-		body["result_cache_bytes"] = s.results.Bytes()
-		body["result_cache_hits"] = rHits
-		body["result_cache_misses"] = rMisses
-		body["result_cache_evictions"] = rEvictions
-		body["result_cache_abandoned"] = s.results.AbandonedFallbacks()
-	}
-	fabric.WriteJSON(w, http.StatusOK, body)
+	rHits, rMisses, rEvictions := s.results.Stats()
+	fabric.WriteJSON(w, http.StatusOK, map[string]any{
+		"status":                 "ok",
+		"queued":                 s.jobs.queuedJobs(),
+		"workers":                s.cfg.Workers,
+		"platform_hits":          hits,
+		"platform_misses":        misses,
+		"result_cache_entries":   s.results.Len(),
+		"result_cache_bytes":     s.results.Bytes(),
+		"result_cache_hits":      rHits,
+		"result_cache_misses":    rMisses,
+		"result_cache_evictions": rEvictions,
+		"result_cache_abandoned": s.results.AbandonedFallbacks(),
+	})
 }
 
 // Shutdown stops accepting work and drains: jobs still queued end canceled

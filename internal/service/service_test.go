@@ -17,6 +17,7 @@ import (
 
 	hotpotato "repro"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 )
 
 // quickSpecJSON is a fast 4×4 run in the minimal wire form a client would
@@ -421,7 +422,7 @@ func TestShutdownRejectsNewWork(t *testing.T) {
 // level: only jobs that were terminal at or before the cutoff go; queued,
 // running and recently-finished jobs all survive.
 func TestEvictTerminalSparesLiveJobs(t *testing.T) {
-	store := newJobStore(5, -1)
+	store := newJobStore(5, time.Hour) // create and get never sweep within the test
 	var spec hotpotato.RunSpec
 
 	queued := store.create(spec, "")
@@ -518,38 +519,112 @@ func TestRetentionEvictsFinishedJobs(t *testing.T) {
 	}
 }
 
-// TestNegativeRetentionKeepsJobsForever checks the opt-out: JobRetention < 0
-// evicts nothing, so finished jobs stay queryable.
-func TestNegativeRetentionKeepsJobsForever(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, JobRetention: -1})
-
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var job Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !job.Status.Terminal() {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", job.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-		resp, body = getJSON(t, ts.URL+"/v1/jobs/"+job.ID)
-		if resp.StatusCode != http.StatusOK {
+// TestJobIDsUniqueAcrossRestart: a restarted server never reissues a job
+// ID, so a client polling a job of the old process cannot read another
+// client's job from the new one.
+func TestJobIDsUniqueAcrossRestart(t *testing.T) {
+	var ids []string
+	for range 2 {
+		svc, ts := newTestServer(t, Config{Workers: 1})
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
+		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
+		var job Job
 		if err := json.Unmarshal(body, &job); err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, job.ID)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = svc.Shutdown(ctx)
+		cancel()
 	}
-	// Far longer than any plausible sweep interval would need.
-	time.Sleep(100 * time.Millisecond)
-	if resp, _ = getJSON(t, ts.URL+"/v1/jobs/"+job.ID); resp.StatusCode != http.StatusOK {
-		t.Errorf("job evicted despite retention disabled: status %d", resp.StatusCode)
+	if ids[0] == ids[1] {
+		t.Fatalf("job ID %s repeats across a restart", ids[0])
 	}
+}
+
+// TestNewBoundsDefaultWhenNotPositive: every sizing knob of Config is a
+// bound, and 0 and -1 both select its positive default. A job's trace ring
+// and span recorder are filled one past the default depth and must keep
+// exactly the default.
+func TestNewBoundsDefaultWhenNotPositive(t *testing.T) {
+	for _, tc := range []struct {
+		knob  string
+		cfg   func(n int) Config
+		bound func(t *testing.T, s *Server) int64
+		want  int64
+	}{
+		{"ResultCacheEntries", func(n int) Config { return Config{ResultCacheEntries: n} },
+			func(t *testing.T, s *Server) int64 {
+				if s.Results() == nil {
+					t.Fatal("no result cache")
+				}
+				return int64(s.Results().max)
+			},
+			DefaultResultCacheEntries},
+		{"JobRetention", func(n int) Config { return Config{JobRetention: time.Duration(n)} },
+			func(_ *testing.T, s *Server) int64 { return int64(s.jobs.retention) },
+			int64(DefaultJobRetention)},
+		{"BatchHeartbeat", func(n int) Config { return Config{BatchHeartbeat: time.Duration(n)} },
+			func(_ *testing.T, s *Server) int64 { return int64(s.cfg.BatchHeartbeat) },
+			int64(DefaultBatchHeartbeat)},
+		{"TraceDepth", func(n int) Config { return Config{TraceDepth: n} },
+			func(t *testing.T, s *Server) int64 {
+				j := queuedJob(t, s)
+				for range obs.DefaultTraceDepth + 1 {
+					j.tracer.RecordEpoch(obs.EpochEvent{})
+				}
+				return int64(j.tracer.Len())
+			},
+			obs.DefaultTraceDepth},
+		{"SpanDepth", func(n int) Config { return Config{SpanDepth: n} },
+			func(t *testing.T, s *Server) int64 {
+				j := queuedJob(t, s)
+				for range obs.DefaultSpanDepth { // the job's root span holds one slot
+					j.spans.Start("fill").End()
+				}
+				return int64(j.spans.Len())
+			},
+			obs.DefaultSpanDepth},
+	} {
+		for _, n := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s=%d", tc.knob, n), func(t *testing.T) {
+				cfg := tc.cfg(n)
+				cfg.Workers = 1
+				if got := tc.bound(t, New(cfg)); got != tc.want {
+					t.Errorf("%s %d: bound %d, want %d", tc.knob, n, got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// queuedJob submits a job to s while holding its only worker slot, so the
+// job stays queued until the test ends, and returns the job's record.
+func queuedJob(t *testing.T, s *Server) *jobState {
+	t.Helper()
+	s.sem <- struct{}{}
+	t.Cleanup(func() {
+		<-s.sem
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(quickSpecJSON)))
+	var job Job
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
+	}
+	j, ok := s.jobs.get(job.ID)
+	if !ok {
+		t.Fatalf("job %q not stored", job.ID)
+	}
+	if j.tracer == nil || j.spans == nil {
+		t.Fatal("job has no trace ring or no span recorder")
+	}
+	return j
 }
 
 func getJSON(t *testing.T, url string) (*http.Response, []byte) {

@@ -289,31 +289,6 @@ func TestJobSpansEndpoint(t *testing.T) {
 	}
 }
 
-func TestJobSpansDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SpanDepth: -1})
-
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", quickSpecJSON)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var job Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	done := waitForJob(t, ts.URL, job.ID)
-	if done.Status != JobDone {
-		t.Fatalf("job ended %s: %s", done.Status, done.Error)
-	}
-	// The profile does not depend on span tracing.
-	if done.Profile == nil || done.Profile.TotalNS <= 0 {
-		t.Errorf("profile = %+v", done.Profile)
-	}
-	resp, _ = getJSON(t, ts.URL+"/v1/jobs/"+job.ID+"/spans")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("spans status with tracing disabled = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestConcurrentTracedJobs pushes several traced, logged jobs through the
 // service at once (run under -race in CI): every job must keep its own
 // request ID and a well-formed span tree — no cross-talk between recorders.
