@@ -111,13 +111,6 @@ func (f *Floorplan) AMD(id int) float64 {
 	return f.amd[id]
 }
 
-// AMDs returns a copy of the per-core AMD vector.
-func (f *Floorplan) AMDs() []float64 {
-	out := make([]float64, len(f.amd))
-	copy(out, f.amd)
-	return out
-}
-
 // Rings returns the concentric AMD rings in ascending AMD order. The slice
 // and its contents must not be modified.
 func (f *Floorplan) Rings() []Ring { return f.rings }

@@ -107,16 +107,6 @@ func (c *Cholesky) Inverse() (*Dense, error) {
 	return c.Solve(Identity(c.n))
 }
 
-// LogDeterminant returns ln(det A) = 2·Σ ln(L_ii), numerically stable for
-// the tiny determinants of large capacitance/conductance matrices.
-func (c *Cholesky) LogDeterminant() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.data[i*c.n+i])
-	}
-	return 2 * s
-}
-
 // IsPositiveDefinite reports whether the symmetric matrix a is positive
 // definite (by attempting a Cholesky factorization).
 func IsPositiveDefinite(a *Dense) bool {

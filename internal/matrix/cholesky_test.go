@@ -80,18 +80,6 @@ func TestCholeskySolveVecValidation(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDeterminant(t *testing.T) {
-	d := Diagonal([]float64{2, 3, 4})
-	c, err := FactorCholesky(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(24)
-	if got := c.LogDeterminant(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("logdet = %v, want %v", got, want)
-	}
-}
-
 // Property: L·Lᵀ reconstructs A, and Inverse agrees with the LU inverse.
 func TestPropCholeskyReconstructionAndInverse(t *testing.T) {
 	f := func(seed int64) bool {

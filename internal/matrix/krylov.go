@@ -104,9 +104,6 @@ func NewKrylovExpm(op SymOp, maxDim int, tol float64) *KrylovExpm {
 // Dim returns the operator dimension.
 func (k *KrylovExpm) Dim() int { return k.n }
 
-// MaxDim returns the subspace cap.
-func (k *KrylovExpm) MaxDim() int { return k.maxDim }
-
 // ExpmVTo computes dst ≈ e^{t·A}·v into dst (length Dim()) and reports the
 // subspace dimension used and the a-posteriori error estimate relative to
 // ‖v‖₂. It allocates nothing; dst may alias v (v is consumed into the

@@ -34,9 +34,6 @@ func NewHistory(window float64) (*History, error) {
 	return &History{window: window}, nil
 }
 
-// Window returns the configured window length in seconds.
-func (h *History) Window() float64 { return h.window }
-
 // Record appends a sample of `watts` lasting `duration` seconds and evicts
 // samples that have slid out of the window.
 func (h *History) Record(duration, watts float64) {
@@ -80,7 +77,7 @@ func (h *History) Average(fallback float64) float64 {
 }
 
 // Span returns how many seconds of samples the history currently holds
-// (≤ Window).
+// (at most the window NewHistory was given).
 func (h *History) Span() float64 { return h.total }
 
 // Reset discards all samples.

@@ -49,12 +49,12 @@ type HotPotato struct {
 	tau    float64
 	rotate bool
 
-	// slots[r][i] holds the thread occupying slot i of ring r (or empty).
-	// place is the one ID-keyed index into it: Decide looks each live thread
-	// up once, and everything after that reads the slots.
-	slots   [][]slotEntry
-	place   map[sim.ThreadID]slotRef
-	decides int // Decide calls so far; stamps the slots refreshed by the current one
+	// pinning holds the ring slots: slot i of ring r is position
+	// ringStart[r]+i. The rings partition the chip, so there are exactly
+	// NumCores positions; ringStart has one more entry, the end of the last
+	// ring.
+	pinning   pinning
+	ringStart []int
 
 	rotSteps    int
 	lastRotTime float64
@@ -69,13 +69,6 @@ type HotPotato struct {
 	// candidate frequency.
 	powerScale float64
 	idleWatts  float64
-
-	// estimator, when non-nil, pre-filters the per-ring Algorithm 1
-	// evaluations (see RingPeakEstimator). estimatorHits/Fallbacks count the
-	// outcomes for instrumentation.
-	estimator          RingPeakEstimator
-	estimatorHits      int
-	estimatorFallbacks int
 
 	// evalPeak scratch, sized at construction so a decision allocates
 	// nothing for Algorithm 1's inputs.
@@ -99,11 +92,11 @@ type HotPotato struct {
 	assignment map[sim.ThreadID]int
 }
 
-// cand is a placed thread that may migrate, with its slot and CPI.
+// cand is a placed thread that may migrate, with its ring, position and CPI.
 type cand struct {
-	id  sim.ThreadID
-	ref slotRef
-	cpi float64
+	id        sim.ThreadID
+	ring, pos int
+	cpi       float64
 }
 
 // byCPI orders candidates by CPI, lowest first, then by thread ID. Thread
@@ -124,38 +117,6 @@ func byCPIDesc(a, b cand) int {
 		return c
 	}
 	return cmpID(a.id, b.id)
-}
-
-// slotEntry is one ring slot. A used slot carries its thread's AvgPower and
-// CPI from the State of the Decide that stamped it seen, so Algorithm 1 and
-// the migration scans read them without looking the thread up.
-type slotEntry struct {
-	id            sim.ThreadID
-	used          bool
-	seen          int
-	avgPower, cpi float64
-}
-
-type slotRef struct{ ring, slot int }
-
-// RingPeakEstimator is an optional surrogate for Algorithm 1's ring
-// evaluation (the analytical-twin pre-filter): given the same inputs as
-// rotation.RingEvaluator.PeakRingRotation, it returns a peak estimate, a
-// conservative error bound, and whether the bound is backed by calibration
-// evidence. HotPotato consults it per ring and only trusts an answer that is
-// conclusive AND places the ring strictly on one side of the decision
-// threshold T_DTM − Δ; everything else falls back to the exact evaluation,
-// which keeps scheduling decisions bit-identical to stock HotPotato.
-// Implementations must be safe for the scheduler's goroutine and must not
-// allocate (the Decide path is allocation-audited).
-type RingPeakEstimator interface {
-	EstimateRingPeak(tau float64, base []float64, ringCores []int, slotWatts []float64) (peakC, boundC float64, conclusive bool)
-}
-
-// WithRingEstimator installs a twin-backed pre-filter for the Algorithm 1
-// ring evaluations. A nil estimator (the default) is stock HotPotato.
-func WithRingEstimator(e RingPeakEstimator) HotPotatoOption {
-	return func(h *HotPotato) { h.estimator = e }
 }
 
 // HotPotatoOption customises the scheduler.
@@ -199,7 +160,8 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		tauMax:         4e-3,
 		tau:            0.5e-3,
 		rotate:         true,
-		place:          map[sim.ThreadID]slotRef{},
+		pinning:        newPinning(),
+		ringStart:      make([]int, len(rings)+1),
 		assignment:     map[sim.ThreadID]int{},
 		rebalanceEvery: 5e-3,
 		powerScale:     1,
@@ -211,10 +173,9 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		staticTemps:    make([]float64, calc.Model().N),
 		staticScratch:  make([]float64, calc.Model().N-1),
 	}
-	h.slots = make([][]slotEntry, len(rings))
 	maxRing := 0
 	for r, ring := range rings {
-		h.slots[r] = make([]slotEntry, len(ring.Cores))
+		h.ringStart[r+1] = h.ringStart[r] + len(ring.Cores)
 		maxRing = max(maxRing, len(ring.Cores))
 	}
 	h.slotWatts = make([]float64, 0, maxRing)
@@ -237,36 +198,8 @@ func (h *HotPotato) Rotating() bool { return h.rotate }
 func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	h.advanceRotation(st.Time)
 
-	// One lookup per live thread refreshes its slot from this epoch's State.
-	// A slot left unrefreshed belongs to a thread that departed: departures
-	// free slots and create headroom (Algorithm 2 line 15).
-	h.decides++
-	refreshed := 0
-	for i := range st.Threads {
-		th := &st.Threads[i]
-		ref, ok := h.place[th.ID]
-		if !ok {
-			continue
-		}
-		e := &h.slots[ref.ring][ref.slot]
-		if e.seen != h.decides {
-			refreshed++
-		}
-		e.seen, e.avgPower, e.cpi = h.decides, th.AvgPower, th.CPI
-	}
-	departed := refreshed < len(h.place)
-	if departed {
-		for r := range h.slots {
-			for i, e := range h.slots[r] {
-				if e.used && e.seen != h.decides {
-					if h.place[e.id] == (slotRef{r, i}) {
-						delete(h.place, e.id)
-					}
-					h.slots[r][i] = slotEntry{}
-				}
-			}
-		}
-	}
+	// Departures free slots and create headroom (Algorithm 2 line 15).
+	departed := h.pinning.sync(st)
 
 	// Admissions (Algorithm 2 lines 1–14), gang FIFO per task.
 	for _, group := range h.scr.queuedTasks(st) {
@@ -295,10 +228,10 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	// Materialise the assignment with the current rotation offset.
 	assignment := h.assignment
 	clear(assignment)
-	for r := range h.slots {
-		for i, e := range h.slots[r] {
-			if e.used {
-				assignment[e.id] = h.coreOf(r, i)
+	for r := range h.rings {
+		for i, pn := range h.ring(r) {
+			if pn.used {
+				assignment[pn.id] = h.coreOf(r, i)
 			}
 		}
 	}
@@ -324,18 +257,9 @@ func (h *HotPotato) coreOf(r, i int) int {
 	return cores[i]
 }
 
-// occupy puts thread th, as this Decide's State shows it, into slot ref.
-func (h *HotPotato) occupy(ref slotRef, th *sim.ThreadInfo) {
-	h.slots[ref.ring][ref.slot] = slotEntry{id: th.ID, used: true, seen: h.decides, avgPower: th.AvgPower, cpi: th.CPI}
-	h.place[th.ID] = ref
-}
-
-// move takes the thread in slot from to the free slot to.
-func (h *HotPotato) move(from, to slotRef) {
-	e := h.slots[from.ring][from.slot]
-	h.slots[from.ring][from.slot] = slotEntry{}
-	h.slots[to.ring][to.slot] = e
-	h.place[e.id] = to
+// ring is the slots of ring r, in slot order.
+func (h *HotPotato) ring(r int) []pin {
+	return h.pinning.pins[h.ringStart[r]:h.ringStart[r+1]]
 }
 
 // candidates gathers the threads placed in rings [lo, hi) with their CPIs
@@ -343,9 +267,9 @@ func (h *HotPotato) move(from, to slotRef) {
 func (h *HotPotato) candidates(lo, hi int) []cand {
 	cands := h.cands[:0]
 	for r := lo; r < hi; r++ {
-		for i, e := range h.slots[r] {
-			if e.used {
-				cands = append(cands, cand{e.id, slotRef{r, i}, e.cpi})
+		for i, pn := range h.ring(r) {
+			if pn.used {
+				cands = append(cands, cand{pn.id, r, h.ringStart[r] + i, pn.th.CPI})
 			}
 		}
 	}
@@ -367,28 +291,28 @@ func (h *HotPotato) advanceRotation(now float64) {
 
 func (h *HotPotato) freeSlotCount() int {
 	total := 0
-	for r := range h.slots {
-		for i := range h.slots[r] {
-			if !h.slots[r][i].used {
-				total++
-			}
+	for _, pn := range h.pinning.pins {
+		if !pn.used {
+			total++
 		}
 	}
 	return total
 }
 
-// bestFreeSlot picks the free slot of ring r that maximises the minimum
-// circular distance to the ring's occupied slots (spreads heat sources).
+// bestFreeSlot returns the position of the free slot of ring r that
+// maximises the minimum circular distance to the ring's occupied slots
+// (spreads heat sources), or -1 if the ring is full.
 func (h *HotPotato) bestFreeSlot(r int) int {
-	size := len(h.slots[r])
+	slots := h.ring(r)
+	size := len(slots)
 	best, bestScore := -1, -1
 	for i := 0; i < size; i++ {
-		if h.slots[r][i].used {
+		if slots[i].used {
 			continue
 		}
 		score := size // min distance to an occupied slot
 		for j := 0; j < size; j++ {
-			if !h.slots[r][j].used {
+			if !slots[j].used {
 				continue
 			}
 			d := abs(i - j)
@@ -400,7 +324,7 @@ func (h *HotPotato) bestFreeSlot(r int) int {
 			}
 		}
 		if score > bestScore {
-			best, bestScore = i, score
+			best, bestScore = h.ringStart[r]+i, score
 		}
 	}
 	return best
@@ -410,27 +334,26 @@ func (h *HotPotato) bestFreeSlot(r int) int {
 func (h *HotPotato) placeThread(st *sim.State, th *sim.ThreadInfo) {
 	// Lines 2–6: inside-out ring scan; accept the first thermally safe ring.
 	for r := range h.rings {
-		slot := h.bestFreeSlot(r)
-		if slot < 0 {
+		pos := h.bestFreeSlot(r)
+		if pos < 0 {
 			continue
 		}
-		h.occupy(slotRef{r, slot}, th)
+		h.pinning.place(pos, th)
 		if h.evalPeak(st) < h.tdtm-h.delta {
 			return
 		}
-		h.slots[r][slot] = slotEntry{}
-		delete(h.place, th.ID)
+		h.pinning.unpin(pos)
 	}
 
 	// No ring is safe. Park the thread in the outermost ring with space,
 	// then create headroom: push low-CPI threads outward (lines 8–11) and
 	// shrink τ (lines 12–14).
 	for r := len(h.rings) - 1; r >= 0; r-- {
-		slot := h.bestFreeSlot(r)
-		if slot < 0 {
+		pos := h.bestFreeSlot(r)
+		if pos < 0 {
 			continue
 		}
-		h.occupy(slotRef{r, slot}, th)
+		h.pinning.place(pos, th)
 		break
 	}
 	if !h.rotate {
@@ -456,12 +379,12 @@ func (h *HotPotato) pushOutward(st *sim.State) {
 		slices.SortFunc(cands, byCPI)
 		moved := false
 		for _, c := range cands {
-			for r := c.ref.ring + 1; r < len(h.rings); r++ {
-				slot := h.bestFreeSlot(r)
-				if slot < 0 {
+			for r := c.ring + 1; r < len(h.rings); r++ {
+				pos := h.bestFreeSlot(r)
+				if pos < 0 {
 					continue
 				}
-				h.move(c.ref, slotRef{r, slot})
+				h.pinning.move(c.pos, pos)
 				moved = true
 				break
 			}
@@ -502,19 +425,18 @@ func (h *HotPotato) rebalance(st *sim.State) {
 		slices.SortFunc(cands, byCPIDesc)
 		promoted := false
 		for _, c := range cands {
-			for r := 0; r < c.ref.ring; r++ {
-				slot := h.bestFreeSlot(r)
-				if slot < 0 {
+			for r := 0; r < c.ring; r++ {
+				pos := h.bestFreeSlot(r)
+				if pos < 0 {
 					continue
 				}
-				to := slotRef{r, slot}
-				h.move(c.ref, to)
+				h.pinning.move(c.pos, pos)
 				if h.evalPeak(st) < h.tdtm-h.delta {
 					promoted = true
 					break
 				}
 				// Revert: promotion would burn the headroom.
-				h.move(to, c.ref)
+				h.pinning.move(pos, c.pos)
 			}
 			if promoted {
 				break
@@ -571,9 +493,9 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	for r, ring := range h.rings {
 		ringOccupied[r] = false
 		total := 0.0
-		for _, e := range h.slots[r] {
-			if e.used {
-				total += h.threadPower(e.avgPower)
+		for _, pn := range h.ring(r) {
+			if pn.used {
+				total += h.threadPower(pn.th.AvgPower)
 				ringOccupied[r] = true
 			} else {
 				total += idle
@@ -601,32 +523,12 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 			continue
 		}
 		slotWatts = slotWatts[:0]
-		for _, entry := range h.slots[r] {
+		for _, pn := range h.ring(r) {
 			w := idle
-			if entry.used {
-				w = h.threadPower(entry.avgPower)
+			if pn.used {
+				w = h.threadPower(pn.th.AvgPower)
 			}
 			slotWatts = append(slotWatts, w)
-		}
-		// Twin pre-filter: every caller of evalPeak compares the result only
-		// against the decision threshold T_DTM − Δ, so a conclusive estimate
-		// that bounds this ring strictly under (est+bound) or at/over
-		// (est−bound) the threshold can stand in for the exact evaluation
-		// without changing any decision. Inconclusive or straddling answers
-		// fall back to Algorithm 1 — the default, and the bit-identical path.
-		if h.estimator != nil {
-			est, bound, ok := h.estimator.EstimateRingPeak(h.tau, base, ring.Cores, slotWatts)
-			if ok && (est+bound < limit || est-bound >= limit) {
-				h.estimatorHits++
-				if est > peak {
-					peak = est
-				}
-				if peak >= limit {
-					break
-				}
-				continue
-			}
-			h.estimatorFallbacks++
 		}
 		t, err := h.ringEval.PeakRingRotationUntil(h.tau, base, ring.Cores, slotWatts, limit)
 		if err != nil {
@@ -644,12 +546,6 @@ func (h *HotPotato) evalPeak(st *sim.State) float64 {
 	return peak
 }
 
-// EstimatorStats reports how many per-ring evaluations the twin pre-filter
-// answered conclusively and how many fell back to the exact Algorithm 1 path.
-func (h *HotPotato) EstimatorStats() (hits, fallbacks int) {
-	return h.estimatorHits, h.estimatorFallbacks
-}
-
 // evalStaticPeak is the non-rotating (τ stopped) safety check: the
 // steady-state peak of the pinned assignment. Allocation-free: it solves in
 // scratch kept on the scheduler.
@@ -659,10 +555,10 @@ func (h *HotPotato) evalStaticPeak(st *sim.State) float64 {
 	for i := range p {
 		p[i] = idle
 	}
-	for r := range h.slots {
-		for i, e := range h.slots[r] {
-			if e.used {
-				p[h.coreOf(r, i)] = h.threadPower(e.avgPower)
+	for r := range h.rings {
+		for i, pn := range h.ring(r) {
+			if pn.used {
+				p[h.coreOf(r, i)] = h.threadPower(pn.th.AvgPower)
 			}
 		}
 	}
@@ -679,7 +575,7 @@ func (h *HotPotato) threadPower(avg float64) float64 {
 	if h.powerScale == 1 || avg <= h.idleWatts {
 		return avg
 	}
-	return h.idleWatts + (avg-h.idleWatts)*h.powerScale
+	return h.idleWatts + float64((avg-h.idleWatts)*h.powerScale)
 }
 
 // cmpID orders thread IDs by task, then by thread within the task.

@@ -354,8 +354,8 @@ func TestHotPotatoEvalPeakZeroAllocs(t *testing.T) {
 		st.Threads = append(st.Threads, sim.ThreadInfo{ID: sim.ThreadID{Task: 0, Thread: i}, Core: -1, CPI: 1, AvgPower: 4 + float64(i)})
 	}
 	hp.Decide(st)
-	if len(hp.place) != len(st.Threads) {
-		t.Fatalf("placed %d of %d threads", len(hp.place), len(st.Threads))
+	if len(hp.pinning.core) != len(st.Threads) {
+		t.Fatalf("placed %d of %d threads", len(hp.pinning.core), len(st.Threads))
 	}
 	hp.rotate = true
 	want := hp.evalPeak(st)
@@ -439,13 +439,20 @@ func TestHotPotatoStaticPeakMatchesSteadyState(t *testing.T) {
 			for i := range p {
 				p[i] = plat.Power.IdleWatts
 			}
-			for id, ref := range hp.place {
-				cores := hp.rings[ref.ring].Cores
-				idx := ref.slot
-				if rotate {
-					idx = (ref.slot + hp.rotSteps) % len(cores)
+			for _, th := range st.Threads {
+				pos, ok := hp.pinning.core[th.ID]
+				if !ok {
+					continue
 				}
-				th, _ := st.Thread(id)
+				r := 0
+				for pos >= hp.ringStart[r+1] {
+					r++
+				}
+				cores := hp.rings[r].Cores
+				idx := pos - hp.ringStart[r]
+				if rotate {
+					idx = (idx + hp.rotSteps) % len(cores)
+				}
 				p[cores[idx]] = th.AvgPower
 			}
 			m := plat.Thermal

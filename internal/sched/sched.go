@@ -40,16 +40,17 @@ type scratch struct {
 	byID   []int
 }
 
-// pinning is the thread→core mapping of the cache-aware policies (PCMig,
-// AsyncMigrate, Reactive), kept per core. Its one ID-keyed table, core, is
-// looked up once per live thread per Decide, by sync; every later step
-// reads and moves the per-core pins.
+// pinning is the thread table of every scheduler that keeps one, kept per
+// position. For the cache-aware policies (PCMig, AsyncMigrate, Reactive) a
+// position is a core; for HotPotato it is a ring slot. Its one ID-keyed
+// table, core, is looked up once per live thread per Decide, by sync; every
+// later step reads and moves the per-position pins.
 type pinning struct {
 	core map[sim.ThreadID]int
 	pins []pin
 }
 
-// pin is what a core holds: a thread, the thread's entry in the current
+// pin is what a position holds: a thread, the thread's entry in the current
 // Decide's State (set by sync or place, read only within that Decide), and,
 // for PCMig, the DVFS level it chose for the thread the epoch before. A
 // migration moves the whole pin.
@@ -63,9 +64,9 @@ type pin struct {
 
 func newPinning() pinning { return pinning{core: map[sim.ThreadID]int{}} }
 
-// sync points every pin at its thread's entry in st and unpins the threads
-// that are no longer there.
-func (p *pinning) sync(st *sim.State) {
+// sync points every pin at its thread's entry in st, unpins the threads
+// that are no longer there and reports whether there were any.
+func (p *pinning) sync(st *sim.State) (departed bool) {
 	if n := st.Platform.NumCores(); len(p.pins) != n {
 		p.pins = make([]pin, n)
 		clear(p.core)
@@ -84,18 +85,18 @@ func (p *pinning) sync(st *sim.State) {
 		}
 	}
 	if found == len(p.core) {
-		return
+		return false
 	}
 	for c, pn := range p.pins {
 		if pn.used && pn.th == nil {
-			delete(p.core, pn.id)
-			p.pins[c] = pin{}
+			p.unpin(c)
 		}
 	}
+	return true
 }
 
-// place pins thread th to the free core c. A thread pinned elsewhere leaves
-// its old core.
+// place pins thread th to the free position c. A thread pinned elsewhere
+// leaves its old position.
 func (p *pinning) place(c int, th *sim.ThreadInfo) {
 	if old, ok := p.core[th.ID]; ok {
 		p.pins[old] = pin{}
@@ -104,7 +105,13 @@ func (p *pinning) place(c int, th *sim.ThreadInfo) {
 	p.core[th.ID] = c
 }
 
-// move takes the pin of core from to the free core to.
+// unpin frees position c and drops its thread from the ID table.
+func (p *pinning) unpin(c int) {
+	delete(p.core, p.pins[c].id)
+	p.pins[c] = pin{}
+}
+
+// move takes the pin of position from to the free position to.
 func (p *pinning) move(from, to int) {
 	p.pins[to] = p.pins[from]
 	p.pins[from] = pin{}

@@ -474,9 +474,10 @@ func TestSynchronousBeatsAsynchronous(t *testing.T) {
 }
 
 // TestPinningSyncDropsDepartedAndKeepsPins: sync finds each live thread's pin
-// through the one ID lookup, unpins the threads that left, and keeps the pins
-// (and PCMig's levels on them) of the threads that stayed, even when the
-// State lists them in another order.
+// through the one ID lookup, unpins the threads that left and reports that
+// some did, and keeps the pins (and PCMig's levels on them) of the threads
+// that stayed, even when the State lists them in another order. unpin frees
+// the pin and the ID entry both.
 func TestPinningSyncDropsDepartedAndKeepsPins(t *testing.T) {
 	plat := testPlatform(t, 2, 2)
 	ids := []sim.ThreadID{{Task: 0, Thread: 0}, {Task: 0, Thread: 1}, {Task: 1, Thread: 0}}
@@ -485,7 +486,9 @@ func TestPinningSyncDropsDepartedAndKeepsPins(t *testing.T) {
 		st.Threads = append(st.Threads, sim.ThreadInfo{ID: id, Core: -1})
 	}
 	p := newPinning()
-	p.sync(st)
+	if p.sync(st) {
+		t.Error("sync of an empty pinning reported a departure")
+	}
 	for i := range st.Threads {
 		p.place(i, &st.Threads[i])
 	}
@@ -493,7 +496,9 @@ func TestPinningSyncDropsDepartedAndKeepsPins(t *testing.T) {
 
 	// Thread 0:0 leaves; the other two swap places in Threads.
 	st.Threads = []sim.ThreadInfo{{ID: ids[2], Core: 2, AvgPower: 3}, {ID: ids[1], Core: 1, AvgPower: 5}}
-	p.sync(st)
+	if !p.sync(st) {
+		t.Error("sync did not report the departure")
+	}
 	if p.pins[0].used || len(p.core) != 2 {
 		t.Fatalf("departed thread still pinned: pins %+v, index %v", p.pins, p.core)
 	}
@@ -509,5 +514,16 @@ func TestPinningSyncDropsDepartedAndKeepsPins(t *testing.T) {
 	p.fill(out)
 	if len(out) != 2 || out[ids[1]] != 1 || out[ids[2]] != 2 {
 		t.Errorf("fill = %v", out)
+	}
+	if p.sync(st) {
+		t.Error("sync with the same threads reported a departure")
+	}
+
+	p.unpin(2)
+	if p.pins[2] != (pin{}) {
+		t.Errorf("unpinned position holds %+v", p.pins[2])
+	}
+	if _, ok := p.core[ids[2]]; ok || len(p.core) != 1 {
+		t.Errorf("unpinned thread still indexed: %v", p.core)
 	}
 }

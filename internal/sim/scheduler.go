@@ -79,32 +79,6 @@ type State struct {
 	Platform  *Platform
 	TDTM      float64 // the DTM trip temperature the run enforces
 	DTMActive bool
-
-	// index maps a thread ID to its position in Threads. It is reused
-	// across epochs and trusted only for an entry that still holds the ID.
-	index map[ThreadID]int
-}
-
-// Thread returns the thread with the given ID and whether it is in Threads.
-// The ID→position table behind it survives across epochs; an entry that no
-// longer points at the ID, or no entry at all, refills it from Threads first,
-// so hand-built States and edited Threads get right answers too. Like the
-// rest of State it is not safe for concurrent use.
-func (st *State) Thread(id ThreadID) (ThreadInfo, bool) {
-	i, ok := st.index[id]
-	if !ok || i >= len(st.Threads) || st.Threads[i].ID != id {
-		if st.index == nil {
-			st.index = make(map[ThreadID]int, len(st.Threads))
-		}
-		clear(st.index)
-		for j, th := range st.Threads {
-			st.index[th.ID] = j
-		}
-		if i, ok = st.index[id]; !ok {
-			return ThreadInfo{}, false
-		}
-	}
-	return st.Threads[i], true
 }
 
 // Decision is the scheduler's answer: a thread→core mapping and per-core

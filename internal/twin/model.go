@@ -69,7 +69,8 @@ type BucketModel struct {
 	// Makespan predicts the full run's makespan (bound in seconds).
 	Makespan FieldModel `json:"makespan"`
 	// Ring predicts the steady-periodic peak of a ring rotation (bound in
-	// °C) — the HotPotato pre-filter model.
+	// °C). It is calibrated and validated, but nothing evaluates it at run
+	// time.
 	Ring FieldModel `json:"ring"`
 	// Samples and RingSamples record the calibration density behind the
 	// published bounds.
@@ -80,8 +81,7 @@ type BucketModel struct {
 	// inconclusive because the bound is no longer evidence there.
 	MinTotalW float64 `json:"min_total_w"`
 	MaxTotalW float64 `json:"max_total_w"`
-	// MaxTauS is the largest rotation epoch seen during ring calibration;
-	// ring estimates above it (+10%) are inconclusive.
+	// MaxTauS is the largest rotation epoch seen during ring calibration.
 	MaxTauS float64 `json:"max_tau_s"`
 	// RingMinW and RingMaxW are the ring calibration envelope on the
 	// time-averaged total chip power of a rotation (background + mean slot

@@ -3,10 +3,9 @@
 // steady-state temperature, the transient peak temperature, and the
 // makespan of a run in microseconds instead of the milliseconds-to-seconds
 // a full interval simulation costs. The serving tier exposes it as
-// POST /v1/predict, the batch path uses it to prune sweep cells whose
-// outcome is certain either way, and HotPotato can consult it as a Decide
-// pre-filter that falls back to Algorithm 1 whenever the bound is
-// inconclusive.
+// POST /v1/predict. The model also carries a ring-rotation section, fitted
+// against Algorithm 1's ring evaluation; it is calibrated and validated but
+// nothing reads it at run time.
 //
 // The twin is calibrated offline against the full simulator over a seeded
 // design grid (see the root package's CalibrateTwin); the artifact is a
@@ -122,8 +121,7 @@ type Sample struct {
 
 // RingCase is one ring-rotation evaluation point: the inputs of Algorithm
 // 1's HotPotato fast path (rotation.RingEvaluator.PeakRingRotation), reduced
-// to numbers. The twin's ring model predicts the steady-periodic peak so the
-// scheduler can skip the exact evaluation when the bound is conclusive.
+// to numbers. The twin's ring model predicts the steady-periodic peak.
 type RingCase struct {
 	// Width and Height are the grid dimensions (the platform bucket).
 	Width, Height int
@@ -288,6 +286,14 @@ func ringFeaturesInto(x, field []float64, c RingCase) {
 	x[5] = rip * (1 - math.Exp(-c.Tau/tauRingB))
 	x[6] = rip * (1 - math.Exp(-period/tauRingP))
 }
+
+// SteadyPeakFunc returns the exact steady-state peak temperature rise (K) of
+// a per-core power field — a closed-form linear solve against the platform's
+// thermal model (the root package builds one from the cached core-influence
+// matrix). The ring model's strongest regressor is this quasi-steady rise of
+// the rotation's time-averaged field, so every ring case needs the solve.
+// Implementations must not retain the field slice.
+type SteadyPeakFunc func(field []float64) float64
 
 // MaxInstantSteadyDelta returns the exact steady peak rise of a rotation
 // frozen at its worst epoch (RingCase.SteadyMaxDeltaC): the maximum over

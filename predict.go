@@ -3,10 +3,9 @@ package hotpotato
 // predict.go is the analytical-twin fast path over the RunSpec surface: it
 // reduces an in-domain spec to the numeric case internal/twin predicts on,
 // runs the simulator-as-oracle calibration that fits the twin, and exposes
-// the glue the serving tier (POST /v1/predict) and the HotPotato
-// pre-filter build on. The model is documented in
-// docs/THEORY.md §"Surrogate model and error bounds"; docs/API.md
-// documents the endpoint.
+// the glue the serving tier (POST /v1/predict) builds on. The model is
+// documented in docs/THEORY.md §"Surrogate model and error bounds";
+// docs/API.md documents the endpoint.
 
 import (
 	"context"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/rotation"
-	"repro/internal/sched"
 	"repro/internal/twin"
 	"repro/internal/workload"
 )
@@ -351,8 +349,7 @@ func calibrateBucket(ctx context.Context, seed int64, width, height, samples, ri
 // rotation.RingEvaluator had before it moved to response tables. The two
 // agree to ~1e-13 K, but the committed TWIN_model.json (and the /v1/predict
 // goldens hashed from it) were fitted to this walk's exact bits, so
-// calibration keeps it. ROADMAP item 3 deletes it together with the ring
-// model.
+// calibration keeps it until the ring model leaves the artifact.
 type twinRingOracle struct {
 	lambda []float64
 	wT     *matrix.Dense // core columns of W = V⁻¹B⁻¹ as rows, n×N
@@ -621,22 +618,4 @@ func twinDesignRing(rng *rand.Rand, plat *Platform, steadyPeak twin.SteadyPeakFu
 		SteadyFieldDeltaC: steadyPeak(field),
 		SteadyMaxDeltaC:   sfdMax,
 	}
-}
-
-// NewTwinRingEstimator builds the HotPotato pre-filter for plat (see
-// sched.RingPeakEstimator and WithTwinPreFilter): the model's bucket for the
-// platform's grid size plus the platform's exact steady-peak solve. Like the
-// exact ring evaluator it replaces, the estimator is confined to one
-// goroutine.
-func NewTwinRingEstimator(model *TwinModel, plat *Platform) (sched.RingPeakEstimator, error) {
-	return twin.NewRingEstimator(model, plat.FP.Width, plat.FP.Height, twinSteadyPeakFunc(plat))
-}
-
-// WithTwinPreFilter returns the HotPotato option installing a twin-backed
-// Decide pre-filter: per-ring Algorithm 1 evaluations whose outcome the twin
-// bounds conclusively on one side of the decision threshold are answered by
-// the twin; everything else falls back to the exact evaluation, keeping
-// scheduling decisions bit-identical to stock HotPotato.
-func WithTwinPreFilter(e sched.RingPeakEstimator) HotPotatoOption {
-	return sched.WithRingEstimator(e)
 }

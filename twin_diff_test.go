@@ -4,9 +4,9 @@ package hotpotato
 // analytical twin (docs/THEORY.md §"Surrogate model and error bounds"): the
 // committed TWIN_model.json artifact is checked against the full simulator on
 // hundreds of held-out random cases, and the calibration's determinism and
-// bound-monotonicity contracts are pinned. The design-grid generators
-// (twinDesignSpec, twinDesignRing) double as the held-out case generators at
-// seeds disjoint from every calibration stream.
+// bound-monotonicity contracts are pinned. The design-grid generator
+// twinDesignSpec doubles as the held-out case generator at seeds disjoint
+// from every calibration stream.
 
 import (
 	"bytes"
@@ -17,8 +17,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/rotation"
-	"repro/internal/sched"
 	"repro/internal/twin"
 )
 
@@ -136,50 +134,6 @@ func TestTwinDifferential(t *testing.T) {
 	}
 }
 
-// TestTwinRingDifferential checks the HotPotato pre-filter model the same
-// way: held-out random ring rotations, estimator vs the exact Algorithm 1
-// evaluation, |twin − exact| ≤ bound whenever the estimator is conclusive.
-func TestTwinRingDifferential(t *testing.T) {
-	model := committedTwin(t)
-	for _, wh := range [][2]int{{4, 4}, {8, 8}} {
-		w, h := wh[0], wh[1]
-		t.Run(twin.BucketKey(w, h), func(t *testing.T) {
-			plat, err := NewPlatform(w, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := NewTwinRingEstimator(model, plat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ringEval := rotation.NewCalculator(plat.Thermal).NewRingEvaluator()
-			steadyPeak := twinSteadyPeakFunc(plat)
-			rng := rand.New(rand.NewSource(43_0000 + int64(w)))
-			const cases = 300
-			conclusive := 0
-			for i := 0; i < cases; i++ {
-				rc := twinDesignRing(rng, plat, steadyPeak)
-				exact, err := ringEval.PeakRingRotation(rc.Tau, rc.Base, rc.RingCores, rc.SlotWatts)
-				if err != nil {
-					t.Fatalf("ring case %d: %v", i, err)
-				}
-				got, bound, ok := est.EstimateRingPeak(rc.Tau, rc.Base, rc.RingCores, rc.SlotWatts)
-				if !ok {
-					continue
-				}
-				conclusive++
-				if d := math.Abs(got - exact); d > bound {
-					t.Errorf("ring case %d: |%g − %g| = %g exceeds bound %g", i, got, exact, d, bound)
-				}
-			}
-			if floor := cases * 8 / 10; conclusive < floor {
-				t.Errorf("only %d/%d ring cases conclusive (floor %d)", conclusive, cases, floor)
-			}
-			t.Logf("%d/%d ring cases conclusive", conclusive, cases)
-		})
-	}
-}
-
 // TestTwinBoundMonotonicity pins the calibration-density contract: along each
 // sample axis the published bound is monotone non-increasing (denser
 // calibration never loosens the bound), and — because the two oracle streams
@@ -282,121 +236,5 @@ func TestTwinPredictDeterministic(t *testing.T) {
 		if !bytes.Equal(j1, j2) {
 			t.Fatalf("case %d: repeated prediction differs:\n%s\n%s", i, j1, j2)
 		}
-	}
-}
-
-// inconclusiveEstimator is the degenerate pre-filter: it never answers, so
-// every evaluation must fall back to the exact path.
-type inconclusiveEstimator struct{ calls int }
-
-func (e *inconclusiveEstimator) EstimateRingPeak(tau float64, base []float64, ringCores []int, slotWatts []float64) (float64, float64, bool) {
-	e.calls++
-	return 0, 0, false
-}
-
-// TestTwinPreFilterBitIdentical is the acceptance test of the HotPotato
-// pre-filter: with the twin answering (and with an estimator that never
-// answers), the full simulation — every migration, every temperature, the
-// whole Result — is bit-identical to stock HotPotato. The estimator may only
-// short-circuit ring evaluations whose thresholded outcome it can prove.
-func TestTwinPreFilterBitIdentical(t *testing.T) {
-	model := committedTwin(t)
-	for _, wh := range [][2]int{{4, 4}, {8, 8}} {
-		w, h := wh[0], wh[1]
-		t.Run(twin.BucketKey(w, h), func(t *testing.T) {
-			plat, err := NewPlatform(w, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := RunSpec{
-				Platform:  DefaultPlatformConfig(w, h),
-				Scheduler: SchedulerSpec{Name: "hotpotato"},
-				Workload:  WorkloadSpec{Kind: WorkloadRandom, Count: 6, Rate: 2000, Seed: 5},
-			}
-			spec = spec.WithDefaults()
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			taskSpecs, err := spec.Workload.specs(plat.NumCores())
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(opts ...HotPotatoOption) ([]byte, *sched.HotPotato) {
-				t.Helper()
-				tasks, err := Instantiate(taskSpecs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := sched.NewHotPotato(plat, spec.Sim.TDTM, opts...)
-				res, err := Run(plat, spec.Sim, s, tasks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res.SchedulerHostTime = 0
-				b, err := json.Marshal(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b, s
-			}
-
-			stock, stockSched := run()
-			if hits, fallbacks := stockSched.EstimatorStats(); hits != 0 || fallbacks != 0 {
-				t.Errorf("stock scheduler counted estimator outcomes: hits=%d fallbacks=%d", hits, fallbacks)
-			}
-
-			// Never-conclusive estimator: pure fallback, still bit-identical.
-			inconclusive := &inconclusiveEstimator{}
-			viaFallback, fbSched := run(WithTwinPreFilter(inconclusive))
-			if !bytes.Equal(stock, viaFallback) {
-				t.Error("inconclusive estimator changed the simulation result")
-			}
-			hits, fallbacks := fbSched.EstimatorStats()
-			if hits != 0 {
-				t.Errorf("inconclusive estimator scored %d hits", hits)
-			}
-			if fallbacks == 0 || fallbacks != inconclusive.calls {
-				t.Errorf("fallbacks=%d, estimator calls=%d — every consult must fall back", fallbacks, inconclusive.calls)
-			}
-
-			// The real twin pre-filter: answers where it can, identical either way.
-			est, err := NewTwinRingEstimator(model, plat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaTwin, twinSched := run(WithTwinPreFilter(est))
-			if !bytes.Equal(stock, viaTwin) {
-				t.Error("twin pre-filter changed the simulation result")
-			}
-			hits, fallbacks = twinSched.EstimatorStats()
-			if hits+fallbacks != inconclusive.calls {
-				t.Errorf("twin consults %d != stock evaluation count %d", hits+fallbacks, inconclusive.calls)
-			}
-			t.Logf("twin pre-filter: %d hits, %d fallbacks of %d ring evaluations", hits, fallbacks, hits+fallbacks)
-		})
-	}
-}
-
-// TestTwinRingEstimatorAllocFree holds the pre-filter to the scheduler's
-// hot-loop discipline: estimating a ring peak allocates nothing, like the
-// exact evaluator it short-circuits.
-func TestTwinRingEstimatorAllocFree(t *testing.T) {
-	model := committedTwin(t)
-	plat, err := NewPlatform(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewTwinRingEstimator(model, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steadyPeak := twinSteadyPeakFunc(plat)
-	rng := rand.New(rand.NewSource(11))
-	rc := twinDesignRing(rng, plat, steadyPeak)
-	allocs := testing.AllocsPerRun(200, func() {
-		est.EstimateRingPeak(rc.Tau, rc.Base, rc.RingCores, rc.SlotWatts)
-	})
-	if allocs != 0 {
-		t.Errorf("EstimateRingPeak allocates %.0f per call, want 0", allocs)
 	}
 }
