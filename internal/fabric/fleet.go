@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -59,11 +60,24 @@ func validMetricName(s string) bool {
 	return true
 }
 
+// federates reports whether a worker metric name may become a fleet_<name>
+// series: a valid metric name outside the dispatcher's own families. The
+// fleet_* totals and the fabric_* series are declared in this package and
+// describe a dispatcher, not a worker; a worker sharing the dispatcher's
+// process registry would otherwise send them back as fleet_fleet_* and
+// fleet_fabric_* echoes, each heartbeat nesting one prefix deeper until the
+// series budget is spent.
+func federates(name string) bool {
+	return !strings.HasPrefix(name, "fleet_") && !strings.HasPrefix(name, "fabric_") &&
+		validMetricName(name)
+}
+
 // addFleetCounter adds delta to the fleet counter for a worker metric name,
 // lazily creating it, and saturates at math.MaxInt64 instead of wrapping
-// negative. An invalid name or a spent series budget drops the delta.
+// negative. A name that does not federate, is already a fleet gauge, or
+// would overrun the series budget drops the delta.
 func addFleetCounter(name string, delta int64) {
-	if !validMetricName(name) {
+	if !federates(name) {
 		metricFleetSeriesDropped.Inc()
 		return
 	}
@@ -71,7 +85,9 @@ func addFleetCounter(name string, delta int64) {
 	defer fleetMu.Unlock()
 	c, ok := fleetCounters[name]
 	if !ok {
-		if len(fleetCounters)+len(fleetGauges) >= maxFleetSeries {
+		// fleet_<name> is one registry series: a name already folded as a
+		// gauge cannot also become a counter.
+		if _, gauge := fleetGauges[name]; gauge || len(fleetCounters)+len(fleetGauges) >= maxFleetSeries {
 			metricFleetSeriesDropped.Inc()
 			return
 		}
@@ -82,9 +98,10 @@ func addFleetCounter(name string, delta int64) {
 }
 
 // fleetGauge resolves (lazily creating) the fleet gauge for a worker metric
-// name.
+// name; nil (counted as dropped) for a name that does not federate, is
+// already a fleet counter, or would overrun the series budget.
 func fleetGauge(name string) *obs.Gauge {
-	if !validMetricName(name) {
+	if !federates(name) {
 		metricFleetSeriesDropped.Inc()
 		return nil
 	}
@@ -93,7 +110,7 @@ func fleetGauge(name string) *obs.Gauge {
 	if g, ok := fleetGauges[name]; ok {
 		return g
 	}
-	if len(fleetCounters)+len(fleetGauges) >= maxFleetSeries {
+	if _, counter := fleetCounters[name]; counter || len(fleetCounters)+len(fleetGauges) >= maxFleetSeries {
 		metricFleetSeriesDropped.Inc()
 		return nil
 	}
@@ -127,7 +144,7 @@ func (d *Dispatcher) FoldTelemetry(workerID string, counters map[string]int64, g
 		w.gauges = make(map[string]float64, len(gauges))
 	}
 	for name, v := range gauges {
-		// An invalid name or a spent series budget drops the value.
+		// fleetGauge refuses (and counts) the names that cannot fold.
 		if fleetGauge(name) != nil {
 			w.gauges[name] = v
 		}

@@ -31,5 +31,5 @@ var (
 	metricSpansGrafted = obs.NewCounter("fabric_spans_grafted_total",
 		"Worker-exported span records merged into sweep trace trees.")
 	metricFleetSeriesDropped = obs.NewCounter("fabric_fleet_series_dropped_total",
-		"Federated metric series rejected (invalid name or fleet series budget exhausted).")
+		"Federated metric series rejected (invalid or dispatcher-owned name, counter/gauge name clash, or fleet series budget exhausted).")
 )

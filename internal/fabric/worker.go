@@ -279,20 +279,27 @@ func (w *Worker) heartbeat(ctx context.Context, leaseID string, done int) (Heart
 }
 
 // telemetry assembles the federation payload: counter deltas since the last
-// heartbeat (zero deltas omitted) and current gauge values. Called only from
-// the per-lease heartbeat goroutine — one at a time, joined before the next
-// lease — so lastCounters needs no lock.
+// heartbeat (zero deltas omitted) and current gauge values, of the series
+// that federate only — a worker sharing its dispatcher's registry must not
+// send the dispatcher's fabric_* and fleet_* series back to it. Called only
+// from the per-lease heartbeat goroutine — one at a time, joined before the
+// next lease — so lastCounters needs no lock.
 func (w *Worker) telemetry() (map[string]int64, map[string]float64) {
 	counters, gauges := obs.Default().Values()
 	deltas := make(map[string]int64)
 	for name, v := range counters {
+		if !federates(name) {
+			continue
+		}
 		if d := v - w.lastCounters[name]; d > 0 {
 			deltas[name] = d
 		}
 		w.lastCounters[name] = v
 	}
-	if len(deltas) == 0 {
-		deltas = nil
+	for name := range gauges {
+		if !federates(name) {
+			delete(gauges, name)
+		}
 	}
 	return deltas, gauges
 }

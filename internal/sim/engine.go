@@ -360,7 +360,10 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	needSched := true
 	dtmActive := false
 	medianCore := s.plat.FP.ID(s.plat.FP.Width/2, s.plat.FP.Height/2)
-	noise := rand.New(rand.NewSource(s.cfg.SensorNoiseSeed))
+	var noise *rand.Rand // seeded only when SensorNoiseStdDev > 0 reads it
+	if s.cfg.SensorNoiseStdDev > 0 {
+		noise = rand.New(rand.NewSource(s.cfg.SensorNoiseSeed))
+	}
 	contention := 1.0 // shared-resource latency factor (NoCContention)
 	dtmCore := make([]bool, n)
 
