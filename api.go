@@ -56,7 +56,7 @@
 //     are immutable after construction and safe to share across any number
 //     of goroutines. A single Platform may back many concurrent Runs.
 //   - Run-state objects (Simulation, Scheduler instances, Task,
-//     TraceRecorder) are single-goroutine: build fresh ones per concurrent
+//     HottestSlice) are single-goroutine: build fresh ones per concurrent
 //     run and never share an instance between two live simulations.
 //   - Everything is deterministic: no package-level mutable state, no
 //     shared rand sources, and the experiment harnesses (Fig4a, Fig4b, …)
@@ -67,8 +67,12 @@ package hotpotato
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
@@ -77,7 +81,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/thermal"
-	"repro/internal/tracerec"
 	"repro/internal/workload"
 )
 
@@ -381,14 +384,6 @@ func Fig2(traceStride int) (*Fig2Result, error) { return experiments.Fig2(traceS
 // (and only its numbers) vary with the host machine and load.
 func Overhead() (*OverheadResult, error) { return experiments.Overhead() }
 
-// TraceRecorder collects per-slice traces (temperatures, powers,
-// frequencies) from a Simulation and exports CSV files and summaries.
-type TraceRecorder = tracerec.Recorder
-
-// NewTraceRecorder creates a recorder keeping every stride-th slice; install
-// it with Simulation.SetTrace(rec.Hook()).
-func NewTraceRecorder(stride int) (*TraceRecorder, error) { return tracerec.New(stride) }
-
 // Observability types (docs/OBSERVABILITY.md).
 type (
 	// EpochEvent is one structured record per scheduler epoch: the mapping
@@ -483,13 +478,6 @@ func ContextWithLogger(ctx context.Context, l *slog.Logger) context.Context {
 // context is uninstrumented.
 func LoggerFromContext(ctx context.Context) *slog.Logger { return obs.LoggerFrom(ctx) }
 
-// EpochHeatmapRecorder converts a run's epoch-event trace into a
-// TraceRecorder, so the heatmap/CSV exports work from an EpochTracer exactly
-// as they do from a per-slice trace hook.
-func EpochHeatmapRecorder(events []EpochEvent) (*TraceRecorder, error) {
-	return tracerec.FromEpochEvents(events)
-}
-
 // NewStackedPlatformThermal builds the 3D-stacked RC thermal model of the
 // §VII future-work exploration: `layers` core layers over a width×height
 // grid, only the top layer adjacent to the heatsink path. The returned model
@@ -528,10 +516,67 @@ func BenchmarksToJSON(w io.Writer, benchmarks []Benchmark) error {
 	return workload.ToJSON(w, benchmarks)
 }
 
-// HeatmapASCII renders a per-core temperature vector as an ASCII grid with a
-// legend; lo and hi bound the glyph ramp.
+// heatRamp maps normalized temperature to glyphs, cold to hot.
+const heatRamp = " .:-=+*#%@"
+
+// HeatmapASCII renders a per-core temperature vector as an ASCII grid
+// (row-major, width×height cores, two glyphs per core) with a scale legend.
+// Temperatures map linearly from lo (coldest glyph) to hi (hottest); values
+// outside clamp.
 func HeatmapASCII(temps []float64, width, height int, lo, hi float64) (string, error) {
-	return tracerec.Heatmap(temps, width, height, lo, hi)
+	if width < 1 || height < 1 {
+		return "", fmt.Errorf("heatmap: invalid grid %dx%d", width, height)
+	}
+	if len(temps) != width*height {
+		return "", fmt.Errorf("heatmap: %d temperatures for %dx%d grid", len(temps), width, height)
+	}
+	if hi <= lo {
+		return "", fmt.Errorf("heatmap: invalid range [%g, %g]", lo, hi)
+	}
+	var sb strings.Builder
+	for y := 0; y < height; y++ {
+		for x := 0; x < width; x++ {
+			frac := min(max((temps[y*width+x]-lo)/(hi-lo), 0), 1)
+			glyph := heatRamp[int(frac*float64(len(heatRamp)-1))]
+			sb.WriteByte(glyph)
+			sb.WriteByte(glyph)
+		}
+		sb.WriteByte('\n')
+	}
+	fmt.Fprintf(&sb, "scale: '%c' ≤ %.1f °C … '%c' ≥ %.1f °C\n",
+		heatRamp[0], lo, heatRamp[len(heatRamp)-1], hi)
+	return sb.String(), nil
+}
+
+// HottestSlice keeps the one slice of a run whose hottest core ran hottest
+// (the first such slice): its time and a copy of its per-core temperatures.
+// Install Observe with Simulation.SetTrace before the run; the zero value is
+// ready to use.
+type HottestSlice struct {
+	time, max float64
+	temps     []float64
+}
+
+// Observe is the per-slice TraceFunc: it replaces the kept slice only when
+// this slice's hottest core is strictly hotter.
+func (h *HottestSlice) Observe(t float64, coreTemps, _, _ []float64) {
+	if m := slices.Max(coreTemps); h.temps == nil || m > h.max {
+		h.time, h.max = t, m
+		h.temps = append(h.temps[:0], coreTemps...)
+	}
+}
+
+// Heatmap renders the kept slice with HeatmapASCII under a header giving its
+// time and hottest core temperature.
+func (h *HottestSlice) Heatmap(width, height int, lo, hi float64) (string, error) {
+	if h.temps == nil {
+		return "", errors.New("heatmap: no slice observed")
+	}
+	grid, err := HeatmapASCII(h.temps, width, height, lo, hi)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("t = %.1f ms (hottest sample, max %.2f °C)\n%s", h.time*1e3, h.max, grid), nil
 }
 
 // NewReactiveScheduler builds the naive feedback baseline: a per-core

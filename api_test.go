@@ -2,6 +2,8 @@ package hotpotato_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	hotpotato "repro"
@@ -168,21 +170,17 @@ func TestFacadeHybridSchedulerAndRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := hotpotato.NewTraceRecorder(2)
+	var hottest hotpotato.HottestSlice
+	s.SetTrace(hottest.Observe)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace(rec.Hook())
-	if _, err := s.Run(); err != nil {
+	heat, err := hottest.Heatmap(4, 4, 45, 75)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Error("recorder captured nothing")
-	}
-	if rec.TempSummary().Max <= 45 {
-		t.Error("trace never heated")
-	}
-	if _, err := hotpotato.NewTraceRecorder(0); err == nil {
-		t.Error("invalid stride accepted")
+	if want := fmt.Sprintf("max %.2f °C)", res.PeakTemp); !strings.Contains(heat, want) || res.PeakTemp <= 45 {
+		t.Errorf("hottest slice %q, run peak %.2f °C", heat, res.PeakTemp)
 	}
 }

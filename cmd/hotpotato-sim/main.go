@@ -158,13 +158,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rec *hotpotato.TraceRecorder
+	var hottest hotpotato.HottestSlice
 	if *heatmap {
-		rec, err = hotpotato.NewTraceRecorder(1)
-		if err != nil {
-			fatal(err)
-		}
-		simulation.SetTrace(rec.Hook())
+		simulation.SetTrace(hottest.Observe)
 	}
 	var tracer *hotpotato.RingTracer
 	if *traceOut != "" {
@@ -228,7 +224,7 @@ func main() {
 		float64(res.SchedulerHostTime.Microseconds())/float64(res.SchedulerInvocations))
 
 	if *heatmap {
-		out, err := rec.HottestSampleHeatmap(*grid, *grid, 45, *tdtm+5)
+		out, err := hottest.Heatmap(*grid, *grid, 45, *tdtm+5)
 		if err != nil {
 			fatal(err)
 		}

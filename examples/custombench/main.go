@@ -69,11 +69,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := hotpotato.NewTraceRecorder(1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.SetTrace(rec.Hook())
+	var hottest hotpotato.HottestSlice
+	sim.SetTrace(hottest.Observe)
 	res, err := sim.Run()
 	if err != nil {
 		log.Fatal(err)
@@ -86,7 +83,7 @@ func main() {
 			ts.ID, ts.Benchmark, ts.Threads, ts.Response*1e3)
 	}
 
-	heat, err := rec.HottestSampleHeatmap(4, 4, 45, 75)
+	heat, err := hottest.Heatmap(4, 4, 45, 75)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -97,11 +97,6 @@ func (h *Hierarchy) PrivateLines() int {
 	return bytes / h.cfg.BlockBytes
 }
 
-// LLCLines returns the number of lines in the whole distributed LLC.
-func (h *Hierarchy) LLCLines() int {
-	return h.cfg.LLCPerCoreKB * 1024 * h.n / h.cfg.BlockBytes
-}
-
 // MigrationPenalty estimates the execution-time cost (seconds) a thread pays
 // when migrating from core src to core dst:
 //
@@ -116,8 +111,12 @@ func (h *Hierarchy) LLCLines() int {
 //     models charge them as stall time.
 //
 // The penalty is deliberately a smooth analytic function — HotSniper charges
-// an equivalent interval-level cost rather than simulating each line.
+// an equivalent interval-level cost rather than simulating each line. A
+// thread that stays on its core (src == dst) pays nothing.
 func (h *Hierarchy) MigrationPenalty(src, dst int) float64 {
+	if src == dst {
+		return 0
+	}
 	lines := float64(h.PrivateLines())
 	lineBits := h.cfg.BlockBytes * 8
 
@@ -134,18 +133,4 @@ func (h *Hierarchy) MigrationPenalty(src, dst int) float64 {
 	refill := 0.5 * warm * h.net.AvgLLCRoundTrip(dst)
 
 	return h.cfg.OSOverhead + flush + refill
-}
-
-// MigrationPenaltyMatrix returns the penalty for every (src, dst) pair.
-func (h *Hierarchy) MigrationPenaltyMatrix() [][]float64 {
-	m := make([][]float64, h.n)
-	for s := range m {
-		m[s] = make([]float64, h.n)
-		for d := range m[s] {
-			if s != d {
-				m[s][d] = h.MigrationPenalty(s, d)
-			}
-		}
-	}
-	return m
 }

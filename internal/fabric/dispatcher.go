@@ -262,8 +262,10 @@ func (g *IDs) Next(kind string) string {
 }
 
 // Run drives the lease reaper until ctx is done: every quarter TTL it
-// re-queues the booked cells of expired leases. Tests skip Run and call
-// ExpireLeases with a fake clock instead.
+// re-queues the booked cells of expired leases. When it returns, every
+// worker still on the roster is dropped with its gauges, so a stopped
+// dispatcher leaves no workers in the process-wide fabric_workers and fleet
+// gauges. Tests skip Run and call ExpireLeases with a fake clock instead.
 func (d *Dispatcher) Run(ctx context.Context) {
 	interval := d.cfg.LeaseTTL / 4
 	if interval < 10*time.Millisecond {
@@ -274,6 +276,11 @@ func (d *Dispatcher) Run(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
+			d.mu.Lock()
+			for _, w := range d.workers {
+				d.dropWorkerLocked(w)
+			}
+			d.mu.Unlock()
 			return
 		case <-tick.C:
 			d.ExpireLeases(d.clock.Now())
@@ -297,15 +304,6 @@ type Sweep struct {
 // The channel closes once every cell is accounted for (done, failed, or the
 // sweep was canceled).
 func (s *Sweep) Records() <-chan hotpotato.SweepResultRecord { return s.st.records }
-
-// Counts returns the sweep's tallies so far (completed, failed, canceled,
-// cache hits — archive hits and worker-cache hits both count).
-func (s *Sweep) Counts() (completed, failed, canceled, cacheHits int) {
-	s.d.mu.Lock()
-	defer s.d.mu.Unlock()
-	sum := s.st.summary
-	return sum.Completed, sum.Failed, sum.Canceled, sum.CacheHits
-}
 
 // Cancel aborts the sweep: pending cells are dropped, leased cells' late
 // results are discarded, and workers learn on their next heartbeat. Safe to
@@ -467,21 +465,16 @@ func (d *Dispatcher) Heartbeat(leaseID string) (ok, canceled bool) {
 	return true, l.sweep.canceled
 }
 
-// Results consumes finished-cell records for leaseID. First result wins: a
-// record for an already-finished cell (a re-leased cell completing twice) is
-// dropped, and so is a record whose hash is not the booked cell's (a stale
-// worker's result must never be archived under another spec's hash).
-// accepted counts consumed records; ok=false means the lease is
-// unknown and the worker should abandon the rest.
-func (d *Dispatcher) Results(leaseID string, recs []hotpotato.SweepResultRecord) (accepted int, ok bool) {
-	return d.PostResults(ResultsRequest{LeaseID: leaseID, Records: recs})
-}
-
-// PostResults is Results plus the span sidecar of the wire form: worker span
-// subtrees are grafted into the sweep's merged trace (only for cells whose
-// record was accepted — a duplicate result must not duplicate its subtree).
-// A negative Dropped count is ignored, so a post cannot lower the sweep's
-// reported drops.
+// PostResults consumes finished-cell records for req.LeaseID. First result
+// wins: a record for an already-finished cell (a re-leased cell completing
+// twice) is dropped, and so is a record whose hash is not the booked cell's
+// (a stale worker's result must never be archived under another spec's
+// hash). accepted counts consumed records; ok=false means the lease is
+// unknown and the worker should abandon the rest. Worker span subtrees of
+// the wire form's sidecar are grafted into the sweep's merged trace (only
+// for cells whose record was accepted — a duplicate result must not
+// duplicate its subtree). A negative Dropped count is ignored, so a post
+// cannot lower the sweep's reported drops.
 func (d *Dispatcher) PostResults(req ResultsRequest) (accepted int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -597,13 +590,19 @@ func (d *Dispatcher) ExpireLeases(now time.Time) int {
 		if !w.lastSeen.Add(d.cfg.LeaseTTL).Before(now) {
 			continue
 		}
-		delete(d.workers, id)
-		metricWorkers.Add(-1)
-		d.sumFleetGaugesLocked(w.gauges)
+		d.dropWorkerLocked(w)
 		d.logger.Warn("fabric worker dropped",
 			"worker", id, "silent_ms", now.Sub(w.lastSeen).Milliseconds(), "cells_done", w.cellsDone)
 	}
 	return expired
+}
+
+// dropWorkerLocked takes w off the roster and its federated gauges out of
+// the fleet sums. Callers hold d.mu.
+func (d *Dispatcher) dropWorkerLocked(w *workerState) {
+	delete(d.workers, w.id)
+	metricWorkers.Add(-1)
+	d.sumFleetGaugesLocked(w.gauges)
 }
 
 // cancelSweep aborts sw (idempotent): pending cells leave the queue as

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -109,7 +110,7 @@ func TestLeaseExpiryRequeuesAtFront(t *testing.T) {
 	}
 
 	// A late result on the dead lease is rejected so the worker abandons.
-	if _, ok := d.Results(dead.ID, []hotpotato.SweepResultRecord{okRecord(0)}); ok {
+	if _, ok := d.PostResults(ResultsRequest{LeaseID: dead.ID, Records: []hotpotato.SweepResultRecord{okRecord(0)}}); ok {
 		t.Fatal("dead lease accepted results")
 	}
 	if ok, _ := d.Heartbeat(dead.ID); ok {
@@ -118,11 +119,11 @@ func TestLeaseExpiryRequeuesAtFront(t *testing.T) {
 
 	// Finish everything through live leases; the stream must hold exactly
 	// one record per cell despite the expiry detour.
-	if n, ok := d.Results(next.ID, []hotpotato.SweepResultRecord{okRecord(0), okRecord(1)}); !ok || n != 2 {
+	if n, ok := d.PostResults(ResultsRequest{LeaseID: next.ID, Records: []hotpotato.SweepResultRecord{okRecord(0), okRecord(1)}}); !ok || n != 2 {
 		t.Fatalf("results accepted=%d ok=%v", n, ok)
 	}
 	rest := d.Lease("healthy", 2)
-	if n, ok := d.Results(rest.ID, []hotpotato.SweepResultRecord{okRecord(2), okRecord(3)}); !ok || n != 2 {
+	if n, ok := d.PostResults(ResultsRequest{LeaseID: rest.ID, Records: []hotpotato.SweepResultRecord{okRecord(2), okRecord(3)}}); !ok || n != 2 {
 		t.Fatalf("results accepted=%d ok=%v", n, ok)
 	}
 
@@ -136,9 +137,9 @@ func TestLeaseExpiryRequeuesAtFront(t *testing.T) {
 	if len(indices) != 4 {
 		t.Fatalf("stream carried %d records, want 4: %v", len(indices), indices)
 	}
-	completed, failed, canceled, _ := sweep.Counts()
-	if completed != 4 || failed != 0 || canceled != 0 {
-		t.Fatalf("counts completed=%d failed=%d canceled=%d", completed, failed, canceled)
+	st, _ := d.SweepStatus(sweep.ID)
+	if st.Completed != 4 || st.Failed != 0 || st.Canceled != 0 {
+		t.Fatalf("counts completed=%d failed=%d canceled=%d", st.Completed, st.Failed, st.Canceled)
 	}
 }
 
@@ -189,9 +190,8 @@ func TestLeaseRetryExhaustion(t *testing.T) {
 	if len(recs) != 1 || recs[0].Status != "failed" {
 		t.Fatalf("records %+v, want one failed", recs)
 	}
-	_, failed, _, _ := sweep.Counts()
-	if failed != 1 {
-		t.Fatalf("failed = %d, want 1", failed)
+	if st, _ := d.SweepStatus(sweep.ID); st.Failed != 1 {
+		t.Fatalf("failed = %d, want 1", st.Failed)
 	}
 }
 
@@ -208,11 +208,11 @@ func TestResultsFirstWins(t *testing.T) {
 	d.ExpireLeases(clock.Now())
 	second := d.Lease("w2", 1)
 
-	if n, ok := d.Results(second.ID, []hotpotato.SweepResultRecord{okRecord(0)}); !ok || n != 1 {
+	if n, ok := d.PostResults(ResultsRequest{LeaseID: second.ID, Records: []hotpotato.SweepResultRecord{okRecord(0)}}); !ok || n != 1 {
 		t.Fatalf("second lease results accepted=%d ok=%v", n, ok)
 	}
 	// w1 finally reports the same cell on its dead lease: rejected outright.
-	if _, ok := d.Results(first.ID, []hotpotato.SweepResultRecord{okRecord(0)}); ok {
+	if _, ok := d.PostResults(ResultsRequest{LeaseID: first.ID, Records: []hotpotato.SweepResultRecord{okRecord(0)}}); ok {
 		t.Fatal("dead lease accepted a duplicate result")
 	}
 
@@ -249,7 +249,7 @@ func TestSubmitArchiveHit(t *testing.T) {
 	if grant == nil || len(grant.Cells) != 1 || grant.Cells[0].Index != 1 {
 		t.Fatalf("lease %+v, want only the unarchived cell 1", grant)
 	}
-	d.Results(grant.ID, []hotpotato.SweepResultRecord{okRecord(1)})
+	d.PostResults(ResultsRequest{LeaseID: grant.ID, Records: []hotpotato.SweepResultRecord{okRecord(1)}})
 
 	byIndex := map[int]hotpotato.SweepResultRecord{}
 	for rec := range sweep.Records() {
@@ -264,9 +264,8 @@ func TestSubmitArchiveHit(t *testing.T) {
 	if byIndex[0].Index != 0 {
 		t.Error("archive replay did not re-stamp the cell index")
 	}
-	_, _, _, cacheHits := sweep.Counts()
-	if cacheHits != 1 {
-		t.Errorf("cacheHits = %d, want 1", cacheHits)
+	if st, _ := d.SweepStatus(sweep.ID); st.CacheHits != 1 {
+		t.Errorf("cacheHits = %d, want 1", st.CacheHits)
 	}
 }
 
@@ -299,9 +298,8 @@ drained:
 	if count != 0 {
 		t.Fatalf("canceled sweep emitted %d records", count)
 	}
-	_, _, canceled, _ := sweep.Counts()
-	if canceled != 3 {
-		t.Fatalf("canceled = %d, want 3", canceled)
+	if st, _ := d.SweepStatus(sweep.ID); st.Canceled != 3 {
+		t.Fatalf("canceled = %d, want 3", st.Canceled)
 	}
 	if ok, _ := d.Heartbeat(grant.ID); ok {
 		t.Fatal("lease of a canceled sweep still heartbeats")
@@ -341,10 +339,10 @@ func TestRestartedDispatcherRejectsStaleResults(t *testing.T) {
 	}
 
 	staleRec := okRecord(0) // X's cell 0, hash and all
-	if n, ok := after.Results(stale.ID, []hotpotato.SweepResultRecord{staleRec}); ok || n != 0 {
+	if n, ok := after.PostResults(ResultsRequest{LeaseID: stale.ID, Records: []hotpotato.SweepResultRecord{staleRec}}); ok || n != 0 {
 		t.Errorf("stale lease accepted=%d ok=%v, want rejected", n, ok)
 	}
-	if n, ok := after.Results(fresh.ID, []hotpotato.SweepResultRecord{staleRec}); !ok || n != 0 {
+	if n, ok := after.PostResults(ResultsRequest{LeaseID: fresh.ID, Records: []hotpotato.SweepResultRecord{staleRec}}); !ok || n != 0 {
 		t.Errorf("foreign-hash record accepted=%d ok=%v, want 0 accepted on a live lease", n, ok)
 	}
 	hashY, err := hotpotato.SpecHash(cellY.Spec)
@@ -356,7 +354,7 @@ func TestRestartedDispatcherRejectsStaleResults(t *testing.T) {
 	}
 	good := staleRec
 	good.Hash = hashY
-	if n, ok := after.Results(fresh.ID, []hotpotato.SweepResultRecord{good}); !ok || n != 1 {
+	if n, ok := after.PostResults(ResultsRequest{LeaseID: fresh.ID, Records: []hotpotato.SweepResultRecord{good}}); !ok || n != 1 {
 		t.Fatalf("matching record accepted=%d ok=%v", n, ok)
 	}
 	if _, ok := archive.Get(hashY); !ok {
@@ -432,5 +430,46 @@ func TestNewDispatcherBoundsDefaultWhenNotPositive(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunReturnDropsRoster: when Run returns, the workers still on the
+// roster leave the process-wide fabric_workers gauge and the fleet gauge
+// sums, so a stopped dispatcher leaks no workers into them.
+func TestRunReturnDropsRoster(t *testing.T) {
+	d := NewDispatcher(Config{LeaseTTL: time.Minute})
+	const gauge = "run_return_test_queue_depth"
+	workers := metricWorkers.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(done)
+	}()
+	for _, id := range []string{"w1", "w2"} {
+		d.Lease(id, 1)
+		d.FoldTelemetry(id, nil, map[string]float64{gauge: 2})
+	}
+	if got := metricWorkers.Value() - workers; got != 2 {
+		t.Fatalf("fabric_workers moved by %g after two leases, want 2", got)
+	}
+	if got := fleetGauge(gauge).Value(); got != 4 {
+		t.Fatalf("fleet gauge %g, want 4 (2+2)", got)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+	if got := metricWorkers.Value(); got != workers {
+		t.Errorf("fabric_workers %g after Run returned, want %g", got, workers)
+	}
+	if got := fleetGauge(gauge).Value(); got != 0 {
+		t.Errorf("fleet gauge %g after Run returned, want 0", got)
+	}
+	if got := d.WorkerStatuses().Workers; len(got) != 0 {
+		t.Errorf("roster %+v after Run returned, want empty", got)
 	}
 }

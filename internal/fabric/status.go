@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -163,22 +166,14 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		}
 		st.Workers = append(st.Workers, row)
 	}
-	sortSweepWorkers(st.Workers)
-	return st
-}
-
-// sortSweepWorkers orders attribution rows by descending contribution, ties
-// by ID, so the status output is diff-stable.
-func sortSweepWorkers(rows []SweepWorkerStatus) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0; j-- {
-			a, b := rows[j-1], rows[j]
-			if a.Done > b.Done || (a.Done == b.Done && a.ID <= b.ID) {
-				break
-			}
-			rows[j-1], rows[j] = b, a
+	// By descending contribution, ties by ID, so the output is diff-stable.
+	slices.SortFunc(st.Workers, func(a, b SweepWorkerStatus) int {
+		if c := cmp.Compare(b.Done, a.Done); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.ID, b.ID)
+	})
+	return st
 }
 
 // SweepStatuses returns the status rows of every active sweep and every
@@ -198,11 +193,7 @@ func (d *Dispatcher) SweepStatuses(archiveLimit int) SweepList {
 	d.mu.Unlock()
 
 	// Active sweeps are in registry (map) order; sort by ID for stability.
-	for i := 1; i < len(list.Active); i++ {
-		for j := i; j > 0 && list.Active[j-1].SweepID > list.Active[j].SweepID; j-- {
-			list.Active[j-1], list.Active[j] = list.Active[j], list.Active[j-1]
-		}
-	}
+	slices.SortFunc(list.Active, func(a, b SweepStatus) int { return strings.Compare(a.SweepID, b.SweepID) })
 	if archive != nil && archiveLimit > 0 {
 		list.Archived = archive.RecentManifests(archiveLimit)
 	}
@@ -265,11 +256,6 @@ func (d *Dispatcher) WorkerStatuses() WorkerList {
 		}
 		list.Workers = append(list.Workers, row)
 	}
-	rows := list.Workers
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j-1].ID > rows[j].ID; j-- {
-			rows[j-1], rows[j] = rows[j], rows[j-1]
-		}
-	}
+	slices.SortFunc(list.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
 	return list
 }

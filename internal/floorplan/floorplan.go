@@ -186,17 +186,6 @@ func (f *Floorplan) orderForRotation(cores []int) {
 	})
 }
 
-// CenterDistance returns the Euclidean distance (in grid units) from core id
-// to the chip centre; used for reporting and plotting.
-func (f *Floorplan) CenterDistance(id int) float64 {
-	x, y := f.Coord(id)
-	cx := float64(f.Width-1) / 2
-	cy := float64(f.Height-1) / 2
-	dx := float64(x) - cx
-	dy := float64(y) - cy
-	return math.Hypot(dx, dy)
-}
-
 // CoreArea returns the area of one core in m².
 func (f *Floorplan) CoreArea() float64 { return f.CoreEdge * f.CoreEdge }
 

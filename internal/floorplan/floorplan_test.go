@@ -187,17 +187,6 @@ func TestCoreAreaTableI(t *testing.T) {
 	}
 }
 
-func TestCenterDistanceSymmetry(t *testing.T) {
-	f := MustNew(4, 4, 0.0009)
-	// All four centre cores are equidistant from the chip centre.
-	d := f.CenterDistance(5)
-	for _, c := range []int{6, 9, 10} {
-		if math.Abs(f.CenterDistance(c)-d) > 1e-12 {
-			t.Errorf("CenterDistance(%d) = %v, want %v", c, f.CenterDistance(c), d)
-		}
-	}
-}
-
 // Property: AMD values are invariant under the chip's symmetries
 // (here: 180° rotation maps core (x,y) to (W-1-x, H-1-y) with equal AMD).
 func TestPropAMDSymmetric(t *testing.T) {

@@ -137,20 +137,6 @@ func rotatedSumMaxGo(t, bg, h, w []float64, first int) float64 {
 	return VecMax(t)
 }
 
-// VecMaxIndex returns the index of the largest element of a.
-func VecMaxIndex(a []float64) int {
-	if len(a) == 0 {
-		panic("matrix: VecMaxIndex of empty vector")
-	}
-	idx := 0
-	for i, v := range a {
-		if v > a[idx] {
-			idx = i
-		}
-	}
-	return idx
-}
-
 // VecNormInf returns the infinity norm of a.
 func VecNormInf(a []float64) float64 {
 	var max float64

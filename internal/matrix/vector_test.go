@@ -49,9 +49,6 @@ func TestVecMaxAndIndex(t *testing.T) {
 	if got := VecMax(a); got != 3 {
 		t.Errorf("VecMax = %v", got)
 	}
-	if got := VecMaxIndex(a); got != 1 {
-		t.Errorf("VecMaxIndex = %v, want 1 (first max)", got)
-	}
 }
 
 func TestVecMaxEmptyPanics(t *testing.T) {

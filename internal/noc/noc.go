@@ -107,12 +107,3 @@ func (n *Network) AvgLLCRoundTrip(id int) float64 {
 	oneWayReply := amd*n.cfg.HopLatency + float64(flits-1)*n.cfg.HopLatency
 	return oneWayRequest + oneWayReply + 2*n.cfg.RouterOverhead
 }
-
-// AvgLLCRoundTrips returns AvgLLCRoundTrip for every core.
-func (n *Network) AvgLLCRoundTrips() []float64 {
-	out := make([]float64, n.fp.NumCores())
-	for i := range out {
-		out[i] = n.AvgLLCRoundTrip(i)
-	}
-	return out
-}

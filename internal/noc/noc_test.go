@@ -129,16 +129,6 @@ func TestAvgLLCRoundTripCenterFasterThanCorner(t *testing.T) {
 	}
 }
 
-func TestAvgLLCRoundTripsVectorMatchesScalar(t *testing.T) {
-	n := testNet(t, 4, 4)
-	v := n.AvgLLCRoundTrips()
-	for i, rt := range v {
-		if rt != n.AvgLLCRoundTrip(i) {
-			t.Fatalf("vector[%d] mismatch", i)
-		}
-	}
-}
-
 // Property: latency is monotone in distance and in message size.
 func TestPropLatencyMonotone(t *testing.T) {
 	f := func(seed int64) bool {

@@ -480,8 +480,3 @@ func (m *Model) InitialTemps() []float64 {
 func (m *Model) MaxCoreTemp(t []float64) float64 {
 	return matrix.VecMax(t[:m.n])
 }
-
-// HottestCore returns the index of the hottest core in t.
-func (m *Model) HottestCore(t []float64) int {
-	return matrix.VecMaxIndex(t[:m.n])
-}

@@ -129,12 +129,5 @@ func (m *Model) buildStacked(cfg StackedConfig, nPer int) *matrix.SparseBuilder 
 	return bb
 }
 
-// LayerOf returns the layer index of core id in a stacked model built over a
-// floorplan with perLayer cores per layer.
-func LayerOf(id, perLayer int) int { return id / perLayer }
-
-// PositionOf returns the within-layer position of core id.
-func PositionOf(id, perLayer int) int { return id % perLayer }
-
 // StackedCoreID returns the node/core ID of (layer, position).
 func StackedCoreID(layer, position, perLayer int) int { return layer*perLayer + position }

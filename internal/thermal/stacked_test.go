@@ -130,9 +130,6 @@ func TestStackedTransientConverges(t *testing.T) {
 }
 
 func TestLayerHelpers(t *testing.T) {
-	if LayerOf(17, 16) != 1 || PositionOf(17, 16) != 1 {
-		t.Error("layer helpers wrong")
-	}
 	if StackedCoreID(1, 1, 16) != 17 {
 		t.Error("StackedCoreID wrong")
 	}
