@@ -31,13 +31,14 @@ func validateVersion(v string) error {
 
 // Canonicalize returns the canonical form of a validated spec: the unique
 // representative of every RunSpec that declares the same run. It applies
-// WithDefaults, pins Version to SpecVersion, resolves the workload fields
-// that depend on the platform (a homogeneous total_threads of 0 becomes the
-// chip's core count), drops the workload fields the declared kind ignores,
-// normalizes zero-scale explicit tasks to scale 1, and nils empty pin maps
-// and core cycles. Two specs that execute identically under ExecuteSpec
-// canonicalize to equal values — field order and elided defaults never
-// matter — while any semantically meaningful change survives.
+// WithDefaults (which also spells the auto solver ""), pins Version to
+// SpecVersion, resolves the workload fields that depend on the platform (a
+// homogeneous total_threads of 0 becomes the chip's core count), drops the
+// workload fields the declared kind ignores, normalizes zero-scale explicit
+// tasks to scale 1, and nils empty pin maps and core cycles. Two specs that
+// execute identically under ExecuteSpec canonicalize to equal values — field
+// order and elided defaults never matter — while any semantically
+// meaningful change survives.
 //
 // The method is idempotent and fails exactly when Validate fails; the
 // returned spec runs bit-identically to the input.

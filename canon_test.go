@@ -108,6 +108,31 @@ func TestSpecHashEqualAcrossSpellings(t *testing.T) {
 	}
 }
 
+// TestAutoSolverIsTheEmptySolver: solver "auto" and "" run identically, so
+// they are one spelling of one run — one SpecHash, and one PlatformCache
+// entry for the platform both specs build.
+func TestAutoSolverIsTheEmptySolver(t *testing.T) {
+	base := `{"platform":{"width":4,"height":4},"scheduler":{"name":"hotpotato"},"workload":{"kind":"homogeneous","bench":"blackscholes","total_threads":4}}`
+	empty := decodeSpec(t, base)
+	auto := decodeSpec(t, strings.Replace(base, `"height":4`, `"height":4,"thermal":{"solver":"auto"}`, 1))
+	if auto.Platform.Thermal.Solver != SolverAuto {
+		t.Fatalf("decoded solver %q, want %q", auto.Platform.Thermal.Solver, SolverAuto)
+	}
+	if a, e := mustHash(t, auto), mustHash(t, empty); a != e {
+		t.Errorf(`solver "auto" hashed %s, solver "" %s`, a, e)
+	}
+
+	c := NewPlatformCache()
+	for _, spec := range []RunSpec{empty, auto} {
+		if _, err := c.Get(spec.WithDefaults().Platform); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := c.Stats(); c.Len() != 1 || misses != 1 || hits != 1 {
+		t.Errorf("want 1 entry (1 miss / 1 hit), got %d entries (%d misses / %d hits)", c.Len(), misses, hits)
+	}
+}
+
 // TestSpecHashSeparatesSemanticChanges: any change that could alter the
 // Result must change the hash.
 func TestSpecHashSeparatesSemanticChanges(t *testing.T) {

@@ -198,10 +198,16 @@ func overhead() error {
 		return err
 	}
 	if !emit("overhead", res) {
-		fmt.Println("Run-time overhead (64-core full load):")
+		fmt.Printf("Run-time overhead (64-core full load; host %s):\n", host())
 		fmt.Println(res)
 	}
 	return nil
+}
+
+// host names the machine that host-timed rows were measured on: they time
+// the host CPU, so a number means nothing without it.
+func host() string {
+	return fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version())
 }
 
 // ablationResults is the -json document of -exp ablations.
@@ -252,7 +258,7 @@ func ablations(opts experiments.Options) error {
 	experiments.WriteMigrationCostSweep(os.Stdout, r.MigrationCost)
 	fmt.Println()
 	experiments.WriteAnalyticVsBrute(os.Stdout, r.AnalyticVsBrute)
-	fmt.Println()
+	fmt.Printf("(times on host %s)\n\n", host())
 	experiments.WriteNoiseSweep(os.Stdout, r.NoiseSweep)
 	fmt.Println()
 	experiments.WriteHeadroomSweep(os.Stdout, r.HeadroomSweep)

@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	hotpotato "repro"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 )
@@ -40,7 +39,6 @@ func main() {
 	leaseCells := flag.Int("lease-cells", 0, "max sweep cells booked per lease (0 = 4)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = library max 65536)")
 	batchHeartbeat := flag.Duration("batch-heartbeat", 0, "interval between /v1/batch progress records (0 = 10s)")
-	solver := flag.String("solver", "", "default thermal solver for cells that leave platform.thermal.solver empty: auto|dense|sparse")
 	archiveDir := flag.String("archive", "", "directory for the SpecHash-keyed result archive and per-sweep manifests (empty = archiving disabled)")
 	sweepSpanDepth := flag.Int("sweep-span-depth", 0, "spans retained per sweep for /v1/sweeps/{id}/spans, worker-exported spans included (0 = 8192)")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -62,10 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := hotpotato.ValidateSolver(*solver); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	var archive *fabric.Archive
 	if *archiveDir != "" {
@@ -82,7 +76,6 @@ func main() {
 		LeaseCells:     *leaseCells,
 		MaxSweepCells:  *maxSweepCells,
 		Heartbeat:      *batchHeartbeat,
-		DefaultSolver:  *solver,
 		Archive:        archive,
 		SweepSpanDepth: *sweepSpanDepth,
 		Logger:         logger,

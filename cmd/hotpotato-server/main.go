@@ -42,7 +42,6 @@ func main() {
 	retention := flag.Duration("job-retention", 0, "how long finished async jobs stay queryable (0 = 10m)")
 	traceDepth := flag.Int("trace-depth", 0, "scheduler epochs retained per async job for /v1/jobs/{id}/trace (0 = 4096)")
 	spanDepth := flag.Int("span-depth", 0, "spans retained per async job for /v1/jobs/{id}/spans (0 = 8192)")
-	solver := flag.String("solver", "", "default thermal solver for specs that leave platform.thermal.solver empty: auto|dense|sparse")
 	twinModel := flag.String("twin-model", "", "analytical-twin calibration artifact (TWIN_model.json) backing POST /v1/predict; empty disables it")
 	resultCache := flag.Int("result-cache-entries", 0, "content-addressed result cache capacity in entries (0 = 256)")
 	maxSweepCells := flag.Int("max-sweep-cells", 0, "largest sweep cross-product /v1/batch accepts (0 = 1024)")
@@ -81,10 +80,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := hotpotato.ValidateSolver(*solver); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var twin *hotpotato.TwinModel
 	if *twinModel != "" {
 		twin, err = hotpotato.LoadTwinModelFile(*twinModel)
@@ -98,7 +93,6 @@ func main() {
 	svc := service.New(service.Config{
 		Workers: *workers, QueueDepth: *queue,
 		JobRetention: *retention, TraceDepth: *traceDepth, SpanDepth: *spanDepth,
-		DefaultSolver:      *solver,
 		ResultCacheEntries: *resultCache,
 		MaxSweepCells:      *maxSweepCells,
 		BatchHeartbeat:     *batchHeartbeat,
@@ -130,9 +124,7 @@ func main() {
 
 	// Worker mode rides alongside serving: the pull loop plugs the service's
 	// cache-consulting cell executor into the fabric, so leased cells share
-	// the result cache (and worker semaphore) with local /v1 traffic. The
-	// worker never applies this server's -solver to fabric cells — the
-	// dispatcher finalized every spec before leasing.
+	// the result cache (and worker semaphore) with local /v1 traffic.
 	workerCtx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
 	workerDone := make(chan struct{})

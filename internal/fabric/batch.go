@@ -25,10 +25,10 @@ func WantsSSE(r *http.Request) bool {
 
 // AdmitSweep decodes and admits a POST /v1/batch body: the document must
 // decode and Validate, and its cross-product must not exceed maxCells. An
-// admitted sweep comes back as its expanded cells, each with the door's
-// solver default applied. A rejected sweep comes back as the HTTP status and
-// error to answer with (400 or 413); no cell has been expanded for it.
-func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) ([]hotpotato.SweepCell, int, error) {
+// admitted sweep comes back as its expanded cells. A rejected sweep comes
+// back as the HTTP status and error to answer with (400 or 413); no cell has
+// been expanded for it.
+func AdmitSweep(body io.Reader, maxCells int) ([]hotpotato.SweepCell, int, error) {
 	var sweep hotpotato.SweepSpec
 	if err := json.NewDecoder(body).Decode(&sweep); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("decoding SweepSpec: %w", err)
@@ -48,13 +48,6 @@ func AdmitSweep(body io.Reader, maxCells int, defaultSolver string) ([]hotpotato
 	if err != nil {
 		// Unreachable after the admission check, but fail closed.
 		return nil, http.StatusRequestEntityTooLarge, err
-	}
-	// Expand has already applied WithDefaults per cell (which never fills the
-	// solver), so ApplyDefaultSolver sees exactly the cells whose clients
-	// left the choice open — the same post-defaults point where /v1/run
-	// applies it.
-	for i := range cells {
-		ApplyDefaultSolver(&cells[i].Spec, defaultSolver)
 	}
 	return cells, 0, nil
 }
@@ -93,20 +86,5 @@ func StreamSweep(stream *RecordStream, header hotpotato.SweepStarted, records <-
 				Type: "progress", Done: done, Total: header.Total, ElapsedMS: elapsedMS(),
 			})
 		}
-	}
-}
-
-// ApplyDefaultSolver fills spec's thermal solver when it is empty — the one
-// post-defaults policy knob in the serving stack. Both of the single-node
-// server's endpoints (/v1/run via decodeSpec, /v1/batch per expanded cell
-// through AdmitSweep) and the dispatcher call this same helper at the same
-// point in the pipeline (after WithDefaults, before hashing), which is what
-// guarantees one spec yields one SpecHash — and so one cache key and one
-// archive key — no matter which door it came through. WithDefaults never
-// fills the solver itself (sim.DefaultConfig leaves it empty), so "empty
-// after defaults" is exactly "the client did not choose".
-func ApplyDefaultSolver(spec *hotpotato.RunSpec, solver string) {
-	if solver != "" && spec.Platform.Thermal.Solver == "" {
-		spec.Platform.Thermal.Solver = solver
 	}
 }

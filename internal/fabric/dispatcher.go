@@ -59,11 +59,6 @@ type Config struct {
 	// Heartbeat is the client-stream progress cadence (≤ 0 = 10s) — the same
 	// knob as the single-node server's -batch-heartbeat.
 	Heartbeat time.Duration
-	// DefaultSolver fills platform.thermal.solver on cells that leave it
-	// empty, exactly like hotpotato-server's -solver: the dispatcher must
-	// apply the same default at the same point (post-expansion, pre-hash) or
-	// the same sweep would hash differently here and on a single node.
-	DefaultSolver string
 	// Archive persists completed cells by SpecHash; nil disables archiving
 	// (and the archive-hit fast path).
 	Archive *Archive

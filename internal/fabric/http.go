@@ -46,12 +46,9 @@ func (d *Dispatcher) Handler() http.Handler {
 // handleBatch is the dispatcher's client-facing sweep endpoint: the shared
 // /v1/batch contract (AdmitSweep, StreamSweep), except that the header also
 // carries the sweep_id naming the archive entry. Cells are executed by
-// leased workers instead of a local pool; the dispatcher's solver default
-// is applied at admission, and the workers execute the cells verbatim and
-// never re-default, so the hash the dispatcher archives under is the hash
-// the worker caches under.
+// leased workers instead of a local pool.
 func (d *Dispatcher) handleBatch(w http.ResponseWriter, r *http.Request) {
-	cells, status, err := AdmitSweep(r.Body, d.cfg.MaxSweepCells, d.cfg.DefaultSolver)
+	cells, status, err := AdmitSweep(r.Body, d.cfg.MaxSweepCells)
 	if err != nil {
 		WriteError(w, status, err)
 		return

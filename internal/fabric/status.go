@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"cmp"
-	"slices"
-	"strings"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -167,11 +165,12 @@ func (d *Dispatcher) sweepStatusLocked(sw *sweepState, now time.Time) SweepStatu
 		st.Workers = append(st.Workers, row)
 	}
 	// By descending contribution, ties by ID, so the output is diff-stable.
-	slices.SortFunc(st.Workers, func(a, b SweepWorkerStatus) int {
-		if c := cmp.Compare(b.Done, a.Done); c != 0 {
-			return c
+	sort.Slice(st.Workers, func(i, j int) bool {
+		a, b := st.Workers[i], st.Workers[j]
+		if a.Done != b.Done {
+			return a.Done > b.Done
 		}
-		return strings.Compare(a.ID, b.ID)
+		return a.ID < b.ID
 	})
 	return st
 }
@@ -193,7 +192,7 @@ func (d *Dispatcher) SweepStatuses(archiveLimit int) SweepList {
 	d.mu.Unlock()
 
 	// Active sweeps are in registry (map) order; sort by ID for stability.
-	slices.SortFunc(list.Active, func(a, b SweepStatus) int { return strings.Compare(a.SweepID, b.SweepID) })
+	sort.Slice(list.Active, func(i, j int) bool { return list.Active[i].SweepID < list.Active[j].SweepID })
 	if archive != nil && archiveLimit > 0 {
 		list.Archived = archive.RecentManifests(archiveLimit)
 	}
@@ -256,6 +255,6 @@ func (d *Dispatcher) WorkerStatuses() WorkerList {
 		}
 		list.Workers = append(list.Workers, row)
 	}
-	slices.SortFunc(list.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
+	sort.Slice(list.Workers, func(i, j int) bool { return list.Workers[i].ID < list.Workers[j].ID })
 	return list
 }

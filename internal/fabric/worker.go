@@ -30,10 +30,7 @@ const DefaultCellSpanDepth = 128
 
 // Worker is the pull loop a hotpotato-server runs when given a dispatcher:
 // lease → execute → post results → heartbeat, forever. Its first lease puts
-// it on the dispatcher's roster. It never applies local policy (like the
-// worker's own -solver default) to fabric cells — the dispatcher already
-// finalized every spec, and a worker that rewrote them would break the
-// fleet-wide hash agreement.
+// it on the dispatcher's roster.
 type Worker struct {
 	// Dispatcher is the dispatcher's base URL (e.g. http://host:8080).
 	Dispatcher string

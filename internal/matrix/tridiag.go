@@ -9,9 +9,10 @@ import (
 // by the implicit QL method with Wilkinson shifts (the classical EISPACK
 // tql2 routine). The Krylov expm·v kernel diagonalizes its m×m Lanczos
 // tridiagonal with it on every convergence check; m stays small (≤ the
-// subspace cap), so the O(m³) cost is invisible next to the matvecs — but
-// the routine must not allocate, because it runs inside the zero-allocation
-// step contract of thermal.Stepper.StepTo.
+// subspace cap), but the O(m³) solve is not free: it is 39 % of
+// TestSparseTablesMatchEvaluate's CPU profile. The routine must not
+// allocate, because it runs inside the zero-allocation step contract of
+// thermal.Stepper.StepTo.
 
 // symTridEigen diagonalizes the n×n symmetric tridiagonal matrix with
 // diagonal d[0:n] and subdiagonal e[0:n-1] (e[i] couples rows i and i+1).

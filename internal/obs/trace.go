@@ -65,15 +65,18 @@ type Tracer interface {
 const DefaultTraceDepth = 4096
 
 // RingTracer is a bounded ring buffer of epoch events: recording never
-// blocks and never grows beyond the capacity — old epochs are overwritten,
-// and Dropped reports how many. It is safe for concurrent use (the HTTP
-// service reads a job's trace while the run is still recording).
+// blocks and never retains more than the capacity — old epochs are
+// overwritten, and Dropped reports how many. The buffer grows as it fills,
+// so a short run holds only the epochs it recorded. It is safe for
+// concurrent use (the HTTP service reads a job's trace while the run is
+// still recording).
 type RingTracer struct {
-	mu      sync.Mutex
-	events  []EpochEvent
-	next    int
-	wrapped bool
-	total   int64
+	mu       sync.Mutex
+	events   []EpochEvent
+	capacity int
+	next     int
+	wrapped  bool
+	total    int64
 }
 
 // NewRingTracer returns a tracer retaining the last `capacity` epochs
@@ -82,7 +85,7 @@ func NewRingTracer(capacity int) *RingTracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceDepth
 	}
-	return &RingTracer{events: make([]EpochEvent, 0, capacity)}
+	return &RingTracer{capacity: capacity}
 }
 
 // RecordEpoch implements Tracer; it keeps a copy of the borrowed event.
@@ -92,14 +95,14 @@ func (t *RingTracer) RecordEpoch(ev EpochEvent) {
 	ev.CoreTemps = slices.Clone(ev.CoreTemps)
 	ev.CorePower = slices.Clone(ev.CorePower)
 	t.mu.Lock()
-	if len(t.events) < cap(t.events) {
+	if len(t.events) < t.capacity {
 		t.events = append(t.events, ev)
 	} else {
 		t.events[t.next] = ev
 		t.wrapped = true
 		metricTraceEventsDropped.Inc()
 	}
-	t.next = (t.next + 1) % cap(t.events)
+	t.next = (t.next + 1) % t.capacity
 	t.total++
 	t.mu.Unlock()
 }

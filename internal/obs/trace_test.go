@@ -3,9 +3,11 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func ev(i int) EpochEvent {
@@ -56,8 +58,32 @@ func TestRingTracerOverwritesOldest(t *testing.T) {
 
 func TestRingTracerDefaultCapacity(t *testing.T) {
 	tr := NewRingTracer(0)
-	if c := cap(tr.events); c != DefaultTraceDepth {
-		t.Errorf("capacity = %d, want %d", c, DefaultTraceDepth)
+	for i := 0; i <= DefaultTraceDepth; i++ {
+		tr.RecordEpoch(ev(i))
+	}
+	if tr.Len() != DefaultTraceDepth || tr.Dropped() != 1 {
+		t.Errorf("len=%d dropped=%d, want %d/1", tr.Len(), tr.Dropped(), DefaultTraceDepth)
+	}
+	if got := tr.Events()[0].Epoch; got != 1 {
+		t.Errorf("oldest retained epoch %d, want 1", got)
+	}
+}
+
+// TestRingTracerAllocatesAsItFills: a ring holds the epochs it recorded, not
+// its capacity — a job that ran a few epochs must not pin DefaultTraceDepth
+// events' worth of heap for its whole retention.
+func TestRingTracerAllocatesAsItFills(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewRingTracer(DefaultTraceDepth)
+	tr.RecordEpoch(ev(0))
+	runtime.ReadMemStats(&after)
+	full := uint64(DefaultTraceDepth) * uint64(unsafe.Sizeof(EpochEvent{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > full/64 {
+		t.Errorf("one event allocated %d B; the full ring is %d B", got, full)
+	}
+	if tr.Len() != 1 {
+		t.Errorf("len=%d, want 1", tr.Len())
 	}
 }
 

@@ -133,32 +133,6 @@ func (m *Model) SlowdownAt(p Params, core int, f, fMax float64) float64 {
 	return m.TimePerInstr(p, core, f) / m.TimePerInstr(p, core, fMax)
 }
 
-// MemTimePerInstrContended is MemTimePerInstr with the shared-resource
-// contention factor applied: under load, LLC banks and NoC links queue, and
-// every access takes `factor` times longer (factor ≥ 1; 1 = contention-free).
-func (m *Model) MemTimePerInstrContended(p Params, core int, factor float64) float64 {
-	if factor < 1 {
-		factor = 1
-	}
-	return m.MemTimePerInstr(p, core) * factor
-}
-
-// TimePerInstrContended is TimePerInstr under a contention factor.
-func (m *Model) TimePerInstrContended(p Params, core int, f, factor float64) float64 {
-	if f <= 0 {
-		panic(fmt.Sprintf("perf: frequency must be positive, got %g", f))
-	}
-	return p.BaseCPI/f + m.MemTimePerInstrContended(p, core, factor)
-}
-
-// FractionsContended splits busy/stall time under a contention factor.
-func (m *Model) FractionsContended(p Params, core int, f, factor float64) (busy, stall float64) {
-	compute := p.BaseCPI / f
-	mem := m.MemTimePerInstrContended(p, core, factor)
-	total := compute + mem
-	return compute / total, mem / total
-}
-
 // ContentionFactor converts a bank/NoC utilization ρ ∈ [0,1) into an M/M/1
 // latency multiplier 1/(1−ρ), clamped at ρ = 0.95 (20×) to keep the
 // interval fixed point stable under overload.

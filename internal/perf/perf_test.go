@@ -241,28 +241,3 @@ func TestContentionFactorProperties(t *testing.T) {
 		prev = f
 	}
 }
-
-func TestContendedVariantsReduceToBase(t *testing.T) {
-	m, fp := testPerf(t, 4, 4)
-	core := fp.ID(1, 1)
-	p := memoryBound
-	if m.TimePerInstrContended(p, core, 3e9, 1) != m.TimePerInstr(p, core, 3e9) {
-		t.Error("factor 1 changed TimePerInstr")
-	}
-	if m.TimePerInstrContended(p, core, 3e9, 2) <= m.TimePerInstr(p, core, 3e9) {
-		t.Error("factor 2 did not slow memory")
-	}
-	b1, s1 := m.Fractions(p, core, 3e9)
-	b2, s2 := m.FractionsContended(p, core, 3e9, 1)
-	if b1 != b2 || s1 != s2 {
-		t.Error("factor 1 changed fractions")
-	}
-	b3, s3 := m.FractionsContended(p, core, 3e9, 3)
-	if s3 <= s1 || b3 >= b1 {
-		t.Error("contention did not shift time toward stall")
-	}
-	// Sub-1 factors clamp to 1.
-	if m.TimePerInstrContended(p, core, 3e9, 0.5) != m.TimePerInstr(p, core, 3e9) {
-		t.Error("factor < 1 not clamped")
-	}
-}

@@ -25,7 +25,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fabric.WriteError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
 		return
 	}
-	cells, status, err := fabric.AdmitSweep(r.Body, s.cfg.MaxSweepCells, s.cfg.DefaultSolver)
+	cells, status, err := fabric.AdmitSweep(r.Body, s.cfg.MaxSweepCells)
 	if err != nil {
 		if status == http.StatusRequestEntityTooLarge {
 			metricBatchRejected.Inc()

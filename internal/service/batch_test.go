@@ -78,7 +78,7 @@ func postBatch(t *testing.T, url, body string) (*http.Response, []batchRecord) {
 type batchDoor struct{ name, url string }
 
 // batchDoors serves cfg's sweeps through both doors: the server itself, and
-// a dispatcher (same admission limit, heartbeat and solver default) whose one
+// a dispatcher (same admission limit and heartbeat) whose one
 // in-process worker executes cells on a second, separate service stack — so
 // neither door warms the other's result cache.
 func batchDoors(t *testing.T, cfg Config) []batchDoor {
@@ -88,7 +88,6 @@ func batchDoors(t *testing.T, cfg Config) []batchDoor {
 	d := fabric.NewDispatcher(fabric.Config{
 		MaxSweepCells: svc.cfg.MaxSweepCells,
 		Heartbeat:     svc.cfg.BatchHeartbeat,
-		DefaultSolver: svc.cfg.DefaultSolver,
 	})
 	ds := httptest.NewServer(d.Handler())
 	ctx, stop := context.WithCancel(context.Background())
@@ -581,14 +580,13 @@ func checkSSEFraming(t *testing.T, url string) {
 	}
 }
 
-// TestRunBatchSolverDefaultParity: with a service-level -solver default, the
-// same spec must hash identically through POST /v1/run (decodeSpec applies
-// the default post-WithDefaults) and POST /v1/batch (applied per expanded
-// cell) — the cache key contract. The run primes the result cache; the batch
-// cell must then be a cache hit, which can only happen if both endpoints
-// derived the same SpecHash.
+// TestRunBatchSolverDefaultParity: a spec that leaves the solver to auto must
+// hash identically through POST /v1/run and as a POST /v1/batch cell — the
+// cache key contract. The run primes the result cache; the batch cell must
+// then be a cache hit, which can only happen if both endpoints derived the
+// same SpecHash.
 func TestRunBatchSolverDefaultParity(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, DefaultSolver: "dense"})
+	_, ts := newTestServer(t, Config{Workers: 2})
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", quickSpecJSON)
 	if resp.StatusCode != http.StatusOK {

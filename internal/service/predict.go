@@ -62,7 +62,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.RunSpec = spec.RunSpec.WithDefaults()
-	fabric.ApplyDefaultSolver(&spec.RunSpec, s.cfg.DefaultSolver)
 	if err := spec.RunSpec.Validate(); err != nil {
 		metricBadRequests.Inc()
 		fabric.WriteError(w, http.StatusBadRequest, err)

@@ -45,12 +45,6 @@ type Config struct {
 	// GET /v1/jobs/{id}/spans (one span per service phase plus one per
 	// scheduler epoch). ≤ 0 means obs.DefaultSpanDepth.
 	SpanDepth int
-	// DefaultSolver is applied to specs whose platform.thermal.solver is
-	// empty: "auto", "dense" or "sparse" (thermal.Solver* constants). ""
-	// leaves specs untouched, which means auto selection. The solver is
-	// part of the platform cache key, so two specs differing only in
-	// solver get distinct platforms.
-	DefaultSolver string
 	// ResultCacheEntries bounds the content-addressed result cache (LRU over
 	// SpecHash keys) shared by POST /v1/run and /v1/batch cells. ≤ 0 means
 	// DefaultResultCacheEntries.
@@ -303,11 +297,6 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (hotpotato.R
 		return spec, false
 	}
 	spec = spec.WithDefaults()
-	// The service-level solver default fills only specs that left the choice
-	// open. The shared helper is the same one /v1/batch applies per expanded
-	// cell (and the fabric dispatcher fleet-wide), so one spec yields one
-	// SpecHash through every door.
-	fabric.ApplyDefaultSolver(&spec, s.cfg.DefaultSolver)
 	if err := spec.Validate(); err != nil {
 		metricBadRequests.Inc()
 		obs.LoggerFrom(r.Context()).Warn("bad request", "reason", "invalid RunSpec", "error", err.Error())

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	hotpotato "repro"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -132,42 +131,51 @@ func TestConcurrentRequestsSharePlatform(t *testing.T) {
 	}
 }
 
-// TestDefaultSolverApplied checks the service-level solver default: a spec
-// leaving platform.thermal.solver empty picks up Config.DefaultSolver (and
-// runs), a spec naming its own solver is left alone, and a bogus default is
-// reported per request as a 400.
-func TestDefaultSolverApplied(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, DefaultSolver: "sparse"})
+// TestSolverComesFromTheSpec checks the solver choice as the spec alone makes
+// it: a spec leaving platform.thermal.solver empty and one naming "auto" are
+// the same run (one ETag, one cached platform, the second a result-cache
+// hit), and a spec naming a backend gets its own platform-cache entry.
+func TestSolverComesFromTheSpec(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	withSolver := func(name string) string {
+		return strings.Replace(quickSpecJSON,
+			`"width": 4, "height": 4`, `"width": 4, "height": 4, "thermal": {"solver": "`+name+`"}`, 1)
+	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", quickSpecJSON)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	// The defaulted solver is part of the cache key, so the cached platform
-	// must carry it.
+	autoTag := resp.Header.Get("ETag")
 	if n := svc.Cache().Len(); n != 1 {
 		t.Fatalf("want 1 cached platform, got %d", n)
 	}
 
-	// An explicit client choice wins over the server default: a dense spec
-	// for the same chip is a different cache entry.
-	denseSpec := strings.Replace(quickSpecJSON,
-		`"width": 4, "height": 4`, `"width": 4, "height": 4, "thermal": {"solver": "dense"}`, 1)
-	resp, body = postJSON(t, ts.URL+"/v1/run", denseSpec)
+	resp, body = postJSON(t, ts.URL+"/v1/run", withSolver("auto"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto-solver status %d: %s", resp.StatusCode, body)
+	}
+	if tag := resp.Header.Get("ETag"); tag != autoTag {
+		t.Errorf(`solver "auto" ETag %s, want the empty solver's %s`, tag, autoTag)
+	}
+	var run runResponse
+	if err := json.Unmarshal(body, &run); err != nil {
+		t.Fatal(err)
+	}
+	if !run.Cached {
+		t.Error(`solver "auto" missed the result cached for the empty solver`)
+	}
+	if n := svc.Cache().Len(); n != 1 {
+		t.Errorf(`solver "auto" built its own platform: %d entries`, n)
+	}
+
+	// An explicit backend is a different platform for the same chip.
+	resp, body = postJSON(t, ts.URL+"/v1/run", withSolver("dense"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explicit-solver status %d: %s", resp.StatusCode, body)
 	}
 	if n := svc.Cache().Len(); n != 2 {
-		t.Errorf("explicit solver should cache separately from the default: %d entries", n)
-	}
-
-	_, tsBad := newTestServer(t, Config{Workers: 1, DefaultSolver: "cholmod"})
-	resp, body = postJSON(t, tsBad.URL+"/v1/run", quickSpecJSON)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus default solver: status %d: %s", resp.StatusCode, body)
-	}
-	if !bytes.Contains(body, []byte("cholmod")) {
-		t.Errorf("400 body does not name the bad solver: %s", body)
+		t.Errorf("explicit solver should cache separately from auto: %d entries", n)
 	}
 }
 
@@ -641,18 +649,16 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// TestWithDefaultsLeavesSolverEmpty pins the invariant the solver-default
-// unification rests on: WithDefaults (and so Expand, which applies it per
-// cell) never fills platform.thermal.solver. If a future default changed
-// that, fabric.ApplyDefaultSolver would become a no-op everywhere and the
-// -solver flag would silently die — this test makes that loud.
+// TestWithDefaultsLeavesSolverEmpty pins that WithDefaults (and so Expand,
+// which applies it per cell) never fills platform.thermal.solver: a spec
+// that leaves the backend open runs on auto, and its hash says so.
 func TestWithDefaultsLeavesSolverEmpty(t *testing.T) {
 	var spec hotpotato.RunSpec
 	if err := json.Unmarshal([]byte(quickSpecJSON), &spec); err != nil {
 		t.Fatal(err)
 	}
 	if got := spec.WithDefaults().Platform.Thermal.Solver; got != "" {
-		t.Fatalf("WithDefaults set solver %q; the service-level default would never apply", got)
+		t.Fatalf("WithDefaults set solver %q", got)
 	}
 
 	sweep := hotpotato.SweepSpec{Base: spec}
@@ -664,15 +670,5 @@ func TestWithDefaultsLeavesSolverEmpty(t *testing.T) {
 		if got := cell.Spec.Platform.Thermal.Solver; got != "" {
 			t.Fatalf("Expand set solver %q on cell %d", got, cell.Index)
 		}
-	}
-
-	// And the helper itself: fills empty, respects explicit.
-	fabric.ApplyDefaultSolver(&spec, "dense")
-	if spec.Platform.Thermal.Solver != "dense" {
-		t.Fatal("ApplyDefaultSolver did not fill an empty solver")
-	}
-	fabric.ApplyDefaultSolver(&spec, "sparse")
-	if spec.Platform.Thermal.Solver != "dense" {
-		t.Fatal("ApplyDefaultSolver overwrote an explicit solver")
 	}
 }

@@ -574,8 +574,11 @@ func (s *Simulator) executeSlice(th *threadRt, f, dt, now, contention float64) (
 	pm := &s.plat.Power
 	if th.core != th.sliceCore || f != th.sliceF || contention != th.sliceContention {
 		params := th.task.Bench.Perf()
-		busyF, stallF := s.plat.Perf.FractionsContended(params, th.core, f, contention)
-		th.tpi = s.plat.Perf.TimePerInstrContended(params, th.core, f, contention)
+		// Under contention every memory access takes `contention` (≥ 1)
+		// times longer.
+		mem := s.plat.Perf.MemTimePerInstr(params, th.core) * contention
+		busyF, stallF := perf.FractionsAt(params, f, mem)
+		th.tpi = params.BaseCPI/f + mem
 		th.execWatts = pm.IntervalPower(th.task.Bench.NominalWatts, f, busyF, stallF)
 		th.sliceCore, th.sliceF, th.sliceContention = th.core, f, contention
 	}

@@ -150,6 +150,8 @@ func isPresent(raw json.RawMessage) bool {
 // (8×8 when unset), zero substrate sub-configs are filled in individually, a
 // zero sim section becomes DefaultSimConfig (positive-valued fields are also
 // defaulted one by one), and a zero scheduler TDTM inherits the sim TDTM.
+// The thermal solver SolverAuto is spelled "" (the two run identically), so
+// both spellings share one SpecHash and one platform-cache entry.
 // Booleans inside a non-zero sim section are taken literally. The method is
 // idempotent; ExecuteSpec applies it before validation, and the platform
 // cache of the serving layer relies on it as the canonical form of a
@@ -160,6 +162,10 @@ func (s RunSpec) WithDefaults() RunSpec {
 		p.Width, p.Height = 8, 8
 	}
 	base := DefaultPlatformConfig(p.Width, p.Height)
+	// Before the zero-section check below, so the method stays idempotent.
+	if p.Thermal.Solver == thermal.SolverAuto {
+		p.Thermal.Solver = ""
+	}
 	if p.CoreEdge == 0 {
 		p.CoreEdge = base.CoreEdge
 	}
