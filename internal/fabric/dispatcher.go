@@ -121,7 +121,8 @@ type sweepState struct {
 
 	// traceID / spans / root are the sweep's merged fleet trace: the
 	// dispatcher's own sweep and lease spans plus every worker-exported cell
-	// subtree, grafted under root.
+	// subtree, grafted under root. traceID is the client's, or "" when the
+	// client sent no traceparent; workers export cell subtrees only then.
 	traceID string
 	spans   *obs.SpanRecorder
 	root    *obs.Span
@@ -310,30 +311,29 @@ func (s *Sweep) Cancel() { s.d.cancelSweep(s.st) }
 // the archive replay immediately (Cached: true); the rest are queued for
 // workers. requestID is echoed into the archive manifest. traceParent is the
 // client's optional traceparent header value: a valid one makes the sweep
-// join the client's trace; anything else mints a fresh trace ID.
+// join the client's trace, and its leases carry the trace to the workers;
+// anything else leaves the sweep untraced (no trace ID, no worker spans).
 func (d *Dispatcher) Submit(cells []hotpotato.SweepCell, requestID, traceParent string) *Sweep {
+	// A rejected traceParent parses to the zero context: no trace ID.
+	tc, traced := obs.ParseTraceParent(traceParent)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sw := &sweepState{
 		id:          d.ids.Next("sweep"),
 		requestID:   requestID,
+		traceID:     tc.TraceID,
 		total:       len(cells),
 		outstanding: len(cells),
 		records:     make(chan hotpotato.SweepResultRecord, len(cells)),
 		began:       d.clock.Now(),
 		perWorker:   map[string]*sweepWorkerStats{},
 	}
-	tc, ok := obs.ParseTraceParent(traceParent)
-	if !ok {
-		tc = obs.NewTraceContext()
-	}
-	sw.traceID = tc.TraceID
 	sw.spans = obs.NewSpanRecorder(d.cfg.SweepSpanDepth)
 	sw.root = sw.spans.Start("sweep")
 	sw.root.SetAttr("sweep_id", sw.id)
-	sw.root.SetAttr("trace_id", sw.traceID)
 	sw.root.SetAttr("cells", len(cells))
-	if ok {
+	if traced {
+		sw.root.SetAttr("trace_id", tc.TraceID)
 		sw.root.SetAttr("parent_span_id", tc.SpanID)
 	}
 	if requestID != "" {
@@ -435,7 +435,8 @@ func (d *Dispatcher) Lease(workerID string, maxCells int) *LeaseGrant {
 	l.span.SetAttr("worker", workerID)
 	l.span.SetAttr("cells", len(grant.Cells))
 	// Workers parent their per-cell spans under this lease span: same trace,
-	// lease span as parent.
+	// lease span as parent. An untraced sweep's grant carries no traceparent
+	// (Header is "" without a trace ID), so its workers record no spans.
 	grant.TraceParent = obs.TraceContext{TraceID: sw.traceID}.Child(l.span.ID()).Header()
 	d.leases[grant.ID] = l
 	metricLeases.Inc()

@@ -394,8 +394,8 @@ func TestSubmitIDsListNewestFirst(t *testing.T) {
 
 // TestNewDispatcherBoundsDefaultWhenNotPositive: 0 and -1 both select the
 // positive default of the client stream's progress cadence and of the sweep
-// span tree's depth. A sweep's lease grant carries a traceparent, and its
-// recorder, filled one past the default depth, keeps exactly the default.
+// span tree's depth. A traced sweep's lease grant carries a traceparent, and
+// its recorder, filled one past the default depth, keeps exactly the default.
 func TestNewDispatcherBoundsDefaultWhenNotPositive(t *testing.T) {
 	for _, tc := range []struct {
 		knob  string
@@ -408,7 +408,7 @@ func TestNewDispatcherBoundsDefaultWhenNotPositive(t *testing.T) {
 			int64(10 * time.Second)},
 		{"SweepSpanDepth", func(n int) Config { return Config{SweepSpanDepth: n} },
 			func(t *testing.T, d *Dispatcher) int64 {
-				sweep := d.Submit(testCells(t, 1), "", "")
+				sweep := d.Submit(testCells(t, 1), "", fixedTrace.Header())
 				if g := d.Lease("w", 1); g.TraceParent == "" {
 					t.Error("lease grant carries no traceparent")
 				}

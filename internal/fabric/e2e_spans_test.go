@@ -88,8 +88,8 @@ func TestFabricEndToEndSpanMergeAndStatus(t *testing.T) {
 	}()
 
 	// Submit with the client's own trace context and request ID: the sweep
-	// must join that trace rather than mint a new one.
-	clientTC := obs.NewTraceContext()
+	// must join that trace.
+	clientTC := obs.TraceContext{TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331"}
 	req, err := http.NewRequest(http.MethodPost, ds.URL+"/v1/batch", strings.NewReader(e2eSweepJSON))
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func drainSweep(sw *Sweep) {
 func TestSweepStatusLifecycle(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	d := newTestDispatcher(clock, 3)
-	client := obs.NewTraceContext()
+	client := fixedTrace
 	sweep := d.Submit(testCells(t, 4), "req-42", client.Header())
 	drainSweep(sweep)
 
@@ -131,7 +131,7 @@ func TestRecentSweepRingIsBounded(t *testing.T) {
 func TestSweepSpansMergeWorkerExports(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	d := newTestDispatcher(clock, 3)
-	sweep := d.Submit(testCells(t, 1), "", "")
+	sweep := d.Submit(testCells(t, 1), "", fixedTrace.Header())
 	drainSweep(sweep)
 	grant := d.Lease("w1", 1)
 	if grant.TraceParent == "" {

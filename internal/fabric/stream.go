@@ -20,9 +20,10 @@ const TerminalRecordType = "summary"
 // POST /v1/batch. Every record is flushed immediately: the whole point of
 // the endpoint is that cell results arrive as they finish, not at the end.
 //
-// Send is safe for concurrent use (results and heartbeats race by design);
-// the terminal rule above is enforced under the same lock, so no record can
-// interleave after the summary even when a heartbeat fires late.
+// Both /v1/batch handlers send only through StreamSweep, from one goroutine.
+// Send is still safe for concurrent use, and the terminal rule above is
+// enforced under the same lock, so no record can follow the summary even if
+// a later caller adds a second sender.
 type RecordStream struct {
 	mu       sync.Mutex
 	w        http.ResponseWriter

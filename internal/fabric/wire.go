@@ -42,7 +42,8 @@ type LeaseGrant struct {
 	// (obs.ParseTraceParent): the trace ID every span of the sweep shares,
 	// with the dispatcher's lease span as the parent. Workers stamp it on
 	// their per-cell span roots so the exported records merge into one
-	// fleet-wide tree; a worker runs a grant without a valid one untraced.
+	// fleet-wide tree. It is empty unless the sweep's client sent a
+	// traceparent; a worker runs a grant without a valid one untraced.
 	TraceParent string `json:"traceparent,omitempty"`
 }
 

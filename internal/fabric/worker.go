@@ -49,9 +49,6 @@ type Worker struct {
 	// IdlePoll is the lease-poll interval while the queue is empty; 0 means
 	// one second.
 	IdlePoll time.Duration
-	// SpanDepth caps the span records captured (and exported) per cell; ≤ 0
-	// means DefaultCellSpanDepth.
-	SpanDepth int
 
 	// lastCounters is the previous heartbeat's counter snapshot — the
 	// baseline the federation deltas are computed against. Only the (one at
@@ -73,9 +70,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	if w.IdlePoll <= 0 {
 		w.IdlePoll = time.Second
-	}
-	if w.SpanDepth <= 0 {
-		w.SpanDepth = DefaultCellSpanDepth
 	}
 	// Federation deltas start from here, not zero: a process hosting several
 	// workers (tests) must not re-report the process counters per worker.
@@ -170,29 +164,29 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant) {
 		}
 	}()
 
-	// Span capture: when the grant carries a trace context, every cell runs
-	// under a fresh bounded recorder whose root span joins the dispatcher's
-	// trace (trace_id attr, lease span as remote parent). The recorder map
-	// needs no lock — Workers: 1 below means the exec wrapper and the emit
-	// callback share one goroutine.
+	// Span capture: when the grant carries a trace context (its sweep's
+	// client sent one), every cell runs under a fresh bounded recorder whose
+	// root span joins the dispatcher's trace (trace_id attr, lease span as
+	// remote parent); an untraced grant runs its cells with no recorder. The
+	// recorder map needs no lock — Workers: 1 below means the exec wrapper
+	// and the emit callback share one goroutine.
 	exec := w.Exec
 	recorders := map[int]*obs.SpanRecorder{}
 	tc, traced := obs.ParseTraceParent(grant.TraceParent)
 	if traced {
 		exec = func(ctx context.Context, cell hotpotato.SweepCell) (*hotpotato.Result, bool, error) {
-			rec := obs.NewSpanRecorder(w.SpanDepth)
+			rec := obs.NewSpanRecorder(DefaultCellSpanDepth)
 			recorders[cell.Index] = rec
 			root := rec.Start("cell")
 			root.SetAttr("index", cell.Index)
 			root.SetAttr("worker", w.ID)
 			root.SetAttr("trace_id", tc.TraceID)
 			root.SetAttr("parent_span_id", tc.SpanID)
-			ctx = obs.ContextWithTraceContext(obs.ContextWithSpan(ctx, root), tc)
-			res, cached, err := w.Exec(ctx, cell)
+			res, cached, err := w.Exec(obs.ContextWithSpan(ctx, root), cell)
+			root.SetError(err)
 			if cached {
 				root.SetAttr("cached", true)
 			}
-			root.SetError(err)
 			root.End()
 			return res, cached, err
 		}

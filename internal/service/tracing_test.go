@@ -162,6 +162,69 @@ func findChild(n *obs.SpanNode, name string) *obs.SpanNode {
 	return nil
 }
 
+// TestTraceContextHonoredNeverMinted: the middleware adopts a valid
+// traceparent and mints none. Without the header, or with a malformed one,
+// neither the access-log line nor the job's root span carries a trace_id; a
+// valid header's trace ID lands on both, with its span ID as the job root's
+// parent.
+func TestTraceContextHonoredNeverMinted(t *testing.T) {
+	const traceID, spanID = "0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"
+	buf, _, url := newLoggedServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		name, header, want string
+	}{
+		{"absent", "", ""},
+		{"malformed", "00-" + strings.ToUpper(traceID) + "-" + spanID + "-01", ""},
+		{"valid", "00-" + traceID + "-" + spanID + "-01", traceID},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rid := "trace-" + tc.name
+			req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", strings.NewReader(quickSpecJSON))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(RequestIDHeader, rid)
+			if tc.header != "" {
+				req.Header.Set(obs.TraceParentHeader, tc.header)
+			}
+			resp, body := doRequest(t, req)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var job Job
+			if err := json.Unmarshal(body, &job); err != nil {
+				t.Fatal(err)
+			}
+			waitForJob(t, url, job.ID)
+
+			var access map[string]any
+			for _, rec := range logLines(t, buf.String()) {
+				if rec["msg"] == "http request" && rec["request_id"] == rid {
+					access = rec
+				}
+			}
+			if access == nil {
+				t.Fatalf("no access-log line for %s", rid)
+			}
+			got, has := access["trace_id"]
+			if tc.want == "" && has || tc.want != "" && got != tc.want {
+				t.Errorf("access line trace_id = %v (present %v), want %q", got, has, tc.want)
+			}
+
+			resp, body = getJSON(t, url+"/v1/jobs/"+job.ID+"/spans")
+			var envelope jobSpans
+			if err := json.Unmarshal(body, &envelope); err != nil || len(envelope.Spans) != 1 {
+				t.Fatalf("spans status %d: %s", resp.StatusCode, body)
+			}
+			attrs := envelope.Spans[0].Attrs
+			got, has = attrs["trace_id"]
+			if tc.want == "" && has || tc.want != "" && (got != tc.want || attrs["parent_span_id"] != spanID) {
+				t.Errorf("job root attrs = %v, want trace_id %q", attrs, tc.want)
+			}
+		})
+	}
+}
+
 func TestJobSpansEndpoint(t *testing.T) {
 	_, _, url := newLoggedServer(t, Config{Workers: 2})
 
