@@ -119,53 +119,65 @@ func (s serveInProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestWorkerCellSpansCappedAtDefaultDepth: a traced cell exports at most
-// DefaultCellSpanDepth spans. The cell starts one child span more than its
-// root leaves room for; the results post must carry exactly the cap and
-// count the overflow as dropped.
+// DefaultCellSpanDepth spans and counts the overflow as dropped. With its root,
+// a cell that starts DefaultCellSpanDepth-1 children fills the cap exactly and
+// drops nothing; one more child is exported as a drop.
 func TestWorkerCellSpansCappedAtDefaultDepth(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var posted []CellSpans
-	leased := false
-	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/fabric/v1/lease":
-			var resp LeaseResponse
-			if !leased {
-				leased = true
-				resp.Lease = &LeaseGrant{ID: "lease-1", Cells: testCells(t, 1), TTLMS: 15000,
-					TraceParent: fixedTrace.Header()}
+	for _, tc := range []struct {
+		name     string
+		children int
+		dropped  int64
+	}{
+		{"at_cap", DefaultCellSpanDepth - 1, 0},
+		{"one_past_cap", DefaultCellSpanDepth, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var posted []CellSpans
+			leased := false
+			stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/fabric/v1/lease":
+					var resp LeaseResponse
+					if !leased {
+						leased = true
+						resp.Lease = &LeaseGrant{ID: "lease-1", Cells: testCells(t, 1), TTLMS: 15000,
+							TraceParent: fixedTrace.Header()}
+					}
+					WriteJSON(w, http.StatusOK, resp)
+				case "/fabric/v1/results":
+					var req ResultsRequest
+					if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+						t.Errorf("undecodable results post: %v", err)
+					}
+					posted = append(posted, req.Spans...)
+					cancel()
+					WriteJSON(w, http.StatusOK, ResultsResponse{Accepted: len(req.Records), OK: true})
+				default:
+					WriteJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
+				}
+			})
+			w := &Worker{
+				Dispatcher: "http://dispatcher.test",
+				Client:     &http.Client{Transport: serveInProcess{stub}},
+				Exec: func(ctx context.Context, _ hotpotato.SweepCell) (*hotpotato.Result, bool, error) {
+					root := obs.SpanFromContext(ctx)
+					for range tc.children {
+						root.StartChild("fill").End()
+					}
+					return &hotpotato.Result{}, false, nil
+				},
 			}
-			WriteJSON(w, http.StatusOK, resp)
-		case "/fabric/v1/results":
-			var req ResultsRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				t.Errorf("undecodable results post: %v", err)
+			w.Run(ctx)
+			if len(posted) != 1 {
+				t.Fatalf("results posts carried %d cell span batches, want 1", len(posted))
 			}
-			posted = append(posted, req.Spans...)
-			cancel()
-			WriteJSON(w, http.StatusOK, ResultsResponse{Accepted: len(req.Records), OK: true})
-		default:
-			WriteJSON(w, http.StatusOK, HeartbeatResponse{OK: true})
-		}
-	})
-	w := &Worker{
-		Dispatcher: "http://dispatcher.test",
-		Client:     &http.Client{Transport: serveInProcess{stub}},
-		Exec: func(ctx context.Context, _ hotpotato.SweepCell) (*hotpotato.Result, bool, error) {
-			root := obs.SpanFromContext(ctx)
-			for range DefaultCellSpanDepth {
-				root.StartChild("fill").End()
+			if got := len(posted[0].Spans); got != DefaultCellSpanDepth || posted[0].Dropped != tc.dropped {
+				t.Errorf("exported %d spans, %d dropped; want %d and %d",
+					got, posted[0].Dropped, DefaultCellSpanDepth, tc.dropped)
 			}
-			return &hotpotato.Result{}, false, nil
-		},
-	}
-	w.Run(ctx)
-	if len(posted) != 1 {
-		t.Fatalf("results posts carried %d cell span batches, want 1", len(posted))
-	}
-	if got := len(posted[0].Spans); got != DefaultCellSpanDepth || posted[0].Dropped != 1 {
-		t.Errorf("exported %d spans, %d dropped; want %d and 1", got, posted[0].Dropped, DefaultCellSpanDepth)
+		})
 	}
 }
 
